@@ -4,7 +4,7 @@ Sanity that the figure sweeps are tractable and a regression guard for the
 event loop, the queue's liveness accounting, the tracer's category index,
 the preemptive processor, and the UDP/IP encode-decode path.  The
 machine-readable counterpart of these benches lives in ``repro.bench``
-(``python -m repro.bench --only sim_engine,queue_churn,tracer_select``).
+(``python -m repro bench --only sim_engine,queue_churn,tracer_select``).
 """
 
 from repro.bench.registry import SCENARIOS

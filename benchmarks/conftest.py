@@ -9,7 +9,7 @@ actual series alongside the timing stats.
 Benches that also produce *machine-readable* counters (event totals, peak
 live events, trace sizes) persist them with :func:`record_counters`, which
 writes one stable-JSON sidecar per bench — the same serialisation the
-``python -m repro.bench`` harness uses, so the two surfaces diff alike.
+``python -m repro bench`` harness uses, so the two surfaces diff alike.
 """
 
 from __future__ import annotations

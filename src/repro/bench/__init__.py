@@ -1,4 +1,4 @@
-"""Performance benchmark harness: ``python -m repro.bench``.
+"""Performance benchmark harness: ``python -m repro bench``.
 
 The simulator core is only "fast" if a number says so.  This package runs a
 registry of named benchmark scenarios (mirroring ``benchmarks/bench_*.py``),

@@ -508,14 +508,14 @@ def cluster_steady(quick: bool) -> BenchStats:
     ports, the manager sweep — with no faults injected.  The digest covers
     every group's replication traffic interleaved on one trace.
     """
-    from repro.cluster.harness import run_cluster_scenario
+    from repro.experiments.harness import run_scenario
     from repro.workload.cluster import ClusterScenario
 
     scenario = (ClusterScenario(n_shards=4, n_hosts=3, n_objects=8,
                                 horizon=6.0, seed=4) if quick else
                 ClusterScenario(n_shards=16, n_hosts=6, n_objects=32,
                                 horizon=20.0, seed=4))
-    result = run_cluster_scenario(scenario)
+    result = run_scenario(scenario)
     service = result.service
     return BenchStats(
         events_executed=service.sim.events_executed,
@@ -538,7 +538,7 @@ def cluster_failover(quick: bool) -> BenchStats:
     (admission re-checked on the survivors) and spare recruitment, all on
     a shared trace.
     """
-    from repro.cluster.harness import run_cluster_scenario
+    from repro.experiments.harness import run_scenario
     from repro.cluster.service import ClusterService
     from repro.faults.schedule import FaultSchedule
     from repro.workload.cluster import ClusterScenario, build_cluster
@@ -556,8 +556,7 @@ def cluster_failover(quick: bool) -> BenchStats:
     schedule = FaultSchedule().crash(3.0, "g00/primary")
     for address in doomed:
         schedule.kill_host(6.0, address)
-    result = run_cluster_scenario(scenario, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     service = result.service
     assert isinstance(service, ClusterService)
     assert result.monitor is not None
@@ -587,7 +586,7 @@ def elastic_scaleup(quick: bool) -> BenchStats:
     control-plane record interleaved; the counters in ``extra`` pin the
     story (at least one commit, zero violations).
     """
-    from repro.elastic.harness import run_elastic_scenario
+    from repro.experiments.harness import run_scenario
     from repro.faults.schedule import FaultSchedule
     from repro.workload.elastic import ElasticScenario
 
@@ -600,8 +599,7 @@ def elastic_scaleup(quick: bool) -> BenchStats:
                                 low_watermark=0.0, max_groups=6,
                                 max_hosts=10))
     schedule = FaultSchedule().flash_crowd(3.0, 2.0, 8.0)
-    result = run_elastic_scenario(scenario, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     service = result.service
     assert result.monitor is not None
     summary = result.elastic_summary()
@@ -727,7 +725,7 @@ def replica_read_failover(quick: bool) -> BenchStats:
     silent.  Exercises replica placement, subscription recovery and the
     router's fallback path on a shared trace.
     """
-    from repro.cluster.harness import run_cluster_scenario
+    from repro.experiments.harness import run_scenario
     from repro.cluster.service import ClusterService
     from repro.faults.monitor import REPLICA_STALENESS
     from repro.faults.schedule import FaultSchedule
@@ -741,8 +739,7 @@ def replica_read_failover(quick: bool) -> BenchStats:
     schedule = (FaultSchedule()
                 .crash(3.0, "g00/replica0")
                 .isolate(5.0, 4.0, "g01/replica0"))
-    result = run_cluster_scenario(scenario, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     service = result.service
     assert isinstance(service, ClusterService)
     assert result.monitor is not None

@@ -10,9 +10,9 @@ machinery — the cluster layer only decides *where* replicas live and *how
 clients find them*.
 
 The scenario type and runner live one layer up to keep imports acyclic:
-:class:`repro.workload.cluster.ClusterScenario` /
-:func:`repro.cluster.harness.run_cluster_scenario` (the harness module is
-deliberately not imported here).
+:class:`repro.workload.cluster.ClusterScenario` runs through
+:func:`repro.experiments.harness.run_scenario` (``repro.cluster.harness``,
+which names the run's trace allow-list, is deliberately not imported here).
 """
 
 from repro.cluster.metrics import ClusterMetrics, collect_cluster, collect_group

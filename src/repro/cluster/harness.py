@@ -1,34 +1,13 @@
-"""Cluster scenario runner: build, place, run, collect — one call.
+"""The trace allow-list of a cluster run.
 
-:func:`run_cluster_scenario` is the cluster-scale twin of
-:func:`repro.experiments.harness.run_scenario` and returns a
-:class:`ClusterRunResult`, a :class:`~repro.experiments.harness.RunResult`
-subclass (same surface, so sweeps, outcome flattening and report code work
-unchanged) that additionally carries the per-group metric breakdown.
-
-Chaos runs ride through the same entry point: the fault schedule's targets
-may use the cluster-scoped syntax (``"g03/primary"``, ``kill_host``,
-``isolate``), and ``monitor=True`` attaches one
-:class:`~repro.cluster.monitor.ClusterInvariantMonitor` — per-group
-invariant scoping with a merged violation stream.
+Cluster scenarios run through :func:`repro.experiments.harness.run_scenario`
+like every other topology; this module only names the categories such a
+run retains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
-
-from repro.cluster.metrics import collect_cluster
-from repro.cluster.monitor import ClusterInvariantMonitor
-from repro.experiments.harness import (
-    METRIC_TRACE_CATEGORIES,
-    RunMetrics,
-    RunResult,
-)
-from repro.workload.cluster import ClusterScenario, build_cluster
-
-if TYPE_CHECKING:
-    from repro.faults.schedule import FaultSchedule
+from repro.experiments.harness import METRIC_TRACE_CATEGORIES
 
 #: The metric allow-list plus the cluster-management and directory
 #: categories — placement, rejection feedback, host deaths and name-file
@@ -40,48 +19,3 @@ CLUSTER_TRACE_CATEGORIES = METRIC_TRACE_CATEGORIES + (
     "name_update",
     "name_unpublish",
 )
-
-
-@dataclass
-class ClusterRunResult(RunResult):
-    """A cluster run's result: RunResult surface + per-group breakdown."""
-
-    #: Per-group :class:`RunMetrics`, keyed by group name, gid order.
-    per_group: Dict[str, RunMetrics] = field(default_factory=dict)
-
-
-def run_cluster_scenario(scenario: ClusterScenario, warmup: float = 2.0,
-                         full_trace: bool = False,
-                         fault_schedule: Optional["FaultSchedule"] = None,
-                         monitor: bool = False) -> ClusterRunResult:
-    """Build the scenario's cluster, run it, and collect both metric layers.
-
-    The cluster is started (groups placed, admission charged, clients
-    running) *before* the invariant monitor attaches, because the
-    per-group monitors seed their window tables from each group's
-    registered specs — which exist only once placement has happened.
-    """
-    cluster = build_cluster(scenario)
-    if not full_trace:
-        cluster.trace.enable_only(*CLUSTER_TRACE_CATEGORIES)
-    cluster.start()
-    injector = None
-    if fault_schedule is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(cluster, fault_schedule)
-        injector.arm()
-    cluster_monitor = None
-    if monitor:
-        cluster_monitor = ClusterInvariantMonitor(cluster)
-        cluster_monitor.attach()
-    cluster.run(scenario.horizon)
-    bundle = collect_cluster(cluster, scenario.horizon, warmup)
-    return ClusterRunResult(
-        scenario=scenario,
-        service=cluster,
-        metrics=bundle.cluster,
-        injector=injector,
-        monitor=cluster_monitor,
-        per_group=bundle.per_group,
-    )

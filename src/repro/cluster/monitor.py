@@ -7,7 +7,7 @@ checks are *scoped to the shard*: two groups legitimately running one
 primary each never look like a split brain, and a crash in group 3 cannot
 charge a violation to group 7.  Every violation bubbles up into one
 merged, detection-ordered list with the owning group stamped into its
-details.
+details; degraded-state findings merge the same way.
 
 Construct it **after** ``cluster.start()`` — a group's window table is
 seeded from its registered specs, which exist only once the group has
@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.faults.monitor import InvariantMonitor, InvariantViolation
+from repro.faults.monitor import (
+    InvariantMonitor,
+    InvariantViolation,
+    kind_counts,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.service import ClusterService, ReplicationGroup
@@ -80,12 +84,24 @@ class ClusterInvariantMonitor:
 
     # ------------------------------------------------------------------
 
+    @property
+    def degraded(self) -> List[InvariantViolation]:
+        """Degraded-state findings of every group, merged in time order
+        (gid order within an instant), each stamped with ``group=``."""
+        merged = []
+        for name, monitor in self.monitors.items():
+            for finding in monitor.degraded:
+                finding.details.setdefault("group", name)
+                merged.append(finding)
+        return sorted(merged, key=lambda finding: finding.time)
+
     def violation_counts(self) -> Dict[str, int]:
         """Cluster-wide histogram kind -> count."""
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.kind] = counts.get(violation.kind, 0) + 1
-        return counts
+        return kind_counts(self.violations)
+
+    def degraded_counts(self) -> Dict[str, int]:
+        """Cluster-wide histogram kind -> count of degraded states."""
+        return kind_counts(self.degraded)
 
     def per_group_counts(self) -> Dict[str, Dict[str, int]]:
         """Histogram kind -> count for every group (groups in gid order)."""

@@ -14,19 +14,15 @@ The elastic control plane over :mod:`repro.cluster`:
 - :class:`~repro.elastic.controller.ElasticController` — ties the three
   together: migration waves under placement claims, host recruitment,
   rolling decommission of draining hosts.
-- :func:`~repro.elastic.harness.run_elastic_scenario` — one-call runner
-  for :class:`~repro.workload.elastic.ElasticScenario`.
 
-``python -m repro.elastic`` runs the deterministic elastic sweep.
+:func:`repro.experiments.harness.run_scenario` attaches the controller
+when handed an :class:`~repro.workload.elastic.ElasticScenario`;
+``python -m repro elastic`` runs the deterministic elastic sweep.
 """
 
 from repro.elastic.autoscaler import Autoscaler, AutoscalePolicy
 from repro.elastic.controller import ElasticController
-from repro.elastic.harness import (
-    ELASTIC_TRACE_CATEGORIES,
-    ElasticRunResult,
-    run_elastic_scenario,
-)
+from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
 from repro.elastic.migration import (
     MigrationWindowInvariant,
     ShardMigration,
@@ -38,8 +34,6 @@ __all__ = [
     "AutoscalePolicy",
     "ElasticController",
     "ELASTIC_TRACE_CATEGORIES",
-    "ElasticRunResult",
-    "run_elastic_scenario",
     "MigrationWindowInvariant",
     "ShardMigration",
     "OverloadShedder",

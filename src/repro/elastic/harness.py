@@ -1,34 +1,13 @@
-"""Elastic scenario runner: cluster harness + the elastic control plane.
+"""The trace allow-list of an elastic run.
 
-:func:`run_elastic_scenario` builds the scenario's cluster exactly like
-:func:`repro.cluster.harness.run_cluster_scenario` would, then attaches
-the :class:`~repro.elastic.controller.ElasticController` (autoscaler +
-shedder + migration waves) and, when ``monitor=True``, the
-:class:`~repro.elastic.migration.MigrationWindowInvariant` alongside the
-usual :class:`~repro.cluster.monitor.ClusterInvariantMonitor` — groups the
-controller creates mid-run are wired into the cluster monitor as they
-appear.
-
-With ``scenario.elastic_enabled=False`` no controller is attached and the
-run is byte-identical to the plain cluster harness — the digest gate the
-determinism tests rely on.
+Elastic scenarios run through :func:`repro.experiments.harness.run_scenario`
+like every other topology; this module only names the categories such a
+run retains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
-
-from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES, ClusterRunResult
-from repro.cluster.metrics import collect_cluster
-from repro.cluster.monitor import ClusterInvariantMonitor
-from repro.elastic.controller import ElasticController
-from repro.elastic.migration import MigrationWindowInvariant
-from repro.workload.cluster import build_cluster
-from repro.workload.elastic import ElasticScenario
-
-if TYPE_CHECKING:
-    from repro.faults.schedule import FaultSchedule
+from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
 
 #: The cluster allow-list plus every elastic-control-plane category:
 #: migrations, autoscaler actions, window renegotiation, and the host
@@ -46,71 +25,3 @@ ELASTIC_TRACE_CATEGORIES = CLUSTER_TRACE_CATEGORIES + (
     "cluster_host_drain",
     "cluster_group_retired",
 )
-
-
-@dataclass
-class ElasticRunResult(ClusterRunResult):
-    """A cluster result plus the elastic control plane's accounting."""
-
-    controller: Optional[ElasticController] = None
-    migration_monitor: Optional[MigrationWindowInvariant] = None
-
-    def elastic_summary(self) -> Dict[str, Any]:
-        """JSON-safe rollup for sweep outcomes (empty when elastic off)."""
-        if self.controller is None:
-            return {}
-        summary = self.controller.summary()
-        if self.migration_monitor is not None:
-            summary["migration_violations"] = len(
-                self.migration_monitor.violations)
-        return summary
-
-
-def run_elastic_scenario(scenario: ElasticScenario, warmup: float = 2.0,
-                         full_trace: bool = False,
-                         fault_schedule: Optional["FaultSchedule"] = None,
-                         monitor: bool = False) -> ElasticRunResult:
-    """Build, start, autoscale, run, collect — the elastic twin of
-    :func:`repro.cluster.harness.run_cluster_scenario`.
-
-    Ordering matters: the cluster starts (placement, admission, clients)
-    before monitors attach (window tables seed from registered specs),
-    and the controller starts last so its first tick sees a settled
-    cluster.
-    """
-    cluster = build_cluster(scenario)
-    if not full_trace:
-        cluster.trace.enable_only(*ELASTIC_TRACE_CATEGORIES)
-    cluster.start()
-    injector = None
-    if fault_schedule is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(cluster, fault_schedule)
-        injector.arm()
-    cluster_monitor: Optional[ClusterInvariantMonitor] = None
-    migration_monitor: Optional[MigrationWindowInvariant] = None
-    if monitor:
-        cluster_monitor = ClusterInvariantMonitor(cluster)
-        cluster_monitor.attach()
-        migration_monitor = MigrationWindowInvariant(cluster)
-        migration_monitor.attach()
-    controller: Optional[ElasticController] = None
-    if scenario.elastic_enabled:
-        controller = ElasticController(
-            cluster, scenario,
-            on_group_added=(cluster_monitor.add_group
-                            if cluster_monitor is not None else None))
-        controller.start()
-    cluster.run(scenario.horizon)
-    bundle = collect_cluster(cluster, scenario.horizon, warmup)
-    return ElasticRunResult(
-        scenario=scenario,
-        service=cluster,
-        metrics=bundle.cluster,
-        injector=injector,
-        monitor=cluster_monitor,
-        per_group=bundle.per_group,
-        controller=controller,
-        migration_monitor=migration_monitor,
-    )

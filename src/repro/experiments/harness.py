@@ -1,58 +1,58 @@
 """Scenario runner: build, run, collect.
 
 One :func:`run_scenario` call produces a :class:`RunResult` with every
-metric the figures consume.  Tracing is restricted to the categories the
-collectors need (``METRIC_TRACE_CATEGORIES``), which keeps long sweeps fast
-and memory-bounded; pass ``full_trace=True`` when a test wants to inspect
+metric the figures consume, whatever the topology: a single pair
+(:class:`~repro.workload.scenarios.Scenario`), a sharded cluster
+(:class:`~repro.workload.cluster.ClusterScenario`) or an autoscaled one
+(:class:`~repro.workload.elastic.ElasticScenario`).  Tracing is restricted
+to the categories the collectors need (``METRIC_TRACE_CATEGORIES`` and its
+cluster/elastic supersets), which keeps long sweeps fast and
+memory-bounded; pass ``full_trace=True`` when a test wants to inspect
 scheduler-level events too.
 
 Collection is split in two layers so sweeps can cross process boundaries:
 
-- :class:`RunMetrics` is the *picklable* half — plain numbers and
-  :class:`~repro.metrics.collectors.SummaryStats`, no live objects.  It is
-  what :mod:`repro.parallel` workers ship back to the parent process.
-- :class:`RunResult` wraps the metrics together with the live
-  :class:`~repro.core.service.RTPBService` (plus the armed injector and the
-  online monitor on chaos runs) for callers that inspect traces directly;
-  ``full_trace=True`` callers keep working unchanged.
+- :class:`~repro.metrics.summary.RunMetrics` is the *picklable* half —
+  plain numbers and :class:`~repro.metrics.collectors.SummaryStats`, no
+  live objects.  It is what :mod:`repro.parallel` workers ship back to the
+  parent process.
+- :class:`RunResult` wraps the metrics together with the live deployment
+  (plus the armed injector, the online monitors and the elastic controller
+  where the run has them) for callers that inspect traces directly.
 
 Chaos runs ride the same entry point: pass a
 :class:`~repro.faults.schedule.FaultSchedule` and the faults fire at their
-virtual times during the run, with an optional online
-:class:`~repro.faults.monitor.InvariantMonitor` attached (it subscribes to
-the tracer, so the storage filter does not blind it).
+virtual times during the run — cluster schedules may use the
+cluster-scoped targets (``"g03/primary"``, ``kill_host``, ``isolate``) —
+with optional online invariant monitors attached (they subscribe to the
+tracer, so the storage filter does not blind them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
     degraded_responses,
     fastpath_hit_rate,
     fastpath_response_split,
-    primary_fallback_rate,
-    read_slo_violations,
-    read_staleness_stats,
-    read_throughput,
-    response_time_stats,
-    unanswered_writes,
-    update_delivery_rate,
 )
+from repro.metrics.summary import RunMetrics, collect_metrics
 from repro.workload.scenarios import Scenario, build_scenario
 
 if TYPE_CHECKING:
     from repro.cluster.monitor import ClusterInvariantMonitor
     from repro.cluster.service import ClusterService
+    from repro.elastic.controller import ElasticController
+    from repro.elastic.migration import MigrationWindowInvariant
     from repro.faults.injector import FaultInjector
     from repro.faults.monitor import InvariantMonitor
     from repro.faults.schedule import FaultSchedule
     from repro.workload.cluster import ClusterScenario
+    from repro.workload.elastic import ElasticScenario
 
 #: Trace categories the metric collectors consume.
 METRIC_TRACE_CATEGORIES = (
@@ -90,47 +90,14 @@ METRIC_TRACE_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """The picklable, service-free metrics of one finished run."""
-
-    #: Objects that actually entered the service.
-    admitted: int
-    response: SummaryStats
-    #: Writes whose RPC never completed within the horizon (overload).
-    starved_writes: int
-    #: seconds — the paper's average maximum primary/backup distance.
-    avg_max_distance: float
-    #: seconds — the paper's duration of backup inconsistency (mean episode).
-    avg_inconsistency: float
-    #: Fraction of transmitted updates applied at the backup.
-    delivery_rate: float
-    #: Read path (repro.replicas); inert defaults on write-only runs.
-    read_throughput: float = 0.0
-    read_staleness: SummaryStats = field(
-        default_factory=SummaryStats.empty)
-    slo_violations: int = 0
-    fallback_rate: float = 0.0
-    #: Fast path (repro.core.fastpath); inert defaults elsewhere.
-    fastpath_hit_rate: float = 0.0
-    fast_response: SummaryStats = field(default_factory=SummaryStats.empty)
-    deferred_response: SummaryStats = field(
-        default_factory=SummaryStats.empty)
-    #: Writes completed degraded (backup died before acking; eager only).
-    degraded_responses: int = 0
-
-    @property
-    def mean_response(self) -> float:
-        return self.response.mean
-
-
 @dataclass
 class RunResult:
     """Everything the figures need from one finished run.
 
     The metric fields are exposed both as ``result.metrics`` (the picklable
     :class:`RunMetrics`) and as flat read-only properties for the original
-    ``result.response`` / ``result.admitted`` call sites.
+    ``result.response`` / ``result.admitted`` call sites.  The cluster and
+    elastic fields stay empty on topologies that lack them.
     """
 
     scenario: "Scenario | ClusterScenario"
@@ -139,6 +106,11 @@ class RunResult:
     #: Set on chaos runs: the armed injector and the online monitor.
     injector: Optional[FaultInjector] = None
     monitor: "InvariantMonitor | ClusterInvariantMonitor | None" = None
+    #: Cluster runs: per-group :class:`RunMetrics` by group name, gid order.
+    per_group: Dict[str, RunMetrics] = field(default_factory=dict)
+    #: Elastic runs: the control plane and its migration invariant.
+    controller: Optional[ElasticController] = None
+    migration_monitor: Optional[MigrationWindowInvariant] = None
 
     @property
     def admitted(self) -> int:
@@ -168,6 +140,16 @@ class RunResult:
     def mean_response(self) -> float:
         return self.metrics.response.mean
 
+    def elastic_summary(self) -> Dict[str, Any]:
+        """JSON-safe control-plane rollup (empty without a controller)."""
+        if self.controller is None:
+            return {}
+        summary = self.controller.summary()
+        if self.migration_monitor is not None:
+            summary["migration_violations"] = len(
+                self.migration_monitor.violations)
+        return summary
+
 
 def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,
                  full_trace: bool = False,
@@ -178,70 +160,97 @@ def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,
     ``warmup`` seconds at the head of the run are excluded from every
     metric (registration, first transmissions, and watchdog priming are
     transient).  With ``fault_schedule`` the run becomes a chaos run; with
-    ``monitor=True`` an :class:`InvariantMonitor` checks invariants online
-    and its findings ride back on the result.
+    ``monitor=True`` the topology's invariant monitors check invariants
+    online and their findings ride back on the result.
 
-    A :class:`~repro.workload.cluster.ClusterScenario` takes the cluster
-    path (:func:`repro.cluster.harness.run_cluster_scenario`) — same result
-    surface, so sweeps and workers dispatch on the scenario type alone.
+    The scenario's type picks the builder, the trace allow-list, the
+    monitors and the collector; the stage order is the same for all.  It
+    matters: the deployment starts (placement, admission, clients) before
+    the monitors attach, because they seed their window tables from the
+    registered specs, and the elastic controller starts last so its first
+    tick sees a settled cluster.
     """
-    # Local imports: repro.faults sits above the harness in the layering.
-    if not isinstance(scenario, Scenario):
+    # Local imports: repro.faults, repro.cluster and repro.elastic sit
+    # above the harness in the layering.
+    service: Any  # RTPBService or ClusterService: the stages are duck-typed
+    elastic: "ElasticScenario | None" = None
+    if isinstance(scenario, Scenario):
+        service = build_scenario(scenario)
+        categories = METRIC_TRACE_CATEGORIES
+    else:
+        from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
+        from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
+        from repro.workload.cluster import build_cluster
         from repro.workload.elastic import ElasticScenario
 
+        service = build_cluster(scenario)
+        categories = CLUSTER_TRACE_CATEGORIES
         if isinstance(scenario, ElasticScenario):
-            from repro.elastic.harness import run_elastic_scenario
-
-            return run_elastic_scenario(
-                scenario, warmup=warmup, full_trace=full_trace,
-                fault_schedule=fault_schedule, monitor=monitor)
-        from repro.cluster.harness import run_cluster_scenario
-
-        return run_cluster_scenario(
-            scenario, warmup=warmup, full_trace=full_trace,
-            fault_schedule=fault_schedule, monitor=monitor)
-    service = build_scenario(scenario)
+            elastic = scenario
+            categories = ELASTIC_TRACE_CATEGORIES
     if not full_trace:
-        service.trace.enable_only(*METRIC_TRACE_CATEGORIES)
+        service.trace.enable_only(*categories)
+    service.start()
     injector = None
     if fault_schedule is not None:
         from repro.faults.injector import FaultInjector
 
         injector = FaultInjector(service, fault_schedule)
         injector.arm()
-    invariant_monitor = None
-    if monitor:
+    run_monitor: "InvariantMonitor | ClusterInvariantMonitor | None" = None
+    migration_monitor = None
+    on_group_added = None
+    if monitor and isinstance(scenario, Scenario):
         from repro.faults.monitor import InvariantMonitor
 
-        invariant_monitor = InvariantMonitor(service)
-        invariant_monitor.attach()
+        run_monitor = InvariantMonitor(service)
+        run_monitor.attach()
+    elif monitor:
+        from repro.cluster.monitor import ClusterInvariantMonitor
+
+        run_monitor = cluster_monitor = ClusterInvariantMonitor(service)
+        cluster_monitor.attach()
+        # Groups an elastic controller creates mid-run get monitored too.
+        on_group_added = cluster_monitor.add_group
+        if elastic is not None:
+            from repro.elastic.migration import MigrationWindowInvariant
+
+            migration_monitor = MigrationWindowInvariant(service)
+            migration_monitor.attach()
+    controller = None
+    if elastic is not None and elastic.elastic_enabled:
+        from repro.elastic.controller import ElasticController
+
+        controller = ElasticController(service, elastic,
+                                       on_group_added=on_group_added)
+        controller.start()
     service.run(scenario.horizon)
+    per_group: Dict[str, RunMetrics] = {}
+    if isinstance(scenario, Scenario):
+        metrics = collect(scenario, service, warmup)
+    else:
+        from repro.cluster.metrics import collect_cluster
+
+        bundle = collect_cluster(service, scenario.horizon, warmup)
+        metrics, per_group = bundle.cluster, bundle.per_group
     return RunResult(
         scenario=scenario,
         service=service,
-        metrics=collect(scenario, service, warmup),
+        metrics=metrics,
         injector=injector,
-        monitor=invariant_monitor,
+        monitor=run_monitor,
+        per_group=per_group,
+        controller=controller,
+        migration_monitor=migration_monitor,
     )
 
 
 def collect(scenario: Scenario, service: RTPBService,
             warmup: float = 2.0) -> RunMetrics:
     """Compute :class:`RunMetrics` for an already-finished run."""
-    horizon = scenario.horizon
     split = fastpath_response_split(service, start=warmup)
-    return RunMetrics(
-        admitted=len(service.registered_specs()),
-        response=response_time_stats(service, start=warmup),
-        starved_writes=unanswered_writes(service),
-        avg_max_distance=average_max_distance(service, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(service, horizon,
-                                                         start=warmup),
-        delivery_rate=update_delivery_rate(service),
-        read_throughput=read_throughput(service, horizon, start=warmup),
-        read_staleness=read_staleness_stats(service, start=warmup),
-        slo_violations=read_slo_violations(service),
-        fallback_rate=primary_fallback_rate(service, start=warmup),
+    return replace(
+        collect_metrics(service, scenario.horizon, warmup),
         fastpath_hit_rate=fastpath_hit_rate(service, start=warmup),
         fast_response=split["fast"],
         deferred_response=split["deferred"],

@@ -6,7 +6,6 @@ to *k* backups with a static succession order, per-backup heartbeats and
 registration tracking, and chained failover.
 """
 
-from repro.extensions.multibackup import MultiBackupserverError  # noqa: F401
 from repro.extensions.multibackup import (
     MultiBackupServer,
     MultiBackupService,
@@ -15,5 +14,4 @@ from repro.extensions.multibackup import (
 __all__ = [
     "MultiBackupServer",
     "MultiBackupService",
-    "MultiBackupserverError",
 ]

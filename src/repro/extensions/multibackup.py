@@ -55,10 +55,6 @@ class MultiBackupServerError(ReplicationError):
     """Misconfiguration of a multi-backup deployment."""
 
 
-#: Deprecated alias (pre-PR-5 typo); import :class:`MultiBackupServerError`.
-MultiBackupserverError = MultiBackupServerError
-
-
 class MultiBackupServer(ReplicaServer):
     """A replica aware of a whole succession of backups."""
 

@@ -17,7 +17,7 @@ hold — all in virtual time, so every run is a pure function of
   online;
 - :mod:`repro.faults.scenarios` — the chaos scenario catalogue;
 - :mod:`repro.faults.report` — chaos runs with deterministic JSON reports
-  (also the ``python -m repro.faults`` CLI).
+  (also the ``python -m repro chaos`` CLI).
 """
 
 from repro.faults.actions import (

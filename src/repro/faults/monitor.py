@@ -73,6 +73,14 @@ class InvariantViolation:
         return {"time": self.time, "kind": self.kind, **self.details}
 
 
+def kind_counts(findings: List[InvariantViolation]) -> Dict[str, int]:
+    """Histogram kind -> count, kinds in first-seen order."""
+    counts: Dict[str, int] = {}
+    for finding in findings:
+        counts[finding.kind] = counts.get(finding.kind, 0) + 1
+    return counts
+
+
 class InvariantMonitor:
     """Watches one deployment's trace for invariant violations, online.
 
@@ -132,17 +140,11 @@ class InvariantMonitor:
 
     def violation_counts(self) -> Dict[str, int]:
         """Histogram kind -> count (diagnostics and reports)."""
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.kind] = counts.get(violation.kind, 0) + 1
-        return counts
+        return kind_counts(self.violations)
 
     def degraded_counts(self) -> Dict[str, int]:
         """Histogram kind -> count of collected degraded states."""
-        counts: Dict[str, int] = {}
-        for finding in self.degraded:
-            counts[finding.kind] = counts.get(finding.kind, 0) + 1
-        return counts
+        return kind_counts(self.degraded)
 
     # ------------------------------------------------------------------
     # Trace dispatch

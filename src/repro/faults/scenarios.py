@@ -6,7 +6,7 @@ the fault pattern is *expected* to provoke — chaos runs distinguish "the
 monitor flagged what we deliberately broke" from "something else broke".
 
 Every factory takes the root seed, so the whole catalogue is a deterministic
-function of ``(name, seed)``; ``python -m repro.faults`` runs it as a matrix.
+function of ``(name, seed)``; ``python -m repro chaos`` runs it as a matrix.
 """
 
 from __future__ import annotations

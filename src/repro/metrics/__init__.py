@@ -31,7 +31,12 @@ from repro.metrics.collectors import (
 )
 from repro.metrics.jsonio import jsonable, stable_dumps
 from repro.metrics.report import Series, Table
-from repro.metrics.summary import RunSummary, summarize_run
+from repro.metrics.summary import (
+    RunMetrics,
+    RunSummary,
+    collect_metrics,
+    summarize_run,
+)
 
 __all__ = [
     "SummaryStats",
@@ -52,7 +57,9 @@ __all__ = [
     "duplicate_deliveries",
     "Table",
     "Series",
+    "RunMetrics",
     "RunSummary",
+    "collect_metrics",
     "summarize_run",
     "jsonable",
     "stable_dumps",

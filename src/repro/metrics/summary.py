@@ -1,9 +1,14 @@
-"""One-call run summary: every paper metric for a finished deployment."""
+"""One-call run summaries: every paper metric for a finished deployment.
+
+:class:`RunMetrics` is the picklable record sweeps ship between processes;
+:func:`collect_metrics` fills the fields every topology reports — a single
+pair, one group of a cluster, or a whole cluster — from one place.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Iterable, Optional
 
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
@@ -13,13 +18,75 @@ from repro.metrics.collectors import (
     backup_external_violations,
     failover_latency,
     primary_fallback_rate,
+    read_slo_violations,
     read_staleness_stats,
+    read_throughput,
     response_time_stats,
     unanswered_writes,
     update_delivery_rate,
 )
 from repro.metrics.report import Table
 from repro.units import to_ms
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    """The picklable, service-free metrics of one finished run."""
+
+    #: Objects that actually entered the service.
+    admitted: int
+    response: SummaryStats
+    #: Writes whose RPC never completed within the horizon (overload).
+    starved_writes: int
+    #: seconds — the paper's average maximum primary/backup distance.
+    avg_max_distance: float
+    #: seconds — the paper's duration of backup inconsistency (mean episode).
+    avg_inconsistency: float
+    #: Fraction of transmitted updates applied at the backup.
+    delivery_rate: float
+    #: Read path (repro.replicas); inert defaults on write-only runs.
+    read_throughput: float = 0.0
+    read_staleness: SummaryStats = field(
+        default_factory=SummaryStats.empty)
+    slo_violations: int = 0
+    fallback_rate: float = 0.0
+    #: Fast path (repro.core.fastpath); inert defaults elsewhere.
+    fastpath_hit_rate: float = 0.0
+    fast_response: SummaryStats = field(default_factory=SummaryStats.empty)
+    deferred_response: SummaryStats = field(
+        default_factory=SummaryStats.empty)
+    #: Writes completed degraded (backup died before acking; eager only).
+    degraded_responses: int = 0
+
+    @property
+    def mean_response(self) -> float:
+        return self.response.mean
+
+
+def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
+                    objects: Optional[Iterable[int]] = None) -> RunMetrics:
+    """The :class:`RunMetrics` fields every topology shares.
+
+    ``view`` is duck-typed like every collector's ``service``; ``objects``
+    scopes the trace-counting collectors to one group of a cluster whose
+    groups share a trace.
+    """
+    return RunMetrics(
+        admitted=len(view.registered_specs()),
+        response=response_time_stats(view, start=warmup, objects=objects),
+        starved_writes=unanswered_writes(view, objects=objects),
+        avg_max_distance=average_max_distance(view, horizon, start=warmup),
+        avg_inconsistency=average_inconsistency_duration(view, horizon,
+                                                         start=warmup),
+        delivery_rate=update_delivery_rate(view, objects=objects),
+        read_throughput=read_throughput(view, horizon, start=warmup,
+                                        objects=objects),
+        read_staleness=read_staleness_stats(view, start=warmup,
+                                            objects=objects),
+        slo_violations=read_slo_violations(view, objects=objects),
+        fallback_rate=primary_fallback_rate(view, start=warmup,
+                                            objects=objects),
+    )
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ if TYPE_CHECKING:
     # Runtime imports stay local to the functions below: the experiments
     # package re-exports the figure sweeps, which import repro.parallel —
     # a module-level import here would close that cycle.
-    from repro.experiments.harness import RunMetrics, RunResult
+    from repro.experiments.harness import RunResult
     from repro.faults.schedule import FaultSchedule
+    from repro.metrics.summary import RunMetrics
     from repro.workload.cluster import ClusterScenario
 
 #: Injectable worker stopwatch — a *reference* to ``time.perf_counter``,
@@ -83,8 +84,8 @@ class RunOutcome:
     #: Worker-side wall time of the run, seconds.
     wall_s: float = 0.0
     key: Optional[Tuple[Any, ...]] = None
-    #: Harness-specific JSON-safe accounting (e.g. the elastic control
-    #: plane's migration/autoscale counters); empty elsewhere.
+    #: The elastic control plane's JSON-safe migration/autoscale
+    #: counters; empty on runs without a controller.
     extra: Dict[str, Any] = field(default_factory=dict)
 
     # Flat conveniences mirroring RunResult's metric surface.
@@ -140,12 +141,10 @@ def outcome_from_result(result: RunResult, wall_s: float = 0.0,
         violation_counts=monitor.violation_counts()
         if monitor is not None else {},
         degraded_counts=monitor.degraded_counts()
-        if monitor is not None and hasattr(monitor, "degraded_counts")
-        else {},
+        if monitor is not None else {},
         wall_s=wall_s,
         key=key,
-        extra=(result.elastic_summary()
-               if hasattr(result, "elastic_summary") else {}),
+        extra=result.elastic_summary(),
     )
 
 

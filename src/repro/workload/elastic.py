@@ -4,10 +4,9 @@
 ``repro.elastic`` control-plane knobs — the autoscaler's hysteresis
 watermarks, the overload-shedding red line, and the live-migration timing
 parameters.  It stays frozen, slotted and picklable, so elastic sweeps
-ride the existing :mod:`repro.parallel` machinery unchanged; the
-experiments harness dispatches on the scenario type
-(:func:`repro.experiments.harness.run_scenario` routes an
-``ElasticScenario`` through :func:`repro.elastic.harness.run_elastic_scenario`).
+ride the existing :mod:`repro.parallel` machinery unchanged;
+:func:`repro.experiments.harness.run_scenario` picks the elastic stages
+(migration invariant, controller) from the scenario type.
 
 The same layering rule as :mod:`repro.workload.cluster` applies: this
 module must never be imported by :mod:`repro.cluster` or
@@ -28,7 +27,7 @@ class ElasticScenario(ClusterScenario):
 
     All :class:`ClusterScenario` knobs apply; the additions below govern
     the :class:`~repro.elastic.controller.ElasticController` attached by
-    the elastic harness.  ``elastic_enabled=False`` turns the whole
+    the harness.  ``elastic_enabled=False`` turns the whole
     control plane off, leaving a byte-identical plain cluster run.
     """
 

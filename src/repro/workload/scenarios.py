@@ -9,6 +9,7 @@ registered and a sensing client attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.service import RTPBService
@@ -27,8 +28,6 @@ def ping_misses_for_loss(loss_probability: float) -> int:
     paper's environment implicitly assumes the detector does not
     false-trigger during the loss sweeps.
     """
-    import math
-
     if loss_probability <= 0:
         return 3
     round_failure = 1.0 - (1.0 - loss_probability) ** 2
@@ -91,11 +90,8 @@ class Scenario:
             slack_factor=self.slack_factor,
             admission_enabled=self.admission_enabled,
             retransmission_enabled=self.retransmission_enabled,
-            ping_max_misses=self._ping_misses_for_loss(),
+            ping_max_misses=ping_misses_for_loss(self.loss_probability),
         )
-
-    def _ping_misses_for_loss(self) -> int:
-        return ping_misses_for_loss(self.loss_probability)
 
 
 def _service_class(replication: str) -> type:

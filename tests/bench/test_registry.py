@@ -1,7 +1,7 @@
 """Unit tests for the bench scenario registry (quick micro scenarios only).
 
 The figure/chaos scenarios are exercised by the CI bench smoke job
-(``python -m repro.bench --quick``), not here — tier-1 stays fast.
+(``python -m repro bench --quick``), not here — tier-1 stays fast.
 """
 
 from repro.bench.registry import SCENARIOS, BenchStats

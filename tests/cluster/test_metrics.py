@@ -1,8 +1,8 @@
 """Cluster-scope metric aggregation: the two layers must reconcile."""
 
-from repro.cluster.harness import run_cluster_scenario
 from repro.cluster.metrics import collect_group
 from repro.cluster.service import ClusterService
+from repro.experiments.harness import run_scenario
 from repro.workload.cluster import ClusterScenario
 
 SMALL = ClusterScenario(n_shards=4, n_hosts=4, n_objects=8, horizon=8.0,
@@ -10,7 +10,7 @@ SMALL = ClusterScenario(n_shards=4, n_hosts=4, n_objects=8, horizon=8.0,
 
 
 def test_per_group_metrics_reconcile_with_cluster_wide():
-    result = run_cluster_scenario(SMALL)
+    result = run_scenario(SMALL)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     per_group = result.per_group
@@ -24,7 +24,7 @@ def test_per_group_metrics_reconcile_with_cluster_wide():
 
 
 def test_lossless_groups_deliver_everything():
-    result = run_cluster_scenario(SMALL)
+    result = run_scenario(SMALL)
     for metrics in result.per_group.values():
         # At most one write may be caught in flight by the horizon cutoff.
         assert metrics.starved_writes <= 1
@@ -34,7 +34,7 @@ def test_lossless_groups_deliver_everything():
 
 
 def test_collect_group_matches_the_harness_breakdown():
-    result = run_cluster_scenario(SMALL)
+    result = run_scenario(SMALL)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     for group in cluster.groups:

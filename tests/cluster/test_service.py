@@ -8,11 +8,11 @@ the group-scoped fault-target syntax.
 
 import pytest
 
-from repro.cluster.harness import run_cluster_scenario
 from repro.cluster.service import CLUSTER_PORT_BASE, ClusterService
 from repro.core.server import Role
 from repro.core.spec import SchedulingMode, ServiceConfig
 from repro.errors import ClusterError, NoRouteError, ReplicationError
+from repro.experiments.harness import run_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.cluster import ClusterScenario, build_cluster
@@ -63,7 +63,7 @@ def test_register_after_start_raises():
 # ----------------------------------------------------------------------
 
 def test_steady_state_places_and_publishes_every_group():
-    result = run_cluster_scenario(SMALL, monitor=True)
+    result = run_scenario(SMALL, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     assert result.monitor is not None
@@ -83,8 +83,8 @@ def test_steady_state_places_and_publishes_every_group():
 
 
 def test_same_seed_runs_are_digest_identical():
-    first = run_cluster_scenario(SMALL)
-    second = run_cluster_scenario(SMALL)
+    first = run_scenario(SMALL)
+    second = run_scenario(SMALL)
     assert first.service.trace.digest() == second.service.trace.digest()
     assert first.service.sim.events_executed == \
         second.service.sim.events_executed
@@ -107,8 +107,7 @@ def test_primary_crash_fails_over_only_that_group():
     schedule = FaultSchedule().crash(3.0, "g00/primary")
     scenario = ClusterScenario(n_shards=4, n_hosts=4, n_objects=8,
                                horizon=10.0, seed=0)
-    result = run_cluster_scenario(scenario, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     assert result.monitor is not None
@@ -140,8 +139,7 @@ def test_dead_group_is_replaced_on_surviving_hosts():
     schedule = FaultSchedule()
     for address in doomed:
         schedule.kill_host(6.0, address)
-    result = run_cluster_scenario(scenario, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     victim = cluster.group_named(victim_name)
@@ -244,7 +242,7 @@ def test_over_capacity_parks_groups_with_rejection_feedback():
     # sweep instead of being silently dropped.
     scenario = ClusterScenario(n_shards=8, n_hosts=2, n_objects=64,
                                window=ms(20), horizon=4.0, seed=0)
-    result = run_cluster_scenario(scenario)
+    result = run_scenario(scenario)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     parked = [group for group in cluster.groups if group.parked]
@@ -272,7 +270,7 @@ def test_multibackup_groups_build_and_run():
 
     scenario = ClusterScenario(n_shards=2, n_hosts=4, n_objects=4,
                                backups_per_group=2, horizon=6.0, seed=0)
-    result = run_cluster_scenario(scenario, monitor=True)
+    result = run_scenario(scenario, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     for group in cluster.groups:

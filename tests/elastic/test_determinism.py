@@ -2,7 +2,7 @@
 
 import json
 
-from repro.elastic.__main__ import main as elastic_main
+from repro.__main__ import main
 from repro.experiments.harness import run_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.workload.cluster import ClusterScenario
@@ -38,8 +38,8 @@ def test_elastic_chaos_runs_are_replayable():
 
 def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
     output = tmp_path / "sweep.json"
-    code = elastic_main([
-        "--factors", "1", "8", "--seeds", "0", "--objects", "8",
+    code = main([
+        "elastic", "--factors", "1", "8", "--seeds", "0", "--objects", "8",
         "--horizon", "6", "--jobs", "2", "--require-identical",
         "--output", str(output)])
     assert code == 0

@@ -88,13 +88,13 @@ def test_redline_pressure_degrades_live_without_violations():
     # End-to-end: a red line far below the baseline utilization keeps the
     # shedder under constant pressure; windows widen mid-run and the
     # online monitors re-key to the wider contract (zero violations).
-    from repro.elastic.harness import run_elastic_scenario
+    from repro.experiments.harness import run_scenario
     from repro.workload.elastic import ElasticScenario
 
     scenario = ElasticScenario(
         n_shards=2, n_hosts=4, n_objects=8, horizon=6.0, seed=0,
         shed_red_line=0.01, low_watermark=0.0, max_groups=0, max_hosts=0)
-    result = run_elastic_scenario(scenario, monitor=True)
+    result = run_scenario(scenario, monitor=True)
     summary = result.elastic_summary()
     assert summary["window_degradations"] > 0
     assert result.monitor.violation_counts() == {}

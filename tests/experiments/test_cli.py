@@ -1,19 +1,22 @@
-"""Tests for the ``python -m repro.experiments`` CLI."""
+"""Tests for ``python -m repro``: the ``figures`` verb, the ``cluster`` verb
+and the option handling all verbs share."""
+
+import json
 
 import pytest
 
-from repro.experiments.__main__ import FIGURES, build_parser, main
+from repro.__main__ import FIGURES, main
 
 
 def test_list_prints_all_figures(capsys):
-    assert main(["list"]) == 0
+    assert main(["figures", "list"]) == 0
     out = capsys.readouterr().out
     for name in FIGURES:
         assert name in out
 
 
 def test_quick_figure_runs_and_prints_table(capsys):
-    assert main(["fig8", "--quick", "--horizon", "4"]) == 0
+    assert main(["figures", "fig8", "--quick", "--horizon", "4"]) == 0
     out = capsys.readouterr().out
     assert "Figure 8" in out
     assert "loss probability" in out
@@ -21,9 +24,9 @@ def test_quick_figure_runs_and_prints_table(capsys):
 
 
 def test_seed_is_threaded_through(capsys):
-    main(["fig8", "--quick", "--horizon", "4", "--seed", "1"])
+    main(["figures", "fig8", "--quick", "--horizon", "4", "--seed", "1"])
     first = capsys.readouterr().out
-    main(["fig8", "--quick", "--horizon", "4", "--seed", "1"])
+    main(["figures", "fig8", "--quick", "--horizon", "4", "--seed", "1"])
     second = capsys.readouterr().out
     # Identical seeds -> identical tables (strip timing lines).
     strip = lambda text: "\n".join(
@@ -33,7 +36,7 @@ def test_seed_is_threaded_through(capsys):
 
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig99"])
+        main(["figures", "fig99"])
 
 
 def test_jobs_flag_produces_identical_tables(capsys):
@@ -41,9 +44,9 @@ def test_jobs_flag_produces_identical_tables(capsys):
 
     if not process_support():
         pytest.skip("no process support")
-    main(["fig8", "--quick", "--horizon", "4", "--jobs", "1"])
+    main(["figures", "fig8", "--quick", "--horizon", "4", "--jobs", "1"])
     serial = capsys.readouterr().out
-    main(["fig8", "--quick", "--horizon", "4", "--jobs", "2"])
+    main(["figures", "fig8", "--quick", "--horizon", "4", "--jobs", "2"])
     parallel = capsys.readouterr().out
     strip = lambda text: "\n".join(
         line for line in text.splitlines() if not line.startswith("["))
@@ -52,11 +55,53 @@ def test_jobs_flag_produces_identical_tables(capsys):
 
 def test_negative_jobs_rejected():
     with pytest.raises(SystemExit):
-        main(["fig8", "--quick", "--jobs", "-3"])
+        main(["figures", "fig8", "--quick", "--jobs", "-3"])
 
 
 def test_jobs_env_var_is_honoured(monkeypatch, capsys):
     # REPRO_JOBS supplies the default; a bad value is a usage error.
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
     with pytest.raises(SystemExit):
-        main(["fig8", "--quick", "--horizon", "4"])
+        main(["figures", "fig8", "--quick", "--horizon", "4"])
+
+
+@pytest.mark.parametrize("argv, quick_horizon", [
+    (["figures", "fig13"], 6.0),
+    (["figures", "fig14"], 6.0),
+    (["figures", "fig15"], 10.0),
+    (["replicas"], 6.0),
+    (["elastic"], 10.0),
+])
+def test_explicit_horizon_wins_over_the_quick_preset(
+        monkeypatch, capsys, argv, quick_horizon):
+    # --quick used to overwrite a --horizon given on the same command line.
+    horizons = []
+
+    def record(specs, jobs=1):
+        horizons.extend(spec.scenario.horizon for spec in specs)
+        return []
+
+    monkeypatch.setattr("repro.__main__.run_specs", record)
+    monkeypatch.setattr("repro.experiments.figures.run_specs", record)
+    assert main(argv + ["--quick"]) == 0
+    assert horizons and set(horizons) == {quick_horizon}
+    del horizons[:]
+    assert main(argv + ["--quick", "--horizon", "3"]) == 0
+    assert horizons and set(horizons) == {3.0}
+
+
+def test_cluster_verb_single_run_and_seed_sweep(capsys):
+    size = ["cluster", "--shards", "2", "--hosts", "4", "--objects", "4",
+            "--horizon", "4"]
+    assert main(size + ["--crash", "2.5:g00/primary", "--monitor"]) == 0
+    single = json.loads(capsys.readouterr().out)
+    assert sorted(single["per_group"]) == ["rtpb/g00", "rtpb/g01"]
+    assert [fault["kind"] for fault in single["faults"]] == ["crash"]
+    assert single["violations"] == {}
+    assert main(size + ["--seeds", "0", "1"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert [run["seed"] for run in sweep["runs"]] == [0, 1]
+    # Seed 0's sweep entry is the fault-free twin of the single run.
+    assert sweep["runs"][0]["admitted"] == single["cluster"]["admitted"]
+    with pytest.raises(SystemExit):
+        main(size + ["--crash", "soon:g00/primary"])

@@ -1,13 +1,26 @@
 """Unit tests for the experiment harness."""
 
+import dataclasses
+
 import pytest
 
+from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
+from repro.cluster.metrics import collect_cluster
+from repro.cluster.monitor import ClusterInvariantMonitor
+from repro.elastic.controller import ElasticController
+from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
+from repro.elastic.migration import MigrationWindowInvariant
 from repro.experiments.harness import (
     METRIC_TRACE_CATEGORIES,
+    collect,
     run_scenario,
 )
-from repro.units import ms
-from repro.workload.scenarios import Scenario
+from repro.faults.injector import FaultInjector
+from repro.faults.monitor import InvariantMonitor
+from repro.faults.scenarios import build
+from repro.workload.cluster import build_cluster
+from repro.workload.elastic import ElasticScenario
+from repro.workload.scenarios import Scenario, build_scenario
 
 
 def test_run_scenario_produces_full_result():
@@ -64,3 +77,54 @@ def test_determinism_same_seed():
     assert a.response.mean == b.response.mean
     assert a.avg_max_distance == b.avg_max_distance
     assert a.avg_inconsistency == b.avg_inconsistency
+
+
+def hand_stepped(scenario, schedule):
+    """The pipeline called one public stage at a time, the way
+    ``benchmarks/e2e/workloads.py`` drives it to time each stage."""
+    if isinstance(scenario, Scenario):
+        deployment = build_scenario(scenario)
+        deployment.trace.enable_only(*METRIC_TRACE_CATEGORIES)
+    else:
+        deployment = build_cluster(scenario)
+        deployment.trace.enable_only(*(
+            ELASTIC_TRACE_CATEGORIES if isinstance(scenario, ElasticScenario)
+            else CLUSTER_TRACE_CATEGORIES))
+    deployment.start()
+    FaultInjector(deployment, schedule).arm()
+    if isinstance(scenario, Scenario):
+        monitors = [InvariantMonitor(deployment)]
+    else:
+        monitors = [ClusterInvariantMonitor(deployment)]
+        if isinstance(scenario, ElasticScenario):
+            monitors.append(MigrationWindowInvariant(deployment))
+    for monitor in monitors:
+        monitor.attach()
+    if isinstance(scenario, ElasticScenario):
+        ElasticController(deployment, scenario,
+                          on_group_added=monitors[0].add_group).start()
+    deployment.run(scenario.horizon)
+    if isinstance(scenario, Scenario):
+        metrics = collect(scenario, deployment, 2.0)
+    else:
+        metrics = collect_cluster(deployment, scenario.horizon, 2.0).cluster
+    return (deployment.trace.digest(), metrics,
+            [len(monitor.violations) for monitor in monitors])
+
+
+@pytest.mark.parametrize("name", ["primary_crash_burst_loss",
+                                  "cluster_group_outage", "flash_crowd"])
+def test_hand_stepped_pipeline_equals_run_scenario(name):
+    # One pair, a cluster and an elastic flash crowd: the stages
+    # run_scenario strings together are public, and calling them one at a
+    # time must give the very same run.
+    # (A schedule is built per run: a burst's loss model carries state.)
+    scenario = dataclasses.replace(build(name, seed=1).workload, horizon=10.0)
+    result = run_scenario(scenario, monitor=True,
+                          fault_schedule=build(name, seed=1).schedule)
+    violations = [len(result.monitor.violations)]
+    if result.migration_monitor is not None:
+        violations.append(len(result.migration_monitor.violations))
+    assert hand_stepped(scenario, build(name, seed=1).schedule) == (
+        result.service.trace.digest(), result.metrics, violations)
+    assert (result.controller is not None) == (name == "flash_crowd")

@@ -6,7 +6,7 @@ from repro.core.server import Role
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
 from repro.extensions.multibackup import (
-    MultiBackupserverError,
+    MultiBackupServerError,
     MultiBackupService,
 )
 from repro.units import ms
@@ -22,16 +22,11 @@ def make_service(n_backups=2, seed=7, **kwargs):
 
 
 def test_requires_at_least_one_backup():
-    with pytest.raises(MultiBackupserverError):
+    with pytest.raises(MultiBackupServerError):
         MultiBackupService(n_backups=0)
 
 
-def test_error_name_typo_alias_is_kept():
-    # The class was renamed MultiBackupserverError -> MultiBackupServerError;
-    # the old misspelling must keep working as a deprecated alias.
-    from repro.extensions.multibackup import MultiBackupServerError
-
-    assert MultiBackupserverError is MultiBackupServerError
+def test_misconfiguration_error_is_a_replication_error():
     assert issubclass(MultiBackupServerError, ReplicationError)
 
 

@@ -1,10 +1,10 @@
-"""Chaos scenario catalogue and the ``python -m repro.faults`` CLI."""
+"""Chaos scenario catalogue and the ``python -m repro chaos`` verb."""
 
 import json
 
 import pytest
 
-from repro.faults.__main__ import main
+from repro.__main__ import main
 from repro.faults.monitor import SPLIT_BRAIN, TEMPORAL_WINDOW
 from repro.faults.report import report_dict, run_chaos
 from repro.faults.scenarios import SCENARIOS, build
@@ -69,7 +69,7 @@ def test_report_dict_carries_fault_log_and_digest():
 def test_cli_reports_are_byte_identical(capsys):
     """Acceptance: two CLI runs of the same (scenario, seed) emit identical
     JSON documents."""
-    argv = ["--scenario", "primary_crash_burst_loss", "--seed", "1"]
+    argv = ["chaos", "--scenario", "primary_crash_burst_loss", "--seed", "1"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -81,15 +81,15 @@ def test_cli_reports_are_byte_identical(capsys):
 
 
 def test_cli_seed_changes_the_report(capsys):
-    main(["--scenario", "backup_flapping", "--seed", "1"])
+    main(["chaos", "--scenario", "backup_flapping", "--seed", "1"])
     first = capsys.readouterr().out
-    main(["--scenario", "backup_flapping", "--seed", "2"])
+    main(["chaos", "--scenario", "backup_flapping", "--seed", "2"])
     second = capsys.readouterr().out
     assert first != second
 
 
 def test_cli_list_names_every_scenario(capsys):
-    assert main(["--list"]) == 0
+    assert main(["chaos", "--list"]) == 0
     out = capsys.readouterr().out
     for name in SCENARIOS:
         assert name in out
@@ -97,7 +97,7 @@ def test_cli_list_names_every_scenario(capsys):
 
 def test_cli_output_file(tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert main(["--scenario", "degraded_network", "--seed", "0",
+    assert main(["chaos", "--scenario", "degraded_network", "--seed", "0",
                  "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     document = json.loads(path.read_text())
@@ -106,19 +106,19 @@ def test_cli_output_file(tmp_path, capsys):
 
 def test_cli_rejects_missing_mode_and_bad_name(capsys):
     with pytest.raises(SystemExit):
-        main([])
+        main(["chaos"])
     with pytest.raises(SystemExit):
-        main(["--scenario", "nonesuch"])
+        main(["chaos", "--scenario", "nonesuch"])
 
 
 def test_cli_rejects_unwritable_output_path(tmp_path, capsys):
     path = tmp_path / "missing-dir" / "report.json"
     with pytest.raises(SystemExit):
-        main(["--scenario", "degraded_network", "--output", str(path)])
+        main(["chaos", "--scenario", "degraded_network", "--output", str(path)])
     assert "cannot write --output" in capsys.readouterr().err
 
 
 def test_cli_rejects_negative_jobs(capsys):
     with pytest.raises(SystemExit):
-        main(["--matrix", "--jobs", "-4"])
+        main(["chaos", "--matrix", "--jobs", "-4"])
     assert "jobs" in capsys.readouterr().err

@@ -51,14 +51,13 @@ def test_group_scoped_replica_fault_target_resolves():
 
 
 def test_kill_host_crashes_the_resident_replica_and_the_sweep_recruits():
-    from repro.cluster.harness import run_cluster_scenario
+    from repro.experiments.harness import run_scenario
 
     probe = build_cluster(READY)
     probe.start()
     doomed = probe.groups[0].replicas[0].host.address
     schedule = FaultSchedule().kill_host(3.0, doomed)
-    result = run_cluster_scenario(READY, fault_schedule=schedule,
-                                  monitor=True)
+    result = run_scenario(READY, fault_schedule=schedule, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
     # The manager sweep re-recruited a fresh seat with a new role name; the

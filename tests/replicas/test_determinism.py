@@ -2,9 +2,9 @@
 
 import json
 
+from repro.__main__ import main
 from repro.parallel import derive_seed, run_specs
 from repro.parallel.spec import RunSpec
-from repro.replicas.__main__ import main as replicas_main
 from repro.units import ms
 from repro.workload.scenarios import Scenario
 
@@ -35,8 +35,8 @@ def test_replica_sweep_outcomes_identical_across_worker_counts():
 
 def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
     output = tmp_path / "sweep.json"
-    code = replicas_main([
-        "--replica-counts", "0", "1", "--seeds", "0",
+    code = main([
+        "replicas", "--replica-counts", "0", "1", "--seeds", "0",
         "--horizon", "2", "--warmup", "0.5", "--read-period", "0.004",
         "--jobs", "2", "--require-identical", "--output", str(output)])
     assert code == 0

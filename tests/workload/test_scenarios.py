@@ -8,7 +8,11 @@ import pytest
 from repro.core.spec import SchedulingMode
 from repro.net.link import BernoulliLoss, NoLoss
 from repro.units import ms
-from repro.workload.scenarios import Scenario, build_scenario
+from repro.workload.scenarios import (
+    Scenario,
+    build_scenario,
+    ping_misses_for_loss,
+)
 
 
 def test_default_scenario_builds_and_runs():
@@ -37,9 +41,9 @@ def test_config_reflects_scenario_knobs():
 
 
 def test_ping_misses_scale_with_loss():
-    clean = Scenario(loss_probability=0.0)._ping_misses_for_loss()
-    light = Scenario(loss_probability=0.02)._ping_misses_for_loss()
-    heavy = Scenario(loss_probability=0.10)._ping_misses_for_loss()
+    clean = ping_misses_for_loss(0.0)
+    light = ping_misses_for_loss(0.02)
+    heavy = ping_misses_for_loss(0.10)
     assert clean < light <= heavy
     # The promise behind the scaling: false-positive probability per round
     # stays below 1e-8.
