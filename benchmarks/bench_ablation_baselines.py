@@ -10,12 +10,7 @@ The comparison the paper's related-work discussion implies:
 - **RTPB** — fast responses AND transmission load capped by the window.
 """
 
-from repro.baselines.active import (
-    ActiveReplicationService,
-    SemiActiveReplicationService,
-)
-from repro.baselines.eager import EagerService
-from repro.baselines.window_consistent import WindowConsistentService
+from repro.baselines import DISCIPLINES
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.metrics.collectors import response_time_stats
@@ -26,17 +21,12 @@ from repro.workload.generator import homogeneous_specs
 HORIZON = 10.0
 WRITE_PERIODS = (ms(20.0), ms(100.0))
 
-SYSTEMS = [
-    ("rtpb", RTPBService),
-    ("window-consistent", WindowConsistentService),
-    ("eager", EagerService),
-    ("active", ActiveReplicationService),
-    ("semi-active", SemiActiveReplicationService),
-]
+SYSTEMS = ("rtpb", "window_consistent", "eager", "active", "semi_active")
 
 
-def run_once(cls, write_period):
-    service = cls(seed=6, config=ServiceConfig())
+def run_once(name, write_period):
+    service = RTPBService(server_class=DISCIPLINES[name], seed=6,
+                          config=ServiceConfig())
     specs = homogeneous_specs(6, window=ms(200.0),
                               client_period=write_period)
     service.register_all(specs)
@@ -53,8 +43,8 @@ def run_comparison():
                    "updates sent"])
     results = {}
     for write_period in WRITE_PERIODS:
-        for name, cls in SYSTEMS:
-            mean_response, sends = run_once(cls, write_period)
+        for name in SYSTEMS:
+            mean_response, sends = run_once(name, write_period)
             table.add_row(name, to_ms(write_period), to_ms(mean_response),
                           sends)
             results[(name, write_period)] = (mean_response, sends)
@@ -67,10 +57,10 @@ def test_baseline_comparison(benchmark, record_table):
     record_table("ablation_baselines", table.render())
     for write_period in WRITE_PERIODS:
         rtpb_response, rtpb_sends = results[("rtpb", write_period)]
-        wc_response, wc_sends = results[("window-consistent", write_period)]
+        wc_response, wc_sends = results[("window_consistent", write_period)]
         eager_response, _ = results[("eager", write_period)]
         active_response, _ = results[("active", write_period)]
-        semi_response, _ = results[("semi-active", write_period)]
+        semi_response, _ = results[("semi_active", write_period)]
         # Eager pays the round trip on every write.
         assert eager_response > 3 * rtpb_response
         # Active replication pays agreement: at least as slow as eager - ε.
@@ -81,5 +71,5 @@ def test_baseline_comparison(benchmark, record_table):
         assert wc_response < 3 * rtpb_response + ms(1.0)
     # ...but under fast writers sends far more updates than RTPB.
     _, rtpb_fast_sends = results[("rtpb", WRITE_PERIODS[0])]
-    _, wc_fast_sends = results[("window-consistent", WRITE_PERIODS[0])]
+    _, wc_fast_sends = results[("window_consistent", WRITE_PERIODS[0])]
     assert wc_fast_sends > 2 * rtpb_fast_sends

@@ -6,7 +6,8 @@ is decoupled from the write path), and the service survives k-1 successive
 primary failures.
 """
 
-from repro.extensions.multibackup import MultiBackupService
+from repro.core.service import RTPBService
+from repro.extensions.multibackup import MultiBackupServer
 from repro.metrics.collectors import response_time_stats
 from repro.metrics.report import Table
 from repro.units import ms, to_ms
@@ -17,7 +18,8 @@ BACKUP_COUNTS = (1, 2, 3, 4)
 
 
 def run_once(n_backups):
-    service = MultiBackupService(n_backups=n_backups, seed=11)
+    service = RTPBService(server_class=MultiBackupServer,
+                          n_backups=n_backups, seed=11)
     specs = homogeneous_specs(4, window=ms(200.0), client_period=ms(100.0))
     service.register_all(specs)
     service.create_client(specs)

@@ -10,14 +10,16 @@ Run:  python examples/multi_backup_cluster.py
 """
 
 from repro import ms, to_ms
-from repro.extensions.multibackup import MultiBackupService
+from repro.core.service import RTPBService
+from repro.extensions.multibackup import MultiBackupServer
 from repro.workload.generator import homogeneous_specs
 
 HORIZON = 25.0
 
 
 def main() -> None:
-    service = MultiBackupService(n_backups=3, seed=13)
+    service = RTPBService(server_class=MultiBackupServer, n_backups=3,
+                          seed=13)
     specs = homogeneous_specs(4, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Replication showdown: RTPB vs the classical alternatives.
 
-Runs the same sensor workload (six objects, fast writers) under four
+Runs the same sensor workload (six objects, fast writers) under five
 replication disciplines and prints the trade-off table the paper's
 introduction argues from:
 
@@ -18,24 +18,21 @@ Run:  python examples/replication_showdown.py
 """
 
 from repro import ms, to_ms
-from repro.baselines import (
-    ActiveReplicationService,
-    EagerService,
-    SemiActiveReplicationService,
-    WindowConsistentService,
-)
+from repro.baselines import DISCIPLINES
 from repro.core.service import RTPBService
 from repro.metrics import Table, response_time_stats
 from repro.workload.generator import homogeneous_specs
 
 HORIZON = 10.0
 
+#: Table label -> discipline name (a key of ``DISCIPLINES``; the same names
+#: ``Scenario.replication`` takes).
 SYSTEMS = [
-    ("active (state machine)", ActiveReplicationService),
-    ("semi-active (hybrid)", SemiActiveReplicationService),
-    ("eager (sync passive)", EagerService),
-    ("window-consistent", WindowConsistentService),
-    ("RTPB", RTPBService),
+    ("active (state machine)", "active"),
+    ("semi-active (hybrid)", "semi_active"),
+    ("eager (sync passive)", "eager"),
+    ("window-consistent", "window_consistent"),
+    ("RTPB", "rtpb"),
 ]
 
 
@@ -43,14 +40,14 @@ def main() -> None:
     table = Table(
         "Six objects, 20 ms writers, 200 ms window, 10 virtual seconds",
         ["system", "mean resp (ms)", "p95 resp (ms)", "msgs on fabric"])
-    for name, cls in SYSTEMS:
-        service = cls(seed=21)
+    for label, name in SYSTEMS:
+        service = RTPBService(server_class=DISCIPLINES[name], seed=21)
         specs = homogeneous_specs(6, window=ms(200), client_period=ms(20))
         service.register_all(specs)
         service.create_client(specs)
         service.run(HORIZON)
         stats = response_time_stats(service, 2.0)
-        table.add_row(name, to_ms(stats.mean), to_ms(stats.p95),
+        table.add_row(label, to_ms(stats.mean), to_ms(stats.p95),
                       service.fabric.messages_sent)
     print(table.render())
     print("\nRTPB's bet: if the application tolerates a bounded consistency "

@@ -1,42 +1,73 @@
-"""Comparison baselines.
+"""Replication disciplines: the paper's protocol and what it is compared to.
 
-- :class:`~repro.baselines.window_consistent.WindowConsistentService` —
-  Mehra, Rexford & Jahanian's window-consistent replication, the work RTPB
-  builds on: update transmission is *coupled* to client writes (one send per
+A discipline is one :class:`~repro.core.server.ReplicaServer` subclass, run
+by every member of a group whatever its role — so a backup promoted at
+failover keeps the discipline — behind the one facade:
+``RTPBService(server_class=...)``.  :data:`DISCIPLINES` names them all;
+``Scenario.replication`` takes the same names, so figure sweeps, chaos
+schedules, :mod:`repro.parallel` and the collectors apply to every
+discipline unchanged.
+
+- ``rtpb`` — :class:`~repro.core.server.ReplicaServer`, the paper's
+  protocol: decoupled periodic transmission bounded by the window.
+- ``window_consistent`` —
+  :class:`~repro.baselines.window_consistent.WindowConsistentServer`, Mehra,
+  Rexford & Jahanian's window-consistent replication, the work RTPB builds
+  on: update transmission is *coupled* to client writes (one send per
   write, due within δ - ℓ), i.e. the Theorem 5 special case rather than
   RTPB's decoupled periodic tasks.
-- :class:`~repro.baselines.eager.EagerService` — classical synchronous
-  primary-backup: every client write is propagated to the backup and the
-  response waits for the backup's ack.  Zero staleness, but response time
-  pays a network round trip plus backup apply — the overhead the paper's
-  relaxation removes.
-- :class:`~repro.baselines.fastpath.FastPathEagerService` — eager plus the
-  commutative/timestamp-stable fast path of :mod:`repro.core.fastpath`:
-  writes that provably commute with everything the backup has not yet
-  acked (or that are already covered by its acked high-water mark) are
-  answered before the round trip.
+- ``eager`` — :class:`~repro.baselines.eager.EagerServer`, classical
+  synchronous primary-backup: every client write is propagated to the
+  backup and the response waits for the backup's ack.  Zero staleness, but
+  response time pays a network round trip plus backup apply — the overhead
+  the paper's relaxation removes.
+- ``eager_fastpath`` — :class:`~repro.baselines.fastpath.FastPathEagerServer`,
+  eager plus the commutative/timestamp-stable fast path of
+  :mod:`repro.core.fastpath`: writes that provably commute with everything
+  the backup has not yet acked (or that are already covered by its acked
+  high-water mark) are answered before the round trip.
+- ``active`` / ``semi_active`` —
+  :class:`~repro.baselines.active.ActiveReplica` /
+  :class:`~repro.baselines.active.SemiActiveReplica`, sequencer-ordered
+  state-machine replication and the hybrid that answers after the local
+  apply.
 """
 
-from repro.baselines.active import (
-    ActiveReplica,
-    ActiveReplicationService,
-    SemiActiveReplicationService,
-)
-from repro.baselines.eager import EagerPrimaryServer, EagerService
-from repro.baselines.fastpath import FastPathEagerServer, FastPathEagerService
-from repro.baselines.window_consistent import (
-    WindowConsistentPrimaryServer,
-    WindowConsistentService,
-)
+from typing import Dict, Type
+
+from repro.baselines.active import ActiveReplica, SemiActiveReplica
+from repro.baselines.eager import EagerServer
+from repro.baselines.fastpath import FastPathEagerServer
+from repro.baselines.window_consistent import WindowConsistentServer
+from repro.core.server import ReplicaServer
+
+#: Every replication discipline by its ``Scenario.replication`` name.
+DISCIPLINES: Dict[str, Type[ReplicaServer]] = {
+    "rtpb": ReplicaServer,
+    "window_consistent": WindowConsistentServer,
+    "eager": EagerServer,
+    "eager_fastpath": FastPathEagerServer,
+    "active": ActiveReplica,
+    "semi_active": SemiActiveReplica,
+}
+
+
+def discipline(name: str) -> Type[ReplicaServer]:
+    """The server class registered under ``name``."""
+    try:
+        return DISCIPLINES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown replication discipline {name!r}; known: "
+            f"{', '.join(sorted(DISCIPLINES))}") from None
+
 
 __all__ = [
-    "WindowConsistentService",
-    "WindowConsistentPrimaryServer",
-    "EagerService",
-    "EagerPrimaryServer",
-    "FastPathEagerService",
+    "DISCIPLINES",
+    "discipline",
+    "WindowConsistentServer",
+    "EagerServer",
     "FastPathEagerServer",
-    "ActiveReplicationService",
-    "SemiActiveReplicationService",
     "ActiveReplica",
+    "SemiActiveReplica",
 ]

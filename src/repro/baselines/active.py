@@ -12,6 +12,11 @@ strictly in order (a hold-back queue absorbs UDP reordering), apply, and
 ack; the sequencer answers the client once *every* member acked.  Lost
 multicasts and lost acks are retried; duplicate deliveries re-ack.
 
+Every member of the group runs :class:`ActiveReplica`
+(``RTPBService(server_class=ActiveReplica, n_backups=k)``, or
+``replication="active"`` / ``"semi_active"`` in a scenario): the group's
+primary is the sequencer, its backups the members.
+
 Membership is fixed (no failover) — this baseline exists to quantify the
 steady-state cost of atomic-ordered delivery, the overhead the paper's
 temporal-consistency relaxation avoids: "schemes based on active
@@ -21,88 +26,86 @@ since an agreement protocol must be performed".
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.client import SensorClient
-from repro.core.failure import CrashInjector
-from repro.core.name_service import NameService
-from repro.core.object_store import ObjectStore
-from repro.core.rtpb_protocol import (
-    RTPB_PORT,
-    UpdateAckMsg,
-    UpdateMsg,
-    decode_message,
-    encode_message,
-)
-from repro.core.server import Role
-from repro.core.spec import ObjectSpec, ServiceConfig
-from repro.errors import MessageFormatError, ReplicationError
-from repro.net.ip import Host
-from repro.net.link import LossModel, NetworkFabric
-from repro.sched.edf import EDFScheduler
-from repro.sched.processor import Processor
+from repro.core.admission import AdmissionDecision
+from repro.core.rtpb_protocol import UpdateAckMsg, UpdateMsg, encode_message
+from repro.core.server import ReplicaServer, Role
+from repro.core.spec import ObjectSpec
+from repro.errors import ReplicationError
 from repro.sched.task import BAND_REALTIME
-from repro.sim.engine import Simulator
-from repro.workload.environment import EnvironmentModel
 
 #: Retry interval for unacked ordered updates, in delay-bound units.
 _RETRY_FACTOR = 3.0
 
 
-class ActiveReplica:
-    """One member of the state-machine group.
+class ActiveReplica(ReplicaServer):
+    """One member of the state-machine group: the group's primary is the
+    sequencer, its backups the members (any number of them).
 
     ``wait_for_acks`` selects the response discipline: True is classical
-    active replication (respond after the whole group applied); False is
-    the **hybrid (semi-active)** scheme from the paper's future-work list —
-    writes are still totally ordered and reliably delivered to every member
-    (the active half), but the client's response returns after the
-    sequencer's local apply (the passive half), trading bounded member lag
-    for passive-grade response time.
+    active replication (respond after the whole group applied);
+    :class:`SemiActiveReplica` flips it.  Of the base server it keeps the
+    deployment plumbing (host, CPU, store, endpoint, crash); heartbeats,
+    admission, the periodic transmitter and failover are never started.
     """
 
-    def __init__(self, sim: Simulator, host: Host, config: ServiceConfig,
-                 group: List[int], is_sequencer: bool,
-                 wait_for_acks: bool = True) -> None:
-        self.sim = sim
-        self.host = host
-        self.config = config
-        self.group = list(group)
-        self.is_sequencer = is_sequencer
-        self.wait_for_acks = wait_for_acks
-        #: Duck-typed for SensorClient: the sequencer plays "primary".
-        self.role = Role.PRIMARY if is_sequencer else Role.BACKUP
-        self.alive = True
-        self.store = ObjectStore()
-        self.processor = Processor(sim, EDFScheduler(),
-                                   name=f"{host.name}.cpu")
-        self.endpoint = host.udp_endpoint(RTPB_PORT,
-                                          on_receive=self._on_datagram)
-        self.writes_handled = 0
-        self.updates_applied = 0
+    max_backups = None
+    wait_for_acks = True
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        #: Every replica of the group, sequencer first (set by
+        #: :meth:`build_group`): registration is deploy-time configuration.
+        self._replicas: List["ActiveReplica"] = [self]
         # Sequencer state.
         self._next_seq = 1
-        self._members = [address for address in group
-                         if address != host.address]
         self._pending: Dict[int, Tuple[float, Optional[Callable], Set[int]]] = {}
         # Member state.
         self._next_expected = 1
         self._holdback: Dict[int, UpdateMsg] = {}
         self._applying = False
 
+    @classmethod
+    def host_names(cls, n_backups: int) -> List[str]:
+        return [f"replica{index}" for index in range(1 + n_backups)]
+
+    @classmethod
+    def build_group(cls, *args: Any, **kwargs: Any) -> List[ReplicaServer]:
+        members = super().build_group(*args, **kwargs)
+        members[0]._replicas = members
+        return members
+
+    @property
+    def is_sequencer(self) -> bool:
+        return self.role is Role.PRIMARY
+
+    def start(self) -> None:
+        if self.is_sequencer:
+            self.name_service.publish(self.service_name, self.host.address)
+
+    def _message_handlers(self) -> Dict[type, Callable[[Any, int], None]]:
+        return {UpdateMsg: self._handle_update,
+                UpdateAckMsg: self._on_update_ack}
+
     # ------------------------------------------------------------------
     # Client interface (sequencer only)
     # ------------------------------------------------------------------
 
-    def register_object(self, spec: ObjectSpec) -> None:
-        self.store.register(spec)
+    def register_object(self, spec: ObjectSpec) -> AdmissionDecision:
+        """Fixed membership, no admission control: configure the object on
+        every replica of the group."""
+        for replica in self._replicas:
+            replica.store.register(spec)
+        return AdmissionDecision(
+            True, reason="active-replication-admits-everything")
 
     def client_write(self, object_id: int, value: bytes, source_time: float,
                      on_complete: Optional[Callable[[float], None]] = None
                      ) -> bool:
         if not self.alive or not self.is_sequencer:
             self.sim.trace.record("client_write_rejected", object=object_id,
-                                  server=self.host.name)
+                                  server=self.name)
             return False
         if object_id not in self.store:
             raise ReplicationError(
@@ -125,7 +128,7 @@ class ActiveReplica:
                                   seq=seq, source_time=source_time)
             if self.wait_for_acks:
                 self._pending[seq] = (issue_time, on_complete,
-                                      set(self._members))
+                                      set(self.succession))
             else:
                 # Semi-active: respond now; delivery tracking continues so
                 # retries still push the ordered update to every member.
@@ -134,16 +137,13 @@ class ActiveReplica:
                                       issue=issue_time, response=response)
                 if on_complete is not None:
                     on_complete(response)
-                self._pending[seq] = (issue_time, None, set(self._members))
+                self._pending[seq] = (issue_time, None, set(self.succession))
             message = UpdateMsg(object_id=object_id, seq=seq,
                                 write_time=self.sim.now,
                                 source_time=source_time, payload=value)
             self._multicast(message, attempt=0)
 
-        self.processor.submit(
-            name=f"rpc-{object_id}", cost=self.config.rpc_cost,
-            deadline=self.sim.now + self.config.rpc_deadline,
-            band=BAND_REALTIME, action=handle)
+        self._submit_rpc(f"rpc-{object_id}", self.config.rpc_cost, handle)
         return True
 
     # ------------------------------------------------------------------
@@ -163,7 +163,7 @@ class ActiveReplica:
                 return
             encoded = encode_message(message)
             for address in current[2]:  # only the members still unacked
-                self.endpoint.send(address, RTPB_PORT, encoded)
+                self.endpoint.send(address, self.port, encoded)
             self.sim.trace.record("update_sent", object=message.object_id,
                                   seq=message.seq,
                                   write_time=message.write_time,
@@ -175,8 +175,8 @@ class ActiveReplica:
                               deadline=self.sim.now + self.config.rpc_deadline,
                               band=BAND_REALTIME, action=send)
 
-    def _handle_ack(self, ack: UpdateAckMsg, source: int) -> None:
-        pending = self._pending.get(ack.seq)
+    def _on_update_ack(self, ack: UpdateAckMsg, source: int) -> None:
+        pending = self._pending.get(ack.seq)  # always empty on a member
         if pending is None:
             return
         issue_time, on_complete, awaiting = pending
@@ -196,18 +196,8 @@ class ActiveReplica:
     # Ordered delivery (members)
     # ------------------------------------------------------------------
 
-    def _on_datagram(self, data: bytes, source: tuple, _info: dict) -> None:
-        if not self.alive:
-            return
-        try:
-            message = decode_message(data)
-        except MessageFormatError:
-            return
-        if isinstance(message, UpdateAckMsg):
-            if self.is_sequencer:
-                self._handle_ack(message, source[0])
-            return
-        if not isinstance(message, UpdateMsg) or self.is_sequencer:
+    def _handle_update(self, message: UpdateMsg, source: int) -> None:
+        if self.is_sequencer:
             return
         if message.seq < self._next_expected:
             # Duplicate (our ack was lost): re-ack so the sequencer stops.
@@ -247,104 +237,11 @@ class ActiveReplica:
                               action=apply)
 
     def _ack(self, message: UpdateMsg) -> None:
-        sequencer = self.group[0]
-        self.endpoint.send(sequencer, RTPB_PORT, encode_message(
+        self._send_to_peer(encode_message(
             UpdateAckMsg(object_id=message.object_id, seq=message.seq)))
 
-    def crash(self) -> None:
-        self.alive = False
-        self.host.fail()
-        self.sim.trace.record("server_crash", server=self.host.name,
-                              role=self.role.value)
 
-
-class ActiveReplicationService:
-    """A fixed-membership state-machine group behind the client API."""
-
-    FIRST_ADDRESS = 1
-    #: Response discipline; the SemiActive subclass flips this.
-    wait_for_acks = True
-
-    def __init__(self, n_replicas: int = 2,
-                 config: Optional[ServiceConfig] = None, seed: int = 0,
-                 loss_model: Optional[LossModel] = None,
-                 service_name: str = "rtpb") -> None:
-        if n_replicas < 2:
-            raise ReplicationError(
-                f"active replication needs >= 2 replicas, got {n_replicas}")
-        self.config = config if config is not None else ServiceConfig()
-        self.service_name = service_name
-        self.sim = Simulator(seed=seed)
-        self.fabric = NetworkFabric(
-            self.sim, delay_bound=self.config.ell,
-            delay_min=self.config.link_delay_min, loss_model=loss_model)
-        self.name_service = NameService(self.sim)
-        self.environment = EnvironmentModel(seed=seed)
-        self.injector = CrashInjector(self.sim)
-
-        group = [self.FIRST_ADDRESS + index for index in range(n_replicas)]
-        self.replicas: List[ActiveReplica] = []
-        self.servers: Dict[int, ActiveReplica] = {}
-        for index, address in enumerate(group):
-            host = Host(self.sim, self.fabric, f"replica{index}", address)
-            replica = ActiveReplica(self.sim, host, self.config, group,
-                                    is_sequencer=(index == 0),
-                                    wait_for_acks=self.wait_for_acks)
-            self.replicas.append(replica)
-            self.servers[address] = replica
-        self.name_service.publish(service_name, group[0])
-
-        self.clients: List[SensorClient] = []
-        self._registered: List[ObjectSpec] = []
-
-    # -- RTPBService-compatible surface -----------------------------------
-
-    def register(self, spec: ObjectSpec):
-        for replica in self.replicas:
-            replica.register_object(spec)
-        self._registered.append(spec)
-
-        class _Accepted:  # minimal decision facade (no admission control)
-            accepted = True
-            reason = "active-replication-admits-everything"
-
-        return _Accepted()
-
-    def register_all(self, specs):
-        return [self.register(spec) for spec in specs]
-
-    def registered_specs(self) -> List[ObjectSpec]:
-        return list(self._registered)
-
-    def create_client(self, specs, name: str = "client",
-                      write_jitter: float = 0.0) -> SensorClient:
-        client = SensorClient(
-            self.sim, self.environment, self.name_service, self.service_name,
-            resolver=self.servers.get, specs=specs, name=name,
-            write_jitter=write_jitter)
-        self.clients.append(client)
-        return client
-
-    def start(self) -> None:
-        for client in self.clients:
-            client.start()
-
-    def run(self, horizon: float) -> None:
-        self.start()
-        self.sim.run(until=horizon)
-
-    def current_primary(self) -> ActiveReplica:
-        return self.replicas[0]
-
-    def current_backup(self) -> Optional[ActiveReplica]:
-        return self.replicas[1] if len(self.replicas) > 1 else None
-
-    @property
-    def trace(self):
-        return self.sim.trace
-
-
-class SemiActiveReplicationService(ActiveReplicationService):
+class SemiActiveReplica(ActiveReplica):
     """Hybrid active/passive replication — the paper's last future-work item.
 
     Updates keep the active scheme's total order and reliable delivery to

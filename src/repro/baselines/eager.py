@@ -8,8 +8,10 @@ allows, but every write pays transmission cost + one-way delay + backup
 apply + ack delay — the overhead RTPB's relaxed temporal consistency
 eliminates from the critical path.
 
-Construct through :class:`EagerService`, which forces ``ack_updates`` on so
-the stock backup acknowledges applies.
+Every member of the group runs :class:`EagerServer`
+(``RTPBService(server_class=EagerServer)``, or ``replication="eager"`` in a
+scenario): the class declares ``ack_updates``, so its backups acknowledge
+applies, and a backup promoted at failover keeps the synchronous semantics.
 
 Failure semantics: a write deferred on the backup's ack can never complete
 once that backup is dead.  When the primary declares the backup lost it
@@ -30,11 +32,10 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
-from repro.core.rtpb_protocol import (RecruitAckMsg, UpdateAckMsg, UpdateMsg,
-                                      encode_message)
+from repro.core.rtpb_protocol import (RecruitAckMsg, RetxRequestMsg,
+                                      UpdateAckMsg, UpdateMsg, encode_message)
 from repro.core.server import ReplicaServer, Role
-from repro.core.service import RTPBService
-from repro.core.spec import ObjectSpec, ServiceConfig
+from repro.core.spec import ObjectSpec
 from repro.sched.task import BAND_REALTIME
 
 #: How long an unacked synchronous write waits before retransmitting.
@@ -55,8 +56,14 @@ class _PendingWrite:
     completed: bool = False
 
 
-class EagerPrimaryServer(ReplicaServer):
-    """Primary that completes writes only after the backup acks them."""
+class EagerServer(ReplicaServer):
+    """Replica whose primary role completes writes only after the backup
+    acks them."""
+
+    ack_updates = True
+    #: Extra ``client_response`` fields of a write answered by its ack (the
+    #: fast-path subclass tags them; plain eager keeps the legacy shape).
+    _deferred_response_fields: Dict[str, str] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -133,10 +140,11 @@ class EagerPrimaryServer(ReplicaServer):
                               deadline=self.sim.now + self.config.rpc_deadline,
                               band=BAND_REALTIME, action=send)
 
-    def _handle_retx_request(self, message) -> None:
+    def _handle_retx_request(self, message: RetxRequestMsg,
+                             source_address: int) -> None:
         """Serve backup watchdog requests with a fresh synchronous-style
         snapshot (there is no decoupled transmitter state to delegate to)."""
-        if message.object_id not in self.store:
+        if self.role is not Role.PRIMARY or message.object_id not in self.store:
             return
         self.retx_requests_served += 1
         record = self.store.get(message.object_id)
@@ -146,7 +154,8 @@ class EagerPrimaryServer(ReplicaServer):
                 self._pending_acks[key] = _PendingWrite(self.sim.now, None)
             self._send_sync_update(record.spec, record.seq, attempt=1)
 
-    def _on_update_ack(self, message: UpdateAckMsg) -> None:
+    def _on_update_ack(self, message: UpdateAckMsg,
+                       source_address: int) -> None:
         # An ack for seq also covers every older pending write of the object
         # (the backup's state is at least as new as seq).
         completed = [key for key in self._pending_acks
@@ -156,14 +165,9 @@ class EagerPrimaryServer(ReplicaServer):
             if pending.completed:
                 continue  # the fast path already answered this client
             response = self.sim.now - pending.issue_time
-            if self.config.fastpath_enabled:
-                self.sim.trace.record("client_response", object=key[0],
-                                      issue=pending.issue_time,
-                                      response=response, path="deferred")
-            else:
-                self.sim.trace.record("client_response", object=key[0],
-                                      issue=pending.issue_time,
-                                      response=response)
+            self.sim.trace.record("client_response", object=key[0],
+                                  issue=pending.issue_time, response=response,
+                                  **self._deferred_response_fields)
             if pending.on_complete is not None:
                 pending.on_complete(response)
 
@@ -196,7 +200,8 @@ class EagerPrimaryServer(ReplicaServer):
             if pending.on_complete is not None:
                 pending.on_complete(response)
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg) -> None:
+    def _handle_recruit_ack(self, message: RecruitAckMsg,
+                            source_address: int) -> None:
         """Integrate a recruited backup under eager semantics.
 
         The generic path re-arms the decoupled periodic transmitter; eager
@@ -206,7 +211,7 @@ class EagerPrimaryServer(ReplicaServer):
         loss would strand the new backup until its watchdog notices).
         """
         was_unpaired = self.role is Role.PRIMARY and self.peer_address is None
-        super()._handle_recruit_ack(message)
+        super()._handle_recruit_ack(message, source_address)
         if not was_unpaired or self.peer_address is None:
             return
         for record in self.store:
@@ -217,15 +222,3 @@ class EagerPrimaryServer(ReplicaServer):
                     self._pending_acks[key] = _PendingWrite(
                         self.sim.now, None, completed=True)
                 self._send_sync_update(record.spec, record.seq, attempt=0)
-
-
-class EagerService(RTPBService):
-    """An RTPB deployment with the eager (synchronous) primary substituted."""
-
-    primary_server_class = EagerPrimaryServer
-
-    def __init__(self, config: Optional[ServiceConfig] = None,
-                 **kwargs: object) -> None:
-        config = config if config is not None else ServiceConfig()
-        config.ack_updates = True
-        super().__init__(config=config, **kwargs)

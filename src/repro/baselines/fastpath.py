@@ -14,7 +14,7 @@ answer early:
   :class:`~repro.core.rtpb_protocol.UpdateAckMsg`.
 
 Non-qualifying writes defer until the ack, exactly as in
-:class:`~repro.baselines.eager.EagerPrimaryServer`.
+:class:`~repro.baselines.eager.EagerServer`.
 
 Failover drains the witness set before fast replies resume: a promoted (or
 freshly re-paired) primary reseeds the witness set from its store, pushes
@@ -25,10 +25,11 @@ the answer assumed.  The witness set and drain protocol live in
 :mod:`repro.core.fastpath`; this module is the wiring into the replica
 server's write, ack, and failover paths.
 
-Construct through :class:`FastPathEagerService`, which forces both
-``ack_updates`` and ``fastpath_enabled`` on and runs *every* role on
-:class:`FastPathEagerServer`, so a post-failover primary keeps the same
-semantics.
+Selecting the class is the switch: ``RTPBService(server_class=
+FastPathEagerServer)`` (``replication="eager_fastpath"`` in a scenario) runs
+every role on it, so a post-failover primary keeps the same semantics;
+:class:`~repro.baselines.eager.EagerServer` is the same discipline with the
+fast path off.
 
 Trace categories: ``fastpath_commit``, ``fastpath_drain``,
 ``client_response`` (with a ``path`` field: ``fast`` / ``deferred``).
@@ -38,18 +39,19 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.baselines.eager import EagerPrimaryServer, _PendingWrite
+from repro.baselines.eager import EagerServer
 from repro.core.admission import AdmissionDecision
 from repro.core.fastpath import FastPathPolicy, WitnessSet
 from repro.core.object_store import ObjectRecord
 from repro.core.rtpb_protocol import RecruitAckMsg, UpdateAckMsg
 from repro.core.server import Role
-from repro.core.service import RTPBService
-from repro.core.spec import InterObjectConstraint, ServiceConfig
+from repro.core.spec import InterObjectConstraint
 
 
-class FastPathEagerServer(EagerPrimaryServer):
-    """Eager primary with the CURP-style commutative/stable fast path."""
+class FastPathEagerServer(EagerServer):
+    """Eager replica with the CURP-style commutative/stable fast path."""
+
+    _deferred_response_fields = {"path": "deferred"}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -85,8 +87,7 @@ class FastPathEagerServer(EagerPrimaryServer):
                              ) -> None:
         object_id = record.spec.object_id
         rule = None
-        if (self.config.fastpath_enabled and not self._draining
-                and self.peer_address is not None):
+        if not self._draining and self.peer_address is not None:
             rule = self._current_policy().qualify(
                 object_id, record.source_time, self.witness)
         self.witness.witness(object_id, record.seq, record.source_time)
@@ -109,8 +110,9 @@ class FastPathEagerServer(EagerPrimaryServer):
 
     # -- ack path ----------------------------------------------------------
 
-    def _on_update_ack(self, message: UpdateAckMsg) -> None:
-        super()._on_update_ack(message)
+    def _on_update_ack(self, message: UpdateAckMsg,
+                       source_address: int) -> None:
+        super()._on_update_ack(message, source_address)
         self.witness.ack(message.object_id, message.seq, message.high_water)
         if self._draining and not self.witness.any_unsynced():
             self._finish_drain()
@@ -118,8 +120,6 @@ class FastPathEagerServer(EagerPrimaryServer):
     # -- failover drain ----------------------------------------------------
 
     def _begin_drain(self, reason: str) -> None:
-        if not self.config.fastpath_enabled:
-            return
         self._draining = True
         self.witness.clear()
         self.sim.trace.record("fastpath_drain", server=self.name,
@@ -129,7 +129,7 @@ class FastPathEagerServer(EagerPrimaryServer):
         """Witness every written object's current version for the drain.
 
         Called once the recruited backup is installed: the retried
-        snapshots of :meth:`EagerPrimaryServer._handle_recruit_ack` are in
+        snapshots of :meth:`EagerServer._handle_recruit_ack` are in
         flight, and their acks retire these entries.  An empty store drains
         immediately.
         """
@@ -165,11 +165,11 @@ class FastPathEagerServer(EagerPrimaryServer):
             self._begin_drain("backup_lost")
         super()._peer_dead()
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg) -> None:
+    def _handle_recruit_ack(self, message: RecruitAckMsg,
+                            source_address: int) -> None:
         was_unpaired = self.role is Role.PRIMARY and self.peer_address is None
-        super()._handle_recruit_ack(message)
-        if (was_unpaired and self.peer_address is not None
-                and self.config.fastpath_enabled):
+        super()._handle_recruit_ack(message, source_address)
+        if was_unpaired and self.peer_address is not None:
             self._reseed_witness()
 
     def recover(self) -> None:
@@ -179,23 +179,3 @@ class FastPathEagerServer(EagerPrimaryServer):
         self.witness.clear()
         self._draining = False
         self._policy_stale = True
-
-
-class FastPathEagerService(RTPBService):
-    """Eager deployment with the fast path on — every role fast-path-aware.
-
-    All three role classes are :class:`FastPathEagerServer` so a failover
-    promotes a server that drains, re-pairs, and then resumes fast replies
-    with identical semantics.
-    """
-
-    primary_server_class = FastPathEagerServer
-    backup_server_class = FastPathEagerServer
-    spare_server_class = FastPathEagerServer
-
-    def __init__(self, config: Optional[ServiceConfig] = None,
-                 **kwargs: object) -> None:
-        config = config if config is not None else ServiceConfig()
-        config.ack_updates = True
-        config.fastpath_enabled = True
-        super().__init__(config=config, **kwargs)

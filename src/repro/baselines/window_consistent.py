@@ -10,7 +10,11 @@ The predecessor design the paper generalises.  Differences from RTPB:
   than RTPB needs, and there is no slack-driven loss compensation.
 
 Admission control, failure detection and failover are inherited unchanged —
-the baseline isolates the update-scheduling difference.
+the baseline isolates the update-scheduling difference.  Every member runs
+:class:`WindowConsistentServer`
+(``RTPBService(server_class=WindowConsistentServer)``, or
+``replication="window_consistent"`` in a scenario), so a backup promoted at
+failover keeps transmitting per write.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ from typing import Callable, Optional
 
 from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
-from repro.core.rtpb_protocol import UpdateMsg, encode_message
-from repro.core.server import ReplicaServer
-from repro.core.service import RTPBService
+from repro.core.rtpb_protocol import (RecruitAckMsg, RetxRequestMsg,
+                                      UpdateMsg, encode_message)
+from repro.core.server import ReplicaServer, Role
 from repro.core.spec import ObjectSpec
 from repro.sched.task import BAND_REALTIME
 
 
-class WindowConsistentPrimaryServer(ReplicaServer):
-    """Primary whose transmissions are coupled one-to-one to client writes."""
+class WindowConsistentServer(ReplicaServer):
+    """Replica whose primary role couples transmissions one-to-one to
+    client writes."""
 
     def register_object(self, spec: ObjectSpec) -> AdmissionDecision:
         decision = super().register_object(spec)
@@ -65,16 +70,19 @@ class WindowConsistentPrimaryServer(ReplicaServer):
                               deadline=deadline, band=BAND_REALTIME,
                               action=send)
 
-    def _handle_retx_request(self, message) -> None:
+    def _handle_retx_request(self, message: RetxRequestMsg,
+                             source_address: int) -> None:
         """Serve retransmissions directly (no decoupled transmitter state)."""
-        if message.object_id not in self.store:
+        if self.role is not Role.PRIMARY or message.object_id not in self.store:
             return
         self.retx_requests_served += 1
         record = self.store.get(message.object_id)
         self._schedule_coupled_send(record)
 
-
-class WindowConsistentService(RTPBService):
-    """An RTPB deployment with the window-consistent primary substituted."""
-
-    primary_server_class = WindowConsistentPrimaryServer
+    def _handle_recruit_ack(self, message: RecruitAckMsg,
+                            source_address: int) -> None:
+        """Integrate a recruited backup: the generic path re-arms the
+        decoupled periodic tasks, which this discipline does not run."""
+        super()._handle_recruit_ack(message, source_address)
+        for record in self.store:
+            self.transmitter.remove_object(record.spec.object_id)

@@ -35,7 +35,7 @@ Trace categories: ``cluster_place``, ``cluster_reject``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Type, Union
 
 from repro.core.admission import AdmissionController
 from repro.core.client import SensorClient
@@ -239,6 +239,13 @@ class ClusterService:
                 f"unknown read policy {read_policy!r}; "
                 f"choose one of {', '.join(POLICIES)}")
 
+        #: Every member's class: the pair protocol, or the succession-aware
+        #: server when a group keeps several backups.
+        self.server_class: Type[ReplicaServer] = ReplicaServer
+        if backups_per_group > 1:
+            from repro.extensions.multibackup import MultiBackupServer
+
+            self.server_class = MultiBackupServer
         self.service_name = service_name
         self.n_shards = n_shards
         self.n_hosts = n_hosts
@@ -354,45 +361,12 @@ class ClusterService:
         """Create, register and start one incarnation of a group."""
         primary_slot = self.slots[placed.primary]
         backup_slots = [self.slots[address] for address in placed.backups]
-
-        def member_name(slot: HostSlot) -> str:
-            return f"{group.name}@{slot.host.name}"
-
-        new_members: List[ReplicaServer]
-        if self.backups_per_group == 1:
-            primary = ReplicaServer(
-                self.sim, primary_slot.host, self.config, self.name_service,
-                role=Role.PRIMARY, peer_address=placed.backups[0],
-                service_name=group.name, port=group.port,
-                processor=primary_slot.processor, owns_host=False,
-                name=member_name(primary_slot))
-            backup = ReplicaServer(
-                self.sim, backup_slots[0].host, self.config,
-                self.name_service, role=Role.BACKUP,
-                peer_address=placed.primary,
-                service_name=group.name, port=group.port,
-                processor=backup_slots[0].processor, owns_host=False,
-                name=member_name(backup_slots[0]))
-            new_members = [primary, backup]
-        else:
-            from repro.extensions.multibackup import MultiBackupServer
-
-            succession = list(placed.backups)
-            primary = MultiBackupServer(
-                self.sim, primary_slot.host, self.config, self.name_service,
-                role=Role.PRIMARY, succession=succession,
-                service_name=group.name, port=group.port,
-                processor=primary_slot.processor, owns_host=False,
-                name=member_name(primary_slot))
-            new_members = [primary]
-            for slot in backup_slots:
-                new_members.append(MultiBackupServer(
-                    self.sim, slot.host, self.config, self.name_service,
-                    role=Role.BACKUP, succession=succession,
-                    peer_address=placed.primary,
-                    service_name=group.name, port=group.port,
-                    processor=slot.processor, owns_host=False,
-                    name=member_name(slot)))
+        new_members = self.server_class.build_group(
+            self.sim, self.config, self.name_service, group.name,
+            primary=primary_slot.host,
+            backups=[slot.host for slot in backup_slots],
+            seat=lambda host: self._seat(group, host))
+        primary = new_members[0]
 
         group.members.extend(new_members)
         group._registered = []
@@ -430,6 +404,13 @@ class ClusterService:
         for member in new_members:
             member.start()
         group.placements += 1
+
+    def _seat(self, group: ReplicationGroup, host: Host) -> Dict[str, object]:
+        """Constructor keywords of a group member co-located on ``host``:
+        the group's port, the host's shared CPU, process-level crashes."""
+        return dict(port=group.port,
+                    processor=self.slots[host.address].processor,
+                    owns_host=False, name=f"{group.name}@{host.name}")
 
     def _retire_dead(self, group: ReplicationGroup) -> None:
         """Decommission dead members: close their group port, refund their
@@ -518,11 +499,10 @@ class ClusterService:
             return
         group.parked = False
         slot = self.slots[placed]
-        spare = ReplicaServer(
+        spare = self.server_class(
             self.sim, slot.host, self.config, self.name_service,
-            role=Role.SPARE, service_name=group.name, port=group.port,
-            processor=slot.processor, owns_host=False,
-            name=f"{group.name}@{slot.host.name}")
+            role=Role.SPARE, service_name=group.name,
+            **self._seat(group, slot.host))
         spare.local_client = group.client
         group.members.append(spare)
         spare.start()

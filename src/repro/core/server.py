@@ -23,7 +23,7 @@ Trace categories: ``client_response``, ``client_write_rejected``,
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.failure import PingManager
@@ -87,13 +87,28 @@ class ReplicaServer:
     crash is process death — the host and its other servers keep running),
     a per-group ``port``, a shared per-host ``processor``, and a distinct
     ``name`` so trace records stay unambiguous.
+
+    A replication *discipline* is one subclass, run by every member of a
+    group whatever its role (so a promoted backup keeps the discipline).
+    The seam is three hooks — :meth:`_after_primary_write`,
+    :meth:`_on_update_ack`, :meth:`_handle_retx_request` — plus the two
+    declarations below.
     """
+
+    #: Whether backups of this discipline acknowledge every applied update
+    #: (the synchronous disciplines wait on those acks).
+    #: ``ServiceConfig.ack_updates`` turns acks on for any discipline.
+    ack_updates = False
+    #: How many backups one group of this discipline replicates to
+    #: (None = any number).
+    max_backups: Optional[int] = 1
 
     def __init__(self, sim: Simulator, host: Host, config: ServiceConfig,
                  name_service: NameService, role: Role,
                  service_name: str = "rtpb",
                  peer_address: Optional[int] = None,
                  spare_addresses: Optional[List[int]] = None,
+                 succession: Optional[List[int]] = None,
                  port: int = RTPB_PORT,
                  processor: Optional[Processor] = None,
                  owns_host: bool = True,
@@ -106,6 +121,9 @@ class ReplicaServer:
         self.service_name = service_name
         self.peer_address = peer_address
         self.spare_addresses = list(spare_addresses or [])
+        #: The group's backup addresses in takeover order (the same list on
+        #: every member); the pair protocol itself only uses the peer.
+        self.succession = list(succession or [])
         self.port = port
         self.owns_host = owns_host
         #: Trace/monitor identity; defaults to the host name, so single-group
@@ -128,6 +146,7 @@ class ReplicaServer:
         self.admission = AdmissionController(config)
         self.endpoint = host.udp_endpoint(self.port,
                                           on_receive=self._on_datagram)
+        self._handlers = self._message_handlers()
         self.transmitter = UpdateTransmitter(
             sim, self.processor, self.store, config, send=self._send_update)
         wire_role = (ROLE_PRIMARY_WIRE if role is Role.PRIMARY
@@ -166,6 +185,48 @@ class ReplicaServer:
         #: Local timer drift factor shared with the ping manager; the fault
         #: subsystem's clock-drift injector sets it via :meth:`set_clock_scale`.
         self._timer_scale = 1.0
+
+    @classmethod
+    def host_names(cls, n_backups: int) -> List[str]:
+        """Host names of a standalone group, primary first.  They appear in
+        trace records, so they are part of a discipline's pinned digests."""
+        if n_backups == 1:
+            return ["primary", "backup"]
+        return ["primary"] + [f"backup{index}" for index in range(n_backups)]
+
+    @classmethod
+    def build_group(cls, sim: Simulator, config: ServiceConfig,
+                    name_service: NameService, service_name: str,
+                    primary: Host, backups: Sequence[Host],
+                    spares: Sequence[Host] = (),
+                    seat: Callable[[Host], Dict[str, Any]] = lambda host: {}
+                    ) -> List["ReplicaServer"]:
+        """The member factory: this discipline's server on every host of
+        one group — the primary, the backups in succession order, the
+        spares.
+
+        ``seat(host)`` supplies the per-host constructor keywords of a
+        co-located deployment (``port``, shared ``processor``,
+        ``owns_host``, ``name``); a single-group deployment passes none.
+        """
+        if cls.max_backups is not None and len(backups) > cls.max_backups:
+            raise ReplicationError(
+                f"{cls.__name__} replicates to at most {cls.max_backups} "
+                f"backup(s), got {len(backups)}")
+        succession = [host.address for host in backups]
+        spare_addresses = [host.address for host in spares]
+
+        def member(host: Host, role: Role, **wiring: Any) -> "ReplicaServer":
+            return cls(sim, host, config, name_service, role=role,
+                       service_name=service_name, succession=succession,
+                       **wiring, **seat(host))
+
+        return ([member(primary, Role.PRIMARY, peer_address=succession[0],
+                        spare_addresses=spare_addresses)]
+                + [member(host, Role.BACKUP, peer_address=primary.address,
+                          spare_addresses=spare_addresses)
+                   for host in backups]
+                + [member(host, Role.SPARE) for host in spares])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -487,6 +548,25 @@ class ReplicaServer:
     # Datagram handling
     # ------------------------------------------------------------------
 
+    def _message_handlers(self) -> Dict[type, Callable[[Any, int], None]]:
+        """The dispatch table: one handler per wire message type, each
+        taking ``(message, source_address)``.  Built once per server, so a
+        subclass changes the handling of a message by overriding its
+        handler (or this table)."""
+        return {
+            UpdateMsg: self._handle_update,
+            PingMsg: self._handle_ping,
+            PingAckMsg: self._handle_ping_ack,
+            RetxRequestMsg: self._handle_retx_request,
+            RegisterMsg: self._handle_register,
+            RegisterAckMsg: self._handle_register_ack,
+            RecruitMsg: self._handle_recruit,
+            RecruitAckMsg: self._handle_recruit_ack,
+            UpdateAckMsg: self._on_update_ack,
+            ReplicaSubscribeMsg: self._handle_replica_subscribe,
+            FreshnessBeaconMsg: self._handle_freshness_beacon,
+        }
+
     def _on_datagram(self, data: bytes, source: tuple, _info: dict) -> None:
         if not self.alive:
             return
@@ -495,40 +575,29 @@ class ReplicaServer:
         except MessageFormatError:
             self.sim.trace.record("rtpb_garbled", server=self.name)
             return
-        source_address = source[0]
+        handler = self._handlers.get(type(message))
+        if handler is None:
+            return
         try:
-            if isinstance(message, UpdateMsg):
-                self._handle_update(message)
-            elif isinstance(message, PingMsg):
-                self.endpoint.send(source_address, self.port,
-                                   self.ping.make_ack(message))
-            elif isinstance(message, PingAckMsg):
-                self.ping.handle_ack(message)
-            elif isinstance(message, RetxRequestMsg):
-                self._handle_retx_request(message)
-            elif isinstance(message, RegisterMsg):
-                self._handle_register(message, source_address)
-            elif isinstance(message, RegisterAckMsg):
-                self._handle_register_ack(message, source_address)
-            elif isinstance(message, RecruitMsg):
-                self._handle_recruit(message, source_address)
-            elif isinstance(message, RecruitAckMsg):
-                self._handle_recruit_ack(message)
-            elif isinstance(message, UpdateAckMsg):
-                self._on_update_ack(message)
-            elif isinstance(message, ReplicaSubscribeMsg):
-                self._handle_replica_subscribe(message, source_address)
-            elif isinstance(message, FreshnessBeaconMsg):
-                self._handle_freshness_beacon(message, source_address)
+            handler(message, source[0])
         except NoRouteError:
             # A corrupted wire header can yield a source address no host
             # owns; a reply aimed there is a dropped packet, not a fault
             # in this server.
             self.sim.trace.record("rtpb_garbled", server=self.name)
 
+    def _handle_ping(self, message: PingMsg, source_address: int) -> None:
+        self.endpoint.send(source_address, self.port,
+                           self.ping.make_ack(message))
+
+    def _handle_ping_ack(self, message: PingAckMsg,
+                         source_address: int) -> None:
+        self.ping.handle_ack(message)
+
     # -- backup side ------------------------------------------------------
 
-    def _handle_update(self, message: UpdateMsg) -> None:
+    def _handle_update(self, message: UpdateMsg,
+                       source_address: int) -> None:
         if self.role is not Role.BACKUP or message.object_id not in self.store:
             return
         self._last_update_at[message.object_id] = self.sim.now
@@ -552,7 +621,7 @@ class ReplicaServer:
                 self.sim.trace.record("backup_apply_stale",
                                       object=message.object_id,
                                       seq=message.seq)
-            if self.config.ack_updates:
+            if self.ack_updates or self.config.ack_updates:
                 # Ack stale arrivals too: the backup is at least as fresh as
                 # the received seq, and the original ack may have been lost —
                 # without this, a synchronous writer can wait forever.  The
@@ -642,7 +711,8 @@ class ReplicaServer:
 
     # -- primary side ------------------------------------------------------
 
-    def _on_update_ack(self, message: UpdateAckMsg) -> None:
+    def _on_update_ack(self, message: UpdateAckMsg,
+                       source_address: int) -> None:
         """Per-update acks are off in RTPB (Section 4.3); the eager baseline
         overrides this to complete synchronous writes."""
         self.sim.trace.record("update_ack", object=message.object_id,
@@ -718,7 +788,8 @@ class ReplicaServer:
             else:
                 self.endpoint.send(address, self.port, data)
 
-    def _handle_retx_request(self, message: RetxRequestMsg) -> None:
+    def _handle_retx_request(self, message: RetxRequestMsg,
+                             source_address: int) -> None:
         if self.role is not Role.PRIMARY:
             return
         if (message.object_id not in self.store
@@ -769,7 +840,11 @@ class ReplicaServer:
         # memory by an up call"
         if self.local_client is not None:
             self.local_client.activate(self)
-        # "waits to recruit a new backup"
+        self._adopt_backups()
+
+    def _adopt_backups(self) -> None:
+        """Give this new primary someone to replicate to: it "waits to
+        recruit a new backup" from the spares."""
         self._recruit_backup()
 
     def _recruit_backup(self) -> None:
@@ -809,7 +884,8 @@ class ReplicaServer:
         self.ping.start()
         self._start_watchdog()
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg) -> None:
+    def _handle_recruit_ack(self, message: RecruitAckMsg,
+                            source_address: int) -> None:
         if self.role is not Role.PRIMARY or self.peer_address is not None:
             return
         self._recruiting = False

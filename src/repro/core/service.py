@@ -14,7 +14,7 @@ lines::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from repro.core.admission import AdmissionDecision
 from repro.core.client import SensorClient
@@ -29,22 +29,29 @@ from repro.sim.engine import Simulator
 from repro.workload.environment import EnvironmentModel
 
 PRIMARY_ADDRESS = 1
+#: The first backup; spares follow the last backup.
 BACKUP_ADDRESS = 2
-FIRST_SPARE_ADDRESS = 3
 
 
 class RTPBService:
-    """A complete RTPB deployment inside one simulator."""
+    """A complete single-group deployment inside one simulator.
 
-    #: Server classes, overridable by baselines (e.g. the eager-replication
-    #: baseline substitutes a primary whose writes wait for backup acks).
-    primary_server_class = ReplicaServer
-    backup_server_class = ReplicaServer
-    spare_server_class = ReplicaServer
+    ``server_class`` is the replication discipline — the
+    :class:`ReplicaServer` subclass every member runs, whatever its role
+    (see :data:`repro.baselines.DISCIPLINES`) — and ``n_backups`` the
+    length of the succession line (more than one needs a discipline that
+    replicates to several, e.g.
+    :class:`~repro.extensions.multibackup.MultiBackupServer`).
+    """
 
     def __init__(self, config: Optional[ServiceConfig] = None, seed: int = 0,
                  loss_model: Optional[LossModel] = None, n_spares: int = 0,
-                 service_name: str = "rtpb") -> None:
+                 service_name: str = "rtpb",
+                 server_class: Type[ReplicaServer] = ReplicaServer,
+                 n_backups: int = 1) -> None:
+        if n_backups < 1:
+            raise ReplicationError(
+                f"need at least one backup, got {n_backups}")
         self.config = config if config is not None else ServiceConfig()
         self.service_name = service_name
         self.sim = Simulator(seed=seed)
@@ -56,37 +63,25 @@ class RTPBService:
         self.injector = CrashInjector(self.sim,
                                       on_recover=self._announce_recovered)
 
-        spare_addresses = [FIRST_SPARE_ADDRESS + index
-                           for index in range(n_spares)]
-
-        self.primary_host = Host(self.sim, self.fabric, "primary",
-                                 PRIMARY_ADDRESS)
-        self.backup_host = Host(self.sim, self.fabric, "backup",
-                                BACKUP_ADDRESS)
-        self.primary_server = self.primary_server_class(
-            self.sim, self.primary_host, self.config, self.name_service,
-            role=Role.PRIMARY, service_name=service_name,
-            peer_address=BACKUP_ADDRESS,
-            spare_addresses=list(spare_addresses))
-        self.backup_server = self.backup_server_class(
-            self.sim, self.backup_host, self.config, self.name_service,
-            role=Role.BACKUP, service_name=service_name,
-            peer_address=PRIMARY_ADDRESS,
-            spare_addresses=list(spare_addresses))
-
-        self.spare_servers: List[ReplicaServer] = []
-        for address in spare_addresses:
-            host = Host(self.sim, self.fabric, f"spare{address}", address)
-            self.spare_servers.append(self.spare_server_class(
-                self.sim, host, self.config, self.name_service,
-                role=Role.SPARE, service_name=service_name))
-
+        # Hosts take consecutive fabric addresses: the primary, the backups
+        # in succession order, the spares (each named after its address).
+        n_members = 1 + n_backups
+        names = server_class.host_names(n_backups)
+        names += [f"spare{PRIMARY_ADDRESS + n_members + index}"
+                  for index in range(n_spares)]
+        hosts = [Host(self.sim, self.fabric, name, PRIMARY_ADDRESS + index)
+                 for index, name in enumerate(names)]
+        members = server_class.build_group(
+            self.sim, self.config, self.name_service, service_name,
+            primary=hosts[0], backups=hosts[1:n_members],
+            spares=hosts[n_members:])
+        self.primary_server = members[0]
+        #: The initial backups, in succession order.
+        self.backup_servers: List[ReplicaServer] = members[1:n_members]
+        self.backup_server = self.backup_servers[0]
+        self.spare_servers: List[ReplicaServer] = members[n_members:]
         self.servers: Dict[int, ReplicaServer] = {
-            PRIMARY_ADDRESS: self.primary_server,
-            BACKUP_ADDRESS: self.backup_server,
-        }
-        for server in self.spare_servers:
-            self.servers[server.host.address] = server
+            server.host.address: server for server in members}
 
         self.clients: List[SensorClient] = []
         #: Deployment extensions with a ``start()`` hook, started after the
@@ -126,7 +121,7 @@ class RTPBService:
         """Create the sensing client application for ``specs``.
 
         The client object is registered as the local client application on
-        both replicas, modelling the paper's primary-resident client and its
+        every member, modelling the paper's primary-resident client and its
         backup-resident replica copy (activated at failover).
         """
         client = SensorClient(
@@ -134,10 +129,8 @@ class RTPBService:
             resolver=self.resolve_server, specs=specs, name=name,
             write_jitter=write_jitter)
         self.clients.append(client)
-        self.primary_server.local_client = client
-        self.backup_server.local_client = client
-        for spare in self.spare_servers:
-            spare.local_client = client
+        for server in self.servers.values():
+            server.local_client = client
         return client
 
     # ------------------------------------------------------------------
@@ -148,10 +141,8 @@ class RTPBService:
         if self._started:
             return
         self._started = True
-        self.primary_server.start()
-        self.backup_server.start()
-        for spare in self.spare_servers:
-            spare.start()
+        for server in self.servers.values():
+            server.start()
         for client in self.clients:
             client.start()
         for extension in self.extensions:
@@ -182,11 +173,14 @@ class RTPBService:
                 return server
         raise ReplicationError("no live primary in the deployment")
 
+    def current_backups(self) -> List[ReplicaServer]:
+        """The live servers currently playing the backup role."""
+        return [server for server in self.servers.values()
+                if server.alive and server.role is Role.BACKUP]
+
     def current_backup(self) -> Optional[ReplicaServer]:
-        for server in self.servers.values():
-            if server.alive and server.role is Role.BACKUP:
-                return server
-        return None
+        backups = self.current_backups()
+        return backups[0] if backups else None
 
     @property
     def trace(self):

@@ -115,15 +115,10 @@ class ServiceConfig:
     retransmission_enabled: bool = True
     watchdog_factor: float = 2.5
     #: Per-update acknowledgments from the backup.  The paper argues against
-    #: them (Section 4.3); off by default, on for the ack ablation and the
-    #: eager baseline.
+    #: them (Section 4.3); off by default, on for the ack ablation.  The
+    #: synchronous disciplines declare their need for acks on the server
+    #: class (``ReplicaServer.ack_updates``) and never touch this field.
     ack_updates: bool = False
-    #: Commutative/timestamp-stable fast path on the eager baseline
-    #: (:mod:`repro.core.fastpath`): reply to the client before the backup
-    #: ack when the write commutes with every witnessed unsynced update or
-    #: its source timestamp is already stable.  Off by default — the paper's
-    #: protocols (and every historical trace digest) are untouched.
-    fastpath_enabled: bool = False
 
     # -- admission control (Section 4.2) --------------------------------
     admission_enabled: bool = True

@@ -29,26 +29,19 @@ protocol (e.g. the RTCAST service the paper cites) is out of scope.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from repro.core.client import SensorClient
-from repro.core.failure import CrashInjector, PingManager
-from repro.core.name_service import NameService
+from repro.core.failure import PingManager
 from repro.core.rtpb_protocol import (
-    RTPB_PORT,
+    PingAckMsg,
     RegisterAckMsg,
     RegisterMsg,
     UpdateMsg,
     encode_message,
 )
 from repro.core.server import ROLE_PRIMARY_WIRE, ReplicaServer, Role
-from repro.sched.processor import Processor
-from repro.core.spec import ObjectSpec, ServiceConfig
+from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
-from repro.net.ip import Host
-from repro.net.link import LossModel, NetworkFabric
-from repro.sim.engine import Simulator
-from repro.workload.environment import EnvironmentModel
 
 
 class MultiBackupServerError(ReplicationError):
@@ -58,34 +51,23 @@ class MultiBackupServerError(ReplicationError):
 class MultiBackupServer(ReplicaServer):
     """A replica aware of a whole succession of backups."""
 
-    def __init__(self, sim: Simulator, host: Host, config: ServiceConfig,
-                 name_service: NameService, role: Role,
-                 succession: List[int], service_name: str = "rtpb",
-                 peer_address: Optional[int] = None,
-                 port: int = RTPB_PORT,
-                 processor: Optional[Processor] = None,
-                 owns_host: bool = True,
-                 name: Optional[str] = None) -> None:
-        super().__init__(sim, host, config, name_service, role,
-                         service_name=service_name, peer_address=peer_address,
-                         port=port, processor=processor, owns_host=owns_host,
-                         name=name)
-        if not succession:
+    max_backups = None
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if not self.succession:
             raise MultiBackupServerError("succession list must be non-empty")
-        #: Backup addresses in takeover order (same list on every replica).
-        self.succession = list(succession)
         #: Backups this server currently replicates to (primary role).
         self.backup_addresses: List[int] = []
-        if role is Role.PRIMARY:
-            self.backup_addresses = list(succession)
-        self._acked_by_backup: Dict[int, Set[int]] = {}
-        self._backup_pings: Dict[int, PingManager] = {}
-        self._reattach_pending = False
-        if role is Role.PRIMARY and self.backup_addresses:
+        if self.role is Role.PRIMARY:
+            self.backup_addresses = list(self.succession)
             # The base class gates registration replication on having a
             # peer; point it at the first backup (fan-out happens in our
             # _send_to_peer / _replicate_registration overrides).
             self.peer_address = self.backup_addresses[0]
+        self._acked_by_backup: Dict[int, Set[int]] = {}
+        self._backup_pings: Dict[int, PingManager] = {}
+        self._reattach_pending = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,24 +167,16 @@ class MultiBackupServer(ReplicaServer):
             # Out of backups entirely: same posture as the base protocol.
             self.transmitter.stop()
 
-    def handle_ping_ack_from(self, address: int, ack) -> None:
-        manager = self._backup_pings.get(address)
+    def _handle_ping_ack(self, message: PingAckMsg,
+                         source_address: int) -> None:
+        """A primary runs one heartbeat per backup: the ack goes to the
+        manager watching its sender."""
+        if self.role is not Role.PRIMARY or not self._backup_pings:
+            super()._handle_ping_ack(message, source_address)
+            return
+        manager = self._backup_pings.get(source_address)
         if manager is not None:
-            manager.handle_ack(ack)
-
-    def _on_datagram(self, data: bytes, source: tuple, info: dict) -> None:
-        # Route ping acks to the per-backup manager when we are primary.
-        if self.alive and self.role is Role.PRIMARY and self._backup_pings:
-            from repro.core.rtpb_protocol import PingAckMsg, decode_message
-
-            try:
-                message = decode_message(data)
-            except Exception:
-                message = None
-            if isinstance(message, PingAckMsg):
-                self.handle_ping_ack_from(source[0], message)
-                return
-        super()._on_datagram(data, source, info)
+            manager.handle_ack(message)
 
     # ------------------------------------------------------------------
     # Failover (backup side)
@@ -261,27 +235,13 @@ class MultiBackupServer(ReplicaServer):
             return
         self.sim.schedule(self.config.ping_period, self._try_reattach)
 
-    def promote(self) -> None:
-        """Take over as primary and adopt the surviving backups."""
-        if self.role is not Role.BACKUP or not self.alive:
-            return
-        self.sim.trace.record("failover", new_primary=self.name)
-        self.role = Role.PRIMARY
-        self.ping.stop()
-        self._watchdog_running = False
-        self.peer_address = None
-        self.name_service.publish(self.service_name, self.host.address)
+    def _adopt_backups(self) -> None:
+        """Adopt the rest of the succession: registrations, state,
+        heartbeats."""
         self.backup_addresses = [address for address in self.succession
                                  if address != self.host.address]
         if self.backup_addresses:
             self.peer_address = self.backup_addresses[0]
-        for record in self.store:
-            decision = self.admission.admit(record.spec)
-            if decision.accepted:
-                record.update_period = decision.update_period
-        if self.local_client is not None:
-            self.local_client.activate(self)
-        # Adopt the surviving backups: registrations, state, heartbeats.
         self.transmitter.start()
         for record in self.store:
             period = record.update_period
@@ -298,115 +258,3 @@ class MultiBackupServer(ReplicaServer):
                     payload=value, snapshot=True)))
         for address in self.backup_addresses:
             self._start_ping_to(address)
-
-
-class MultiBackupService:
-    """A deployment with one primary and *k* backups in succession order."""
-
-    PRIMARY_ADDRESS = 1
-    FIRST_BACKUP_ADDRESS = 2
-
-    def __init__(self, n_backups: int = 2,
-                 config: Optional[ServiceConfig] = None, seed: int = 0,
-                 loss_model: Optional[LossModel] = None,
-                 service_name: str = "rtpb") -> None:
-        if n_backups < 1:
-            raise MultiBackupServerError(
-                f"need at least one backup, got {n_backups}")
-        self.config = config if config is not None else ServiceConfig()
-        self.service_name = service_name
-        self.sim = Simulator(seed=seed)
-        self.fabric = NetworkFabric(
-            self.sim, delay_bound=self.config.ell,
-            delay_min=self.config.link_delay_min, loss_model=loss_model)
-        self.name_service = NameService(self.sim)
-        self.environment = EnvironmentModel(seed=seed)
-        self.injector = CrashInjector(self.sim)
-
-        succession = [self.FIRST_BACKUP_ADDRESS + index
-                      for index in range(n_backups)]
-        self.primary_host = Host(self.sim, self.fabric, "primary",
-                                 self.PRIMARY_ADDRESS)
-        self.primary_server = MultiBackupServer(
-            self.sim, self.primary_host, self.config, self.name_service,
-            role=Role.PRIMARY, succession=succession,
-            service_name=service_name)
-        self.backup_servers: List[MultiBackupServer] = []
-        self.servers: Dict[int, MultiBackupServer] = {
-            self.PRIMARY_ADDRESS: self.primary_server}
-        for index, address in enumerate(succession):
-            host = Host(self.sim, self.fabric, f"backup{index}", address)
-            server = MultiBackupServer(
-                self.sim, host, self.config, self.name_service,
-                role=Role.BACKUP, succession=succession,
-                service_name=service_name,
-                peer_address=self.PRIMARY_ADDRESS)
-            self.backup_servers.append(server)
-            self.servers[address] = server
-
-        self.clients: List[SensorClient] = []
-        self._registered: List[ObjectSpec] = []
-        self._started = False
-
-    # -- configuration ----------------------------------------------------
-
-    def register(self, spec: ObjectSpec):
-        decision = self.current_primary().register_object(spec)
-        if decision.accepted:
-            self._registered.append(spec)
-        return decision
-
-    def register_all(self, specs):
-        return [self.register(spec) for spec in specs]
-
-    def registered_specs(self) -> List[ObjectSpec]:
-        return list(self._registered)
-
-    def create_client(self, specs, name: str = "client",
-                      write_jitter: float = 0.0) -> SensorClient:
-        client = SensorClient(
-            self.sim, self.environment, self.name_service, self.service_name,
-            resolver=self.resolve_server, specs=specs, name=name,
-            write_jitter=write_jitter)
-        self.clients.append(client)
-        for server in self.servers.values():
-            server.local_client = client
-        return client
-
-    # -- execution ----------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for server in self.servers.values():
-            server.start()
-        for client in self.clients:
-            client.start()
-
-    def run(self, horizon: float) -> None:
-        self.start()
-        self.sim.run(until=horizon)
-
-    # -- introspection --------------------------------------------------------
-
-    def resolve_server(self, address: int) -> Optional[MultiBackupServer]:
-        return self.servers.get(address)
-
-    def current_primary(self) -> MultiBackupServer:
-        for server in self.servers.values():
-            if server.alive and server.role is Role.PRIMARY:
-                return server
-        raise ReplicationError("no live primary in the deployment")
-
-    def current_backup(self) -> Optional[MultiBackupServer]:
-        backups = self.current_backups()
-        return backups[0] if backups else None
-
-    def current_backups(self) -> List[MultiBackupServer]:
-        return [server for server in self.backup_servers
-                if server.alive and server.role is Role.BACKUP]
-
-    @property
-    def trace(self):
-        return self.sim.trace

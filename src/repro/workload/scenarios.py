@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.baselines import discipline
 from repro.core.service import RTPBService
 from repro.core.spec import SchedulingMode, ServiceConfig
 from repro.net.link import BernoulliLoss, LossModel, NoLoss
@@ -65,10 +66,10 @@ class Scenario:
     ell: float = ms(5.0)
     #: Random client-write jitter half-width, seconds.
     write_jitter: float = ms(2.0)
-    #: Replication discipline: ``"rtpb"`` (the paper's decoupled periodic
-    #: transmission), ``"eager"`` (synchronous defer-until-ack baseline), or
-    #: ``"eager_fastpath"`` (eager plus the commutative/timestamp-stable
-    #: fast path of :mod:`repro.core.fastpath`).
+    #: Replication discipline, a key of :data:`repro.baselines.DISCIPLINES`:
+    #: ``"rtpb"`` (the paper's decoupled periodic transmission),
+    #: ``"window_consistent"``, ``"eager"``, ``"eager_fastpath"``,
+    #: ``"active"`` or ``"semi_active"``.
     replication: str = "rtpb"
     #: Read replicas attached to the deployment (0 = paper-faithful: none).
     n_replicas: int = 0
@@ -94,34 +95,14 @@ class Scenario:
         )
 
 
-def _service_class(replication: str) -> type:
-    """Resolve the replication discipline to a service facade class.
-
-    Local imports keep the layering acyclic (baselines import repro.core;
-    this module is imported by repro.core consumers).
-    """
-    if replication == "rtpb":
-        return RTPBService
-    if replication == "eager":
-        from repro.baselines.eager import EagerService
-
-        return EagerService
-    if replication == "eager_fastpath":
-        from repro.baselines.fastpath import FastPathEagerService
-
-        return FastPathEagerService
-    raise ValueError(
-        f"unknown replication discipline {replication!r}; known: "
-        f"rtpb, eager, eager_fastpath")
-
-
 def build_scenario(scenario: Scenario) -> RTPBService:
     """Instantiate a service per ``scenario``: objects registered, client attached."""
-    service = _service_class(scenario.replication)(
+    service = RTPBService(
         config=scenario.config(),
         seed=scenario.seed,
         loss_model=scenario.loss_model(),
         n_spares=scenario.n_spares,
+        server_class=discipline(scenario.replication),
     )
     specs = homogeneous_specs(
         scenario.n_objects,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.active import ActiveReplicationService
+from repro.baselines.active import ActiveReplica
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
@@ -12,8 +12,14 @@ from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
 
+def active_service(n_replicas=2, **kwargs):
+    """The sequencer plus ``n_replicas - 1`` members."""
+    return RTPBService(server_class=ActiveReplica,
+                       n_backups=n_replicas - 1, **kwargs)
+
+
 def run_service(n_replicas=2, seed=5, loss=None, horizon=10.0):
-    service = ActiveReplicationService(
+    service = active_service(
         n_replicas=n_replicas, seed=seed,
         loss_model=BernoulliLoss(loss) if loss else None)
     specs = homogeneous_specs(4, window=ms(200), client_period=ms(100))
@@ -25,13 +31,13 @@ def run_service(n_replicas=2, seed=5, loss=None, horizon=10.0):
 
 def test_needs_at_least_two_replicas():
     with pytest.raises(ReplicationError):
-        ActiveReplicationService(n_replicas=1)
+        active_service(n_replicas=1)
 
 
 def test_every_replica_applies_every_write_in_order():
     service, specs = run_service(n_replicas=3)
-    sequencer = service.replicas[0]
-    for member in service.replicas[1:]:
+    sequencer = service.primary_server
+    for member in service.backup_servers:
         for spec in specs:
             member_seq = member.store.get(spec.object_id).seq
             sequencer_seq = sequencer.store.get(spec.object_id).seq
@@ -77,7 +83,7 @@ def test_atomicity_under_loss():
     retransmissions = service.trace.select("update_sent",
                                            retransmission=True)
     assert retransmissions
-    for member in service.replicas[1:]:
+    for member in service.backup_servers:
         for spec in specs:
             seqs = [version.seq for version in
                     member.store.get(spec.object_id).history._versions]
@@ -86,5 +92,5 @@ def test_atomicity_under_loss():
 
 def test_member_rejects_client_writes():
     service, specs = run_service(n_replicas=2, horizon=1.0)
-    assert not service.replicas[1].client_write(specs[0].object_id, b"x",
-                                                source_time=0.0)
+    assert not service.backup_server.client_write(specs[0].object_id, b"x",
+                                                  source_time=0.0)

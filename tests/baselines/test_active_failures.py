@@ -7,13 +7,15 @@ that documented behaviour down so it cannot silently change.
 
 import pytest
 
-from repro.baselines.active import ActiveReplicationService
+from repro.baselines.active import ActiveReplica
+from repro.core.service import RTPBService
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
 
 def make_running(n_replicas=2, seed=9):
-    service = ActiveReplicationService(n_replicas=n_replicas, seed=seed)
+    service = RTPBService(server_class=ActiveReplica,
+                          n_backups=n_replicas - 1, seed=seed)
     specs = homogeneous_specs(2, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
@@ -23,7 +25,7 @@ def make_running(n_replicas=2, seed=9):
 
 def test_member_crash_stalls_responses():
     service, _specs = make_running()
-    service.injector.crash_at(3.0, service.replicas[1])
+    service.injector.crash_at(3.0, service.backup_server)
     service.run(8.0)
     # Writes issued after the crash never complete: no ack will ever come.
     late_responses = [record for record in
@@ -37,12 +39,12 @@ def test_member_crash_stalls_responses():
 
 def test_sequencer_crash_stops_service():
     service, specs = make_running()
-    service.injector.crash_at(3.0, service.replicas[0])
+    service.injector.crash_at(3.0, service.primary_server)
     service.run(8.0)
     # Clients find the published address dead and refuse locally; there is
     # no failover in this baseline.
     assert service.clients[0].writes_refused > 20
-    member = service.replicas[1]
+    member = service.backup_server
     # The member's state is frozen at the crash point.
     frozen = {spec.object_id: member.store.get(spec.object_id).seq
               for spec in specs}
@@ -54,6 +56,6 @@ def test_sequencer_crash_stops_service():
 
 def test_crash_before_any_write_is_clean():
     service, _specs = make_running()
-    service.injector.crash_at(0.0, service.replicas[1])
+    service.injector.crash_at(0.0, service.backup_server)
     service.run(2.0)  # must not raise
-    assert not service.replicas[1].alive
+    assert not service.backup_server.alive

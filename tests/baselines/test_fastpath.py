@@ -8,9 +8,10 @@ answering early again — all without tripping the invariant monitor.
 
 import pytest
 
-from repro.baselines.eager import EagerService
-from repro.baselines.fastpath import FastPathEagerService
+from repro.baselines.eager import EagerServer
+from repro.baselines.fastpath import FastPathEagerServer
 from repro.core.server import Role
+from repro.core.service import RTPBService
 from repro.core.spec import InterObjectConstraint
 from repro.metrics.collectors import (
     fastpath_hit_rate,
@@ -23,7 +24,7 @@ from repro.workload.generator import homogeneous_specs
 
 def run_service(cls, seed=5, horizon=10.0, n_objects=4, n_spares=0,
                 specs_hook=None, crash=None):
-    service = cls(seed=seed, n_spares=n_spares)
+    service = RTPBService(server_class=cls, seed=seed, n_spares=n_spares)
     specs = homogeneous_specs(n_objects, window=ms(200),
                               client_period=ms(100))
     service.register_all(specs)
@@ -39,8 +40,8 @@ def run_service(cls, seed=5, horizon=10.0, n_objects=4, n_spares=0,
 
 
 def test_fastpath_cuts_eager_response_time():
-    eager = run_service(EagerService)
-    fast = run_service(FastPathEagerService)
+    eager = run_service(EagerServer)
+    fast = run_service(FastPathEagerServer)
     eager_mean = response_time_stats(eager, 2.0).mean
     fast_mean = response_time_stats(fast, 2.0).mean
     # Eager pays the full replication round trip; the fast path answers
@@ -49,7 +50,7 @@ def test_fastpath_cuts_eager_response_time():
 
 
 def test_fastpath_hit_rate_is_total_without_constraints():
-    service = run_service(FastPathEagerService)
+    service = run_service(FastPathEagerServer)
     assert fastpath_hit_rate(service, start=2.0) == 1.0
     assert service.primary_server.fastpath_fast_replies > 0
     commits = service.trace.select("fastpath_commit")
@@ -58,7 +59,7 @@ def test_fastpath_hit_rate_is_total_without_constraints():
 
 
 def test_fastpath_tags_response_records():
-    service = run_service(FastPathEagerService)
+    service = run_service(FastPathEagerServer)
     responses = service.trace.select("client_response")
     assert responses
     assert all(record["path"] in ("fast", "deferred")
@@ -70,7 +71,7 @@ def test_fastpath_tags_response_records():
 def test_plain_eager_records_stay_untagged():
     """With the fast path off, eager emits the exact legacy record shape —
     digest compatibility for every pre-fastpath trace."""
-    service = run_service(EagerService)
+    service = run_service(EagerServer)
     responses = service.trace.select("client_response")
     assert responses
     assert all("path" not in record.fields for record in responses)
@@ -82,7 +83,7 @@ def test_constrained_partner_defers_writes():
     leading write of each round commutes (the partner acked ~90 ms ago)."""
     from repro.workload.scripted import ScriptedClient
 
-    service = FastPathEagerService(seed=7)
+    service = RTPBService(server_class=FastPathEagerServer, seed=7)
     specs = homogeneous_specs(2, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     decision = service.add_constraint(InterObjectConstraint(0, 1, ms(100)))
@@ -115,7 +116,7 @@ def _drain_phases(service, after=0.0):
 
 def test_failover_drains_witness_before_fast_replies():
     service = run_service(
-        FastPathEagerService, n_spares=1, horizon=20.0,
+        FastPathEagerServer, n_spares=1, horizon=20.0,
         crash=(3.0, lambda s: s.primary_server))
     assert service.backup_server.role is Role.PRIMARY
     phases = _drain_phases(service)
@@ -135,7 +136,7 @@ def test_failover_drains_witness_before_fast_replies():
 
 def test_backup_loss_drains_and_resumes_after_recruit():
     service = run_service(
-        FastPathEagerService, n_spares=1, horizon=20.0,
+        FastPathEagerServer, n_spares=1, horizon=20.0,
         crash=(3.0, lambda s: s.backup_server))
     phases = _drain_phases(service)
     assert [phase for _t, phase, _r in phases] == \
@@ -156,7 +157,7 @@ def test_unpaired_primary_never_answers_early():
     on the deferred path (and those writes flush degraded — there is no
     backup to ack them)."""
     service = run_service(
-        FastPathEagerService, n_spares=0, horizon=12.0,
+        FastPathEagerServer, n_spares=0, horizon=12.0,
         crash=(3.0, lambda s: s.backup_server))
     primary = service.primary_server
     assert primary.peer_address is None

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.baselines.active import (
-    ActiveReplicationService,
-    SemiActiveReplicationService,
-)
+from repro.baselines.active import ActiveReplica, SemiActiveReplica
+from repro.core.service import RTPBService
 from repro.metrics.collectors import response_time_stats
 from repro.net.link import BernoulliLoss
 from repro.units import ms
@@ -18,8 +16,9 @@ def run_service(cls, seed=5, loss=None, horizon=10.0):
     kwargs = {}
     if loss:
         kwargs["config"] = ServiceConfig(ping_max_misses=40)
-    service = cls(seed=seed,
-                  loss_model=BernoulliLoss(loss) if loss else None, **kwargs)
+    service = RTPBService(server_class=cls, seed=seed,
+                          loss_model=BernoulliLoss(loss) if loss else None,
+                          **kwargs)
     specs = homogeneous_specs(4, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
@@ -28,8 +27,8 @@ def run_service(cls, seed=5, loss=None, horizon=10.0):
 
 
 def test_semi_active_responds_at_passive_speed():
-    semi, _ = run_service(SemiActiveReplicationService)
-    active, _ = run_service(ActiveReplicationService)
+    semi, _ = run_service(SemiActiveReplica)
+    active, _ = run_service(ActiveReplica)
     semi_mean = response_time_stats(semi, 2.0).mean
     active_mean = response_time_stats(active, 2.0).mean
     # Semi-active answers after the local apply: no agreement round trip.
@@ -38,16 +37,16 @@ def test_semi_active_responds_at_passive_speed():
 
 
 def test_semi_active_still_delivers_everything_in_order():
-    service, specs = run_service(SemiActiveReplicationService, loss=0.15,
+    service, specs = run_service(SemiActiveReplica, loss=0.15,
                                  horizon=15.0)
-    for member in service.replicas[1:]:
+    for member in service.backup_servers:
         for spec in specs:
             seqs = [version.seq for version in
                     member.store.get(spec.object_id).history._versions]
             assert seqs == sorted(seqs)
             # Retries delivered the stream despite 15% loss: the member
             # tracks the sequencer closely.
-            sequencer_seq = service.replicas[0].store.get(
+            sequencer_seq = service.primary_server.store.get(
                 spec.object_id).seq
             assert sequencer_seq - member.store.get(spec.object_id).seq <= 10
 
@@ -55,7 +54,7 @@ def test_semi_active_still_delivers_everything_in_order():
 def test_semi_active_responses_not_duplicated():
     """Each write gets exactly one response (the ack path must not answer
     a second time)."""
-    service, _specs = run_service(SemiActiveReplicationService)
+    service, _specs = run_service(SemiActiveReplica)
     issued = service.clients[0].writes_issued
     responses = len(service.trace.select("client_response"))
     assert responses <= issued

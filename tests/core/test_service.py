@@ -5,7 +5,6 @@ import pytest
 from repro.core.server import Role
 from repro.core.service import (
     BACKUP_ADDRESS,
-    FIRST_SPARE_ADDRESS,
     PRIMARY_ADDRESS,
     RTPBService,
 )
@@ -21,7 +20,7 @@ def test_deployment_wiring():
     assert len(service.spare_servers) == 2
     assert service.resolve_server(PRIMARY_ADDRESS) is service.primary_server
     assert service.resolve_server(BACKUP_ADDRESS) is service.backup_server
-    assert service.resolve_server(FIRST_SPARE_ADDRESS) is \
+    assert service.resolve_server(BACKUP_ADDRESS + 1) is \
         service.spare_servers[0]
     assert service.resolve_server(99) is None
 

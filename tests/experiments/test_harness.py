@@ -1,9 +1,11 @@
 """Unit tests for the experiment harness."""
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.baselines import DISCIPLINES
 from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
 from repro.cluster.metrics import collect_cluster
 from repro.cluster.monitor import ClusterInvariantMonitor
@@ -18,6 +20,7 @@ from repro.experiments.harness import (
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import InvariantMonitor
 from repro.faults.scenarios import build
+from repro.parallel import RunSpec
 from repro.workload.cluster import build_cluster
 from repro.workload.elastic import ElasticScenario
 from repro.workload.scenarios import Scenario, build_scenario
@@ -36,6 +39,23 @@ def test_run_scenario_produces_full_result():
     lossy = run_scenario(Scenario(n_objects=3, horizon=5.0, seed=2,
                                   loss_probability=0.1))
     assert lossy.avg_max_distance > 0
+
+
+@pytest.mark.parametrize("name", sorted(DISCIPLINES))
+@pytest.mark.parametrize("monitor", [False, True])
+def test_every_discipline_runs_through_the_one_pipeline(name, monitor):
+    scenario = Scenario(replication=name, horizon=4.0)
+    result = run_scenario(scenario, monitor=monitor)
+    assert type(result.service.current_primary()) is DISCIPLINES[name]
+    assert result.response.count > 0
+    spec = RunSpec(scenario=scenario, monitor=monitor, key=(name,))
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_unknown_discipline_lists_the_known_ones():
+    with pytest.raises(ValueError) as raised:
+        build_scenario(Scenario(replication="quorum"))
+    assert ", ".join(sorted(DISCIPLINES)) in str(raised.value)
 
 
 def test_trace_is_restricted_by_default():

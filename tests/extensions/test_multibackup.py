@@ -2,19 +2,24 @@
 
 import pytest
 
+import repro.core.rtpb_protocol as protocol_module
+import repro.core.server as server_module
+from repro.core.rtpb_protocol import PingAckMsg, encode_message
 from repro.core.server import Role
+from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
 from repro.extensions.multibackup import (
+    MultiBackupServer,
     MultiBackupServerError,
-    MultiBackupService,
 )
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
 
 def make_service(n_backups=2, seed=7, **kwargs):
-    service = MultiBackupService(n_backups=n_backups, seed=seed, **kwargs)
+    service = RTPBService(server_class=MultiBackupServer,
+                          n_backups=n_backups, seed=seed, **kwargs)
     specs = homogeneous_specs(3, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
@@ -22,8 +27,10 @@ def make_service(n_backups=2, seed=7, **kwargs):
 
 
 def test_requires_at_least_one_backup():
-    with pytest.raises(MultiBackupServerError):
-        MultiBackupService(n_backups=0)
+    with pytest.raises(ReplicationError):
+        RTPBService(server_class=MultiBackupServer, n_backups=0)
+    with pytest.raises(ReplicationError, match="at most 1 backup"):
+        RTPBService(n_backups=2)  # the pair protocol has one backup
 
 
 def test_misconfiguration_error_is_a_replication_error():
@@ -147,3 +154,38 @@ def test_no_primary_raises():
     service.run(3.0)
     with pytest.raises(ReplicationError):
         service.current_primary()
+
+
+def test_primary_decodes_each_datagram_once(monkeypatch):
+    """Ping acks reach the per-backup heartbeat through the handler table,
+    not through a second decode in front of it."""
+    service, _specs = make_service(n_backups=2)
+    service.run(1.0)
+    primary, backup = service.primary_server, service.backup_servers[1]
+    decoded = []
+
+    def counting_decode(data):
+        decoded.append(data)
+        return real_decode(data)
+
+    real_decode = server_module.decode_message
+    for module in (server_module, protocol_module):
+        monkeypatch.setattr(module, "decode_message", counting_decode)
+    manager = primary._backup_pings[backup.host.address]
+    received = manager.acks_received
+    ack = encode_message(PingAckMsg(seq=10 ** 6, echo_send_time=0.9,
+                                    ack_time=1.0))
+    primary._on_datagram(ack, (backup.host.address, primary.port), {})
+    assert decoded == [ack]
+    assert manager.acks_received == received + 1
+    assert primary.ping.acks_received == 0  # not the single-peer heartbeat
+
+
+def test_garbled_datagram_is_traced_on_a_multibackup_primary():
+    service, _specs = make_service(n_backups=2)
+    service.run(1.0)
+    primary = service.primary_server
+    primary._on_datagram(b"\xff\xfe not a message",
+                         (service.backup_server.host.address, primary.port),
+                         {})
+    assert service.trace.select("rtpb_garbled", server=primary.name)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
-from repro.extensions.multibackup import MultiBackupService
+from repro.extensions.multibackup import MultiBackupServer
 from repro.net.link import BernoulliLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -11,9 +12,9 @@ from repro.workload.generator import homogeneous_specs
 
 def make_lossy_service(n_backups=2, loss=0.1, seed=17):
     config = ServiceConfig(ping_max_misses=40)
-    service = MultiBackupService(n_backups=n_backups, seed=seed,
-                                 config=config,
-                                 loss_model=BernoulliLoss(loss))
+    service = RTPBService(server_class=MultiBackupServer,
+                          n_backups=n_backups, seed=seed, config=config,
+                          loss_model=BernoulliLoss(loss))
     specs = homogeneous_specs(3, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)

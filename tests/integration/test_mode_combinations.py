@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.service import RTPBService
 from repro.core.spec import SchedulingMode, ServiceConfig
-from repro.extensions.multibackup import MultiBackupService
+from repro.extensions.multibackup import MultiBackupServer
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 from repro.workload.scenarios import Scenario, build_scenario
@@ -20,7 +21,8 @@ def test_scenario_supports_dcs_mode():
 
 def test_multibackup_with_dcs_transmission():
     config = ServiceConfig(scheduling_mode=SchedulingMode.DCS)
-    service = MultiBackupService(n_backups=2, seed=3, config=config)
+    service = RTPBService(server_class=MultiBackupServer, n_backups=2,
+                          seed=3, config=config)
     specs = homogeneous_specs(3, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
@@ -32,7 +34,8 @@ def test_multibackup_with_dcs_transmission():
 
 def test_multibackup_with_compressed_transmission():
     config = ServiceConfig(scheduling_mode=SchedulingMode.COMPRESSED)
-    service = MultiBackupService(n_backups=2, seed=3, config=config)
+    service = RTPBService(server_class=MultiBackupServer, n_backups=2,
+                          seed=3, config=config)
     specs = homogeneous_specs(3, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
@@ -45,8 +48,6 @@ def test_multibackup_with_compressed_transmission():
 def test_deferrable_server_with_rm_scheduler():
     config = ServiceConfig(use_deferrable_server=True, cpu_scheduler="rm")
     # Build directly (Scenario doesn't carry these config fields).
-    from repro.core.service import RTPBService
-
     service = RTPBService(seed=2, config=config)
     specs = homogeneous_specs(4, window=ms(200), client_period=ms(100))
     service.register_all(specs)
@@ -61,8 +62,6 @@ def test_deferrable_server_with_rm_scheduler():
 
 
 def test_backup_reads_with_compressed_mode():
-    from repro.core.service import RTPBService
-
     config = ServiceConfig(scheduling_mode=SchedulingMode.COMPRESSED,
                            backup_reads_enabled=True)
     service = RTPBService(seed=2, config=config)

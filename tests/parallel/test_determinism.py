@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.baselines import DISCIPLINES
 from repro.faults.report import run_matrix
 from repro.metrics.jsonio import stable_dumps
 from repro.parallel import RunSpec, derive_seed, process_support, run_specs
@@ -61,16 +62,17 @@ def test_figure_series_identical_across_worker_counts():
 
 
 def test_fastpath_runs_identical_across_worker_counts():
-    """Fast-path scenarios (witness set, early replies, drains) through
-    the pool: jobs=1 and jobs=4 must agree digest-for-digest — the same
-    property ``repro.bench --compare --require-identical`` gates on."""
+    """Every replication discipline (among them the fast path's witness
+    set, early replies and drains) through the pool: jobs=1 and jobs=4
+    must agree digest-for-digest — the same property
+    ``repro.bench --compare --require-identical`` gates on."""
     specs = [
         RunSpec(
             scenario=Scenario(n_objects=2, window=ms(200), horizon=4.0,
                               replication=replication,
                               seed=derive_seed(0, "fp", replication)),
             key=(replication,))
-        for replication in ("eager", "eager_fastpath")
+        for replication in sorted(DISCIPLINES)
     ]
     serial = run_specs(specs, jobs=1)
     parallel = run_specs(specs, jobs=4)
@@ -78,9 +80,9 @@ def test_fastpath_runs_identical_across_worker_counts():
         [_strip_wall(outcome) for outcome in parallel]
     for left, right in zip(serial, parallel):
         assert left.trace_digest == right.trace_digest
-    # The two disciplines genuinely diverge (the fast path changed the
-    # trace), so the equality above is not vacuous.
-    assert serial[0].trace_digest != serial[1].trace_digest
+    # The disciplines genuinely diverge (each changes the trace), so the
+    # equality above is not vacuous.
+    assert len({outcome.trace_digest for outcome in serial}) == len(specs)
 
 
 def test_fastpath_chaos_documents_byte_identical():
