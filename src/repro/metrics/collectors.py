@@ -14,11 +14,15 @@ paper-style tables.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Collection, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.consistency.checker import ExternalConsistencyChecker, Violation
 from repro.core.service import RTPBService
+from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
 
 
@@ -195,21 +199,63 @@ def degraded_responses(service: RTPBService, start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def _distance_events(service: RTPBService, object_id: int
-                     ) -> List[Tuple[float, str, float]]:
-    """Merged (time, kind, value) events for one object.
+#: One object's write instants and its ``(time, write_time)`` applies.
+_Streams = Tuple[List[float], List[Tuple[float, float]]]
 
-    ``kind`` is ``"write"`` (value = write instant, advancing ``W_P``) or
-    ``"apply"`` (value = write_time of the version applied, advancing
-    ``W_B``).
+
+def _write_apply_streams(service: RTPBService, object_id: int) -> _Streams:
+    """One object's ``primary_write`` and ``backup_apply`` records.
+
+    Each write advances ``W_P`` to its instant; each apply advances ``W_B``
+    to the write time of the version applied.  Both lists are in time
+    order (a stable sort, free on a trace the simulator recorded, puts a
+    hand-assembled one right), so every timeline over them is one merge.
     """
-    events: List[Tuple[float, str, float]] = []
-    for record in service.trace.select("primary_write", object=object_id):
-        events.append((record.time, "write", record.time))
-    for record in service.trace.select("backup_apply", object=object_id):
-        events.append((record.time, "apply", record["write_time"]))
-    events.sort(key=lambda event: event[0])
-    return events
+    writes = [record.time for record
+              in service.trace.select("primary_write", object=object_id)]
+    applies = [(record.time, record["write_time"]) for record
+               in service.trace.select("backup_apply", object=object_id)]
+    writes.sort()
+    applies.sort(key=itemgetter(0))
+    return writes, applies
+
+
+def _lag_timeline(writes: List[float], applies: List[Tuple[float, float]],
+                  horizon: float, start: float, allowance: float
+                  ) -> List[Tuple[float, float]]:
+    """:func:`distance_timeline` over one object's prepared streams.
+
+    One merge of the writes, each taking effect ``allowance`` after its
+    instant, with the applies.  Where a write taking effect and an apply
+    fall on the same instant, the one that *happened* first goes first —
+    the write, if they happened together.
+    """
+    timeline: List[Tuple[float, float]] = []
+    frontier: Optional[float] = None
+    w_b: Optional[float] = None
+    n_writes, n_applies = len(writes), len(applies)
+    w = a = 0
+    while w < n_writes or a < n_applies:
+        write = writes[w] if w < n_writes else math.inf
+        apply_time = applies[a][0] if a < n_applies else math.inf
+        time = write + allowance
+        if (time, write) <= (apply_time, apply_time):
+            if time > horizon:
+                break
+            frontier = write
+            w += 1
+        else:
+            time = apply_time
+            if time > horizon:
+                break
+            version = applies[a][1]
+            w_b = max(w_b, version) if w_b is not None else version
+            a += 1
+        if frontier is None or w_b is None:
+            continue
+        if time >= start:
+            timeline.append((time, max(0.0, frontier - w_b)))
+    return timeline
 
 
 def distance_timeline(service: RTPBService, object_id: int,
@@ -230,31 +276,11 @@ def distance_timeline(service: RTPBService, object_id: int,
     Measurement begins at the first backup apply (before that the backup
     legitimately holds nothing).  Clamped to events in ``[start, horizon]``.
     """
-    timeline: List[Tuple[float, float]] = []
-    frontier: Optional[float] = None
-    w_b: Optional[float] = None
-    events: List[Tuple[float, str, float]] = []
-    for time, kind, value in _distance_events(service, object_id):
-        if kind == "write":
-            events.append((time + allowance, "write", value))
-        else:
-            events.append((time, "apply", value))
-    events.sort(key=lambda event: event[0])
-    for time, kind, value in events:
-        if time > horizon:
-            break
-        if kind == "write":
-            frontier = value
-        else:
-            w_b = max(w_b, value) if w_b is not None else value
-        if frontier is None or w_b is None:
-            continue
-        if time >= start:
-            timeline.append((time, max(0.0, frontier - w_b)))
-    return timeline
+    return _lag_timeline(*_write_apply_streams(service, object_id),
+                         horizon, start, allowance)
 
 
-def _propagation_allowance(service: RTPBService, object_id: int) -> float:
+def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
     """The provisioned primary→backup lag: update period + delay bound ℓ.
 
     Falls back to the spec's configured update period when the deployment
@@ -263,15 +289,10 @@ def _propagation_allowance(service: RTPBService, object_id: int) -> float:
     """
     try:
         primary = service.current_primary()
-        record = primary.store.get(object_id)
-        period = record.update_period
+        period = primary.store.get(spec.object_id).update_period
     except ReplicationError:
         period = None
     if period is None:
-        spec = next((candidate for candidate in service.registered_specs()
-                     if candidate.object_id == object_id), None)
-        if spec is None:
-            return service.config.ell
         period = service.config.update_period(spec)
     return period + service.config.ell
 
@@ -298,6 +319,17 @@ def _lag_episode_durations(timeline: List[Tuple[float, float]],
     return durations
 
 
+def _lag_episodes(streams: _Streams, horizon: float, start: float,
+                  allowance: float) -> List[float]:
+    """Lateness episodes of one object's streams under ``allowance``."""
+    timeline = _lag_timeline(*streams, horizon, start, allowance)
+    return _lag_episode_durations(timeline, horizon)
+
+
+def _mean_or_zero(values: Collection[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def max_distance_per_object(service: RTPBService, horizon: float,
                             start: float = 0.0) -> Dict[int, float]:
     """Per-object maximum primary-backup distance over the run.
@@ -310,23 +342,18 @@ def max_distance_per_object(service: RTPBService, horizon: float,
     8-10 track ("close to zero when there is no message loss", growing with
     loss rate and client write rate).
     """
-    result: Dict[int, float] = {}
-    for spec in service.registered_specs():
-        allowance = _propagation_allowance(service, spec.object_id)
-        timeline = distance_timeline(service, spec.object_id, horizon,
-                                     start, allowance=allowance)
-        durations = _lag_episode_durations(timeline, horizon)
-        result[spec.object_id] = max(durations, default=0.0)
-    return result
+    return {
+        spec.object_id: max(_lag_episodes(
+            _write_apply_streams(service, spec.object_id), horizon, start,
+            _propagation_allowance(service, spec)), default=0.0)
+        for spec in service.registered_specs()}
 
 
 def average_max_distance(service: RTPBService, horizon: float,
                          start: float = 0.0) -> float:
     """The paper's "average maximum primary/backup distance"."""
-    per_object = max_distance_per_object(service, horizon, start)
-    if not per_object:
-        return 0.0
-    return sum(per_object.values()) / len(per_object)
+    return _mean_or_zero(
+        max_distance_per_object(service, horizon, start).values())
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +374,37 @@ def inconsistency_durations(service: RTPBService, horizon: float,
     (Section 5.3) — these durations are exactly that.
     """
     durations: List[float] = []
-    windows = {spec.object_id: spec.window
-               for spec in service.registered_specs()}
-    for object_id, window in windows.items():
-        timeline = distance_timeline(service, object_id, horizon, start,
-                                     allowance=window)
-        durations.extend(_lag_episode_durations(timeline, horizon))
+    for spec in service.registered_specs():
+        durations.extend(_lag_episodes(
+            _write_apply_streams(service, spec.object_id), horizon, start,
+            spec.window))
     return durations
 
 
 def average_inconsistency_duration(service: RTPBService, horizon: float,
                                    start: float = 0.0) -> float:
     """Mean episode duration; 0 when the backup never left its window."""
-    durations = inconsistency_durations(service, horizon, start)
-    if not durations:
-        return 0.0
-    return sum(durations) / len(durations)
+    return _mean_or_zero(inconsistency_durations(service, horizon, start))
+
+
+def _replication_lag(service: RTPBService, horizon: float,
+                     start: float = 0.0) -> Tuple[float, float]:
+    """:func:`average_max_distance` and
+    :func:`average_inconsistency_duration` in one pass.
+
+    Both metrics read the same per-object streams, distance under the
+    provisioned lag and inconsistency under the window δ; a whole-run
+    summary selects each object's once.
+    """
+    maxima: List[float] = []
+    durations: List[float] = []
+    for spec in service.registered_specs():
+        streams = _write_apply_streams(service, spec.object_id)
+        maxima.append(max(_lag_episodes(
+            streams, horizon, start, _propagation_allowance(service, spec)),
+            default=0.0))
+        durations.extend(_lag_episodes(streams, horizon, start, spec.window))
+    return _mean_or_zero(maxima), _mean_or_zero(durations)
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +443,44 @@ def backup_external_violations(service: RTPBService, start: float,
 # ---------------------------------------------------------------------------
 
 
+def _server_group(server_name: Optional[str]) -> str:
+    """The replication group a traced server identity belongs to.
+
+    Members of a cluster group are named ``<group service name>@<host>``
+    (``rtpb/g00@host5``); the servers of a single-group service carry bare
+    host names and all belong to the one unnamed group ``""``.
+    """
+    group, at, _host = (server_name or "").partition("@")
+    return group if at else ""
+
+
 def failover_latencies(service: RTPBService) -> List[float]:
     """Crash-to-takeover latency for *each* primary crash, in crash order.
 
-    Each primary crash is paired with the next failover at or after it (a
-    failover consumed by one crash is not reused for a later one).  A crash
-    the service never recovered from contributes nothing, so under repeated
+    Each primary crash is paired with the next failover *of its own group*
+    at or after it (a failover consumed by one crash is not reused for a
+    later one), so two groups of a cluster failing over at once never
+    trade takeovers.  A group view sharing a cluster-wide trace counts only
+    its own crashes; the cluster view counts every group's.  A crash the
+    service never recovered from contributes nothing, so under repeated
     chaos-style crashes the list length is the number of *completed*
     failovers, not ``len(crashes)``.
     """
-    crashes = service.trace.select("server_crash", role="primary")
-    failovers = service.trace.select("failover")
+    takeovers: Dict[str, Deque[float]] = {}
+    for failover in service.trace.select("failover"):
+        takeovers.setdefault(_server_group(failover.get("new_primary")),
+                             deque()).append(failover.time)
+    own = service.service_name
     latencies: List[float] = []
-    index = 0
-    for crash in crashes:
-        while index < len(failovers) and failovers[index].time < crash.time:
-            index += 1
-        if index >= len(failovers):
-            break
-        latencies.append(failovers[index].time - crash.time)
-        index += 1
+    for crash in service.trace.select("server_crash", role="primary"):
+        group = _server_group(crash.get("server"))
+        if group and group != own and not group.startswith(own + "/"):
+            continue  # another group's crash on a shared trace
+        pending = takeovers.get(group)
+        while pending and pending[0] < crash.time:
+            pending.popleft()
+        if pending:
+            latencies.append(pending.popleft() - crash.time)
     return latencies
 
 

@@ -13,8 +13,7 @@ from typing import Iterable, Optional
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
+    _replication_lag,
     backup_external_violations,
     failover_latency,
     primary_fallback_rate,
@@ -71,13 +70,14 @@ def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
     scopes the trace-counting collectors to one group of a cluster whose
     groups share a trace.
     """
+    avg_max_distance, avg_inconsistency = _replication_lag(view, horizon,
+                                                           start=warmup)
     return RunMetrics(
         admitted=len(view.registered_specs()),
         response=response_time_stats(view, start=warmup, objects=objects),
         starved_writes=unanswered_writes(view, objects=objects),
-        avg_max_distance=average_max_distance(view, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(view, horizon,
-                                                         start=warmup),
+        avg_max_distance=avg_max_distance,
+        avg_inconsistency=avg_inconsistency,
         delivery_rate=update_delivery_rate(view, objects=objects),
         read_throughput=read_throughput(view, horizon, start=warmup,
                                         objects=objects),
@@ -148,21 +148,21 @@ class RunSummary:
 def summarize_run(service: RTPBService, horizon: float,
                   warmup: float = 2.0) -> RunSummary:
     """Collect every metric for a finished run in one call."""
+    metrics = collect_metrics(service, horizon, warmup)
     violations = backup_external_violations(service, warmup,
                                             max(warmup, horizon - 1.0))
     return RunSummary(
         horizon=horizon,
         warmup=warmup,
-        objects=len(service.registered_specs()),
-        response=response_time_stats(service, start=warmup),
-        starved_writes=unanswered_writes(service),
-        avg_max_distance=average_max_distance(service, horizon, warmup),
-        avg_inconsistency=average_inconsistency_duration(service, horizon,
-                                                         warmup),
-        delivery_rate=update_delivery_rate(service),
+        objects=metrics.admitted,
+        response=metrics.response,
+        starved_writes=metrics.starved_writes,
+        avg_max_distance=metrics.avg_max_distance,
+        avg_inconsistency=metrics.avg_inconsistency,
+        delivery_rate=metrics.delivery_rate,
         backup_violations=sum(len(per_object)
                               for per_object in violations.values()),
         failover=failover_latency(service),
-        read_staleness=read_staleness_stats(service, start=warmup),
-        fallback_rate=primary_fallback_rate(service, start=warmup),
+        read_staleness=metrics.read_staleness,
+        fallback_rate=metrics.fallback_rate,
     )

@@ -7,11 +7,20 @@ them directly.  Online observers (the fault subsystem's invariant monitor)
 :meth:`~Tracer.subscribe` instead and see every record as it is produced,
 independently of the storage filter.
 
-Storage is indexed by category: :meth:`Tracer.select` touches only the
-queried category's records and :meth:`Tracer.categories` is a dict copy,
-so the per-object queries the metric collectors issue stop scanning the
-whole trace.  Iteration order, :meth:`Tracer.digest`, and the storage
-filter semantics are unchanged from the scan implementation.
+Storage is one append-only list plus a per-category view of it, so
+:meth:`Tracer.categories` is a dict copy and :meth:`Tracer.select` never
+looks outside the queried category.  A single-field equality query
+(``select("primary_write", object=3)`` — the shape every per-object metric
+collector issues) is answered from a hash index of that category's records
+grouped by that field's value.  The index for a (category, field) pair is
+built by the first query that names the pair and catches up, at the next
+such query, with whatever the category has stored since; recording never
+touches it, so a pair nobody queries costs nothing, and collecting N
+objects' records walks the category once instead of N times.  Multi-field
+queries, unhashable values, and fields some record holds an unhashable
+value in fall back to scanning the category — the reference the index is
+tested against.  Iteration order, result order, :meth:`Tracer.digest`, and
+the storage filter semantics are those of a plain scan of the whole trace.
 
 Dead categories cost (almost) nothing: :meth:`Tracer.enabled` answers
 "would a record of this category go anywhere?" from a per-category cache,
@@ -26,7 +35,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,20 @@ class TraceRecord:
         return self.fields.get(key, default)
 
 
+class _FieldIndex:
+    """One category's records grouped by the value of one field."""
+
+    __slots__ = ("groups", "absorbed")
+
+    def __init__(self) -> None:
+        #: field value (``None`` where the field is missing) -> records in
+        #: stored order; ``None`` once a record held an unhashable value,
+        #: after which the pair is always answered by scanning.
+        self.groups: Optional[Dict[Any, List[TraceRecord]]] = {}
+        #: How many of the category's records ``groups`` already covers.
+        self.absorbed = 0
+
+
 class Tracer:
     """Append-only store of :class:`TraceRecord` rows.
 
@@ -57,6 +81,9 @@ class Tracer:
         #: Per-category view of ``_records`` (same record objects, same
         #: relative order); keys appear in first-recorded order.
         self._by_category: Dict[str, List[TraceRecord]] = {}
+        #: (category, field) -> index, for the pairs :meth:`select` was
+        #: asked about.  Built and extended by queries only.
+        self._field_indexes: Dict[Tuple[str, str], _FieldIndex] = {}
         self._enabled: Optional[frozenset] = None  # None means "all"
         self._listeners: List[Callable[[TraceRecord], None]] = []
         #: category -> "a record of this category goes somewhere" (stored
@@ -165,18 +192,59 @@ class Tracer:
     def select(self, category: str, **matches: Any) -> List[TraceRecord]:
         """Records of ``category`` whose fields equal all of ``matches``.
 
-        Touches only the queried category's records — O(category size),
-        not O(trace size).
+        A field a record lacks matches ``None``.  The result is a fresh
+        list in stored order.  Never touches another category's records;
+        a single-field query costs O(result) once the (category, field)
+        index exists, anything else O(category size).
         """
         bucket = self._by_category.get(category)
         if not bucket:
             return []
         if not matches:
             return list(bucket)
+        if len(matches) == 1:
+            (key, value), = matches.items()
+            group = self._indexed(category, bucket, key, value)
+            if group is not None:
+                return list(group)
         return [
             record for record in bucket
             if all(record.get(key) == value for key, value in matches.items())
         ]
+
+    def _indexed(self, category: str, bucket: List[TraceRecord], key: str,
+                 value: Any) -> Optional[Sequence[TraceRecord]]:
+        """``bucket``'s records with ``record.get(key) == value``, from the
+        hash index — or None when only a scan gives ``==`` semantics."""
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        if value != value:
+            # NaN equals nothing, yet a dict finds it by identity.
+            return None
+        index = self._field_indexes.get((category, key))
+        if index is None:
+            index = self._field_indexes[(category, key)] = _FieldIndex()
+        groups = index.groups
+        if groups is None:
+            return None
+        if index.absorbed < len(bucket):
+            try:
+                for record in bucket[index.absorbed:]:
+                    field_value = record.fields.get(key)
+                    group = groups.get(field_value)
+                    if group is None:
+                        groups[field_value] = [record]
+                    else:
+                        group.append(record)
+            except TypeError:
+                # An unhashable field value may still equal a hashable
+                # query ({1} == frozenset({1})): scan this pair from now on.
+                index.groups = None
+                return None
+            index.absorbed = len(bucket)
+        return groups.get(value, ())
 
     def categories(self) -> Dict[str, int]:
         """Histogram of category -> record count (diagnostics)."""
@@ -200,6 +268,7 @@ class Tracer:
     def clear(self) -> None:
         self._records.clear()
         self._by_category.clear()
+        self._field_indexes.clear()
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)

@@ -3,6 +3,9 @@
 import hashlib
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -256,3 +259,123 @@ def test_record_if_returns_bound_record_or_none():
     assert rec is not None
     rec("kept", n=7)
     assert trace.select("kept")[0]["n"] == 7
+
+
+# ---------------------------------------------------------------------------
+# The (category, field) hash index behind single-field selects: every answer
+# must be the scan's, whatever was recorded, queried, cleared or filtered
+# before it, and whatever the values do to a hash table.
+# ---------------------------------------------------------------------------
+
+CATEGORIES = ("write", "apply")
+FIELDS = ("object", "seq", "tag")
+#: Equal-but-differently-typed keys (1 / 1.0 / True), None (what a missing
+#: field matches), look-alike strings, tuples, and a NaN (equal to nothing,
+#: yet found by identity in a dict).
+NAN = float("nan")
+HASHABLE = st.sampled_from([0, 1, 1.0, True, False, None, "1", "a", (1, 2),
+                            (1.0, 2.0), NAN, frozenset({1})])
+#: Values no dict can key — one of which *equals* a hashable frozenset.
+UNHASHABLE = st.sampled_from([[1, 2], [], {1}])
+#: Only ``tag`` ever holds an unhashable value, and not often: a field that
+#: does is scanned from then on, which is the reference itself.
+FIELD_DICTS = st.fixed_dictionaries({}, optional={
+    "object": HASHABLE, "seq": HASHABLE,
+    "tag": st.one_of(HASHABLE, HASHABLE, HASHABLE, UNHASHABLE)})
+QUERIES = st.dictionaries(st.sampled_from(FIELDS),
+                          st.one_of(HASHABLE, HASHABLE, UNHASHABLE),
+                          max_size=2)
+RECORD = st.tuples(st.just("record"), st.sampled_from(CATEGORIES),
+                   FIELD_DICTS)
+INGEST = st.tuples(st.just("ingest"), st.sampled_from(CATEGORIES),
+                   FIELD_DICTS)
+SELECT = st.tuples(st.just("select"), st.sampled_from(CATEGORIES), QUERIES)
+#: Mostly storing and asking; now and then the trace is wiped or narrowed.
+OPERATIONS = st.one_of(
+    RECORD, RECORD, RECORD, INGEST, INGEST, SELECT, SELECT, SELECT, SELECT,
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("enable_only"),
+              st.lists(st.sampled_from(CATEGORIES), max_size=2)),
+    st.tuples(st.just("enable_all")),
+)
+
+
+def assert_select_is_the_scan(trace, category, matches):
+    expected = reference_select(trace, category, **matches)
+    rows = trace.select(category, **matches)
+    assert len(rows) == len(expected)
+    assert all(row is want for row, want in zip(rows, expected))
+    # A fresh list each time: mutating one answer must not reach the next.
+    rows.append(None)
+    again = trace.select(category, **matches)
+    assert again is not rows
+    assert len(again) == len(expected)
+
+
+@given(st.lists(OPERATIONS, min_size=5, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_select_equals_scan_under_any_interleaving(operations):
+    clock = {"now": 0.0}
+    trace = Tracer(clock=lambda: clock["now"])
+    asked = []
+    for operation in operations:
+        clock["now"] += 0.5
+        kind, arguments = operation[0], operation[1:]
+        if kind == "record":
+            category, fields = arguments
+            trace.record(category, **fields)
+        elif kind == "ingest":
+            category, fields = arguments
+            trace.ingest(TraceRecord(clock["now"], category, dict(fields)))
+        elif kind == "select":
+            asked.append(arguments)
+            assert_select_is_the_scan(trace, *arguments)
+        elif kind == "clear":
+            trace.clear()
+        elif kind == "enable_only":
+            trace.enable_only(*arguments[0])
+        else:
+            trace.enable_all()
+    # Every query again, now that later records have arrived behind it.
+    for category, matches in asked:
+        assert_select_is_the_scan(trace, category, matches)
+    for category in CATEGORIES:
+        for field in FIELDS:
+            for value in (1, None, "a", (1, 2), [1], frozenset({1}), NAN):
+                assert_select_is_the_scan(trace, category, {field: value})
+
+
+def test_nan_matches_nothing_not_even_itself():
+    trace = Tracer(clock=lambda: 0.0)
+    trace.record("write", tag=NAN)
+    assert len(trace.select("write", tag=1)) == 0  # builds the index
+    assert trace.select("write", tag=NAN) == []
+
+
+def test_unhashable_values_fall_back_to_the_scan():
+    trace = Tracer(clock=lambda: 0.0)
+    trace.record("write", tag=[1, 2])
+    trace.record("write", tag={1})
+    trace.record("write", tag=(1, 2))
+    assert [r["tag"] for r in trace.select("write", tag=[1, 2])] == [[1, 2]]
+    assert [r["tag"] for r in trace.select("write", tag=(1, 2))] == [(1, 2)]
+    # A hashable query that an unhashable stored value equals.
+    assert [r["tag"] for r in trace.select("write", tag=frozenset({1}))] \
+        == [{1}]
+
+
+def test_index_follows_records_stored_after_the_first_query():
+    trace = Tracer(clock=lambda: 0.0)
+    trace.record("write", object=1)
+    assert len(trace.select("write", object=1)) == 1
+    assert trace.select("write", object=2) == []
+    trace.record("write", object=2)
+    trace.ingest(TraceRecord(1.0, "write", {"object": 1}))
+    trace.record("write")  # no `object` field: matches None
+    assert len(trace.select("write", object=1)) == 2
+    assert len(trace.select("write", object=2)) == 1
+    assert len(trace.select("write", object=None)) == 1
+    trace.clear()
+    assert trace.select("write", object=1) == []
+    trace.record("write", object=1.0)  # 1 == 1.0 == True
+    assert len(trace.select("write", object=True)) == 1
