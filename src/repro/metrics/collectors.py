@@ -199,65 +199,6 @@ def degraded_responses(service: RTPBService, start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-#: One object's write instants and its ``(time, write_time)`` applies.
-_Streams = Tuple[List[float], List[Tuple[float, float]]]
-
-
-def _write_apply_streams(service: RTPBService, object_id: int) -> _Streams:
-    """One object's ``primary_write`` and ``backup_apply`` records.
-
-    Each write advances ``W_P`` to its instant; each apply advances ``W_B``
-    to the write time of the version applied.  Both lists are in time
-    order (a stable sort, free on a trace the simulator recorded, puts a
-    hand-assembled one right), so every timeline over them is one merge.
-    """
-    writes = [record.time for record
-              in service.trace.select("primary_write", object=object_id)]
-    applies = [(record.time, record["write_time"]) for record
-               in service.trace.select("backup_apply", object=object_id)]
-    writes.sort()
-    applies.sort(key=itemgetter(0))
-    return writes, applies
-
-
-def _lag_timeline(writes: List[float], applies: List[Tuple[float, float]],
-                  horizon: float, start: float, allowance: float
-                  ) -> List[Tuple[float, float]]:
-    """:func:`distance_timeline` over one object's prepared streams.
-
-    One merge of the writes, each taking effect ``allowance`` after its
-    instant, with the applies.  Where a write taking effect and an apply
-    fall on the same instant, the one that *happened* first goes first —
-    the write, if they happened together.
-    """
-    timeline: List[Tuple[float, float]] = []
-    frontier: Optional[float] = None
-    w_b: Optional[float] = None
-    n_writes, n_applies = len(writes), len(applies)
-    w = a = 0
-    while w < n_writes or a < n_applies:
-        write = writes[w] if w < n_writes else math.inf
-        apply_time = applies[a][0] if a < n_applies else math.inf
-        time = write + allowance
-        if (time, write) <= (apply_time, apply_time):
-            if time > horizon:
-                break
-            frontier = write
-            w += 1
-        else:
-            time = apply_time
-            if time > horizon:
-                break
-            version = applies[a][1]
-            w_b = max(w_b, version) if w_b is not None else version
-            a += 1
-        if frontier is None or w_b is None:
-            continue
-        if time >= start:
-            timeline.append((time, max(0.0, frontier - w_b)))
-    return timeline
-
-
 def distance_timeline(service: RTPBService, object_id: int,
                       horizon: float, start: float = 0.0,
                       allowance: float = 0.0
@@ -276,8 +217,33 @@ def distance_timeline(service: RTPBService, object_id: int,
     Measurement begins at the first backup apply (before that the backup
     legitimately holds nothing).  Clamped to events in ``[start, horizon]``.
     """
-    return _lag_timeline(*_write_apply_streams(service, object_id),
-                         horizon, start, allowance)
+    # (due, happened, version): a write advances ``W_P`` to its instant
+    # ``allowance`` after it happened (version None); an apply advances
+    # ``W_B`` to the write time of the version applied, at once.  Events
+    # due together go in the order they happened, and a write before an
+    # apply that happened with it (the sort is stable).
+    events: List[Tuple[float, float, Optional[float]]] = [
+        (record.time + allowance, record.time, None) for record
+        in service.trace.select("primary_write", object=object_id)]
+    events += [
+        (record.time, record.time, record["write_time"]) for record
+        in service.trace.select("backup_apply", object=object_id)]
+    events.sort(key=itemgetter(0, 1))
+    timeline: List[Tuple[float, float]] = []
+    frontier: Optional[float] = None
+    w_b: Optional[float] = None
+    for time, happened, version in events:
+        if time > horizon:
+            break
+        if version is None:
+            frontier = happened
+        else:
+            w_b = max(w_b, version) if w_b is not None else version
+        if frontier is None or w_b is None:
+            continue
+        if time >= start:
+            timeline.append((time, max(0.0, frontier - w_b)))
+    return timeline
 
 
 def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
@@ -319,13 +285,6 @@ def _lag_episode_durations(timeline: List[Tuple[float, float]],
     return durations
 
 
-def _lag_episodes(streams: _Streams, horizon: float, start: float,
-                  allowance: float) -> List[float]:
-    """Lateness episodes of one object's streams under ``allowance``."""
-    timeline = _lag_timeline(*streams, horizon, start, allowance)
-    return _lag_episode_durations(timeline, horizon)
-
-
 def _mean_or_zero(values: Collection[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
@@ -342,11 +301,14 @@ def max_distance_per_object(service: RTPBService, horizon: float,
     8-10 track ("close to zero when there is no message loss", growing with
     loss rate and client write rate).
     """
-    return {
-        spec.object_id: max(_lag_episodes(
-            _write_apply_streams(service, spec.object_id), horizon, start,
-            _propagation_allowance(service, spec)), default=0.0)
-        for spec in service.registered_specs()}
+    result: Dict[int, float] = {}
+    for spec in service.registered_specs():
+        timeline = distance_timeline(
+            service, spec.object_id, horizon, start,
+            allowance=_propagation_allowance(service, spec))
+        result[spec.object_id] = max(
+            _lag_episode_durations(timeline, horizon), default=0.0)
+    return result
 
 
 def average_max_distance(service: RTPBService, horizon: float,
@@ -375,9 +337,9 @@ def inconsistency_durations(service: RTPBService, horizon: float,
     """
     durations: List[float] = []
     for spec in service.registered_specs():
-        durations.extend(_lag_episodes(
-            _write_apply_streams(service, spec.object_id), horizon, start,
-            spec.window))
+        timeline = distance_timeline(service, spec.object_id, horizon,
+                                     start, allowance=spec.window)
+        durations.extend(_lag_episode_durations(timeline, horizon))
     return durations
 
 
@@ -385,26 +347,6 @@ def average_inconsistency_duration(service: RTPBService, horizon: float,
                                    start: float = 0.0) -> float:
     """Mean episode duration; 0 when the backup never left its window."""
     return _mean_or_zero(inconsistency_durations(service, horizon, start))
-
-
-def _replication_lag(service: RTPBService, horizon: float,
-                     start: float = 0.0) -> Tuple[float, float]:
-    """:func:`average_max_distance` and
-    :func:`average_inconsistency_duration` in one pass.
-
-    Both metrics read the same per-object streams, distance under the
-    provisioned lag and inconsistency under the window δ; a whole-run
-    summary selects each object's once.
-    """
-    maxima: List[float] = []
-    durations: List[float] = []
-    for spec in service.registered_specs():
-        streams = _write_apply_streams(service, spec.object_id)
-        maxima.append(max(_lag_episodes(
-            streams, horizon, start, _propagation_allowance(service, spec)),
-            default=0.0))
-        durations.extend(_lag_episodes(streams, horizon, start, spec.window))
-    return _mean_or_zero(maxima), _mean_or_zero(durations)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Iterable, Optional
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    _replication_lag,
+    average_inconsistency_duration,
+    average_max_distance,
     backup_external_violations,
     failover_latency,
     primary_fallback_rate,
@@ -70,14 +71,13 @@ def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
     scopes the trace-counting collectors to one group of a cluster whose
     groups share a trace.
     """
-    avg_max_distance, avg_inconsistency = _replication_lag(view, horizon,
-                                                           start=warmup)
     return RunMetrics(
         admitted=len(view.registered_specs()),
         response=response_time_stats(view, start=warmup, objects=objects),
         starved_writes=unanswered_writes(view, objects=objects),
-        avg_max_distance=avg_max_distance,
-        avg_inconsistency=avg_inconsistency,
+        avg_max_distance=average_max_distance(view, horizon, start=warmup),
+        avg_inconsistency=average_inconsistency_duration(view, horizon,
+                                                         start=warmup),
         delivery_rate=update_delivery_rate(view, objects=objects),
         read_throughput=read_throughput(view, horizon, start=warmup,
                                         objects=objects),

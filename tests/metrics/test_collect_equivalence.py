@@ -1,10 +1,10 @@
-"""The collectors' per-object streams against a brute-force reference.
+"""The collectors' per-object timelines against a brute-force reference.
 
 ``collect`` / ``collect_cluster`` select each object's write and apply
-records once and merge them per allowance.  The reference below reads
-nothing but ``iter(trace)``, builds every timeline the slow way — gather,
-sort, shift, sort again — and must agree with them to the last bit, on
-runs that lose updates, lose hosts, and move objects between groups.
+records and order them with one sort per allowance.  The reference below
+reads nothing but ``iter(trace)``, builds every timeline the slow way —
+gather, sort, shift, sort again — and must agree with them to the last bit,
+on runs that lose updates, lose hosts, and move objects between groups.
 """
 
 import pytest
@@ -32,7 +32,7 @@ WARMUP = 2.0
 
 
 # ---------------------------------------------------------------------------
-# The reference: no select, no merge, no sharing between the two metrics
+# The reference: no select, no shared helper between the two metrics
 # ---------------------------------------------------------------------------
 
 
