@@ -114,7 +114,9 @@ class PingManager:
                                             self._next_round)
             return
         self.misses += 1
-        self.sim.trace.record("ping_miss", who=self.name, misses=self.misses)
+        if self.sim.trace.enabled("ping_miss"):
+            self.sim.trace.record("ping_miss", who=self.name,
+                                  misses=self.misses)
         if self.misses >= self.config.ping_max_misses:
             self.peer_alive = False
             self._running = False

@@ -44,7 +44,8 @@ class NameService:
         """Set (or update) the address serving ``name``."""
         self._entries[name] = address
         self.changes.append((self.sim.now, name, address))
-        self.sim.trace.record("name_update", name=name, address=address)
+        if self.sim.trace.enabled("name_update"):
+            self.sim.trace.record("name_update", name=name, address=address)
 
     def unpublish(self, name: str) -> None:
         """Remove the entry for ``name`` — and its role entries (idempotent).

@@ -22,6 +22,13 @@ Each message encodes as a 1-byte type tag followed by a fixed
 :class:`~repro.xkernel.message.Header` body and an optional payload.
 ``encode_message`` / ``decode_message`` round-trip every type; a property
 test in the suite hammers this.
+
+Adding a message takes three steps, all in this file: a ``Header`` subclass
+giving the body's ``FORMAT`` and ``FIELDS``; a frozen dataclass whose leading
+fields are exactly those ``FIELDS``, in that order, carrying a ``TYPE`` tag
+no other message uses; and one ``_CODEC`` line joining the two.  Nothing else knows the wire
+format — the codec functions are table-driven, and the suite fails a tagged
+class that is missing from the table or does not round-trip.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ from repro.xkernel.message import Header
 
 #: The well-known UDP port RTPB servers listen on.
 RTPB_PORT = 5000
-
-_TYPE_TAG = struct.Struct("!B")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +76,7 @@ class _RegisterHeader(Header):
 
 
 class _RegisterAckHeader(Header):
-    FORMAT = "!IB"
+    FORMAT = "!I?"  # one byte, 0 or 1, from the flag's truth value
     FIELDS = ("object_id", "accepted")
 
 
@@ -260,128 +265,78 @@ RTPBMessage = Union[UpdateMsg, PingMsg, PingAckMsg, RetxRequestMsg,
 # ---------------------------------------------------------------------------
 
 
+def _wire(cls: type, header: Type[Header]
+          ) -> Tuple[type, struct.Struct, Tuple[str, ...]]:
+    # Every body FORMAT is "!"-prefixed (no padding), so tag byte + body
+    # compile into one Struct that packs the same bytes as the two apart.
+    return cls, struct.Struct("!B" + header.FORMAT[1:]), header.FIELDS
+
+
+#: The codec — one line per wire tag: the message class, the precompiled
+#: ``Struct`` of tag byte + body, and the body's field names, which are the
+#: message's leading dataclass fields in declaration order.  Only
+#: :class:`UpdateMsg` differs: two tags and a payload tail.
+_CODEC: Dict[int, Tuple[type, struct.Struct, Tuple[str, ...]]] = {
+    UpdateMsg.TYPE_UPDATE: _wire(UpdateMsg, _UpdateHeader),
+    UpdateMsg.TYPE_SNAPSHOT: _wire(UpdateMsg, _UpdateHeader),
+    PingMsg.TYPE: _wire(PingMsg, _PingHeader),
+    PingAckMsg.TYPE: _wire(PingAckMsg, _PingAckHeader),
+    RetxRequestMsg.TYPE: _wire(RetxRequestMsg, _RetxHeader),
+    RegisterMsg.TYPE: _wire(RegisterMsg, _RegisterHeader),
+    RegisterAckMsg.TYPE: _wire(RegisterAckMsg, _RegisterAckHeader),
+    RecruitMsg.TYPE: _wire(RecruitMsg, _RecruitHeader),
+    RecruitAckMsg.TYPE: _wire(RecruitAckMsg, _RecruitAckHeader),
+    UpdateAckMsg.TYPE: _wire(UpdateAckMsg, _UpdateAckHeader),
+    ReplicaSubscribeMsg.TYPE: _wire(ReplicaSubscribeMsg,
+                                    _ReplicaSubscribeHeader),
+    FreshnessBeaconMsg.TYPE: _wire(FreshnessBeaconMsg,
+                                   _FreshnessBeaconHeader),
+}
+
+#: message class -> its tag (:class:`UpdateMsg` picks between its two).
+_TAG_OF: Dict[type, int] = {entry[0]: tag for tag, entry in _CODEC.items()}
+
+
 def encode_message(message: RTPBMessage) -> bytes:
     """Serialise any RTPB message to bytes (type tag + body [+ payload])."""
-    if isinstance(message, UpdateMsg):
-        tag = UpdateMsg.TYPE_SNAPSHOT if message.snapshot else UpdateMsg.TYPE_UPDATE
-        header = _UpdateHeader(
-            object_id=message.object_id, seq=message.seq,
-            write_time=message.write_time, source_time=message.source_time,
-            payload_len=len(message.payload))
-        return _TYPE_TAG.pack(tag) + header.encode() + message.payload
-    if isinstance(message, PingMsg):
-        header = _PingHeader(role=message.role, seq=message.seq,
-                             send_time=message.send_time)
-        return _TYPE_TAG.pack(PingMsg.TYPE) + header.encode()
-    if isinstance(message, PingAckMsg):
-        header = _PingAckHeader(seq=message.seq,
-                                echo_send_time=message.echo_send_time,
-                                ack_time=message.ack_time)
-        return _TYPE_TAG.pack(PingAckMsg.TYPE) + header.encode()
-    if isinstance(message, RetxRequestMsg):
-        header = _RetxHeader(object_id=message.object_id,
-                             last_seq=message.last_seq)
-        return _TYPE_TAG.pack(RetxRequestMsg.TYPE) + header.encode()
-    if isinstance(message, RegisterMsg):
-        header = _RegisterHeader(
-            object_id=message.object_id, size_bytes=message.size_bytes,
-            client_period=message.client_period,
-            delta_primary=message.delta_primary,
-            delta_backup=message.delta_backup,
-            update_period=message.update_period)
-        return _TYPE_TAG.pack(RegisterMsg.TYPE) + header.encode()
-    if isinstance(message, RegisterAckMsg):
-        header = _RegisterAckHeader(object_id=message.object_id,
-                                    accepted=1 if message.accepted else 0)
-        return _TYPE_TAG.pack(RegisterAckMsg.TYPE) + header.encode()
-    if isinstance(message, RecruitMsg):
-        header = _RecruitHeader(primary_address=message.primary_address,
-                                object_count=message.object_count)
-        return _TYPE_TAG.pack(RecruitMsg.TYPE) + header.encode()
-    if isinstance(message, RecruitAckMsg):
-        header = _RecruitAckHeader(backup_address=message.backup_address)
-        return _TYPE_TAG.pack(RecruitAckMsg.TYPE) + header.encode()
-    if isinstance(message, UpdateAckMsg):
-        header = _UpdateAckHeader(object_id=message.object_id,
-                                  seq=message.seq,
-                                  high_water=message.high_water)
-        return _TYPE_TAG.pack(UpdateAckMsg.TYPE) + header.encode()
-    if isinstance(message, ReplicaSubscribeMsg):
-        header = _ReplicaSubscribeHeader(
-            replica_address=message.replica_address,
-            known_objects=message.known_objects)
-        return _TYPE_TAG.pack(ReplicaSubscribeMsg.TYPE) + header.encode()
-    if isinstance(message, FreshnessBeaconMsg):
-        header = _FreshnessBeaconHeader(
-            replica_address=message.replica_address,
-            floor_source_time=message.floor_source_time,
-            applied_updates=message.applied_updates)
-        return _TYPE_TAG.pack(FreshnessBeaconMsg.TYPE) + header.encode()
-    raise MessageFormatError(f"cannot encode {type(message).__name__}")
+    cls = type(message)
+    tag = _TAG_OF.get(cls)
+    if tag is None:
+        raise MessageFormatError(f"cannot encode {cls.__name__}")
+    _cls, wire, fields = _CODEC[tag]
+    try:
+        if cls is UpdateMsg:
+            payload = message.payload
+            return wire.pack(
+                cls.TYPE_SNAPSHOT if message.snapshot else cls.TYPE_UPDATE,
+                message.object_id, message.seq, message.write_time,
+                message.source_time, len(payload)) + payload
+        return wire.pack(tag, *[getattr(message, field) for field in fields])
+    except struct.error as exc:
+        raise MessageFormatError(
+            f"{cls.__name__}: cannot encode {message!r}: {exc}") from exc
 
 
 def decode_message(data: bytes) -> RTPBMessage:
     """Parse bytes produced by :func:`encode_message`."""
     if len(data) < 1:
         raise MessageFormatError("empty RTPB message")
-    (tag,) = _TYPE_TAG.unpack_from(data)
-    body = data[1:]
-    if tag in (UpdateMsg.TYPE_UPDATE, UpdateMsg.TYPE_SNAPSHOT):
-        header = _UpdateHeader.decode(body[:_UpdateHeader.size()])
-        payload = body[_UpdateHeader.size():]
-        if len(payload) != header.payload_len:
-            raise MessageFormatError(
-                f"update payload truncated: header says {header.payload_len}, "
-                f"got {len(payload)}")
-        return UpdateMsg(object_id=header.object_id, seq=header.seq,
-                         write_time=header.write_time,
-                         source_time=header.source_time,
-                         payload=payload,
-                         snapshot=(tag == UpdateMsg.TYPE_SNAPSHOT))
-    if tag == PingMsg.TYPE:
-        header = _PingHeader.decode(body)
-        return PingMsg(role=header.role, seq=header.seq,
-                       send_time=header.send_time)
-    if tag == PingAckMsg.TYPE:
-        header = _PingAckHeader.decode(body)
-        return PingAckMsg(seq=header.seq,
-                          echo_send_time=header.echo_send_time,
-                          ack_time=header.ack_time)
-    if tag == RetxRequestMsg.TYPE:
-        header = _RetxHeader.decode(body)
-        return RetxRequestMsg(object_id=header.object_id,
-                              last_seq=header.last_seq)
-    if tag == RegisterMsg.TYPE:
-        header = _RegisterHeader.decode(body)
-        return RegisterMsg(object_id=header.object_id,
-                           size_bytes=header.size_bytes,
-                           client_period=header.client_period,
-                           delta_primary=header.delta_primary,
-                           delta_backup=header.delta_backup,
-                           update_period=header.update_period)
-    if tag == RegisterAckMsg.TYPE:
-        header = _RegisterAckHeader.decode(body)
-        return RegisterAckMsg(object_id=header.object_id,
-                              accepted=bool(header.accepted))
-    if tag == RecruitMsg.TYPE:
-        header = _RecruitHeader.decode(body)
-        return RecruitMsg(primary_address=header.primary_address,
-                          object_count=header.object_count)
-    if tag == RecruitAckMsg.TYPE:
-        header = _RecruitAckHeader.decode(body)
-        return RecruitAckMsg(backup_address=header.backup_address)
-    if tag == UpdateAckMsg.TYPE:
-        header = _UpdateAckHeader.decode(body)
-        return UpdateAckMsg(object_id=header.object_id, seq=header.seq,
-                            high_water=header.high_water)
-    if tag == ReplicaSubscribeMsg.TYPE:
-        header = _ReplicaSubscribeHeader.decode(body)
-        return ReplicaSubscribeMsg(replica_address=header.replica_address,
-                                   known_objects=header.known_objects)
-    if tag == FreshnessBeaconMsg.TYPE:
-        header = _FreshnessBeaconHeader.decode(body)
-        return FreshnessBeaconMsg(
-            replica_address=header.replica_address,
-            floor_source_time=header.floor_source_time,
-            applied_updates=header.applied_updates)
-    raise MessageFormatError(f"unknown RTPB message tag {tag}")
+    entry = _CODEC.get(data[0])
+    if entry is None:
+        raise MessageFormatError(f"unknown RTPB message tag {data[0]}")
+    cls, wire, _fields = entry
+    try:
+        if cls is UpdateMsg:
+            (tag, object_id, seq, write_time, source_time,
+             payload_len) = wire.unpack_from(data)
+            payload = data[wire.size:]
+            if len(payload) != payload_len:
+                raise MessageFormatError(
+                    f"update payload truncated: header says {payload_len}, "
+                    f"got {len(payload)}")
+            return UpdateMsg(object_id, seq, write_time, source_time, payload,
+                             tag == UpdateMsg.TYPE_SNAPSHOT)
+        return cls(*wire.unpack(data)[1:])
+    except struct.error as exc:
+        raise MessageFormatError(
+            f"{cls.__name__}: cannot decode {len(data)} bytes: {exc}") from exc

@@ -669,9 +669,10 @@ class ReplicaServer:
         if message.accepted:
             self._register_acked.add(message.object_id)
             self.degraded_objects.discard(message.object_id)
-            self.sim.trace.record("registration_replicated",
-                                  object=message.object_id,
-                                  backup=source_address)
+            if self.sim.trace.enabled("registration_replicated"):
+                self.sim.trace.record("registration_replicated",
+                                      object=message.object_id,
+                                      backup=source_address)
 
     def _start_watchdog(self) -> None:
         """Backup-initiated retransmission: poll for silent objects."""

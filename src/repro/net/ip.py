@@ -63,15 +63,13 @@ class IPProtocol(Protocol):
             self.sim.trace.record("ip_drop", reason="no-upper",
                                   proto=header.proto)
             return
-        info = dict(info)
         info["ip_src"] = header.src
         info["ip_dst"] = header.dst
         upper.receive(None, message, info)
 
     def send(self, proto: int, remote: int, message: Message) -> None:
-        header = IPHeader(src=self.local_address, dst=remote, proto=proto,
-                          length=min(0xFFFF, len(message) + IPHeader.size()))
-        header.push_onto(message)
+        IPHeader(self.local_address, remote, proto,
+                 min(0xFFFF, len(message) + IPHeader.size())).push_onto(message)
         self.port.send(remote, message)
 
 

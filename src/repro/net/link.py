@@ -274,16 +274,19 @@ class NetworkFabric:
         self.messages_sent += 1
         self.bytes_sent += len(message)
         rng = self.sim.random.stream(f"{self.name}.loss")
+        trace = self.sim.trace
         key = (min(source, destination), max(source, destination))
         if key in self._partitions:
             self.messages_dropped += 1
-            self.sim.trace.record("link_drop", src=source, dst=destination,
-                                  reason="partition", size=len(message))
+            if trace.enabled("link_drop"):
+                trace.record("link_drop", src=source, dst=destination,
+                             reason="partition", size=len(message))
             return
         if self.loss_model.drops(rng):
             self.messages_dropped += 1
-            self.sim.trace.record("link_drop", src=source, dst=destination,
-                                  reason="loss", size=len(message))
+            if trace.enabled("link_drop"):
+                trace.record("link_drop", src=source, dst=destination,
+                             reason="loss", size=len(message))
             return
         delay_rng = self.sim.random.stream(f"{self.name}.delay")
         delay = delay_rng.uniform(self.delay_min, self.delay_bound)
@@ -294,10 +297,11 @@ class NetworkFabric:
             if corrupt_rng.random() < self.corrupt_probability:
                 self._flip_byte(payload, corrupt_rng)
                 self.messages_corrupted += 1
-                self.sim.trace.record("link_corrupt", src=source,
-                                      dst=destination, size=len(payload))
-        self.sim.trace.record("link_send", src=source, dst=destination,
-                              size=len(message), delay=delay)
+                trace.record("link_corrupt", src=source,
+                             dst=destination, size=len(payload))
+        if trace.enabled("link_send"):
+            trace.record("link_send", src=source, dst=destination,
+                         size=len(message), delay=delay)
         self.sim.schedule(delay, self._deliver, source, destination, payload)
         if self.duplicate_probability > 0.0:
             dup_rng = self.sim.random.stream(f"{self.name}.duplicate")
@@ -305,8 +309,8 @@ class NetworkFabric:
                 dup_delay = (dup_rng.uniform(self.delay_min, self.delay_bound)
                              + self._link_distances.get(key, 0.0))
                 self.messages_duplicated += 1
-                self.sim.trace.record("link_duplicate", src=source,
-                                      dst=destination, delay=dup_delay)
+                trace.record("link_duplicate", src=source,
+                             dst=destination, delay=dup_delay)
                 self.sim.schedule(dup_delay, self._deliver, source,
                                   destination, payload.copy())
 
@@ -323,12 +327,15 @@ class NetworkFabric:
     def _deliver(self, source: int, destination: int,
                  message: Message) -> None:
         port = self._ports.get(destination)
+        trace = self.sim.trace
         if port is None or not port.up or port.receiver is None:
-            self.sim.trace.record("link_drop", src=source, dst=destination,
-                                  reason="port-down", size=len(message))
+            if trace.enabled("link_drop"):
+                trace.record("link_drop", src=source, dst=destination,
+                             reason="port-down", size=len(message))
             return
         self.messages_delivered += 1
-        self.sim.trace.record("link_deliver", src=source, dst=destination,
-                              size=len(message))
+        if trace.enabled("link_deliver"):
+            trace.record("link_deliver", src=source, dst=destination,
+                         size=len(message))
         port.receiver.demux(message, {"link_src": source,
                                       "link_dst": destination})

@@ -14,6 +14,7 @@ so the wire format is honest and testable.
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import PortInUseError, ProtocolError
@@ -31,12 +32,17 @@ class UDPHeader(Header):
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement sum over 16-bit words."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for index in range(0, len(data), 2):
-        total += (data[index] << 8) | data[index + 1]
+    """RFC 1071 ones-complement sum over 16-bit words.
+
+    Takes any bytes-like object and never writes to it.  The words are
+    summed in one pass and the carries folded at the end, which equals
+    folding after every addition: end-around carry is addition mod 0xFFFF.
+    """
+    words = len(data) >> 1
+    total = sum(struct.unpack_from(f"!{words}H", data))
+    if len(data) & 1:
+        total += data[-1] << 8  # odd length: pad the last byte with zero
+    while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 
@@ -85,23 +91,16 @@ class UDPProtocol(Protocol):
             self.sim.trace.record("udp_drop", reason="no-listener",
                                   dst_port=header.dst_port)
             return
-        info = dict(info)
         info["udp_src_port"] = header.src_port
         info["udp_dst_port"] = header.dst_port
         upper.receive(None, message, info)
 
     def send(self, local_port: int, remote_host: int, remote_port: int,
              message: Message) -> None:
-        header = UDPHeader(
-            src_port=local_port, dst_port=remote_port,
-            length=min(0xFFFF, len(message) + UDPHeader.size()),
-            checksum=internet_checksum(message.data))
-        header.push_onto(message)
-        from repro.net.ip import IPProtocol  # narrow cast for type clarity
-
-        ip = self.down
-        assert isinstance(ip, IPProtocol)
-        ip.send(PROTO_UDP, remote_host, message)
+        UDPHeader(local_port, remote_port,
+                  min(0xFFFF, len(message) + UDPHeader.size()),
+                  internet_checksum(message.data)).push_onto(message)
+        self.down.send(PROTO_UDP, remote_host, message)
 
 
 class UDPSession(Session):

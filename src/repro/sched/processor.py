@@ -116,6 +116,9 @@ class Processor:
                  batch_releases: Optional[bool] = None) -> None:
         self.sim = sim
         self.scheduler = scheduler if scheduler is not None else EDFScheduler()
+        # Resolved once: the policy is fixed for the processor's lifetime.
+        self._key: Callable[[Job], object] = self.scheduler.key
+        self._preemptive: bool = getattr(self.scheduler, "preemptive", True)
         self.name = name
         self.hard_deadlines = hard_deadlines
         self.batch_releases = (BATCH_RELEASES if batch_releases is None
@@ -294,10 +297,12 @@ class Processor:
     def _reschedule(self) -> None:
         running = self._running
         if running is not None:
-            if not getattr(self.scheduler, "preemptive", True) or not self._ready:
+            ready = self._ready
+            if not self._preemptive or not ready:
                 return
-            best = min(self._ready, key=self.scheduler.key)
-            if self.scheduler.key(best) < self.scheduler.key(running):
+            key = self._key
+            best = ready[0] if len(ready) == 1 else min(ready, key=key)
+            if key(best) < key(running):
                 self._preempt(running)
             else:
                 return
@@ -326,8 +331,12 @@ class Processor:
             if self.on_idle is not None:
                 self.on_idle()
             return
-        job = min(self._ready, key=self.scheduler.key)
-        self._ready.remove(job)
+        ready = self._ready
+        if len(ready) == 1:
+            job = ready.pop()
+        else:
+            job = min(ready, key=self._key)
+            ready.remove(job)
         if job.start_time is None:
             job.start_time = self.sim.now
         self._running = job

@@ -54,6 +54,8 @@ class Message:
 
     def peek(self, count: int) -> bytes:
         """The first ``count`` bytes without removing them."""
+        if count < 0:
+            raise MessageFormatError(f"cannot peek {count} bytes")
         if count > len(self._data):
             raise MessageFormatError(
                 f"cannot peek {count} bytes of a {len(self._data)}-byte message")
@@ -61,7 +63,7 @@ class Message:
 
     def copy(self) -> "Message":
         """An independent copy (links hand copies to receivers)."""
-        return Message(self.data)
+        return Message(self._data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = self.data[:16].hex()
@@ -79,49 +81,68 @@ class Header:
         class UdpHeader(Header):
             FORMAT = "!HHHH"
             FIELDS = ("src_port", "dst_port", "length", "checksum")
+
+    ``FORMAT`` is compiled once, when the subclass is defined.  Construction
+    takes every field positionally (the per-datagram path), by keyword, or a
+    mix; anything else — too many or too few fields, an unknown name, a field
+    given twice — raises :class:`~repro.errors.MessageFormatError`.
     """
 
     FORMAT: ClassVar[str] = ""
     FIELDS: ClassVar[tuple] = ()
+    _struct: ClassVar[struct.Struct] = struct.Struct("")
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._struct = struct.Struct(cls.FORMAT)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        if len(args) > len(self.FIELDS):
+        fields = self.FIELDS
+        if kwargs or len(args) != len(fields):
+            args = self._resolve(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    def _resolve(self, args: tuple, kwargs: dict) -> tuple:
+        """Field values in pack order from a mixed or malformed call."""
+        fields = self.FIELDS
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise MessageFormatError(f"{name}: too many positional fields")
+        repeated = [field for field in fields[:len(args)] if field in kwargs]
+        if repeated:
             raise MessageFormatError(
-                f"{type(self).__name__}: too many positional fields")
-        values = dict(zip(self.FIELDS, args))
-        values.update(kwargs)
-        missing = [field for field in self.FIELDS if field not in values]
+                f"{name}: fields {repeated} given twice")
+        named = fields[len(args):]
+        missing = [field for field in named if field not in kwargs]
         if missing:
-            raise MessageFormatError(
-                f"{type(self).__name__}: missing fields {missing}")
-        unknown = set(values) - set(self.FIELDS)
+            raise MessageFormatError(f"{name}: missing fields {missing}")
+        unknown = sorted(set(kwargs) - set(named))
         if unknown:
-            raise MessageFormatError(
-                f"{type(self).__name__}: unknown fields {sorted(unknown)}")
-        for field, value in values.items():
-            setattr(self, field, value)
+            raise MessageFormatError(f"{name}: unknown fields {unknown}")
+        return args + tuple(kwargs[field] for field in named)
 
     @classmethod
     def size(cls) -> int:
         """Encoded size in bytes."""
-        return struct.calcsize(cls.FORMAT)
+        return cls._struct.size
 
     def encode(self) -> bytes:
-        values = tuple(getattr(self, field) for field in self.FIELDS)
+        values = [getattr(self, field) for field in self.FIELDS]
         try:
-            return struct.pack(self.FORMAT, *values)
+            return self._struct.pack(*values)
         except struct.error as exc:
             raise MessageFormatError(
-                f"{type(self).__name__}: cannot encode {values!r}: {exc}") from exc
+                f"{type(self).__name__}: cannot encode {tuple(values)!r}: {exc}"
+            ) from exc
 
     @classmethod
     def decode(cls: Type[H], data: bytes) -> H:
         try:
-            values = struct.unpack(cls.FORMAT, data)
+            values = cls._struct.unpack(data)
         except struct.error as exc:
             raise MessageFormatError(
                 f"{cls.__name__}: cannot decode {len(data)} bytes: {exc}") from exc
-        return cls(**dict(zip(cls.FIELDS, values)))
+        return cls(*values)
 
     def push_onto(self, message: Message) -> None:
         """Push this header onto ``message`` (sender side)."""
@@ -130,7 +151,7 @@ class Header:
     @classmethod
     def pop_from(cls: Type[H], message: Message) -> H:
         """Pop and decode this header from ``message`` (receiver side)."""
-        return cls.decode(message.pop(cls.size()))
+        return cls.decode(message.pop(cls._struct.size))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -32,7 +32,8 @@ class ProtocolUser:
 
         ``info`` carries out-of-band metadata accumulated on the way up
         (source address, source port, ...), the analogue of the x-kernel's
-        participant lists.
+        participant lists.  It is one dict per delivery, made by the link
+        layer; each layer adds its keys to it in place.
         """
         raise NotImplementedError
 

@@ -1,6 +1,8 @@
 """Integration tests for the UDP/IP stack over the fabric."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PortInUseError
 from repro.net.ip import Host, IPHeader
@@ -94,6 +96,46 @@ def test_checksum_rfc1071_known_values():
     assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
     data = b"hello world"
     assert internet_checksum(data) == internet_checksum(data)
+
+
+def rfc1071_reference(data):
+    """The word-at-a-time loop of RFC 1071, folding after every addition."""
+    data = bytes(data)
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for index in range(0, len(data), 2):
+        total += (data[index] << 8) | data[index + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+@given(st.binary(max_size=4096))
+@example(b"")
+@example(b"\x7f")
+@example(b"\xff" * 2048)
+@example(b"\xff" * 2049)
+@example(b"\xff\xff\x00\x01")
+@example(bytes(range(256)) * 9 + b"\x01")
+@settings(max_examples=300, deadline=None)
+def test_checksum_equals_rfc1071_word_loop(data):
+    assert internet_checksum(data) == rfc1071_reference(data)
+
+
+def test_checksum_accepts_bytes_likes_and_never_writes_to_them():
+    odd = bytearray(b"\x12\x34\x56")
+    expected = rfc1071_reference(odd)
+    assert internet_checksum(odd) == expected
+    assert odd == bytearray(b"\x12\x34\x56")  # was extended in place once
+    assert internet_checksum(memoryview(bytes(odd))) == expected
+    assert internet_checksum(bytes(odd)) == expected
+
+
+def test_checksum_verifies_to_zero_when_appended():
+    # The receiver-side identity: data followed by its checksum sums to 0.
+    data = b"even length payload!"
+    check = internet_checksum(data)
+    assert internet_checksum(data + check.to_bytes(2, "big")) == 0
 
 
 def test_counters():

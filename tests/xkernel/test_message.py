@@ -55,6 +55,12 @@ def test_peek_beyond_length_raises():
         Message(b"ab").peek(5)
 
 
+def test_peek_negative_raises():
+    # A negative count used to slice from the end (all but the last byte).
+    with pytest.raises(MessageFormatError):
+        Message(b"ab").peek(-1)
+
+
 def test_copy_is_independent():
     message = Message(b"abc")
     clone = message.copy()
@@ -97,6 +103,41 @@ def test_header_unknown_field_rejected():
 def test_header_too_many_positional_rejected():
     with pytest.raises(MessageFormatError):
         DemoHeader(1, 2, 3)
+
+
+def test_header_field_given_positionally_and_by_keyword_rejected():
+    # The keyword used to win silently.
+    with pytest.raises(MessageFormatError, match="given twice"):
+        DemoHeader(1, 2, kind=9)
+    with pytest.raises(MessageFormatError, match="given twice"):
+        DemoHeader(1, kind=9)
+
+
+def test_header_too_few_positional_rejected():
+    with pytest.raises(MessageFormatError, match="missing"):
+        DemoHeader(1)
+    with pytest.raises(MessageFormatError, match="missing"):
+        DemoHeader()
+
+
+def test_header_mixed_positional_and_keyword_accepted():
+    assert DemoHeader(7, value=9) == DemoHeader(7, 9)
+    assert DemoHeader(value=9, kind=7) == DemoHeader(7, 9)
+
+
+def test_header_unknown_keyword_beside_full_positionals_rejected():
+    with pytest.raises(MessageFormatError, match="unknown"):
+        DemoHeader(1, 2, bogus=3)
+
+
+def test_header_struct_compiled_per_subclass():
+    class WideHeader(Header):
+        FORMAT = "!QQ"
+        FIELDS = ("a", "b")
+
+    assert WideHeader.size() == 16
+    assert DemoHeader.size() == 6
+    assert WideHeader(1, 2).encode() == bytes(7) + b"\x01" + bytes(7) + b"\x02"
 
 
 def test_header_decode_truncated_rejected():
