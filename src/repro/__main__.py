@@ -2,8 +2,9 @@
 
 Verbs::
 
-    python -m repro figures fig8 --quick          # regenerate a figure table
-    python -m repro figures all --jobs 4          # (``list`` names them)
+    python -m repro figures fig8                  # print a committed table
+    python -m repro figures all --jobs 4 --output benchmarks/results
+    python -m repro figures ablation_baselines --quick  # (``list`` names all)
     python -m repro cluster --shards 16 --hosts 6 --crash 3.0:g00/primary
     python -m repro cluster --seeds 0 1 2 3 --jobs 4
     python -m repro replicas --quick --jobs 2 --require-identical
@@ -12,9 +13,11 @@ Verbs::
     python -m repro bench --quick --output BENCH_quick.json
     python -m repro bench --compare BENCH_old.json BENCH_new.json
 
-Every verb but ``figures`` (rendered tables) and ``bench --compare`` (a
-text report) emits one deterministic JSON document — sorted keys, no NaN,
-virtual-time everything — to stdout or ``--output``.  The options verbs
+Every verb but ``figures`` (rendered tables of the experiment catalogue,
+:mod:`repro.experiments.catalogue`; ``--output DIR`` writes
+``DIR/<stem>.txt``) and ``bench --compare`` (a text report) emits one
+deterministic JSON document — sorted keys, no NaN, virtual-time
+everything — to stdout or ``--output``.  The options verbs
 share mean the same thing everywhere:
 
 - ``--jobs N`` (default ``$REPRO_JOBS`` or 1; 0 = one per CPU) spreads
@@ -22,8 +25,9 @@ share mean the same thing everywhere:
   value.
 - ``--require-identical`` (``replicas``, ``elastic``) re-runs the sweep
   serially and fails unless every per-run trace digest matches.
-- ``--quick`` shrinks a sweep to CI size; an option given explicitly
-  always wins over the quick preset.
+- ``--quick`` shrinks a sweep to CI size (for ``figures``, the
+  catalogue's quick preset instead of the paper size); an option given
+  explicitly always wins over the quick preset.
 
 Exit status: 0 on success, 1 when a determinism or regression gate fails,
 2 on usage errors.  (``repro.lint`` keeps its own CLI: it shares none of
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -44,7 +49,7 @@ from repro.bench.registry import SCENARIOS as BENCHES
 from repro.bench.runner import run_suite
 from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.service import ClusterService
-from repro.experiments import figures
+from repro.experiments.catalogue import CATALOGUE
 from repro.experiments.harness import RunResult, run_scenario
 from repro.faults.report import report_dict, run_chaos, run_matrix
 from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
@@ -117,13 +122,18 @@ def _jobs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error(str(exc))
 
 
-def _write(parser: argparse.ArgumentParser, path: str,
-           document: Any) -> None:
+def _write_text(parser: argparse.ArgumentParser, path: str,
+                text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(stable_dumps(document) + "\n")
+            handle.write(text + "\n")
     except OSError as exc:
         parser.error(f"cannot write --output {path}: {exc}")
+
+
+def _write(parser: argparse.ArgumentParser, path: str,
+           document: Any) -> None:
+    _write_text(parser, path, stable_dumps(document))
 
 
 def _emit(parser: argparse.ArgumentParser, document: Any,
@@ -194,69 +204,59 @@ def _comma_names(chunks: List[str]) -> List[str]:
 # figures
 # ----------------------------------------------------------------------
 
-FIGURES = {
-    "fig6": figures.figure6_response_time_with_admission,
-    "fig6fp": figures.figure6_fastpath_overlay,
-    "fig7": figures.figure7_response_time_without_admission,
-    "fig7fp": figures.figure7_fastpath_overlay,
-    "fig8": figures.figure8_distance_vs_loss,
-    "fig9": figures.figure9_distance_with_admission,
-    "fig10": figures.figure10_distance_without_admission,
-    "fig11": figures.figure11_inconsistency_normal,
-    "fig12": figures.figure12_inconsistency_compressed,
-    "fig13": figures.figure13_read_throughput_vs_replicas,
-    "fig14": figures.figure14_read_staleness_vs_window,
-    "fig15": figures.figure15_flash_crowd_scaleout,
-}
 
-#: ``--quick``: every sweep shrinks to a 2x2 grid (the extension figures
-#: also to a shorter horizon).
-_QUICK_FIGURES: Dict[str, Dict[str, Any]] = {
-    "fig6": dict(object_counts=(8, 32), windows=(ms(100), ms(400))),
-    "fig6fp": dict(object_counts=(8, 32)),
-    "fig7": dict(object_counts=(8, 56), windows=(ms(100), ms(400))),
-    "fig7fp": dict(object_counts=(8, 56)),
-    "fig8": dict(loss_probabilities=(0.0, 0.1),
-                 write_periods=(ms(50), ms(200))),
-    "fig9": dict(object_counts=(8, 56), windows=(ms(100),)),
-    "fig10": dict(object_counts=(8, 56), windows=(ms(100),)),
-    "fig11": dict(loss_probabilities=(0.0, 0.1),
-                  windows=(ms(50), ms(200))),
-    "fig12": dict(loss_probabilities=(0.0, 0.1),
-                  windows=(ms(50), ms(200))),
-    "fig13": dict(replica_counts=(0, 2), read_periods=(ms(1.0), ms(2.0)),
-                  horizon=6.0),
-    "fig14": dict(windows=(ms(100), ms(400)), horizon=6.0),
-    "fig15": dict(burst_factors=(1.0, 8.0), horizon=10.0),
-}
+def _short_name(stem: str) -> str:
+    """``fig08_distance_vs_loss`` also answers to ``fig8``."""
+    head = stem.split("_", 1)[0]
+    return head.replace("fig0", "fig") if head.startswith("fig") else stem
+
+
+#: What ``figures`` accepts: every catalogue stem, plus ``figN`` shorthands.
+_TABLES: Dict[str, str] = {
+    **{_short_name(stem): stem for stem in CATALOGUE},
+    **{stem: stem for stem in CATALOGUE}}
 
 
 def _figures_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("figure", choices=sorted(FIGURES) + ["all", "list"],
-                        help="which figure to regenerate")
-    _shared(parser, "horizon", "seed", "jobs")
+    parser.add_argument("figure", choices=sorted(_TABLES) + ["all", "list"],
+                        metavar="NAME",
+                        help="a table of the experiment catalogue (`list` "
+                             "names them; fig8 is short for "
+                             "fig08_distance_vs_loss), or `all`")
+    _shared(parser, "horizon", "seed", "jobs", "output",
+            seed="root random seed (default: the committed table's)",
+            output="write each table to DIR/<stem>.txt instead of stdout "
+                   "(benchmarks/results regenerates the committed ones)")
+    parser.set_defaults(seed=None)
     parser.add_argument("--quick", action="store_true",
-                        help="shrink sweeps to a fast 2x2 smoke pass")
+                        help="the catalogue's quick size instead of the "
+                             "paper size")
 
 
 def _figures(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
     jobs = _jobs(parser, args)
     if args.figure == "list":
-        for name, func in sorted(FIGURES.items()):
-            print(f"{name:6s} {_first_doc_line(func)}")
+        for stem, entry in CATALOGUE.items():
+            print(f"{stem:34s} {_first_doc_line(entry.producer)}")
         return 0
-    for name in sorted(FIGURES) if args.figure == "all" else [args.figure]:
-        kwargs = dict(_QUICK_FIGURES[name]) if args.quick else {}
-        kwargs.update(seed=args.seed, jobs=jobs)
-        if args.horizon is not None:
-            kwargs["horizon"] = args.horizon
+    overrides = {name: value for name, value
+                 in (("seed", args.seed), ("horizon", args.horizon))
+                 if value is not None}
+    stems = list(CATALOGUE) if args.figure == "all" else [
+        _TABLES[args.figure]]
+    for stem in stems:
         started = _STOPWATCH()
-        series = FIGURES[name](**kwargs)
+        table = CATALOGUE[stem].run(args.quick, jobs=jobs, **overrides)
         elapsed = _STOPWATCH() - started
-        print(series.render())
-        print(f"[{name}: {elapsed:.1f}s wall]")
-        print()
+        if args.output:
+            path = os.path.join(args.output, f"{stem}.txt")
+            _write_text(parser, path, table.render())
+            print(f"{path} [{elapsed:.1f}s wall]")
+        else:
+            print(table.render())
+            print(f"[{stem}: {elapsed:.1f}s wall]")
+            print()
     return 0
 
 
@@ -663,9 +663,9 @@ def _bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 VERBS: Dict[str, Tuple[Callable[[argparse.ArgumentParser], None], Verb,
                        str]] = {
     "figures": (_figures_parser, _figures,
-                "Regenerate the paper's evaluation figures (6-12) and the "
-                "extension figures (13-14 read replicas, 15 elastic "
-                "scale-out)."),
+                "Regenerate the tables of the experiment catalogue: the "
+                "paper's Figures 6-12, the extension figures 13-15, the "
+                "ablations, the failover sweep and the theory tables."),
     "cluster": (_cluster_parser, _cluster,
                 "Sharded multi-group RTPB: one run with both metric "
                 "layers, or a --seeds sweep."),

@@ -7,9 +7,14 @@ of the work it performed.  Wall timing happens in
 runs of the same scenario on the same revision report byte-identical
 counters and digests.
 
-The names mirror the ``benchmarks/bench_*.py`` suite (``sim_engine``,
-``fig08_distance_vs_loss``, ``chaos_scenarios``, ...) plus queue/tracer
-microbenchmarks that exercise the DES hot paths directly.
+Three families: microbenchmarks that exercise the DES hot paths directly
+(``sim_engine``, ``queue_churn``, ``tracer_select``, ...), end-to-end
+service runs (``service_run``, ``cluster_steady``, ``chaos_scenarios``,
+...), and one bench per entry of :mod:`repro.experiments.catalogue` under
+the table's own name (``fig08_distance_vs_loss``,
+``ablation_ack_strategy``, ...), so a BENCH document reports the wall time
+to regenerate each committed table.  The catalogue sizes those; nothing
+here does.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.experiments.catalogue import CATALOGUE
+from repro.experiments.studies import run_failover
+from repro.metrics.report import Series
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 from repro.sim.trace import Tracer
@@ -274,7 +282,7 @@ def trace_dead_path(quick: bool) -> BenchStats:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end service / figure / chaos scenarios
+# End-to-end service / chaos scenarios
 # ---------------------------------------------------------------------------
 
 
@@ -389,75 +397,6 @@ def fastpath_failover(quick: bool) -> BenchStats:
                "violations":
                    sum(result.monitor.violation_counts().values())},
     )
-
-
-def _series_stats(series: Any) -> BenchStats:
-    """Stats for a figure sweep: point counts plus a rendered-table digest."""
-    rendered = series.render()
-    points = sum(len(points) for _, points in sorted(series.curves.items()))
-    return BenchStats(
-        digest=hashlib.sha256(rendered.encode()).hexdigest(),
-        extra={"curves": len(series.curves), "points": points},
-    )
-
-
-def _figure_bench(func_name: str, full_kwargs: Mapping[str, Any],
-                  quick_kwargs: Mapping[str, Any]) -> BenchFunc:
-    def _run(quick: bool) -> BenchStats:
-        from repro.experiments import figures
-
-        figure_func = getattr(figures, func_name)
-        series = figure_func(**(quick_kwargs if quick else full_kwargs))
-        return _series_stats(series)
-
-    _run.__doc__ = f"Figure sweep :func:`repro.experiments.figures.{func_name}`."
-    return _run
-
-
-_COUNTS = (8, 24, 40, 56)
-_FIGURES: Sequence[Any] = (
-    ("fig06_response_time_ac", "figure6_response_time_with_admission",
-     dict(object_counts=_COUNTS, windows=(ms(100.0), ms(200.0), ms(400.0)),
-          horizon=8.0),
-     dict(object_counts=(8, 32), windows=(ms(100.0), ms(400.0)),
-          horizon=4.0)),
-    ("fig07_response_time_noac", "figure7_response_time_without_admission",
-     dict(object_counts=_COUNTS, windows=(ms(100.0), ms(200.0), ms(400.0)),
-          horizon=8.0),
-     dict(object_counts=(8, 56), windows=(ms(100.0), ms(400.0)),
-          horizon=4.0)),
-    ("fig08_distance_vs_loss", "figure8_distance_vs_loss",
-     dict(loss_probabilities=(0.0, 0.02, 0.06, 0.10),
-          write_periods=(ms(50.0), ms(100.0), ms(200.0)),
-          n_objects=8, horizon=15.0),
-     dict(loss_probabilities=(0.0, 0.10),
-          write_periods=(ms(50.0), ms(200.0)), n_objects=8, horizon=6.0)),
-    ("fig09_distance_ac", "figure9_distance_with_admission",
-     dict(object_counts=_COUNTS, windows=(ms(100.0), ms(200.0)),
-          loss_probability=0.02, horizon=10.0),
-     dict(object_counts=(8, 56), windows=(ms(100.0),),
-          loss_probability=0.02, horizon=5.0)),
-    ("fig10_distance_noac", "figure10_distance_without_admission",
-     dict(object_counts=_COUNTS, windows=(ms(100.0), ms(200.0)),
-          loss_probability=0.02, horizon=10.0),
-     dict(object_counts=(8, 56), windows=(ms(100.0),),
-          loss_probability=0.02, horizon=5.0)),
-    ("fig11_inconsistency_normal", "figure11_inconsistency_normal",
-     dict(loss_probabilities=(0.0, 0.05, 0.10),
-          windows=(ms(50.0), ms(100.0), ms(200.0)),
-          n_objects=24, horizon=15.0),
-     dict(loss_probabilities=(0.0, 0.10), windows=(ms(50.0), ms(200.0)),
-          n_objects=8, horizon=6.0)),
-    ("fig12_inconsistency_compressed", "figure12_inconsistency_compressed",
-     dict(loss_probabilities=(0.0, 0.05, 0.10),
-          windows=(ms(50.0), ms(100.0), ms(200.0)),
-          n_objects=24, horizon=15.0),
-     dict(loss_probabilities=(0.0, 0.10), windows=(ms(50.0), ms(200.0)),
-          n_objects=8, horizon=6.0)),
-)
-
-for _name, _func_name, _full, _quick in _FIGURES:
-    register(_name)(_figure_bench(_func_name, _full, _quick))
 
 
 @register("chaos_scenarios")
@@ -758,49 +697,6 @@ def replica_read_failover(quick: bool) -> BenchStats:
     )
 
 
-@register("failover_latency")
-def failover_latency_bench(quick: bool) -> BenchStats:
-    """Crash-to-takeover sweep across heartbeat periods (Section 4.4)."""
-    from repro.core.service import RTPBService
-    from repro.core.spec import ServiceConfig
-    from repro.metrics.collectors import failover_latency
-    from repro.workload.generator import homogeneous_specs
-
-    periods = (ms(50.0), ms(100.0)) if quick else (
-        ms(25.0), ms(50.0), ms(100.0), ms(200.0))
-    crash_at = 3.0
-    horizon = 12.0
-    events = 0
-    records = 0
-    peaks: List[int] = []
-    latencies: List[Optional[float]] = []
-    for period in periods:
-        config = ServiceConfig(ping_period=period, ping_timeout=period / 2.0,
-                               ping_max_misses=3)
-        service = RTPBService(seed=4, config=config, n_spares=1)
-        specs = homogeneous_specs(3, window=ms(200.0),
-                                  client_period=ms(100.0))
-        service.register_all(specs)
-        service.create_client(specs)
-        service.start()
-        service.injector.crash_at(crash_at, service.primary_server)
-        service.run(horizon)
-        latencies.append(failover_latency(service))
-        events += service.sim.events_executed
-        records += len(service.trace)
-        peak = _peak_live(service.sim)
-        if peak is not None:
-            peaks.append(peak)
-    return BenchStats(
-        events_executed=events,
-        peak_live_events=max(peaks) if peaks else None,
-        trace_records=records,
-        extra={"latencies_ms": [round(latency * 1e3, 3)
-                                if latency is not None else None
-                                for latency in latencies]},
-    )
-
-
 @register("lint_full_run")
 def lint_full_run(quick: bool) -> BenchStats:
     """Whole-program analyzer pass over the library tree itself.
@@ -835,3 +731,64 @@ def lint_full_run(quick: bool) -> BenchStats:
             stable_dumps(rows).encode("utf-8")).hexdigest(),
         extra={"files": len(files), "findings": len(findings)},
     )
+
+
+# ---------------------------------------------------------------------------
+# The experiment catalogue: one bench per committed table
+# ---------------------------------------------------------------------------
+
+
+@register("failover_latency")
+def failover_latency_bench(quick: bool) -> BenchStats:
+    """Crash-to-takeover sweep across heartbeat periods (Section 4.4).
+
+    The catalogue's ``failover_latency`` runs, read for their engine
+    counters instead of rendered as a table.
+    """
+    from repro.metrics.collectors import failover_latency
+
+    size = CATALOGUE["failover_latency"].kwargs(quick)
+    events = 0
+    records = 0
+    peaks: List[int] = []
+    latencies: List[Optional[float]] = []
+    for period in size["ping_periods"]:
+        service = run_failover(period, size["horizon"])
+        latencies.append(failover_latency(service))
+        events += service.sim.events_executed
+        records += len(service.trace)
+        peak = _peak_live(service.sim)
+        if peak is not None:
+            peaks.append(peak)
+    return BenchStats(
+        events_executed=events,
+        peak_live_events=max(peaks) if peaks else None,
+        trace_records=records,
+        extra={"latencies_ms": [round(latency * 1e3, 3)
+                                if latency is not None else None
+                                for latency in latencies]},
+    )
+
+
+def _table_bench(name: str) -> BenchFunc:
+    def _run(quick: bool) -> BenchStats:
+        table = CATALOGUE[name].run(quick)
+        if isinstance(table, Series):
+            extra = {"curves": len(table.curves),
+                     "points": sum(len(points)
+                                   for points in table.curves.values())}
+        else:
+            extra = {"rows": len(table.rows)}
+        return BenchStats(
+            digest=hashlib.sha256(table.render().encode()).hexdigest(),
+            extra=extra)
+
+    _run.__doc__ = (f"Catalogue table ``{name}``: wall time to regenerate "
+                    f"it, digest of the rendered text.")
+    return _run
+
+
+# Every other catalogue entry is a bench under its table's name.
+for _name in CATALOGUE:
+    if _name not in SCENARIOS:
+        register(_name)(_table_bench(_name))

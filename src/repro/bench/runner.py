@@ -75,7 +75,7 @@ def _collector_paused() -> Iterator[None]:
 
     Allocation-heavy scenarios otherwise measure collector pauses fired
     at arbitrary allocation counts instead of the code under test — the
-    same reason pyperf and pytest-benchmark disable the collector.  A
+    same reason pyperf disables the collector.  A
     full ``collect()`` runs before the clock starts so every scenario
     begins from the same heap state; the collector is restored (never
     force-enabled) afterwards.

@@ -14,6 +14,7 @@ run.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -196,7 +197,11 @@ class LossBurst(FaultAction):
 
     Models a congestion episode: the paper observes "most of the message
     losses occur when the network is overloaded".  The previous loss model
-    is restored when the burst ends.
+    is restored when the burst ends.  Each application installs its own
+    copy of ``loss_model``: a stateful model (Gilbert-Elliott keeps its
+    channel state) then starts every run from the state the schedule was
+    written with, so one schedule object replays identically any number of
+    times.
     """
 
     duration: float
@@ -209,7 +214,7 @@ class LossBurst(FaultAction):
             raise ProtocolError(f"burst duration must be > 0: {self.duration}")
         fabric = injector.fabric
         previous = fabric.loss_model
-        fabric.set_loss_model(self.loss_model)
+        fabric.set_loss_model(copy.deepcopy(self.loss_model))
         injector.schedule_restore(self.duration, fabric.set_loss_model,
                                   previous)
 

@@ -1,10 +1,11 @@
 """Unit tests for the bench scenario registry (quick micro scenarios only).
 
-The figure/chaos scenarios are exercised by the CI bench smoke job
+The catalogue and chaos scenarios are exercised by the CI bench smoke job
 (``python -m repro bench --quick``), not here — tier-1 stays fast.
 """
 
 from repro.bench.registry import SCENARIOS, BenchStats
+from repro.experiments.catalogue import CATALOGUE
 
 
 def test_registry_names_cover_the_suite():
@@ -17,6 +18,8 @@ def test_registry_names_cover_the_suite():
         "replica_read_steady", "replica_read_failover",
     }
     assert expected <= set(SCENARIOS)
+    # Every committed table is timed under its own name.
+    assert set(CATALOGUE) <= set(SCENARIOS)
 
 
 def test_sim_engine_quick_is_deterministic():

@@ -5,14 +5,36 @@ import json
 
 import pytest
 
-from repro.__main__ import FIGURES, main
+from repro.__main__ import main
+from repro.experiments.catalogue import CATALOGUE
 
 
 def test_list_prints_all_figures(capsys):
     assert main(["figures", "list"]) == 0
     out = capsys.readouterr().out
-    for name in FIGURES:
+    for name in CATALOGUE:
         assert name in out
+
+
+def test_short_name_prints_the_catalogue_table(capsys):
+    # fig8 is fig08_distance_vs_loss, at the catalogue's size and seed.
+    assert main(["figures", "fig8", "--quick"]) == 0
+    table = CATALOGUE["fig08_distance_vs_loss"].run(quick=True).render()
+    assert capsys.readouterr().out.startswith(table + "\n[fig08_")
+
+
+def test_output_directory_receives_one_file_per_table(tmp_path, capsys):
+    assert main(["figures", "theory_phase_variance", "--quick",
+                 "--output", str(tmp_path)]) == 0
+    written = tmp_path / "theory_phase_variance.txt"
+    assert written.read_text(encoding="utf-8") == CATALOGUE[
+        "theory_phase_variance"].run(quick=True).render() + "\n"
+    # The table went to the file; stdout names it.
+    out = capsys.readouterr().out
+    assert str(written) in out and "Theorems 2-3" not in out
+    with pytest.raises(SystemExit):
+        main(["figures", "theory_phase_variance", "--quick",
+              "--output", str(tmp_path / "missing" / "dir")])
 
 
 def test_quick_figure_runs_and_prints_table(capsys):

@@ -1,8 +1,9 @@
 """Micro-size smoke tests for the figure generators.
 
-Each figure function is exercised with a minimal sweep (the full defaults
-run in ``benchmarks/``); these verify the series structure and the cheap
-directional claims.
+Each figure function is exercised with a minimal sweep (the paper-size
+sweeps are the experiment catalogue's, regenerated into
+``benchmarks/results/`` by CI); these verify the series structure and the
+cheap directional claims.
 """
 
 import pytest

@@ -55,6 +55,16 @@ def test_fastpath_chaos_keeps_every_invariant(name):
     assert "start" in phases and "complete" in phases
 
 
+@pytest.mark.parametrize("name", ["backup_flapping", "crash_plus_partition",
+                                  "degraded_network"])
+def test_remaining_scenarios_fire_and_stay_inside_their_expected_set(name):
+    """The catalogue entries no other test runs to a verdict: their faults
+    must actually fire and provoke nothing undeclared."""
+    run = run_chaos(name, seed=1)
+    assert run.result.injector.applied, f"{name}: no fault ever fired"
+    assert run.unexpected_violations() == []
+
+
 def test_report_dict_carries_fault_log_and_digest():
     run = run_chaos("crash_plus_partition", seed=2)
     report = report_dict(run)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.faults.actions import CrashServer, RecoverServer
 from repro.faults.schedule import FaultSchedule, TimedFault
-from repro.net.link import BernoulliLoss
+from repro.net.link import BernoulliLoss, GilbertElliottLoss
 
 
 def test_builder_chains_and_orders_entries():
@@ -131,3 +131,20 @@ def test_describe_is_json_safe_timeline():
     assert timeline[0]["kind"] == "loss_burst"
     assert timeline[0]["loss_model"] == BernoulliLoss(0.5).describe()
     assert timeline[1] == {"time": 3.0, "kind": "crash", "target": "primary"}
+
+
+def test_a_schedule_replays_identically_however_often_it_is_run():
+    # A loss burst's Gilbert-Elliott model carries channel state; the
+    # schedule must hand each run its own copy, or the second run starts
+    # in whatever state the first one left the channel in.
+    from repro.experiments.harness import run_scenario
+    from repro.workload.scenarios import Scenario
+
+    model = GilbertElliottLoss(0.3, 0.3, 0.0, 0.6)
+    schedule = FaultSchedule().loss_burst(3.0, 2.0, model)
+    first, second = (
+        run_scenario(Scenario(horizon=8.0, seed=3),
+                     fault_schedule=schedule).service.trace.digest()
+        for _ in range(2))
+    assert first == second
+    assert not model._bad  # the schedule's own model was never stepped

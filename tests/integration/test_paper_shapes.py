@@ -1,7 +1,8 @@
 """Integration: miniature versions of the paper's headline result shapes.
 
-Small, fast variants of the Figure 6-12 claims; the full sweeps live in
-``benchmarks/``.  Each test asserts a *direction* (who wins, which way a
+Small, fast variants of the Figure 6-12 claims — the one place the
+figures' shapes are asserted; the paper-size sweeps are entries of ``repro.experiments.catalogue`` whose
+tables CI regenerates byte for byte.  Each test asserts a *direction* (who wins, which way a
 knob pushes a metric), never an absolute number.
 """
 
