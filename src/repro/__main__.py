@@ -29,8 +29,9 @@ share mean the same thing everywhere:
   catalogue's quick preset instead of the paper size); an option given
   explicitly always wins over the quick preset.
 
-Exit status: 0 on success, 1 when a determinism or regression gate fails,
-2 on usage errors.  (``repro.lint`` keeps its own CLI: it shares none of
+Exit status: 0 on success, 1 when a determinism, regression or invariant
+gate fails (``chaos``: a finding outside a scenario's expected set), 2 on
+usage errors.  (``repro.lint`` keeps its own CLI: it shares none of
 these options.)
 """
 
@@ -51,6 +52,7 @@ from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.service import ClusterService
 from repro.experiments.catalogue import CATALOGUE
 from repro.experiments.harness import RunResult, run_scenario
+from repro.faults.monitor import kind_counts
 from repro.faults.report import report_dict, run_chaos, run_matrix
 from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
 from repro.faults.schedule import FaultSchedule
@@ -321,11 +323,12 @@ def _cluster_schedule(parser: argparse.ArgumentParser,
 def _cluster_run_document(result: RunResult) -> Dict[str, Any]:
     cluster = result.service
     assert isinstance(cluster, ClusterService)
+    fingerprint = result.fingerprint
     document: Dict[str, Any] = {
         "scenario": result.scenario,
-        "digest": cluster.trace.digest(),
-        "events": cluster.sim.events_executed,
-        "trace_records": len(cluster.trace),
+        "digest": fingerprint.digest,
+        "events": fingerprint.events_executed,
+        "trace_records": fingerprint.trace_records,
         "cluster": result.metrics,
         "per_group": result.per_group,
         "placements": {group.name: group.placements
@@ -339,7 +342,7 @@ def _cluster_run_document(result: RunResult) -> Dict[str, Any]:
     if result.injector is not None:
         document["faults"] = list(result.injector.applied)
     if isinstance(result.monitor, ClusterInvariantMonitor):
-        document["violations"] = result.monitor.violation_counts()
+        document["violations"] = kind_counts(result.violations)
         document["violations_per_group"] = {
             name: counts for name, counts
             in result.monitor.per_group_counts().items() if counts}
@@ -537,7 +540,14 @@ def _chaos(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     else:
         parser.error("choose one of --list, --scenario NAME, or --matrix")
     _emit(parser, document, args.output)
-    return 0
+    # The gate: a finding outside a scenario's declared expected set.
+    reports = document if args.matrix else {args.scenario: document}
+    unexpected = [(name, finding) for name, report in reports.items()
+                  for finding in report["invariants"]["unexpected"]]
+    for name, finding in unexpected:
+        print(f"UNEXPECTED {name}: {finding['kind']} at "
+              f"t={finding['time']}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 # ----------------------------------------------------------------------

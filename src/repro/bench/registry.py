@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.experiments.catalogue import CATALOGUE
+from repro.experiments.harness import RunFingerprint, run_fingerprint
 from repro.experiments.studies import run_failover
 from repro.metrics.report import Series
 from repro.sim.engine import Simulator
@@ -35,7 +36,8 @@ from repro.units import ms
 
 @dataclass(frozen=True)
 class BenchStats:
-    """Deterministic counters one scenario reports (``None`` = not tracked)."""
+    """Deterministic counters one scenario reports (``None`` = not tracked);
+    the first four are a :class:`RunFingerprint`, in its field order."""
 
     #: Events the simulator dispatched (throughput numerator).
     events_executed: Optional[int] = None
@@ -70,10 +72,16 @@ def _noop() -> None:
     """The cheapest possible event payload."""
 
 
-def _peak_live(sim: Simulator) -> Optional[int]:
-    """Peak live-event count, when the queue tracks it (post-O(1) queue)."""
-    peak = getattr(sim, "peak_pending_events", None)
-    return int(peak) if peak is not None else None
+def _as_one_run(runs: List[RunFingerprint]) -> RunFingerprint:
+    """Several runs as one: counts summed, the highest peak, and a digest
+    over the runs' digests in order."""
+    hasher = hashlib.sha256()
+    for run in runs:
+        hasher.update(run.digest.encode())
+    return RunFingerprint(sum(run.events_executed for run in runs),
+                          max(run.peak_live_events for run in runs),
+                          sum(run.trace_records for run in runs),
+                          hasher.hexdigest())
 
 
 class _Clock:
@@ -135,9 +143,7 @@ def sim_engine(quick: bool) -> BenchStats:
     sim.schedule(probe_dt, probe)
     sim.run()
     return BenchStats(
-        events_executed=sim.events_executed,
-        peak_live_events=_peak_live(sim),
-        trace_records=len(sim.trace),
+        *run_fingerprint(sim)[:3],  # nothing is traced: no digest
         extra={"ticks": state["fired"], "probes": state["probes"],
                "probe_sum": state["probe_sum"]},
     )
@@ -240,10 +246,7 @@ def sim_release_storm(quick: bool) -> BenchStats:
             release_jitter=0.0005 if index % 4 == 0 else 0.0))
     sim.run(until=horizon)
     return BenchStats(
-        events_executed=sim.events_executed,
-        peak_live_events=_peak_live(sim),
-        trace_records=len(sim.trace),
-        digest=sim.trace.digest(),
+        *run_fingerprint(sim),
         extra={"tasks": n_tasks,
                "jobs_completed": cpu.jobs_completed,
                "deadline_misses": cpu.deadline_misses},
@@ -301,12 +304,8 @@ def service_run(quick: bool) -> BenchStats:
         seed=4,
     )
     result = run_scenario(scenario)
-    sim = result.service.sim
     return BenchStats(
-        events_executed=sim.events_executed,
-        peak_live_events=_peak_live(sim),
-        trace_records=len(result.service.trace),
-        digest=result.service.trace.digest(),
+        *result.fingerprint,
         extra={"admitted": result.admitted,
                "responses": result.response.count,
                "delivery_rate": result.delivery_rate},
@@ -325,10 +324,7 @@ def fastpath_steady(quick: bool) -> BenchStats:
     from repro.experiments.harness import run_scenario
     from repro.workload.scenarios import Scenario
 
-    hasher = hashlib.sha256()
-    events = 0
-    records = 0
-    peaks: List[int] = []
+    runs: List[RunFingerprint] = []
     means: Dict[str, float] = {}
     hit_rate = 0.0
     for replication in ("eager", "eager_fastpath"):
@@ -338,21 +334,12 @@ def fastpath_steady(quick: bool) -> BenchStats:
             horizon=5.0 if quick else 15.0, seed=4,
             replication=replication)
         result = run_scenario(scenario)
-        sim = result.service.sim
-        events += sim.events_executed
-        records += len(result.service.trace)
-        peak = _peak_live(sim)
-        if peak is not None:
-            peaks.append(peak)
-        hasher.update(result.service.trace.digest().encode())
+        runs.append(result.fingerprint)
         means[replication] = round(result.response.mean * 1e6, 1)
         if replication == "eager_fastpath":
             hit_rate = round(result.metrics.fastpath_hit_rate, 6)
     return BenchStats(
-        events_executed=events,
-        peak_live_events=max(peaks) if peaks else None,
-        trace_records=records,
-        digest=hasher.hexdigest(),
+        *_as_one_run(runs),
         extra={"eager_mean_us": means["eager"],
                "fastpath_mean_us": means["eager_fastpath"],
                "fastpath_hit_rate": hit_rate},
@@ -380,22 +367,16 @@ def fastpath_failover(quick: bool) -> BenchStats:
         replication="eager_fastpath")
     schedule = FaultSchedule().crash(4.0, PRIMARY_ADDRESS)
     result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
-    assert result.monitor is not None
-    sim = result.service.sim
-    trace = result.service.trace
-    drains = sum(1 for record in trace.select("fastpath_drain")
+    drains = sum(1 for record
+                 in result.service.trace.select("fastpath_drain")
                  if record["phase"] == "complete")
     return BenchStats(
-        events_executed=sim.events_executed,
-        peak_live_events=_peak_live(sim),
-        trace_records=len(trace),
-        digest=trace.digest(),
+        *result.fingerprint,
         extra={"drains_completed": drains,
                "fastpath_hit_rate": round(result.metrics.fastpath_hit_rate,
                                           6),
                "degraded_responses": result.metrics.degraded_responses,
-               "violations":
-                   sum(result.monitor.violation_counts().values())},
+               "violations": len(result.violations)},
     )
 
 
@@ -415,26 +396,14 @@ def chaos_scenarios(quick: bool) -> BenchStats:
                    if not name.startswith(("cluster", "fastpath")))
     if quick:
         names = names[:2]
-    events = 0
-    records = 0
+    runs: List[RunFingerprint] = []
     violations = 0
-    peaks: List[int] = []
-    hasher = hashlib.sha256()
     for name in names:
         run = run_chaos(name, seed=1)
-        service = run.result.service
-        events += service.sim.events_executed
-        records += len(service.trace)
+        runs.append(run.result.fingerprint)
         violations += len(run.violations)
-        peak = _peak_live(service.sim)
-        if peak is not None:
-            peaks.append(peak)
-        hasher.update(run.trace_digest.encode())
     return BenchStats(
-        events_executed=events,
-        peak_live_events=max(peaks) if peaks else None,
-        trace_records=records,
-        digest=hasher.hexdigest(),
+        *_as_one_run(runs),
         extra={"scenarios": len(names), "violations": violations},
     )
 
@@ -455,12 +424,8 @@ def cluster_steady(quick: bool) -> BenchStats:
                 ClusterScenario(n_shards=16, n_hosts=6, n_objects=32,
                                 horizon=20.0, seed=4))
     result = run_scenario(scenario)
-    service = result.service
     return BenchStats(
-        events_executed=service.sim.events_executed,
-        peak_live_events=_peak_live(service.sim),
-        trace_records=len(service.trace),
-        digest=service.trace.digest(),
+        *result.fingerprint,
         extra={"admitted": result.admitted,
                "responses": result.response.count,
                "groups": len(result.per_group),
@@ -498,19 +463,15 @@ def cluster_failover(quick: bool) -> BenchStats:
     result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     service = result.service
     assert isinstance(service, ClusterService)
-    assert result.monitor is not None
     replacements = sum(1 for record in service.trace.select("cluster_place")
                        if record["event"] == "replace")
     failovers = len(service.trace.select("failover"))
     return BenchStats(
-        events_executed=service.sim.events_executed,
-        peak_live_events=_peak_live(service.sim),
-        trace_records=len(service.trace),
-        digest=service.trace.digest(),
+        *result.fingerprint,
         extra={"admitted": result.admitted,
                "failovers": failovers,
                "replacements": replacements,
-               "violations": sum(result.monitor.violation_counts().values())},
+               "violations": len(result.violations)},
     )
 
 
@@ -539,20 +500,14 @@ def elastic_scaleup(quick: bool) -> BenchStats:
                                 max_hosts=10))
     schedule = FaultSchedule().flash_crowd(3.0, 2.0, 8.0)
     result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
-    service = result.service
-    assert result.monitor is not None
     summary = result.elastic_summary()
     return BenchStats(
-        events_executed=service.sim.events_executed,
-        peak_live_events=_peak_live(service.sim),
-        trace_records=len(service.trace),
-        digest=service.trace.digest(),
+        *result.fingerprint,
         extra={"scale_outs": summary["scale_outs"],
                "hosts_added": summary["hosts_added"],
                "migrations_committed": summary["migrations_committed"],
                "autoscale_actions": summary["autoscale_actions"],
-               "violations": sum(result.monitor.violation_counts().values())
-               + summary["migration_violations"]},
+               "violations": len(result.violations)},
     )
 
 
@@ -610,10 +565,7 @@ def migration_steady(quick: bool) -> BenchStats:
     cluster.sim.schedule(1.0, launch)
     cluster.run(scenario.horizon)
     return BenchStats(
-        events_executed=cluster.sim.events_executed,
-        peak_live_events=_peak_live(cluster.sim),
-        trace_records=len(cluster.trace),
-        digest=cluster.trace.digest(),
+        *run_fingerprint(cluster.sim),
         extra={"migrations_launched": state["launched"],
                "migrations_committed": state["committed"],
                "violations": len(monitor.violations)},
@@ -639,13 +591,9 @@ def replica_read_steady(quick: bool) -> BenchStats:
         horizon=6.0 if quick else 15.0, seed=4,
         n_replicas=2, read_period=ms(2.0) if quick else ms(1.0))
     result = run_scenario(scenario)
-    sim = result.service.sim
     metrics = result.metrics
     return BenchStats(
-        events_executed=sim.events_executed,
-        peak_live_events=_peak_live(sim),
-        trace_records=len(result.service.trace),
-        digest=result.service.trace.digest(),
+        *result.fingerprint,
         extra={"reads_served": metrics.read_staleness.count,
                "read_throughput": round(metrics.read_throughput, 3),
                "slo_violations": metrics.slo_violations,
@@ -681,19 +629,15 @@ def replica_read_failover(quick: bool) -> BenchStats:
     result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
     service = result.service
     assert isinstance(service, ClusterService)
-    assert result.monitor is not None
     recruited = sum(1 for record in service.trace.select("cluster_place")
                     if record["event"] == "replica")
     return BenchStats(
-        events_executed=service.sim.events_executed,
-        peak_live_events=_peak_live(service.sim),
-        trace_records=len(service.trace),
-        digest=service.trace.digest(),
+        *result.fingerprint,
         extra={"fallbacks": len(service.trace.select("read_fallback")),
                "replicas_recruited": recruited,
-               "staleness_violations":
-                   result.monitor.violation_counts().get(REPLICA_STALENESS,
-                                                         0)},
+               "staleness_violations": sum(
+                   violation.kind == REPLICA_STALENESS
+                   for violation in result.violations)},
     )
 
 
@@ -748,22 +692,18 @@ def failover_latency_bench(quick: bool) -> BenchStats:
     from repro.metrics.collectors import failover_latency
 
     size = CATALOGUE["failover_latency"].kwargs(quick)
-    events = 0
-    records = 0
-    peaks: List[int] = []
+    sims: List[Simulator] = []
     latencies: List[Optional[float]] = []
     for period in size["ping_periods"]:
         service = run_failover(period, size["horizon"])
         latencies.append(failover_latency(service))
-        events += service.sim.events_executed
-        records += len(service.trace)
-        peak = _peak_live(service.sim)
-        if peak is not None:
-            peaks.append(peak)
+        sims.append(service.sim)
+    # No digest is reported here, so none is computed: the traces are most
+    # of this bench's work and hashing them would double its wall.
     return BenchStats(
-        events_executed=events,
-        peak_live_events=max(peaks) if peaks else None,
-        trace_records=records,
+        events_executed=sum(sim.events_executed for sim in sims),
+        peak_live_events=max(sim.peak_pending_events for sim in sims),
+        trace_records=sum(len(sim.trace) for sim in sims),
         extra={"latencies_ms": [round(latency * 1e3, 3)
                                 if latency is not None else None
                                 for latency in latencies]},

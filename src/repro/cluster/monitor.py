@@ -44,12 +44,11 @@ class ClusterInvariantMonitor:
         self.violations: List[InvariantViolation] = []
         self.monitors: Dict[str, InvariantMonitor] = {}
         for group in cluster.groups:
-            self.monitors[group.name] = InvariantMonitor(
-                group, grace=grace, failover_margin=failover_margin,
-                on_violation=self._stamp(group))
+            self.add_group(group)
 
     def add_group(self, group: "ReplicationGroup") -> None:
-        """Start monitoring a group created after construction (scale-out).
+        """Start monitoring a group: the constructor's, or one created
+        later (scale-out).
 
         Idempotent per group name; the new monitor attaches immediately
         when the cluster monitor is already attached.
@@ -98,10 +97,6 @@ class ClusterInvariantMonitor:
     def violation_counts(self) -> Dict[str, int]:
         """Cluster-wide histogram kind -> count."""
         return kind_counts(self.violations)
-
-    def degraded_counts(self) -> Dict[str, int]:
-        """Cluster-wide histogram kind -> count of degraded states."""
-        return kind_counts(self.degraded)
 
     def per_group_counts(self) -> Dict[str, Dict[str, int]]:
         """Histogram kind -> count for every group (groups in gid order)."""

@@ -345,16 +345,23 @@ class ClusterService:
         placed = self.placement.place_group(
             group.gid, group.specs, self.backups_per_group, self.sim.now)
         if isinstance(placed, PlacementRejection):
-            if not group.parked:
-                group.parked = True
-                self.rejections.append(placed)
-                self.sim.trace.record(
-                    "cluster_reject", group=group.name, role=placed.role,
-                    reason=placed.reason)
+            self._park(group, "parked", placed)
             return False
         group.parked = False
         self._instantiate(group, placed, event)
         return True
+
+    def _park(self, group: ReplicationGroup, flag: str,
+              rejection: PlacementRejection) -> None:
+        """Raise the group's park ``flag``; a rejection is reported (the
+        feedback list, a ``cluster_reject`` record) once per parked spell."""
+        if getattr(group, flag):
+            return
+        setattr(group, flag, True)
+        self.rejections.append(rejection)
+        self.sim.trace.record(
+            "cluster_reject", group=group.name, role=rejection.role,
+            reason=rejection.reason)
 
     def _instantiate(self, group: ReplicationGroup,
                      placed: Placement, event: str) -> None:
@@ -490,12 +497,7 @@ class ClusterService:
         placed = self.placement.place_replica(
             group.gid, group.specs, "spare", self.sim.now, exclude=exclude)
         if isinstance(placed, PlacementRejection):
-            if not group.parked:
-                group.parked = True
-                self.rejections.append(placed)
-                self.sim.trace.record(
-                    "cluster_reject", group=group.name, role=placed.role,
-                    reason=placed.reason)
+            self._park(group, "parked", placed)
             return
         group.parked = False
         slot = self.slots[placed]
@@ -557,12 +559,7 @@ class ClusterService:
         placed = self.placement.place_replica(
             group.gid, group.specs, role, self.sim.now, exclude=exclude)
         if isinstance(placed, PlacementRejection):
-            if not group.replica_parked:
-                group.replica_parked = True
-                self.rejections.append(placed)
-                self.sim.trace.record(
-                    "cluster_reject", group=group.name, role=placed.role,
-                    reason=placed.reason)
+            self._park(group, "replica_parked", placed)
             return False
         group.replica_parked = False
         group.replica_seq += 1

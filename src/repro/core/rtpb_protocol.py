@@ -18,83 +18,69 @@ byte encoding:
                           primary (read-replica extension, not in the paper)
 ========================  =====================================================
 
-Each message encodes as a 1-byte type tag followed by a fixed
-:class:`~repro.xkernel.message.Header` body and an optional payload.
+Each message encodes as a 1-byte type tag followed by a fixed ``struct``
+body and an optional payload.
 ``encode_message`` / ``decode_message`` round-trip every type; a property
 test in the suite hammers this.
 
-Adding a message takes three steps, all in this file: a ``Header`` subclass
-giving the body's ``FORMAT`` and ``FIELDS``; a frozen dataclass whose leading
-fields are exactly those ``FIELDS``, in that order, carrying a ``TYPE`` tag
-no other message uses; and one ``_CODEC`` line joining the two.  Nothing else knows the wire
-format — the codec functions are table-driven, and the suite fails a tagged
-class that is missing from the table or does not round-trip.
+Adding a message is one step: a frozen dataclass under ``@_wire(body)``,
+where ``body`` is the ``struct`` format of its fields in declaration order,
+carrying a ``TYPE`` tag no other message uses.  Nothing else knows the wire
+format — the decorator fills the codec table the two functions index, and
+the suite fails a tagged class that is missing from the table or does not
+round-trip.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, Tuple, Type, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Tuple, TypeVar, Union
 
 from repro.errors import MessageFormatError
-from repro.xkernel.message import Header
 
 #: The well-known UDP port RTPB servers listen on.
 RTPB_PORT = 5000
 
 
 # ---------------------------------------------------------------------------
-# Message bodies
+# The codec table, filled by ``@_wire`` as each message is declared
 # ---------------------------------------------------------------------------
 
+#: wire tag -> (message class, the precompiled ``Struct`` of tag byte + body,
+#: the message's field names in declaration order).  Only :class:`UpdateMsg`
+#: differs: two tags and a payload tail.
+_CODEC: Dict[int, Tuple[type, struct.Struct, Tuple[str, ...]]] = {}
 
-class _UpdateHeader(Header):
-    FORMAT = "!IIddH"
-    FIELDS = ("object_id", "seq", "write_time", "source_time", "payload_len")
+#: message class -> its tag (:class:`UpdateMsg` picks between its two).
+_TAG_OF: Dict[type, int] = {}
 
-
-class _PingHeader(Header):
-    FORMAT = "!BId"
-    FIELDS = ("role", "seq", "send_time")
-
-
-class _PingAckHeader(Header):
-    FORMAT = "!Idd"
-    FIELDS = ("seq", "echo_send_time", "ack_time")
+_M = TypeVar("_M", bound=type)
 
 
-class _RetxHeader(Header):
-    FORMAT = "!II"
-    FIELDS = ("object_id", "last_seq")
+def _wire(body: str) -> Callable[[_M], _M]:
+    """Enter a message dataclass into the codec under its ``TYPE*`` tag(s).
 
-
-class _RegisterHeader(Header):
-    FORMAT = "!IIdddd"
-    FIELDS = ("object_id", "size_bytes", "client_period",
-              "delta_primary", "delta_backup", "update_period")
-
-
-class _RegisterAckHeader(Header):
-    FORMAT = "!I?"  # one byte, 0 or 1, from the flag's truth value
-    FIELDS = ("object_id", "accepted")
-
-
-class _RecruitHeader(Header):
-    FORMAT = "!II"
-    FIELDS = ("primary_address", "object_count")
-
-
-class _RecruitAckHeader(Header):
-    FORMAT = "!I"
-    FIELDS = ("backup_address",)
+    ``body`` is the big-endian ``struct`` format of the message body; no
+    padding, so tag byte + body compile into one ``Struct``.
+    """
+    def register(cls: _M) -> _M:
+        entry = (cls, struct.Struct("!B" + body),
+                 tuple(field.name for field in fields(cls)))
+        for name, tag in vars(cls).items():
+            if name == "TYPE" or name.startswith("TYPE_"):
+                _CODEC[tag] = entry
+                _TAG_OF[cls] = tag
+        return cls
+    return register
 
 
 # ---------------------------------------------------------------------------
-# Messages (typed wrappers over the headers)
+# Messages
 # ---------------------------------------------------------------------------
 
 
+@_wire("IIddH")
 @dataclass(frozen=True)
 class UpdateMsg:
     """One object snapshot pushed to the backup."""
@@ -113,6 +99,7 @@ class UpdateMsg:
     TYPE_SNAPSHOT = 2
 
 
+@_wire("BId")
 @dataclass(frozen=True)
 class PingMsg:
     role: int  # 0 = primary, 1 = backup
@@ -122,6 +109,7 @@ class PingMsg:
     TYPE = 3
 
 
+@_wire("Idd")
 @dataclass(frozen=True)
 class PingAckMsg:
     seq: int
@@ -131,6 +119,7 @@ class PingAckMsg:
     TYPE = 4
 
 
+@_wire("II")
 @dataclass(frozen=True)
 class RetxRequestMsg:
     """Backup asks for a fresh copy of an object it suspects it lost."""
@@ -141,6 +130,7 @@ class RetxRequestMsg:
     TYPE = 5
 
 
+@_wire("IIdddd")
 @dataclass(frozen=True)
 class RegisterMsg:
     """Primary reserves space for an object on the backup."""
@@ -157,6 +147,7 @@ class RegisterMsg:
     TYPE = 6
 
 
+@_wire("I?")  # the flag is one byte, 0 or 1, from its truth value
 @dataclass(frozen=True)
 class RegisterAckMsg:
     object_id: int
@@ -165,6 +156,7 @@ class RegisterAckMsg:
     TYPE = 7
 
 
+@_wire("II")
 @dataclass(frozen=True)
 class RecruitMsg:
     """New primary asking a spare host to become the backup."""
@@ -175,6 +167,7 @@ class RecruitMsg:
     TYPE = 8
 
 
+@_wire("I")
 @dataclass(frozen=True)
 class RecruitAckMsg:
     backup_address: int
@@ -182,6 +175,7 @@ class RecruitAckMsg:
     TYPE = 9
 
 
+@_wire("IId")
 @dataclass(frozen=True)
 class UpdateAckMsg:
     """Backup acknowledges one applied update.
@@ -205,11 +199,7 @@ class UpdateAckMsg:
     TYPE = 10
 
 
-class _UpdateAckHeader(Header):
-    FORMAT = "!IId"
-    FIELDS = ("object_id", "seq", "high_water")
-
-
+@_wire("II")
 @dataclass(frozen=True)
 class ReplicaSubscribeMsg:
     """Read replica asks the current primary for the update stream.
@@ -228,11 +218,7 @@ class ReplicaSubscribeMsg:
     TYPE = 11
 
 
-class _ReplicaSubscribeHeader(Header):
-    FORMAT = "!II"
-    FIELDS = ("replica_address", "known_objects")
-
-
+@_wire("IdI")
 @dataclass(frozen=True)
 class FreshnessBeaconMsg:
     """Replica's applied high-water mark, beaconed to the primary.
@@ -250,11 +236,6 @@ class FreshnessBeaconMsg:
     TYPE = 12
 
 
-class _FreshnessBeaconHeader(Header):
-    FORMAT = "!IdI"
-    FIELDS = ("replica_address", "floor_source_time", "applied_updates")
-
-
 RTPBMessage = Union[UpdateMsg, PingMsg, PingAckMsg, RetxRequestMsg,
                     RegisterMsg, RegisterAckMsg, RecruitMsg, RecruitAckMsg,
                     UpdateAckMsg, ReplicaSubscribeMsg, FreshnessBeaconMsg]
@@ -265,45 +246,13 @@ RTPBMessage = Union[UpdateMsg, PingMsg, PingAckMsg, RetxRequestMsg,
 # ---------------------------------------------------------------------------
 
 
-def _wire(cls: type, header: Type[Header]
-          ) -> Tuple[type, struct.Struct, Tuple[str, ...]]:
-    # Every body FORMAT is "!"-prefixed (no padding), so tag byte + body
-    # compile into one Struct that packs the same bytes as the two apart.
-    return cls, struct.Struct("!B" + header.FORMAT[1:]), header.FIELDS
-
-
-#: The codec — one line per wire tag: the message class, the precompiled
-#: ``Struct`` of tag byte + body, and the body's field names, which are the
-#: message's leading dataclass fields in declaration order.  Only
-#: :class:`UpdateMsg` differs: two tags and a payload tail.
-_CODEC: Dict[int, Tuple[type, struct.Struct, Tuple[str, ...]]] = {
-    UpdateMsg.TYPE_UPDATE: _wire(UpdateMsg, _UpdateHeader),
-    UpdateMsg.TYPE_SNAPSHOT: _wire(UpdateMsg, _UpdateHeader),
-    PingMsg.TYPE: _wire(PingMsg, _PingHeader),
-    PingAckMsg.TYPE: _wire(PingAckMsg, _PingAckHeader),
-    RetxRequestMsg.TYPE: _wire(RetxRequestMsg, _RetxHeader),
-    RegisterMsg.TYPE: _wire(RegisterMsg, _RegisterHeader),
-    RegisterAckMsg.TYPE: _wire(RegisterAckMsg, _RegisterAckHeader),
-    RecruitMsg.TYPE: _wire(RecruitMsg, _RecruitHeader),
-    RecruitAckMsg.TYPE: _wire(RecruitAckMsg, _RecruitAckHeader),
-    UpdateAckMsg.TYPE: _wire(UpdateAckMsg, _UpdateAckHeader),
-    ReplicaSubscribeMsg.TYPE: _wire(ReplicaSubscribeMsg,
-                                    _ReplicaSubscribeHeader),
-    FreshnessBeaconMsg.TYPE: _wire(FreshnessBeaconMsg,
-                                   _FreshnessBeaconHeader),
-}
-
-#: message class -> its tag (:class:`UpdateMsg` picks between its two).
-_TAG_OF: Dict[type, int] = {entry[0]: tag for tag, entry in _CODEC.items()}
-
-
 def encode_message(message: RTPBMessage) -> bytes:
     """Serialise any RTPB message to bytes (type tag + body [+ payload])."""
     cls = type(message)
     tag = _TAG_OF.get(cls)
     if tag is None:
         raise MessageFormatError(f"cannot encode {cls.__name__}")
-    _cls, wire, fields = _CODEC[tag]
+    _cls, wire, names = _CODEC[tag]
     try:
         if cls is UpdateMsg:
             payload = message.payload
@@ -311,7 +260,7 @@ def encode_message(message: RTPBMessage) -> bytes:
                 cls.TYPE_SNAPSHOT if message.snapshot else cls.TYPE_UPDATE,
                 message.object_id, message.seq, message.write_time,
                 message.source_time, len(payload)) + payload
-        return wire.pack(tag, *[getattr(message, field) for field in fields])
+        return wire.pack(tag, *[getattr(message, name) for name in names])
     except struct.error as exc:
         raise MessageFormatError(
             f"{cls.__name__}: cannot encode {message!r}: {exc}") from exc
@@ -324,7 +273,7 @@ def decode_message(data: bytes) -> RTPBMessage:
     entry = _CODEC.get(data[0])
     if entry is None:
         raise MessageFormatError(f"unknown RTPB message tag {data[0]}")
-    cls, wire, _fields = entry
+    cls, wire, _names = entry
     try:
         if cls is UpdateMsg:
             (tag, object_id, seq, write_time, source_time,

@@ -20,22 +20,20 @@ when handed an :class:`~repro.workload.elastic.ElasticScenario`;
 ``python -m repro elastic`` runs the deterministic elastic sweep.
 """
 
-from repro.elastic.autoscaler import Autoscaler, AutoscalePolicy
+from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.controller import ElasticController
 from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
 from repro.elastic.migration import (
     MigrationWindowInvariant,
     ShardMigration,
 )
-from repro.elastic.shedding import OverloadShedder, SheddingPolicy
+from repro.elastic.shedding import OverloadShedder
 
 __all__ = [
     "Autoscaler",
-    "AutoscalePolicy",
     "ElasticController",
     "ELASTIC_TRACE_CATEGORIES",
     "MigrationWindowInvariant",
     "ShardMigration",
     "OverloadShedder",
-    "SheddingPolicy",
 ]

@@ -29,30 +29,24 @@ Trace categories: ``autoscale``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.service import ClusterService
+    from repro.workload.elastic import ElasticScenario
 
 #: Response samples retained per tick window (overload backstop; one tick
 #: at a plausible write rate stays far below this).
 _MAX_SAMPLES = 65536
 
 
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """The hysteresis knobs (see :class:`ElasticScenario` for semantics)."""
-
-    period: float = 0.5
-    high_watermark: float = 0.70
-    low_watermark: float = 0.15
-    high_samples: int = 3
-    low_samples: int = 8
-    cooldown: float = 2.0
-    latency_red: float = 0.0
+def peak_utilization(cluster: "ClusterService") -> float:
+    """Highest planned utilization over live, non-draining hosts."""
+    return max((slot.admission.planned_utilization()
+                for slot in cluster.slots.values()
+                if slot.alive and not slot.draining), default=0.0)
 
 
 def _p99(samples: List[float]) -> float:
@@ -63,14 +57,18 @@ def _p99(samples: List[float]) -> float:
 
 
 class Autoscaler:
-    """Hysteresis loop: collector stream in, scale-out/in callbacks out."""
+    """Hysteresis loop: collector stream in, scale-out/in callbacks out.
 
-    def __init__(self, cluster: "ClusterService", policy: AutoscalePolicy,
+    The hysteresis knobs are the ``scenario``'s autoscaler fields.
+    """
+
+    def __init__(self, cluster: "ClusterService",
+                 scenario: "ElasticScenario",
                  scale_out: Callable[[str], None],
                  scale_in: Callable[[str], None]) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
-        self.policy = policy
+        self.scenario = scenario
         self.scale_out = scale_out
         self.scale_in = scale_in
         #: JSON-safe log of every action taken, in firing order.
@@ -89,7 +87,7 @@ class Autoscaler:
             return
         self._running = True
         self.sim.trace.subscribe(self._on_record)
-        self.sim.schedule(self.policy.period, self._tick)
+        self.sim.schedule(self.scenario.autoscale_period, self._tick)
 
     def stop(self) -> None:
         if not self._running:
@@ -106,48 +104,40 @@ class Autoscaler:
         elif record.category == "invariant_violation":
             self._violations += 1
 
-    def peak_utilization(self) -> float:
-        """Highest planned utilization over live, non-draining hosts."""
-        peak = 0.0
-        for _address, slot in sorted(self.cluster.slots.items()):
-            if not slot.alive or slot.draining:
-                continue
-            peak = max(peak, slot.admission.planned_utilization())
-        return peak
-
     def _tick(self) -> None:
         if not self._running:
             return
-        policy = self.policy
-        peak = self.peak_utilization()
+        scenario = self.scenario
+        peak = peak_utilization(self.cluster)
         p99 = _p99(self._responses)
         violations = self._violations
         self._responses.clear()
         self._violations = 0
 
         reasons: List[str] = []
-        if peak > policy.high_watermark:
+        if peak > scenario.high_watermark:
             reasons.append("utilization")
-        if policy.latency_red > 0 and p99 > policy.latency_red:
+        if scenario.latency_red > 0 and p99 > scenario.latency_red:
             reasons.append("latency")
         if violations > 0:
             reasons.append("violations")
         if reasons:
             self._pressure_streak += 1
             self._idle_streak = 0
-        elif peak < policy.low_watermark:
+        elif peak < scenario.low_watermark:
             self._idle_streak += 1
             self._pressure_streak = 0
         else:
             self._pressure_streak = 0
             self._idle_streak = 0
 
-        cooled = self.sim.now - self._last_action_at >= policy.cooldown
-        if self._pressure_streak >= policy.high_samples and cooled:
+        cooled = (self.sim.now - self._last_action_at
+                  >= scenario.autoscale_cooldown)
+        if self._pressure_streak >= scenario.high_samples and cooled:
             self._act("scale_out", ",".join(reasons), peak, p99)
-        elif self._idle_streak >= policy.low_samples and cooled:
+        elif self._idle_streak >= scenario.low_samples and cooled:
             self._act("scale_in", "idle", peak, p99)
-        self.sim.schedule(policy.period, self._tick)
+        self.sim.schedule(scenario.autoscale_period, self._tick)
 
     def _act(self, action: str, reason: str, peak: float,
              p99: float) -> None:

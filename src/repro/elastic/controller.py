@@ -39,9 +39,9 @@ from repro.cluster.shardmap import ShardMap
 from repro.core.server import Role
 from repro.errors import ReplicationError
 
-from repro.elastic.autoscaler import AutoscalePolicy, Autoscaler
+from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.migration import COMMITTED, ShardMigration
-from repro.elastic.shedding import OverloadShedder, SheddingPolicy
+from repro.elastic.shedding import OverloadShedder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.placement import HostSlot
@@ -74,25 +74,11 @@ class ElasticController:
         self.scenario = scenario
         self.on_group_added = on_group_added
         self.autoscaler = Autoscaler(
-            cluster,
-            AutoscalePolicy(
-                period=scenario.autoscale_period,
-                high_watermark=scenario.high_watermark,
-                low_watermark=scenario.low_watermark,
-                high_samples=scenario.high_samples,
-                low_samples=scenario.low_samples,
-                cooldown=scenario.autoscale_cooldown,
-                latency_red=scenario.latency_red),
+            cluster, scenario,
             scale_out=self._scale_out, scale_in=self._scale_in)
         self.shedder: Optional[OverloadShedder] = None
         if scenario.shed_enabled:
-            self.shedder = OverloadShedder(
-                cluster,
-                SheddingPolicy(
-                    period=scenario.shed_period,
-                    red_line=scenario.shed_red_line,
-                    widen_factor=scenario.shed_factor,
-                    cooldown=scenario.shed_cooldown))
+            self.shedder = OverloadShedder(cluster, scenario)
         #: Every migration this controller launched, in launch order.
         self.migrations: List[ShardMigration] = []
         self.migrations_committed = 0

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.client import SensorClient
 from repro.core.spec import ObjectSpec
 from repro.errors import ClusterError, ReplicationError
-from repro.faults.monitor import InvariantViolation
+from repro.faults.monitor import TraceMonitor, migrating_ids
 from repro.sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,7 +65,8 @@ TRANSFERRED = "transferred"
 COMMITTED = "committed"
 ABORTED = "aborted"
 
-#: Invariant kinds emitted by :class:`MigrationWindowInvariant`.
+#: Invariant kinds emitted by :class:`MigrationWindowInvariant`; the run's
+#: ``migration_violations`` count is of kinds with this ``migration_`` prefix.
 MIGRATION_LEAKED_WRITE = "migration_leaked_write"
 MIGRATION_MISSING_BARRIER = "migration_missing_barrier"
 MIGRATION_WINDOW_CHANGED = "migration_window_changed"
@@ -73,10 +74,6 @@ MIGRATION_WINDOW_CHANGED = "migration_window_changed"
 
 def _join_ids(object_ids: List[int]) -> str:
     return ",".join(str(object_id) for object_id in object_ids)
-
-
-def _split_ids(text: str) -> List[int]:
-    return [int(part) for part in text.split(",")] if text else []
 
 
 class ShardMigration:
@@ -329,7 +326,7 @@ class ShardMigration:
             self.on_done(self)
 
 
-class MigrationWindowInvariant:
+class MigrationWindowInvariant(TraceMonitor):
     """Online checker: migrations preserve windows and leak no samples.
 
     Subscribes to the cluster's trace (like the
@@ -347,44 +344,20 @@ class MigrationWindowInvariant:
       moved object must carry the same δ = δ^B − δ^P as the source's did
       at freeze time.
 
-    Violations are collected on :attr:`violations` and traced as
-    ``invariant_violation`` records, compatible with the chaos report's
-    accounting.
+    Violations are collected and traced the
+    :class:`~repro.faults.monitor.TraceMonitor` way, so they reach the
+    run's merged findings and the chaos report.
     """
 
     def __init__(self, cluster: "ClusterService") -> None:
+        super().__init__(cluster.sim)
         self.cluster = cluster
-        self.sim = cluster.sim
-        self.violations: List[InvariantViolation] = []
         #: object id → freeze time, while frozen.
         self._frozen_at: Dict[int, float] = {}
         #: object id → window at freeze time.
         self._frozen_window: Dict[int, float] = {}
         #: (source, dest) pairs whose barrier has been observed.
         self._barrier_seen: Set[Tuple[str, str]] = set()
-        self._attached = False
-
-    # ------------------------------------------------------------------
-
-    def attach(self) -> None:
-        if self._attached:
-            return
-        self._attached = True
-        self.sim.trace.subscribe(self._on_record)
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        self._attached = False
-        self.sim.trace.unsubscribe(self._on_record)
-
-    def violation_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for violation in self.violations:
-            counts[violation.kind] = counts.get(violation.kind, 0) + 1
-        return counts
-
-    # ------------------------------------------------------------------
 
     def _on_record(self, record: TraceRecord) -> None:
         category = record.category
@@ -399,7 +372,7 @@ class MigrationWindowInvariant:
             source = self.cluster.group_named(record["source"])
             windows = {spec.object_id: spec.window
                        for spec in source.registered_specs()}
-            for object_id in _split_ids(record.get("ids", "")):
+            for object_id in migrating_ids(record):
                 self._frozen_at[object_id] = record.time
                 if object_id in windows:
                     self._frozen_window[object_id] = windows[object_id]
@@ -407,7 +380,7 @@ class MigrationWindowInvariant:
             self._barrier_seen.add((record["source"], record["dest"]))
         elif category == "migration_commit":
             key = (record["source"], record["dest"])
-            ids = _split_ids(record.get("ids", ""))
+            ids = migrating_ids(record)
             if any(object_id in self._frozen_window for object_id in ids) \
                     and key not in self._barrier_seen:
                 self._emit(MIGRATION_MISSING_BARRIER, source=key[0],
@@ -425,15 +398,10 @@ class MigrationWindowInvariant:
                 self._unfreeze(object_id)
             self._barrier_seen.discard(key)
         elif category == "migration_abort":
-            for object_id in _split_ids(record.get("ids", "")):
+            for object_id in migrating_ids(record):
                 self._unfreeze(object_id)
             self._barrier_seen.discard((record["source"], record["dest"]))
 
     def _unfreeze(self, object_id: int) -> None:
         self._frozen_at.pop(object_id, None)
         self._frozen_window.pop(object_id, None)
-
-    def _emit(self, kind: str, **details: object) -> None:
-        violation = InvariantViolation(self.sim.now, kind, dict(details))
-        self.violations.append(violation)
-        self.sim.trace.record("invariant_violation", kind=kind, **details)

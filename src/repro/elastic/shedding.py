@@ -31,35 +31,30 @@ Trace categories: ``window_degraded``, ``window_restored``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.spec import ObjectSpec
+from repro.elastic.autoscaler import peak_utilization
 from repro.errors import ReplicationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.placement import PlacementRejection
     from repro.cluster.service import ClusterService, ReplicationGroup
-
-
-@dataclass(frozen=True)
-class SheddingPolicy:
-    """The degradation knobs (see :class:`ElasticScenario` for semantics)."""
-
-    period: float = 0.5
-    red_line: float = 0.92
-    widen_factor: float = 2.0
-    cooldown: float = 3.0
+    from repro.workload.elastic import ElasticScenario
 
 
 class OverloadShedder:
-    """Widens δ windows under pressure; narrows them back on cool-down."""
+    """Widens δ windows under pressure; narrows them back on cool-down.
+
+    The degradation knobs are the ``scenario``'s ``shed_*`` fields.
+    """
 
     def __init__(self, cluster: "ClusterService",
-                 policy: SheddingPolicy) -> None:
+                 scenario: "ElasticScenario") -> None:
         self.cluster = cluster
         self.sim = cluster.sim
-        self.policy = policy
+        self.scenario = scenario
         #: Degraded-object ledger: object id → pre-degradation spec.
         self._originals: Dict[int, ObjectSpec] = {}
         self._seen_rejections = 0
@@ -74,7 +69,7 @@ class OverloadShedder:
         if self._running:
             return
         self._running = True
-        self.sim.schedule(self.policy.period, self._tick)
+        self.sim.schedule(self.scenario.shed_period, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -90,23 +85,15 @@ class OverloadShedder:
             return
         fresh = self.cluster.rejections[self._seen_rejections:]
         self._seen_rejections = len(self.cluster.rejections)
-        peak = self._peak_utilization()
-        if fresh or peak > self.policy.red_line:
+        peak = peak_utilization(self.cluster)
+        if fresh or peak > self.scenario.shed_red_line:
             self._last_pressure_at = self.sim.now
             self._shed(fresh)
         elif (self._originals and self._last_pressure_at is not None
                 and self.sim.now - self._last_pressure_at
-                >= self.policy.cooldown):
+                >= self.scenario.shed_cooldown):
             self._restore()
-        self.sim.schedule(self.policy.period, self._tick)
-
-    def _peak_utilization(self) -> float:
-        peak = 0.0
-        for _address, slot in sorted(self.cluster.slots.items()):
-            if not slot.alive or slot.draining:
-                continue
-            peak = max(peak, slot.admission.planned_utilization())
-        return peak
+        self.sim.schedule(self.scenario.shed_period, self._tick)
 
     # ------------------------------------------------------------------
     # Degradation
@@ -126,7 +113,7 @@ class OverloadShedder:
         for spec in list(group.registered_specs()):
             if spec.object_id in self._originals:
                 continue
-            widened = spec.delta_primary + self.policy.widen_factor * \
+            widened = spec.delta_primary + self.scenario.shed_factor * \
                 spec.window
             if suggested is not None:
                 widened = max(widened, suggested)

@@ -31,26 +31,26 @@ tracer, so the storage filter does not blind them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple,
+                    Optional)
 
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
-    SummaryStats,
     degraded_responses,
     fastpath_hit_rate,
     fastpath_response_split,
 )
-from repro.metrics.summary import RunMetrics, collect_metrics
+from repro.metrics.summary import MetricsView, RunMetrics, collect_metrics
 from repro.workload.scenarios import Scenario, build_scenario
 
 if TYPE_CHECKING:
     from repro.cluster.monitor import ClusterInvariantMonitor
     from repro.cluster.service import ClusterService
     from repro.elastic.controller import ElasticController
-    from repro.elastic.migration import MigrationWindowInvariant
     from repro.faults.injector import FaultInjector
-    from repro.faults.monitor import InvariantMonitor
+    from repro.faults.monitor import InvariantViolation, TraceMonitor
     from repro.faults.schedule import FaultSchedule
+    from repro.sim.engine import Simulator
     from repro.workload.cluster import ClusterScenario
     from repro.workload.elastic import ElasticScenario
 
@@ -90,64 +90,84 @@ METRIC_TRACE_CATEGORIES = (
 )
 
 
+class RunFingerprint(NamedTuple):
+    """What two runs of one spec must agree on, read off the simulator."""
+
+    events_executed: int
+    #: High-water mark of live (non-cancelled) queued events.
+    peak_live_events: int
+    trace_records: int
+    #: SHA-256 over the retained trace.
+    digest: str
+
+
+def run_fingerprint(sim: "Simulator") -> RunFingerprint:
+    return RunFingerprint(sim.events_executed, sim.peak_pending_events,
+                          len(sim.trace), sim.trace.digest())
+
+
+def _by_detection_time(findings: Iterable[List["InvariantViolation"]]
+                       ) -> List["InvariantViolation"]:
+    # Each monitor's list is already in detection order and the sort is
+    # stable, so monitors keep their attach order within an instant.
+    return sorted((finding for each in findings for finding in each),
+                  key=lambda finding: finding.time)
+
+
 @dataclass
-class RunResult:
-    """Everything the figures need from one finished run.
+class RunResult(MetricsView):
+    """The single description of one finished run.
 
     The metric fields are exposed both as ``result.metrics`` (the picklable
-    :class:`RunMetrics`) and as flat read-only properties for the original
-    ``result.response`` / ``result.admitted`` call sites.  The cluster and
-    elastic fields stay empty on topologies that lack them.
+    :class:`RunMetrics`) and, through :class:`MetricsView`, as flat
+    read-only properties (``result.response`` / ``result.admitted``).  The
+    cluster and elastic fields stay empty on topologies that lack them.
     """
 
     scenario: "Scenario | ClusterScenario"
     service: "RTPBService | ClusterService"
     metrics: RunMetrics
-    #: Set on chaos runs: the armed injector and the online monitor.
+    #: Set on chaos runs: the armed injector.
     injector: Optional[FaultInjector] = None
-    monitor: "InvariantMonitor | ClusterInvariantMonitor | None" = None
+    #: Every online monitor the run attached, in attach order; read their
+    #: findings through :attr:`violations` / :attr:`degraded`.
+    monitors: "List[TraceMonitor | ClusterInvariantMonitor]" = field(
+        default_factory=list)
     #: Cluster runs: per-group :class:`RunMetrics` by group name, gid order.
     per_group: Dict[str, RunMetrics] = field(default_factory=dict)
-    #: Elastic runs: the control plane and its migration invariant.
+    #: Elastic runs: the control plane.
     controller: Optional[ElasticController] = None
-    migration_monitor: Optional[MigrationWindowInvariant] = None
 
     @property
-    def admitted(self) -> int:
-        return self.metrics.admitted
+    def monitor(self) -> "TraceMonitor | ClusterInvariantMonitor | None":
+        """The topology's own invariant monitor (the first attached)."""
+        return self.monitors[0] if self.monitors else None
 
     @property
-    def response(self) -> SummaryStats:
-        return self.metrics.response
+    def violations(self) -> List["InvariantViolation"]:
+        """Every monitor's violations, merged in detection order."""
+        return _by_detection_time(
+            monitor.violations for monitor in self.monitors)
 
     @property
-    def starved_writes(self) -> int:
-        return self.metrics.starved_writes
+    def degraded(self) -> List["InvariantViolation"]:
+        """Every monitor's degraded-state findings, merged likewise."""
+        return _by_detection_time(
+            monitor.degraded for monitor in self.monitors)
 
     @property
-    def avg_max_distance(self) -> float:
-        return self.metrics.avg_max_distance
-
-    @property
-    def avg_inconsistency(self) -> float:
-        return self.metrics.avg_inconsistency
-
-    @property
-    def delivery_rate(self) -> float:
-        return self.metrics.delivery_rate
-
-    @property
-    def mean_response(self) -> float:
-        return self.metrics.response.mean
+    def fingerprint(self) -> RunFingerprint:
+        return run_fingerprint(self.service.sim)
 
     def elastic_summary(self) -> Dict[str, Any]:
         """JSON-safe control-plane rollup (empty without a controller)."""
         if self.controller is None:
             return {}
         summary = self.controller.summary()
-        if self.migration_monitor is not None:
-            summary["migration_violations"] = len(
-                self.migration_monitor.violations)
+        if self.monitors:
+            summary["migration_violations"] = sum(
+                violation.kind.startswith("migration_")
+                for violation in self.violations)
         return summary
 
 
@@ -197,26 +217,25 @@ def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,
 
         injector = FaultInjector(service, fault_schedule)
         injector.arm()
-    run_monitor: "InvariantMonitor | ClusterInvariantMonitor | None" = None
-    migration_monitor = None
+    monitors: "List[TraceMonitor | ClusterInvariantMonitor]" = []
     on_group_added = None
     if monitor and isinstance(scenario, Scenario):
         from repro.faults.monitor import InvariantMonitor
 
-        run_monitor = InvariantMonitor(service)
-        run_monitor.attach()
+        monitors.append(InvariantMonitor(service))
     elif monitor:
         from repro.cluster.monitor import ClusterInvariantMonitor
 
-        run_monitor = cluster_monitor = ClusterInvariantMonitor(service)
-        cluster_monitor.attach()
+        cluster_monitor = ClusterInvariantMonitor(service)
+        monitors.append(cluster_monitor)
         # Groups an elastic controller creates mid-run get monitored too.
         on_group_added = cluster_monitor.add_group
         if elastic is not None:
             from repro.elastic.migration import MigrationWindowInvariant
 
-            migration_monitor = MigrationWindowInvariant(service)
-            migration_monitor.attach()
+            monitors.append(MigrationWindowInvariant(service))
+    for attached in monitors:
+        attached.attach()
     controller = None
     if elastic is not None and elastic.elastic_enabled:
         from repro.elastic.controller import ElasticController
@@ -238,10 +257,9 @@ def run_scenario(scenario: "Scenario | ClusterScenario", warmup: float = 2.0,
         service=service,
         metrics=metrics,
         injector=injector,
-        monitor=run_monitor,
+        monitors=monitors,
         per_group=per_group,
         controller=controller,
-        migration_monitor=migration_monitor,
     )
 
 

@@ -15,7 +15,7 @@ run.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Union
 
 from repro.errors import ProtocolError
@@ -27,7 +27,7 @@ Target = Union[int, str]
 
 
 class FaultAction:
-    """Base class: a named, appliable fault."""
+    """Base class: a named, appliable fault (every subclass a dataclass)."""
 
     #: Machine-readable fault kind, stable across releases (report schema).
     kind: str = "fault"
@@ -36,8 +36,10 @@ class FaultAction:
         raise NotImplementedError
 
     def describe(self) -> Dict[str, object]:
-        """JSON-safe parameters for the chaos report (no live objects)."""
-        return {}
+        """JSON-safe parameters for the chaos report (no live objects):
+        the action's dataclass fields, unless a subclass says otherwise."""
+        return {field.name: getattr(self, field.name)
+                for field in fields(self)}
 
 
 @dataclass
@@ -52,9 +54,6 @@ class CrashServer(FaultAction):
         server = injector.resolve_server(self.target)
         if server is not None:
             server.crash()
-
-    def describe(self) -> Dict[str, object]:
-        return {"target": self.target}
 
 
 @dataclass
@@ -72,9 +71,6 @@ class RecoverServer(FaultAction):
             return
         server.recover()
         injector.announce_spare(server.host.address)
-
-    def describe(self) -> Dict[str, object]:
-        return {"target": self.target}
 
 
 @dataclass
@@ -101,9 +97,6 @@ class KillHost(FaultAction):
             kill(server.host.address)
         else:
             server.crash()
-
-    def describe(self) -> Dict[str, object]:
-        return {"target": self.target}
 
 
 @dataclass
@@ -133,9 +126,6 @@ class IsolateHost(FaultAction):
                                   injector.fabric.set_isolated, address,
                                   False)
 
-    def describe(self) -> Dict[str, object]:
-        return {"duration": self.duration, "target": self.target}
-
 
 @dataclass
 class Partition(FaultAction):
@@ -150,9 +140,6 @@ class Partition(FaultAction):
         injector.fabric.set_partition(injector.resolve_address(self.a),
                                       injector.resolve_address(self.b), True)
 
-    def describe(self) -> Dict[str, object]:
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass
 class Heal(FaultAction):
@@ -166,9 +153,6 @@ class Heal(FaultAction):
     def apply(self, injector: "FaultInjector") -> None:
         injector.fabric.set_partition(injector.resolve_address(self.a),
                                       injector.resolve_address(self.b), False)
-
-    def describe(self) -> Dict[str, object]:
-        return {"a": self.a, "b": self.b}
 
 
 @dataclass
@@ -252,9 +236,6 @@ class DelaySpike(FaultAction):
 
         injector.schedule_restore(self.duration, restore)
 
-    def describe(self) -> Dict[str, object]:
-        return {"duration": self.duration, "factor": self.factor}
-
 
 @dataclass
 class DuplicateMessages(FaultAction):
@@ -272,9 +253,6 @@ class DuplicateMessages(FaultAction):
         injector.schedule_restore(self.duration, fabric.set_duplication,
                                   previous)
 
-    def describe(self) -> Dict[str, object]:
-        return {"duration": self.duration, "probability": self.probability}
-
 
 @dataclass
 class CorruptMessages(FaultAction):
@@ -291,9 +269,6 @@ class CorruptMessages(FaultAction):
         fabric.set_corruption(self.probability)
         injector.schedule_restore(self.duration, fabric.set_corruption,
                                   previous)
-
-    def describe(self) -> Dict[str, object]:
-        return {"duration": self.duration, "probability": self.probability}
 
 
 @dataclass
@@ -330,9 +305,6 @@ class FlashCrowd(FaultAction):
             client.rate_scale = self.factor
         injector.schedule_restore(self.duration, restore)
 
-    def describe(self) -> Dict[str, object]:
-        return {"duration": self.duration, "factor": self.factor}
-
 
 @dataclass
 class DrainHost(FaultAction):
@@ -360,9 +332,6 @@ class DrainHost(FaultAction):
         server = injector.resolve_server(self.target)
         if server is not None:
             drain(server.host.address)
-
-    def describe(self) -> Dict[str, object]:
-        return {"target": self.target}
 
 
 @dataclass

@@ -81,55 +81,37 @@ def kind_counts(findings: List[InvariantViolation]) -> Dict[str, int]:
     return counts
 
 
-class InvariantMonitor:
-    """Watches one deployment's trace for invariant violations, online.
+def migrating_ids(record: TraceRecord) -> List[int]:
+    """The object ids a ``migration_*`` record names (its ``ids`` field)."""
+    text = record.get("ids", "")
+    return [int(part) for part in text.split(",")] if text else []
 
-    ``service`` is duck-typed: anything exposing the :class:`RTPBService`
-    introspection surface works — including one *group view* of a sharded
-    cluster, in which case member-scoping (below) confines every check to
-    that group's servers and the shared trace stream is demultiplexed by
-    membership.
+
+class TraceMonitor:
+    """What every tracer-subscribing monitor shares: the subscription, the
+    findings lists, and how a violation is emitted.
+
+    A subclass supplies ``_on_record`` and calls :meth:`_emit`; the run
+    harness reads ``violations`` / ``degraded`` off every monitor it
+    attached and merges them into the run's one findings list.
     """
 
-    def __init__(self, service: "RTPBService | Any",
-                 grace: Optional[float] = None,
-                 failover_margin: float = 0.1,
+    def __init__(self, sim: Any,
                  on_violation: Optional[Callable[[InvariantViolation],
                                                  None]] = None) -> None:
-        self.service = service
-        self.sim = service.sim
+        self.sim = sim
         self.on_violation = on_violation
-        self.failover_margin = failover_margin
-        config = service.config
-        specs = service.registered_specs()
-        #: Provisioning allowance on top of δ_i: link delay plus worst-case
-        #: apply queueing at the backup (all objects applying back-to-back).
-        self.grace = (grace if grace is not None else
-                      config.ell + max(8, len(specs)) * config.apply_cost_base)
         self.violations: List[InvariantViolation] = []
         #: Degraded-state findings (see module docstring) — observability,
         #: not violations; :meth:`degraded_counts` summarises them.
         self.degraded: List[InvariantViolation] = []
-        self._windows: Dict[int, float] = {
-            spec.object_id: spec.window for spec in specs}
-        #: Per object: write instants not yet covered by a backup apply.
-        self._pending: Dict[int, List[float]] = {}
-        self._timer_armed: Set[int] = set()
-        self._violating: Set[int] = set()
-        self._split_check_pending = False
-        self._flagged_primaries: frozenset = frozenset()
-        self._last_failover_at: Optional[float] = None
         self._attached = False
-
-    # ------------------------------------------------------------------
 
     def attach(self) -> None:
         """Start observing the deployment's trace (idempotent)."""
         if self._attached:
             return
         self._attached = True
-        self._windows.update({spec.object_id: spec.window
-                              for spec in self.service.registered_specs()})
         self.sim.trace.subscribe(self._on_record)
 
     def detach(self) -> None:
@@ -145,6 +127,60 @@ class InvariantMonitor:
     def degraded_counts(self) -> Dict[str, int]:
         """Histogram kind -> count of collected degraded states."""
         return kind_counts(self.degraded)
+
+    def _on_record(self, record: TraceRecord) -> None:
+        raise NotImplementedError
+
+    def _emit(self, kind: str, **details: Any) -> None:
+        violation = InvariantViolation(self.sim.now, kind, details)
+        self.violations.append(violation)
+        self.sim.trace.record("invariant_violation", kind=kind, **details)
+        if self.on_violation is not None:
+            self.on_violation(violation)
+
+
+class InvariantMonitor(TraceMonitor):
+    """Watches one deployment's trace for invariant violations, online.
+
+    ``service`` is duck-typed: anything exposing the :class:`RTPBService`
+    introspection surface works — including one *group view* of a sharded
+    cluster, in which case member-scoping (below) confines every check to
+    that group's servers and the shared trace stream is demultiplexed by
+    membership.
+    """
+
+    def __init__(self, service: "RTPBService | Any",
+                 grace: Optional[float] = None,
+                 failover_margin: float = 0.1,
+                 on_violation: Optional[Callable[[InvariantViolation],
+                                                 None]] = None) -> None:
+        super().__init__(service.sim, on_violation)
+        self.service = service
+        self.failover_margin = failover_margin
+        config = service.config
+        specs = service.registered_specs()
+        #: Provisioning allowance on top of δ_i: link delay plus worst-case
+        #: apply queueing at the backup (all objects applying back-to-back).
+        self.grace = (grace if grace is not None else
+                      config.ell + max(8, len(specs)) * config.apply_cost_base)
+        self._windows: Dict[int, float] = {
+            spec.object_id: spec.window for spec in specs}
+        #: Per object: write instants not yet covered by a backup apply.
+        self._pending: Dict[int, List[float]] = {}
+        self._timer_armed: Set[int] = set()
+        self._violating: Set[int] = set()
+        self._split_check_pending = False
+        self._flagged_primaries: frozenset = frozenset()
+        self._last_failover_at: Optional[float] = None
+
+    def attach(self) -> None:
+        """Start observing; objects registered since construction are
+        picked up here."""
+        if not self._attached:
+            self._windows.update(
+                {spec.object_id: spec.window
+                 for spec in self.service.registered_specs()})
+        super().attach()
 
     # ------------------------------------------------------------------
     # Trace dispatch
@@ -204,7 +240,7 @@ class InvariantMonitor:
             # by — membership of ``_windows`` is the demux).
             if record.get("source") == getattr(self.service, "service_name",
                                                None):
-                for object_id in self._migrating_ids(record):
+                for object_id in migrating_ids(record):
                     self._windows.pop(object_id, None)
                     self._pending.pop(object_id, None)
                     self._violating.discard(object_id)
@@ -229,11 +265,6 @@ class InvariantMonitor:
                     self._windows[object_id] = record["window"]
                     self._pending.pop(object_id, None)
                     self._violating.discard(object_id)
-
-    @staticmethod
-    def _migrating_ids(record: TraceRecord) -> List[int]:
-        text = record.get("ids", "")
-        return [int(part) for part in text.split(",")] if text else []
 
     # -- temporal window ---------------------------------------------------
 
@@ -393,12 +424,3 @@ class InvariantMonitor:
                    deadline=crash_time
                    + self.service.config.failure_detection_latency()
                    + self.failover_margin)
-
-    # ------------------------------------------------------------------
-
-    def _emit(self, kind: str, **details: Any) -> None:
-        violation = InvariantViolation(self.sim.now, kind, details)
-        self.violations.append(violation)
-        self.sim.trace.record("invariant_violation", kind=kind, **details)
-        if self.on_violation is not None:
-            self.on_violation(violation)

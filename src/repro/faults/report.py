@@ -26,17 +26,15 @@ from repro.parallel import RunOutcome, RunSpec, outcome_from_result, run_specs
 
 @dataclass
 class ChaosRunResult:
-    """A finished chaos run: the scenario, the harness result, the digest."""
+    """A finished chaos run: the scenario and the harness result."""
 
     scenario: ChaosScenario
     seed: int
     result: RunResult
-    trace_digest: str
 
     @property
     def violations(self) -> List[Any]:
-        monitor = self.result.monitor
-        return list(monitor.violations) if monitor is not None else []
+        return self.result.violations
 
     def unexpected_violations(self) -> List[Any]:
         """Violations whose kind the scenario did not set out to provoke."""
@@ -51,12 +49,7 @@ def run_chaos(name: str, seed: int = 0, warmup: float = 2.0,
     chaos = scenario if scenario is not None else build(name, seed)
     result = run_scenario(chaos.workload, warmup=warmup,
                           fault_schedule=chaos.schedule, monitor=True)
-    return ChaosRunResult(
-        scenario=chaos,
-        seed=seed,
-        result=result,
-        trace_digest=result.service.trace.digest(),
-    )
+    return ChaosRunResult(scenario=chaos, seed=seed, result=result)
 
 
 def chaos_spec(chaos: ChaosScenario, warmup: float = 2.0) -> RunSpec:

@@ -63,6 +63,41 @@ class RunMetrics:
         return self.response.mean
 
 
+class MetricsView:
+    """Flat read access to the fields of ``self.metrics``: the one metric
+    surface of a live ``RunResult`` and of its picklable ``RunOutcome``."""
+
+    metrics: RunMetrics
+
+    @property
+    def admitted(self) -> int:
+        return self.metrics.admitted
+
+    @property
+    def response(self) -> SummaryStats:
+        return self.metrics.response
+
+    @property
+    def starved_writes(self) -> int:
+        return self.metrics.starved_writes
+
+    @property
+    def avg_max_distance(self) -> float:
+        return self.metrics.avg_max_distance
+
+    @property
+    def avg_inconsistency(self) -> float:
+        return self.metrics.avg_inconsistency
+
+    @property
+    def delivery_rate(self) -> float:
+        return self.metrics.delivery_rate
+
+    @property
+    def mean_response(self) -> float:
+        return self.metrics.response.mean
+
+
 def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
                     objects: Optional[Iterable[int]] = None) -> RunMetrics:
     """The :class:`RunMetrics` fields every topology shares.
@@ -90,26 +125,18 @@ def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
 
 
 @dataclass(frozen=True)
-class RunSummary:
-    """The paper's performability metrics plus operational counters."""
+class RunSummary(RunMetrics):
+    """:class:`RunMetrics` plus the two numbers only a one-pair summary
+    computes, rendered as the operator's table."""
 
-    horizon: float
-    warmup: float
-    objects: int
-    response: SummaryStats
-    starved_writes: int
-    avg_max_distance: float
-    avg_inconsistency: float
-    delivery_rate: float
-    backup_violations: int
-    failover: Optional[float]
-    #: Read path (repro.replicas); empty on write-only runs.
-    read_staleness: SummaryStats = field(default_factory=SummaryStats.empty)
-    fallback_rate: float = 0.0
+    #: δ^B violations observed at the backup (external consistency).
+    backup_violations: int = 0
+    #: seconds from primary crash to takeover; None without a failover.
+    failover: Optional[float] = None
 
     def to_table(self) -> Table:
         table = Table("Run summary", ["metric", "value"])
-        table.add_row("objects admitted", self.objects)
+        table.add_row("objects admitted", self.admitted)
         table.add_row("responses measured", self.response.count)
         table.add_row("mean response (ms)", to_ms(self.response.mean)
                       if self.response.count else "-")
@@ -152,17 +179,8 @@ def summarize_run(service: RTPBService, horizon: float,
     violations = backup_external_violations(service, warmup,
                                             max(warmup, horizon - 1.0))
     return RunSummary(
-        horizon=horizon,
-        warmup=warmup,
-        objects=metrics.admitted,
-        response=metrics.response,
-        starved_writes=metrics.starved_writes,
-        avg_max_distance=metrics.avg_max_distance,
-        avg_inconsistency=metrics.avg_inconsistency,
-        delivery_rate=metrics.delivery_rate,
+        **vars(metrics),
         backup_violations=sum(len(per_object)
                               for per_object in violations.values()),
         failover=failover_latency(service),
-        read_staleness=metrics.read_staleness,
-        fallback_rate=metrics.fallback_rate,
     )

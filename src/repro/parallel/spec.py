@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.metrics.summary import MetricsView, RunMetrics
 from repro.workload.scenarios import Scenario
 
 if TYPE_CHECKING:
@@ -28,7 +29,6 @@ if TYPE_CHECKING:
     # a module-level import here would close that cycle.
     from repro.experiments.harness import RunResult
     from repro.faults.schedule import FaultSchedule
-    from repro.metrics.summary import RunMetrics
     from repro.workload.cluster import ClusterScenario
 
 #: Injectable worker stopwatch — a *reference* to ``time.perf_counter``,
@@ -59,14 +59,14 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """The picklable rendering of one finished run."""
+class RunOutcome(MetricsView):
+    """The picklable rendering of one finished run (flat metric access as
+    on ``RunResult``, through :class:`MetricsView`)."""
 
     scenario: "Scenario | ClusterScenario"
     metrics: RunMetrics
     events_executed: int
-    #: ``None`` when the queue build does not track the high-water mark.
-    peak_live_events: Optional[int]
+    peak_live_events: int
     trace_records: int
     #: SHA-256 over the retained trace (deterministic per spec).
     trace_digest: str
@@ -76,7 +76,7 @@ class RunOutcome:
     duplicate_deliveries: int = 0
     #: JSON-safe log of faults actually applied, in firing order.
     faults_applied: List[Dict[str, Any]] = field(default_factory=list)
-    #: Violations the online monitor flagged (``to_dict()`` form).
+    #: Violations the online monitors flagged (``to_dict()`` form).
     violations: List[Dict[str, Any]] = field(default_factory=list)
     violation_counts: Dict[str, int] = field(default_factory=dict)
     #: Degraded-state findings (operator-visible, *not* violations).
@@ -88,45 +88,25 @@ class RunOutcome:
     #: counters; empty on runs without a controller.
     extra: Dict[str, Any] = field(default_factory=dict)
 
-    # Flat conveniences mirroring RunResult's metric surface.
-    @property
-    def admitted(self) -> int:
-        return self.metrics.admitted
-
-    @property
-    def mean_response(self) -> float:
-        return self.metrics.response.mean
-
-    @property
-    def avg_max_distance(self) -> float:
-        return self.metrics.avg_max_distance
-
-    @property
-    def avg_inconsistency(self) -> float:
-        return self.metrics.avg_inconsistency
-
-    @property
-    def delivery_rate(self) -> float:
-        return self.metrics.delivery_rate
-
 
 def outcome_from_result(result: RunResult, wall_s: float = 0.0,
                         key: Optional[Tuple[Any, ...]] = None) -> RunOutcome:
     """Flatten a live :class:`RunResult` into a picklable outcome."""
+    from repro.faults.monitor import kind_counts
     from repro.metrics.collectors import duplicate_deliveries
 
     service = result.service
     fabric = service.fabric
-    monitor = result.monitor
     injector = result.injector
-    peak = getattr(service.sim, "peak_pending_events", None)
+    violations = result.violations
+    fingerprint = result.fingerprint
     return RunOutcome(
         scenario=result.scenario,
         metrics=result.metrics,
-        events_executed=service.sim.events_executed,
-        peak_live_events=int(peak) if peak is not None else None,
-        trace_records=len(service.trace),
-        trace_digest=service.trace.digest(),
+        events_executed=fingerprint.events_executed,
+        peak_live_events=fingerprint.peak_live_events,
+        trace_records=fingerprint.trace_records,
+        trace_digest=fingerprint.digest,
         network={
             "messages_sent": fabric.messages_sent,
             "messages_delivered": fabric.messages_delivered,
@@ -136,12 +116,9 @@ def outcome_from_result(result: RunResult, wall_s: float = 0.0,
         },
         duplicate_deliveries=duplicate_deliveries(service),
         faults_applied=list(injector.applied) if injector is not None else [],
-        violations=[violation.to_dict() for violation in monitor.violations]
-        if monitor is not None else [],
-        violation_counts=monitor.violation_counts()
-        if monitor is not None else {},
-        degraded_counts=monitor.degraded_counts()
-        if monitor is not None else {},
+        violations=[violation.to_dict() for violation in violations],
+        violation_counts=kind_counts(violations),
+        degraded_counts=kind_counts(result.degraded),
         wall_s=wall_s,
         key=key,
         extra=result.elastic_summary(),

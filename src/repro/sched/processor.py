@@ -20,6 +20,7 @@ Trace categories emitted (on ``sim.trace``):
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import DeadlineMissError, InvalidTaskError
@@ -132,6 +133,8 @@ class Processor:
         self.busy_time = 0.0
         self.jobs_completed = 0
         self.deadline_misses = 0
+        #: Ready jobs sorted by the policy's key (static, and unique through
+        #: ``jid``): the head is always the next to run.
         self._ready: List[Job] = []
         self._running: Optional[Job] = None
         self._run_started_at = 0.0
@@ -291,7 +294,7 @@ class Processor:
         if trace.enabled("job_release"):
             trace.record("job_release", cpu=self.name, job=job.name,
                          index=job.index, band=job.band)
-        self._ready.append(job)
+        insort(self._ready, job, key=self._key)
         self._reschedule()
 
     def _reschedule(self) -> None:
@@ -301,8 +304,7 @@ class Processor:
             if not self._preemptive or not ready:
                 return
             key = self._key
-            best = ready[0] if len(ready) == 1 else min(ready, key=key)
-            if key(best) < key(running):
+            if key(ready[0]) < key(running):
                 self._preempt(running)
             else:
                 return
@@ -318,7 +320,7 @@ class Processor:
             self._completion_event.cancel()
             self._completion_event = None
         self._running = None
-        self._ready.append(job)
+        insort(self._ready, job, key=self._key)
         trace = self.sim.trace
         if trace.enabled("job_preempt"):
             trace.record("job_preempt", cpu=self.name, job=job.name,
@@ -331,12 +333,7 @@ class Processor:
             if self.on_idle is not None:
                 self.on_idle()
             return
-        ready = self._ready
-        if len(ready) == 1:
-            job = ready.pop()
-        else:
-            job = min(ready, key=self._key)
-            ready.remove(job)
+        job = self._ready.pop(0)
         if job.start_time is None:
             job.start_time = self.sim.now
         self._running = job

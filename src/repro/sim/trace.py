@@ -110,25 +110,6 @@ class Tracer:
             self._live_cache[category] = live
         return live
 
-    def record_if(self, category: str) -> Optional[
-            Callable[..., None]]:
-        """The bound :meth:`record` method if ``category`` is live, else None.
-
-        Lets a tight loop hoist both the liveness decision and the method
-        lookup::
-
-            rec = trace.record_if("tick")
-            for ...:
-                if rec is not None:
-                    rec("tick", step=i)
-
-        The returned value is a *snapshot*: re-query after any
-        :meth:`enable_only` / :meth:`enable_all` / :meth:`subscribe` /
-        :meth:`unsubscribe` call, or a freshly-enabled category (or a new
-        listener) will be missed by loops still holding ``None``.
-        """
-        return self.record if self.enabled(category) else None
-
     def record(self, category: str, **fields: Any) -> None:
         """Append one record stamped with the current virtual time.
 

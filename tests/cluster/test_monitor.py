@@ -42,6 +42,6 @@ def test_degraded_findings_reach_the_run_outcome():
         scenario=ClusterScenario(n_shards=2, n_hosts=4, n_objects=4,
                                  horizon=3.0),
         service=cluster, metrics=collect_cluster(cluster, 3.0).cluster,
-        monitor=monitor)
+        monitors=[monitor])
     assert outcome_from_result(result).degraded_counts == {
         "replication_degraded": 4}

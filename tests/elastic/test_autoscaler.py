@@ -2,11 +2,12 @@
 
 from types import SimpleNamespace
 
-from repro.elastic.autoscaler import AutoscalePolicy, Autoscaler
+from repro.elastic.autoscaler import Autoscaler, peak_utilization
 from repro.sim.engine import Simulator
+from repro.workload.elastic import ElasticScenario
 
 
-def make_autoscaler(**policy_overrides):
+def make_autoscaler(**knobs):
     """An autoscaler over a one-host fake cluster with a dialable load."""
     sim = Simulator()
     level = {"utilization": 0.0}
@@ -16,10 +17,10 @@ def make_autoscaler(**policy_overrides):
             planned_utilization=lambda: level["utilization"]))
     cluster = SimpleNamespace(sim=sim, slots={0: slot})
     actions = []
-    policy = AutoscalePolicy(**{"period": 0.1, "cooldown": 100.0,
-                                **policy_overrides})
+    scenario = ElasticScenario(**{"autoscale_period": 0.1,
+                                  "autoscale_cooldown": 100.0, **knobs})
     scaler = Autoscaler(
-        cluster, policy,
+        cluster, scenario,
         scale_out=lambda reason: actions.append(("out", reason)),
         scale_in=lambda reason: actions.append(("in", reason)))
     return sim, scaler, level, actions
@@ -42,7 +43,7 @@ def test_pressure_needs_a_full_streak():
 
 def test_cooldown_suppresses_back_to_back_actions():
     sim, scaler, level, actions = make_autoscaler(
-        high_watermark=0.5, high_samples=2, cooldown=1.0)
+        high_watermark=0.5, high_samples=2, autoscale_cooldown=1.0)
     level["utilization"] = 0.9
     scaler.start()
     sim.run(until=2.5)
@@ -119,4 +120,4 @@ def test_draining_and_dead_hosts_are_ignored():
     sim.run(until=0.35)
     # The only loaded host is draining: no pressure is visible.
     assert actions == []
-    assert scaler.peak_utilization() == 0.0
+    assert peak_utilization(scaler.cluster) == 0.0

@@ -6,6 +6,10 @@ least one live migration and one autoscaler action happen *mid-traffic*
 (asserted against the trace, not just the counters).
 """
 
+import json
+
+from repro.__main__ import main
+from repro.elastic.migration import MIGRATION_MISSING_BARRIER, ShardMigration
 from repro.faults.report import run_chaos
 from repro.faults.scenarios import SCENARIOS
 
@@ -29,7 +33,7 @@ def test_flash_crowd_scales_out_with_zero_violations():
     run = run_chaos("flash_crowd", seed=0)
     assert run.unexpected_violations() == []
     result = run.result
-    assert result.migration_monitor.violations == []
+    assert result.violations == []
 
     controller = result.controller
     assert controller.scale_outs >= 1
@@ -54,7 +58,7 @@ def test_scaleup_race_with_failover_aborts_then_retries_to_commit():
     run = run_chaos("scaleup_race_with_failover", seed=0)
     assert run.unexpected_violations() == []
     result = run.result
-    assert result.migration_monitor.violations == []
+    assert result.violations == []
 
     trace = result.service.trace
     # The crash mid-wave aborts the first attempt; standing pressure
@@ -81,7 +85,7 @@ def test_rolling_decommission_evacuates_both_hosts_cleanly():
     run = run_chaos("rolling_decommission", seed=0)
     assert run.unexpected_violations() == []
     result = run.result
-    assert result.migration_monitor.violations == []
+    assert result.violations == []
 
     cluster = result.service
     trace = cluster.trace
@@ -98,3 +102,22 @@ def test_rolling_decommission_evacuates_both_hosts_cleanly():
         assert group.current_primary() is not None
     # Walking two primaries off their hosts forced two clean failovers.
     assert len(trace.select("failover")) >= 2
+
+
+def test_migration_findings_reach_the_chaos_report_and_fail_the_verb(
+        monkeypatch, tmp_path, capsys):
+    """A hand-over that skips its reconfiguration barrier is caught by the
+    migration invariant — and the finding must not stop at the monitor:
+    it is in the report's ``unexpected`` list and the verb exits 1."""
+    monkeypatch.setattr(ShardMigration, "_poll_barrier",
+                        ShardMigration._commit)
+    path = tmp_path / "flash_crowd.json"
+    status = main(["chaos", "--scenario", "flash_crowd", "--seed", "0",
+                   "--output", str(path)])
+    invariants = json.loads(path.read_text())["invariants"]
+    kinds = [finding["kind"] for finding in invariants["unexpected"]]
+    assert MIGRATION_MISSING_BARRIER in kinds
+    assert invariants["violation_counts"][MIGRATION_MISSING_BARRIER] >= 1
+    assert status == 1
+    assert f"UNEXPECTED flash_crowd: {MIGRATION_MISSING_BARRIER}" in \
+        capsys.readouterr().err

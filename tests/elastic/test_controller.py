@@ -26,7 +26,7 @@ def test_idle_cluster_scales_in_and_retires_the_victim():
     assert cluster.shard_map.n_shards == 1
     # Zero violations across the reconfiguration.
     assert result.monitor.violation_counts() == {}
-    assert result.migration_monitor.violations == []
+    assert result.violations == []
 
 
 def test_scale_in_stops_at_min_groups():

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.cluster.placement import PlacementRejection
-from repro.elastic.shedding import OverloadShedder, SheddingPolicy
+from repro.elastic.shedding import OverloadShedder
 from repro.workload.cluster import ClusterScenario, build_cluster
+from repro.workload.elastic import ElasticScenario
 
 
-def make_shedder(**policy_overrides):
+def make_shedder(**shed_knobs):
     scenario = ClusterScenario(n_shards=2, n_hosts=4, n_objects=8,
                                horizon=10.0, seed=0)
     cluster = build_cluster(scenario)
     cluster.run(1.0)
-    shedder = OverloadShedder(cluster,
-                              SheddingPolicy(**policy_overrides))
+    shedder = OverloadShedder(cluster, ElasticScenario(**shed_knobs))
     return cluster, shedder
 
 
@@ -23,7 +23,7 @@ def original_windows(cluster):
 
 
 def test_shed_widens_the_target_groups_windows():
-    cluster, shedder = make_shedder(widen_factor=2.0)
+    cluster, shedder = make_shedder(shed_factor=2.0)
     before = original_windows(cluster)
     shedder._shed([])
     assert shedder.degradations > 0
@@ -54,7 +54,7 @@ def test_restore_returns_the_original_specs():
 
 
 def test_rejection_suggestion_overrides_the_widen_factor():
-    cluster, shedder = make_shedder(widen_factor=2.0)
+    cluster, shedder = make_shedder(shed_factor=2.0)
     specs = cluster.registered_specs()
     # Ask for far more than the factor would grant.
     suggested = max(spec.delta_backup for spec in specs) + 1.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,16 +12,21 @@ from repro.cluster.metrics import collect_cluster
 from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.elastic.controller import ElasticController
 from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
-from repro.elastic.migration import MigrationWindowInvariant
+from repro.elastic.migration import MigrationWindowInvariant, ShardMigration
 from repro.experiments.harness import (
     METRIC_TRACE_CATEGORIES,
+    RunResult,
     collect,
     run_scenario,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.monitor import InvariantMonitor
+from repro.faults.monitor import (
+    InvariantMonitor,
+    InvariantViolation,
+    kind_counts,
+)
 from repro.faults.scenarios import build
-from repro.parallel import RunSpec
+from repro.parallel import RunSpec, outcome_from_result
 from repro.workload.cluster import build_cluster
 from repro.workload.elastic import ElasticScenario
 from repro.workload.scenarios import Scenario, build_scenario
@@ -142,9 +148,61 @@ def test_hand_stepped_pipeline_equals_run_scenario(name):
     scenario = dataclasses.replace(build(name, seed=1).workload, horizon=10.0)
     result = run_scenario(scenario, monitor=True,
                           fault_schedule=build(name, seed=1).schedule)
-    violations = [len(result.monitor.violations)]
-    if result.migration_monitor is not None:
-        violations.append(len(result.migration_monitor.violations))
+    violations = [len(monitor.violations) for monitor in result.monitors]
+    assert sum(violations) == len(result.violations)
     assert hand_stepped(scenario, build(name, seed=1).schedule) == (
         result.service.trace.digest(), result.metrics, violations)
     assert (result.controller is not None) == (name == "flash_crowd")
+
+
+@pytest.mark.parametrize("name", ["primary_crash_burst_loss",
+                                  "cluster_group_outage", "flash_crowd"])
+def test_findings_of_every_monitor_reach_the_result_and_the_outcome(
+        name, monkeypatch):
+    # Skipping the reconfiguration barrier gives the elastic run's second
+    # monitor something to find; the other two topologies never migrate.
+    monkeypatch.setattr(ShardMigration, "_poll_barrier",
+                        ShardMigration._commit)
+    chaos = build(name, seed=1)
+    result = run_scenario(dataclasses.replace(chaos.workload, horizon=10.0),
+                          monitor=True, fault_schedule=chaos.schedule)
+    assert [type(monitor) for monitor in result.monitors] == {
+        "primary_crash_burst_loss": [InvariantMonitor],
+        "cluster_group_outage": [ClusterInvariantMonitor],
+        "flash_crowd": [ClusterInvariantMonitor, MigrationWindowInvariant],
+    }[name]
+    assert result.monitors[-1].violations  # the run is not vacuous
+    for merged, attr in ((result.violations, "violations"),
+                         (result.degraded, "degraded")):
+        tagged = [(finding.time, rank, index, finding)
+                  for rank, monitor in enumerate(result.monitors)
+                  for index, finding in enumerate(getattr(monitor, attr))]
+        tagged.sort(key=lambda entry: entry[:3])
+        assert [id(finding) for finding in merged] == [
+            id(finding) for *_order, finding in tagged]
+    outcome = outcome_from_result(result)
+    assert outcome.violation_counts == kind_counts(result.violations)
+    assert outcome.violations == [violation.to_dict()
+                                  for violation in result.violations]
+    assert outcome.degraded_counts == kind_counts(result.degraded)
+    assert outcome.extra == result.elastic_summary()
+    if name == "flash_crowd":
+        assert outcome.extra["migration_violations"] == len(
+            result.monitors[-1].violations)
+
+
+def test_merged_findings_keep_attach_order_within_an_instant():
+    def finding(time, kind):
+        return InvariantViolation(time, kind)
+
+    first = SimpleNamespace(
+        violations=[finding(1.0, "a"), finding(3.0, "d")], degraded=[])
+    second = SimpleNamespace(
+        violations=[finding(1.0, "b"), finding(2.0, "c")],
+        degraded=[finding(0.5, "slow")])
+    result = RunResult(scenario=None, service=None, metrics=None,
+                       monitors=[first, second])
+    assert [found.kind for found in result.violations] == list("abcd")
+    assert [found.kind for found in result.degraded] == ["slow"]
+    assert result.monitor is first
+    assert RunResult(scenario=None, service=None, metrics=None).violations == []

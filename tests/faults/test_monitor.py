@@ -7,12 +7,14 @@ that violation kind, online, at a sensible virtual time.
 
 import pytest
 
+from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.core.service import (
     BACKUP_ADDRESS,
     PRIMARY_ADDRESS,
     RTPBService,
 )
 from repro.core.spec import ServiceConfig
+from repro.elastic.migration import MigrationWindowInvariant
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import (
     MISSED_FAILOVER,
@@ -22,6 +24,7 @@ from repro.faults.monitor import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.units import ms
+from repro.workload.cluster import ClusterScenario, build_cluster
 from repro.workload.generator import homogeneous_specs
 
 
@@ -163,3 +166,49 @@ def test_violation_to_dict_round_trips_details():
     assert as_dict["kind"] == TEMPORAL_WINDOW
     assert as_dict["time"] == monitor.violations[0].time
     assert "object" in as_dict
+
+
+def _stale_read(cluster):
+    cluster.trace.record("read_served", service=cluster.groups[0].name,
+                         object=0, server="replica", staleness=1.0,
+                         bound=0.5)
+
+
+def _unbarriered_commit(cluster):
+    source, dest = cluster.groups
+    ids = str(source.registered_specs()[0].object_id)
+    for category in ("migration_freeze", "migration_commit"):
+        cluster.trace.record(category, source=source.name, dest=dest.name,
+                             ids=ids)
+
+
+#: Each monitor class with a record sequence that makes it emit one finding.
+MONITORS = {
+    "group": (lambda cluster: InvariantMonitor(cluster.groups[0]),
+              _stale_read),
+    "cluster": (ClusterInvariantMonitor, _stale_read),
+    "migration": (MigrationWindowInvariant, _unbarriered_commit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITORS))
+def test_attach_and_detach_are_idempotent_for_every_monitor(name):
+    build_monitor, provoke = MONITORS[name]
+    cluster = build_cluster(ClusterScenario(n_shards=2, n_hosts=4,
+                                            n_objects=4, seed=0))
+    cluster.start()
+    monitor = build_monitor(cluster)
+    provoke(cluster)
+    assert monitor.violations == []  # never attached: sees nothing
+    monitor.attach()
+    monitor.attach()
+    provoke(cluster)
+    assert len(monitor.violations) == 1  # one subscription, not two
+    assert len(cluster.trace.select("invariant_violation")) == 1
+    monitor.detach()
+    monitor.detach()
+    provoke(cluster)
+    assert len(monitor.violations) == 1  # detached: sees nothing
+    monitor.attach()
+    provoke(cluster)
+    assert len(monitor.violations) == 2

@@ -11,7 +11,7 @@ def test_summary_collects_everything():
     service = build_scenario(Scenario(n_objects=3, horizon=6.0, seed=4))
     service.run(6.0)
     summary = summarize_run(service, horizon=6.0)
-    assert summary.objects == 3
+    assert summary.admitted == 3
     assert summary.response.count > 80
     assert summary.delivery_rate > 0.9
     assert summary.avg_max_distance == 0.0  # no loss

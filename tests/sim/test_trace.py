@@ -190,7 +190,7 @@ def test_select_returns_copy_not_index_bucket():
 
 
 # ---------------------------------------------------------------------------
-# enabled() / record_if(): the dead-category fast path
+# enabled(): the dead-category fast path
 # ---------------------------------------------------------------------------
 
 
@@ -249,16 +249,6 @@ def test_enable_only_invalidates_cached_decisions():
     assert trace.enabled("a")
     trace.record("a", n=1)
     assert len(trace) == 1
-
-
-def test_record_if_returns_bound_record_or_none():
-    trace = Tracer(clock=lambda: 0.0)
-    trace.enable_only("kept")
-    assert trace.record_if("dropped") is None
-    rec = trace.record_if("kept")
-    assert rec is not None
-    rec("kept", n=7)
-    assert trace.select("kept")[0]["n"] == 7
 
 
 # ---------------------------------------------------------------------------
