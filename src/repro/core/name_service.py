@@ -34,6 +34,9 @@ class NameService:
         #: failover; roles carry the *read* topology (which replicas serve
         #: a shard) without ever competing for the primary slot.
         self._roles: Dict[str, Dict[str, int]] = {}
+        #: service name → ``(role, composite name, address)`` sorted by role,
+        #: for :meth:`lookup_roles`; dropped when a role under it changes.
+        self._listings: Dict[str, List[Tuple[str, str, int]]] = {}
         #: Full change history: (time, name, address); ``UNPUBLISHED`` (-1)
         #: as the address marks a removal.  Role entries appear under their
         #: composite ``name#role`` form.
@@ -109,6 +112,7 @@ class NameService:
                 f"name/role may not contain {ROLE_SEPARATOR!r}: "
                 f"{name!r} / {role!r}")
         self._roles.setdefault(name, {})[role] = address
+        self._listings.pop(name, None)
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, address))
         self.sim.trace.record("name_update", name=composite, address=address)
@@ -120,6 +124,7 @@ class NameService:
             return
         if not roles:
             del self._roles[name]
+        self._listings.pop(name, None)
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, UNPUBLISHED))
         self.sim.trace.record("name_unpublish", name=composite)
@@ -135,15 +140,15 @@ class NameService:
         entry to fall back on.  ``prefix`` filters by role name
         (``"replica"`` selects the read replicas).
         """
-        entries = []
-        for role, address in sorted(self._roles.get(name, {}).items()):
-            if not role.startswith(prefix):
-                continue
-            if self._liveness is not None and not self._liveness(
-                    f"{name}{ROLE_SEPARATOR}{role}", address):
-                continue
-            entries.append((role, address))
-        return entries
+        listing = self._listings.get(name)
+        if listing is None:
+            listing = self._listings[name] = [
+                (role, f"{name}{ROLE_SEPARATOR}{role}", address)
+                for role, address in sorted(self._roles.get(name, {}).items())]
+        liveness = self._liveness
+        return [(role, address) for role, composite, address in listing
+                if role.startswith(prefix)
+                and (liveness is None or liveness(composite, address))]
 
     def peek_role(self, name: str, role: str) -> Optional[int]:
         """Raw role entry (no liveness guard, no raise)."""

@@ -55,6 +55,14 @@ REPLICA_STALENESS = "replica_staleness"
 #: are observability findings, not invariant violations).
 DEGRADED_KINDS = ("replication_degraded", "client_response_degraded")
 
+#: The categories ``InvariantMonitor._on_record`` acts on; it drops the rest
+#: (``job_*``, ``link_*``: most of a monitored run) before its compare chain.
+_WATCHED = frozenset({
+    "primary_write", "backup_apply", "server_crash", "failover", "recruited",
+    "reattached", "read_served", *DEGRADED_KINDS, "server_recover",
+    "cluster_place", "migration_freeze", "migration_commit",
+    "migration_abort", "window_degraded", "window_restored"})
+
 
 def _server_name(server: Any) -> str:
     """A server's trace identity (``name`` attribute, host name fallback)."""
@@ -188,6 +196,8 @@ class InvariantMonitor(TraceMonitor):
 
     def _on_record(self, record: TraceRecord) -> None:
         category = record.category
+        if category not in _WATCHED:
+            return
         if category == "primary_write":
             self._on_primary_write(record)
         elif category == "backup_apply":
@@ -217,7 +227,7 @@ class InvariantMonitor(TraceMonitor):
         elif category in DEGRADED_KINDS:
             if self._is_member(record.get("server")):
                 self.degraded.append(InvariantViolation(
-                    record.time, category, dict(record.fields)))
+                    record.time, category, record.fields))
         elif category == "server_recover":
             if self._is_member(record.get("server")):
                 self._schedule_split_check()

@@ -7,51 +7,102 @@ them directly.  Online observers (the fault subsystem's invariant monitor)
 :meth:`~Tracer.subscribe` instead and see every record as it is produced,
 independently of the storage filter.
 
-Storage is one append-only list plus a per-category view of it, so
-:meth:`Tracer.categories` is a dict copy and :meth:`Tracer.select` never
-looks outside the queried category.  A single-field equality query
-(``select("primary_write", object=3)`` — the shape every per-object metric
-collector issues) is answered from a hash index of that category's records
-grouped by that field's value.  The index for a (category, field) pair is
-built by the first query that names the pair and catches up, at the next
-such query, with whatever the category has stored since; recording never
-touches it, so a pair nobody queries costs nothing, and collecting N
-objects' records walks the category once instead of N times.  Multi-field
-queries, unhashable values, and fields some record holds an unhashable
-value in fall back to scanning the category — the reference the index is
-tested against.  Iteration order, result order, :meth:`Tracer.digest`, and
-the storage filter semantics are those of a plain scan of the whole trace.
+A record is four slots — ``time``, ``category``, a *shape* and a ``values``
+tuple.  The shape (key order, key -> position, precompiled digest template)
+is interned once per (category, key tuple), so the ~100k ``read_served``
+rows of a read-heavy run share one; ``record[key]`` / ``.get`` read through
+it, and ``record.fields`` is a fresh dict per access: no listener or
+:meth:`Tracer.ingest` caller can rewrite a stored record through it.
+
+Storage is one append-only list plus a per-category view of it.  A
+single-field equality query (``select("primary_write", object=3)``, what
+every per-object collector issues) is answered from a hash index of that
+category's records grouped by that field's value, built by the first query
+that names the (category, field) pair and caught up at each later one;
+recording never touches it.  Multi-field queries, unhashable values, and
+fields holding an unhashable value fall back to scanning the category — the
+reference the index is tested against.  Iteration order, result order,
+:meth:`Tracer.digest` and the filter semantics are those of a plain scan.
 
 Dead categories cost (almost) nothing: :meth:`Tracer.enabled` answers
 "would a record of this category go anywhere?" from a per-category cache,
 so hot call sites can guard with ``if trace.enabled("tick"):`` and skip
-building the keyword-argument dict, the clock call, and the frozen
-dataclass entirely when a run has narrowed the filter.  The guard is
-digest-neutral by construction — it only ever skips records that
-:meth:`record` would have dropped on arrival.
+building the keyword-argument dict, the clock call, and the record entirely
+when a run has narrowed the filter.  The guard is digest-neutral by
+construction — it only ever skips records that :meth:`record` would have
+dropped on arrival.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from types import MappingProxyType
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
+
+#: (category, key tuple) -> its one shape: a process-wide intern table.
+_SHAPES: Dict[Tuple[str, Tuple[str, ...]], _Shape] = {}
 
 
-@dataclass(frozen=True)
+def _literal(text: str) -> str:
+    """``repr(text)`` with its braces escaped for a ``str.format`` template."""
+    return repr(text).replace("{", "{{").replace("}", "}}")
+
+
+class _Shape:
+    """What all records of one (category, key tuple) share."""
+
+    __slots__ = ("index", "template")
+
+    def __init__(self, category: str, keys: Tuple[str, ...]) -> None:
+        #: key -> position in a record's ``values``, in the record's key order.
+        self.index = {key: position for position, key in enumerate(keys)}
+        #: ``repr((time, category, sorted(fields.items())))`` as a
+        #: ``str.format`` template over ``(time, *values)``.
+        pairs = ", ".join(f"({_literal(key)}, {{{self.index[key] + 1}!r}})"
+                          for key in sorted(keys))
+        self.template = f"({{0!r}}, {_literal(category)}, [{pairs}])"
+
+
 class TraceRecord:
     """One traced occurrence at virtual time :attr:`time`."""
 
-    time: float
-    category: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "category", "shape", "values")
+
+    def __init__(self, time: float, category: str,
+                 fields: Mapping[str, Any] = MappingProxyType({})) -> None:
+        keys = tuple(fields)
+        shape = _SHAPES.get((category, keys))
+        if shape is None:
+            shape = _SHAPES[category, keys] = _Shape(category, keys)
+        self.time = time
+        self.category = category
+        self.shape = shape
+        self.values = tuple(fields.values())
+
+    @property
+    def fields(self) -> Dict[str, Any]:
+        return dict(zip(self.shape.index, self.values))
 
     def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
+        return self.values[self.shape.index[key]]
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
+        position = self.shape.index.get(key)
+        return default if position is None else self.values[position]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return ((self.time, self.category, self.fields)
+                == (other.time, other.category, other.fields))
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time={self.time!r}, "
+                f"category={self.category!r}, fields={self.fields!r})")
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return TraceRecord, (self.time, self.category, self.fields)
 
 
 class _FieldIndex:
@@ -129,7 +180,7 @@ class Tracer:
         for listener in self._listeners:
             listener(record)
         if (self._enabled is None or category in self._enabled):
-            self._store(record)
+            self.ingest(record)
 
     def ingest(self, record: TraceRecord) -> None:
         """Store a pre-built record, bypassing clock, filter, and listeners.
@@ -138,9 +189,6 @@ class Tracer:
         model code uses :meth:`record`.  Going through this method (never
         ``_records`` directly) keeps the category index coherent.
         """
-        self._store(record)
-
-    def _store(self, record: TraceRecord) -> None:
         self._records.append(record)
         bucket = self._by_category.get(record.category)
         if bucket is None:
@@ -213,7 +261,7 @@ class Tracer:
         if index.absorbed < len(bucket):
             try:
                 for record in bucket[index.absorbed:]:
-                    field_value = record.fields.get(key)
+                    field_value = record.get(key)
                     group = groups.get(field_value)
                     if group is None:
                         groups[field_value] = [record]
@@ -240,10 +288,11 @@ class Tracer:
         chaos reports rely on this as a cheap whole-trace fingerprint.
         """
         hasher = hashlib.sha256()
-        for record in self._records:
-            canonical = (record.time, record.category,
-                         sorted(record.fields.items()))
-            hasher.update(repr(canonical).encode())
+        records, chunk = self._records, 1024  # records per hasher.update
+        for start in range(0, len(records), chunk):
+            hasher.update("".join([
+                record.shape.template.format(record.time, *record.values)
+                for record in records[start:start + chunk]]).encode())
         return hasher.hexdigest()
 
     def clear(self) -> None:

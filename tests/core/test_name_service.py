@@ -158,3 +158,51 @@ def test_liveness_probe_guards_lookup_but_not_peek():
     # Removing the probe restores the paper's trust-the-file behaviour.
     service.set_liveness_probe(None)
     assert service.lookup("rtpb") == 1
+
+
+@pytest.mark.parametrize("probed", [False, True])
+def test_role_listing_follows_every_publish_and_unpublish(probed):
+    # lookup_roles keeps one sorted listing per name between changes: each
+    # change must show at the very next lookup, and the probe — whose answer
+    # may change without the name file changing — is asked on every call.
+    service = NameService(Simulator())
+    asked = []
+    dead = set()
+
+    def probe(name, address):
+        asked.append((name, address))
+        return name not in dead
+
+    if probed:
+        service.set_liveness_probe(probe)
+    service.publish("rtpb", 1)
+    assert service.lookup_roles("rtpb") == []  # an empty listing is kept too
+    service.publish_role("rtpb", "replica1", 6)
+    assert service.lookup_roles("rtpb") == [("replica1", 6)]
+    service.publish_role("rtpb", "replica0", 5)
+    assert service.lookup_roles("rtpb") == [("replica0", 5), ("replica1", 6)]
+    assert service.lookup_roles("rtpb", prefix="replica1") == [
+        ("replica1", 6)]
+    service.publish_role("rtpb", "replica0", 9)  # overwrite in place
+    assert service.lookup_roles("rtpb") == [("replica0", 9), ("replica1", 6)]
+    service.unpublish_role("rtpb", "replica1")
+    assert service.lookup_roles("rtpb") == [("replica0", 9)]
+    service.unpublish("rtpb")  # takes the remaining role down with it
+    assert service.lookup_roles("rtpb") == []
+    service.publish("rtpb", 2)
+    service.publish_role("rtpb", "replica0", 7)
+    assert service.lookup_roles("rtpb") == [("replica0", 7)]
+    service.publish_role("other", "replica0", 8)  # another name's listing
+    assert service.lookup_roles("rtpb") == [("replica0", 7)]
+    if probed:
+        asked.clear()
+        assert service.lookup_roles("rtpb") == [("replica0", 7)]
+        assert service.lookup_roles("rtpb") == [("replica0", 7)]
+        assert asked == [("rtpb#replica0", 7)] * 2
+        dead.add("rtpb#replica0")
+        assert service.lookup_roles("rtpb") == []
+        dead.clear()
+        assert service.lookup_roles("rtpb") == [("replica0", 7)]
+        service.set_liveness_probe(None)
+        dead.add("rtpb#replica0")
+        assert service.lookup_roles("rtpb") == [("replica0", 7)]

@@ -5,6 +5,10 @@ fault pattern engineered to break a specific invariant must produce exactly
 that violation kind, online, at a sensible virtual time.
 """
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from repro.cluster.monitor import ClusterInvariantMonitor
@@ -15,6 +19,7 @@ from repro.core.service import (
 )
 from repro.core.spec import ServiceConfig
 from repro.elastic.migration import MigrationWindowInvariant
+from repro.faults import monitor as monitor_module
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import (
     MISSED_FAILOVER,
@@ -212,3 +217,38 @@ def test_attach_and_detach_are_idempotent_for_every_monitor(name):
     monitor.attach()
     provoke(cluster)
     assert len(monitor.violations) == 2
+
+
+def test_early_return_set_names_exactly_the_dispatched_categories():
+    # `_on_record` returns at once for a category outside `_WATCHED`; a
+    # branch added to its chain without a matching entry would be dead.
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(InvariantMonitor._on_record)))
+    namespace = vars(monitor_module)
+    compared = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name)
+                and node.left.id == "category"
+                and isinstance(node.ops[0], (ast.Eq, ast.In))):
+            value = eval(compile(ast.Expression(node.comparators[0]),
+                                 "<chain>", "eval"), namespace)
+            compared.update([value] if isinstance(value, str) else value)
+    assert compared == monitor_module._WATCHED
+
+
+def test_degraded_finding_owns_its_details():
+    # The details of a degraded finding are the record's fields at that
+    # instant; later edits to either must not reach the other.
+    service = make_service()
+    monitor = InvariantMonitor(service)
+    monitor.attach()
+    seen = []
+    service.trace.subscribe(seen.append)
+    service.trace.record("replication_degraded",
+                         server=service.primary_server.name, object=0)
+    (finding,) = monitor.degraded
+    assert finding.details == seen[0].fields
+    finding.details["object"] = 99
+    assert seen[0]["object"] == 0
+    assert service.trace.select("replication_degraded")[0]["object"] == 0

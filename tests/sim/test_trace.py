@@ -1,8 +1,13 @@
 """Unit tests for the tracer."""
 
+import dataclasses
+import gc
 import hashlib
+import pickle
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -369,3 +374,193 @@ def test_index_follows_records_stored_after_the_first_query():
     assert trace.select("write", object=1) == []
     trace.record("write", object=1.0)  # 1 == 1.0 == True
     assert len(trace.select("write", object=True)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The compact record: a shape shared per (category, key tuple) plus a value
+# tuple must be indistinguishable — record API and digest bytes — from the
+# dict-backed record it replaced, which survives here as the reference.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class DictBackedRecord:
+    """The pre-shape record, kept as the reference the new one is held to."""
+
+    time: float
+    category: str
+    fields: dict = dataclasses.field(default_factory=dict)
+
+    def __getitem__(self, key):
+        return self.fields[key]
+
+    def get(self, key, default=None):
+        return self.fields.get(key, default)
+
+
+#: Names that would break a naive template: both templating escapes, both
+#: quote characters (``repr`` switches delimiter on them), a backslash,
+#: non-ASCII, and the empty string.
+AWKWARD_NAMES = st.sampled_from([
+    "plain", "a", "b", "%", "%r", "100%s", "%(time)r", "{", "}", "{0}",
+    "{0!r}", "{{}}", "it's", 'say "hi"', "'\"", "back\\slash", "ключ", "鍵",
+    "", " "])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), NAN, 1e-320,
+                     0.1 + 0.2]),
+    st.text(max_size=6), st.sampled_from(["%r", "{0}", "naïve", "日本"]))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3),
+                            st.tuples(inner, inner)),
+    max_leaves=6)
+#: Insertion-ordered, so one category arrives under several key orders.
+AWKWARD_FIELDS = st.lists(st.tuples(AWKWARD_NAMES, VALUES), max_size=5,
+                          unique_by=lambda pair: pair[0]).map(dict)
+ROWS = st.lists(st.tuples(st.floats(allow_nan=False), AWKWARD_NAMES,
+                          AWKWARD_FIELDS), max_size=12)
+
+
+@given(ROWS)
+@settings(max_examples=300, deadline=None)
+def test_compiled_digest_equals_reference_digest(rows):
+    trace = Tracer(clock=lambda: 0.0)
+    for time, category, fields in rows:
+        trace.ingest(TraceRecord(time, category, fields))
+        # The same category and keys again, in the opposite key order.
+        trace.ingest(TraceRecord(time, category,
+                                 dict(reversed(list(fields.items())))))
+    assert trace.digest() == reference_digest(trace)
+    assert trace.digest() == reference_digest(
+        [DictBackedRecord(*row) for row in rows for _ in range(2)])
+
+
+def test_digest_chunking_is_invisible():
+    # digest() feeds the hasher 1024 records at a time: more than one chunk,
+    # and not a whole number of them.
+    trace = populated_tracer(n=2 * 1024 + 7)
+    assert trace.digest() == reference_digest(trace)
+    assert Tracer(clock=lambda: 0.0).digest() == reference_digest([])
+
+
+@given(st.floats(allow_nan=False), AWKWARD_NAMES, AWKWARD_FIELDS,
+       AWKWARD_NAMES)
+@settings(max_examples=200, deadline=None)
+def test_record_api_matches_dict_backed_reference(time, category, fields,
+                                                  probe):
+    record = TraceRecord(time, category, fields)
+    reference = DictBackedRecord(time, category, dict(fields))
+    assert (record.time, record.category) == (time, category)
+    assert record.fields == reference.fields
+    assert list(record.fields) == list(reference.fields)  # key order too
+    for key in list(fields) + [probe]:
+        assert record.get(key) is reference.get(key)
+        assert record.get(key, probe) is reference.get(key, probe)
+        if key in fields:
+            assert record[key] is reference[key]
+        else:
+            with pytest.raises(KeyError) as raised:
+                record[key]
+            assert raised.value.args == (key,)
+    assert repr(record) == repr(reference).replace("DictBackedRecord",
+                                                   "TraceRecord")
+    # == is the dict-backed one's: same time, category and field *set*.
+    reordered = TraceRecord(time, category,
+                            dict(reversed(list(fields.items()))))
+    assert record == reordered
+    assert record == TraceRecord(time, category, fields)
+    assert record != TraceRecord(time, category, {**fields, "extra": 1})
+    assert record != TraceRecord(time, category + "x", fields)
+    assert record != (time, category, fields)
+    with pytest.raises(TypeError):
+        hash(record)
+    restored = pickle.loads(pickle.dumps(record))
+    # Equal unless a NaN came back as a new object, as for the reference.
+    assert (restored == record) == (
+        pickle.loads(pickle.dumps(reference)) == reference)
+    assert repr(restored) == repr(record)
+    assert restored.shape is record.shape
+    assert list(restored.fields) == list(fields)
+
+
+def test_shapes_are_interned_per_category_and_key_order():
+    first = TraceRecord(1.0, "read_served", {"object": 1, "server": "a"})
+    again = TraceRecord(2.0, "read_served", {"object": 2, "server": "b"})
+    swapped = TraceRecord(1.0, "read_served", {"server": "a", "object": 1})
+    other = TraceRecord(1.0, "read_refused", {"object": 1, "server": "a"})
+    assert first.shape is again.shape
+    assert first.shape is not swapped.shape
+    assert first.shape is not other.shape
+    assert first == swapped
+    assert TraceRecord(1.0, "bare").fields == {}
+
+
+def test_stored_record_cannot_be_rewritten_through_fields():
+    """Regression: ``fields`` used to be the live dict — a listener (or an
+    ``ingest`` caller keeping its own) could rewrite the retained trace."""
+    trace = Tracer(clock=lambda: 1.0)
+
+    def vandal(record):
+        record.fields["object"] = 99
+        record.fields["injected"] = True
+
+    trace.subscribe(vandal)
+    trace.record("write", object=1)
+    kept = {"object": 2}
+    trace.ingest(TraceRecord(2.0, "write", kept))
+    before = trace.digest()
+    kept["object"] = 99
+    kept["injected"] = True
+    for record in trace:
+        vandal(record)
+    assert [record.fields for record in trace] == [{"object": 1},
+                                                   {"object": 2}]
+    assert [record["object"] for record in trace.select("write")] == [1, 2]
+    assert trace.select("write", object=99) == []
+    assert len(trace.select("write", object=2)) == 1
+    assert trace.digest() == before == reference_digest(
+        [DictBackedRecord(1.0, "write", {"object": 1}),
+         DictBackedRecord(2.0, "write", {"object": 2})])
+
+
+def test_retained_records_stay_compact():
+    """Memory canary: retaining a record costs well under the tuple-and-dict
+    it replaced — and stops doing so the day it grows a ``__dict__`` or a
+    per-record dict again."""
+    # The field values exist before measuring and are shared by both sides,
+    # so the bytes compared are those of the representation alone.
+    rows = [{"object": index % 8, "server": "rtpb/r0@host2",
+             "service": "rtpb", "issue": index * 1e-3,
+             "response": index * 1e-3 + 4e-4, "staleness": index * 1e-5,
+             "bound": 0.2} for index in range(20_000)]
+
+    def retained_bytes(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == len(rows)
+        return after - before
+
+    def as_tracer():
+        trace = Tracer(clock=lambda: 0.5)
+        for row in rows:
+            trace.record("read_served", **row)
+        return trace
+
+    def as_tuples_and_dicts():
+        return [(0.5, "read_served", dict(row)) for row in rows]
+
+    compact = retained_bytes(as_tracer)
+    reference = retained_bytes(as_tuples_and_dicts)
+    assert compact <= 0.6 * reference, (compact / len(rows),
+                                        reference / len(rows))
+    assert not hasattr(TraceRecord(0.5, "read_served", rows[0]), "__dict__")
