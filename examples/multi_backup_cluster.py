@@ -10,8 +10,8 @@ Run:  python examples/multi_backup_cluster.py
 """
 
 from repro import ms, to_ms
+from repro.baselines import MultiBackupServer
 from repro.core.service import RTPBService
-from repro.extensions.multibackup import MultiBackupServer
 from repro.workload.generator import homogeneous_specs
 
 HORIZON = 25.0

@@ -275,7 +275,8 @@ def _cluster_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objects", type=int, default=32,
                         help="objects across all shards (default 32)")
     parser.add_argument("--backups", type=int, default=1,
-                        help="backups per group (default 1)")
+                        help="backups per group (default 1; more than one "
+                             "runs the multi_backup discipline)")
     parser.add_argument("--loss", type=float, default=0.0,
                         help="message loss probability (default 0)")
     parser.add_argument("--crash", action="append", default=[],
@@ -354,9 +355,11 @@ def _cluster(parser: argparse.ArgumentParser,
     schedule = _cluster_schedule(parser, args)
 
     def scenario(seed: int) -> ClusterScenario:
+        # Several backups per group need the succession-aware discipline.
         return ClusterScenario(
             n_shards=args.shards, n_hosts=args.hosts,
             n_objects=args.objects, backups_per_group=args.backups,
+            replication="multi_backup" if args.backups > 1 else "rtpb",
             horizon=args.horizon, loss_probability=args.loss, seed=seed)
 
     document: Dict[str, Any]

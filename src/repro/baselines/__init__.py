@@ -2,11 +2,13 @@
 
 A discipline is one :class:`~repro.core.server.ReplicaServer` subclass, run
 by every member of a group whatever its role — so a backup promoted at
-failover keeps the discipline — behind the one facade:
-``RTPBService(server_class=...)``.  :data:`DISCIPLINES` names them all;
-``Scenario.replication`` takes the same names, so figure sweeps, chaos
-schedules, :mod:`repro.parallel` and the collectors apply to every
-discipline unchanged.
+failover keeps the discipline — behind either facade:
+``RTPBService(server_class=...)`` for a pair,
+``ClusterService(server_class=...)`` for every shard of a cluster.
+:data:`DISCIPLINES` names all seven; ``replication`` on every scenario
+takes the same names, so figure sweeps, chaos schedules,
+:mod:`repro.parallel` and the collectors apply to every discipline on
+every topology unchanged.
 
 - ``rtpb`` — :class:`~repro.core.server.ReplicaServer`, the paper's
   protocol: decoupled periodic transmission bounded by the window.
@@ -31,6 +33,9 @@ discipline unchanged.
   :class:`~repro.baselines.active.SemiActiveReplica`, sequencer-ordered
   state-machine replication and the hybrid that answers after the local
   apply.
+- ``multi_backup`` — :class:`~repro.baselines.multibackup.MultiBackupServer`,
+  the paper's first future-work item: a succession of backups with chained
+  failover — the discipline for groups keeping more than one backup.
 """
 
 from typing import Dict, Type
@@ -38,10 +43,14 @@ from typing import Dict, Type
 from repro.baselines.active import ActiveReplica, SemiActiveReplica
 from repro.baselines.eager import EagerServer
 from repro.baselines.fastpath import FastPathEagerServer
+from repro.baselines.multibackup import (
+    MultiBackupServer,
+    MultiBackupServerError,
+)
 from repro.baselines.window_consistent import WindowConsistentServer
 from repro.core.server import ReplicaServer
 
-#: Every replication discipline by its ``Scenario.replication`` name.
+#: Every replication discipline by its ``BaseScenario.replication`` name.
 DISCIPLINES: Dict[str, Type[ReplicaServer]] = {
     "rtpb": ReplicaServer,
     "window_consistent": WindowConsistentServer,
@@ -49,17 +58,27 @@ DISCIPLINES: Dict[str, Type[ReplicaServer]] = {
     "eager_fastpath": FastPathEagerServer,
     "active": ActiveReplica,
     "semi_active": SemiActiveReplica,
+    "multi_backup": MultiBackupServer,
 }
 
 
-def discipline(name: str) -> Type[ReplicaServer]:
-    """The server class registered under ``name``."""
+def discipline(name: str, backups: int = 1) -> Type[ReplicaServer]:
+    """The server class registered under ``name``, for groups keeping
+    ``backups`` backups each."""
     try:
-        return DISCIPLINES[name]
+        server_class = DISCIPLINES[name]
     except KeyError:
         raise ValueError(
             f"unknown replication discipline {name!r}; known: "
             f"{', '.join(sorted(DISCIPLINES))}") from None
+    limit = server_class.max_backups
+    if limit is not None and backups > limit:
+        able = [other for other, cls in DISCIPLINES.items()
+                if cls.max_backups is None or cls.max_backups >= backups]
+        raise ValueError(
+            f"{name!r} replicates to at most {limit} backup(s), not "
+            f"{backups}; use replication={' or '.join(map(repr, able))}")
+    return server_class
 
 
 __all__ = [
@@ -70,4 +89,6 @@ __all__ = [
     "FastPathEagerServer",
     "ActiveReplica",
     "SemiActiveReplica",
+    "MultiBackupServer",
+    "MultiBackupServerError",
 ]

@@ -6,8 +6,10 @@ groups, a placement engine puts each group's replicas on a host pool under
 per-host RM admission budgets, the shared name service becomes a cluster
 directory with a stale-entry guard, and a manager sweep re-places groups
 whose hosts died.  Per-group failover is still exactly the Section 4
-machinery — the cluster layer only decides *where* replicas live and *how
-clients find them*.
+machinery — each shard is the same :class:`~repro.core.group.ReplicationGroup`
+a pair deployment is, running the scenario's replication discipline — and
+the cluster layer only decides *where* replicas live and *how clients find
+them*.
 
 The scenario type and runner live one layer up to keep imports acyclic:
 :class:`repro.workload.cluster.ClusterScenario` runs through
@@ -26,7 +28,7 @@ from repro.cluster.placement import (
 from repro.cluster.service import (
     CLUSTER_PORT_BASE,
     ClusterService,
-    ReplicationGroup,
+    ShardGroup,
 )
 from repro.cluster.shardmap import ShardMap
 
@@ -39,7 +41,7 @@ __all__ = [
     "Placement",
     "PlacementEngine",
     "PlacementRejection",
-    "ReplicationGroup",
+    "ShardGroup",
     "ShardMap",
     "collect_cluster",
     "collect_group",

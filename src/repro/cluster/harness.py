@@ -7,7 +7,7 @@ run retains.
 
 from __future__ import annotations
 
-from repro.experiments.harness import METRIC_TRACE_CATEGORIES
+from repro.metrics.collectors import METRIC_TRACE_CATEGORIES
 
 #: The metric allow-list plus the cluster-management and directory
 #: categories — placement, rejection feedback, host deaths and name-file

@@ -1,8 +1,8 @@
 """Cluster-scope metric aggregation: per-group and cluster-wide.
 
 The existing collectors in :mod:`repro.metrics.collectors` are pure
-functions of a duck-typed deployment view, so they run unchanged over one
-:class:`~repro.cluster.service.ReplicationGroup` (its ``registered_specs``
+functions of a deployment view, so they run unchanged over one
+:class:`~repro.core.group.ReplicationGroup` (its ``registered_specs``
 and ``objects=`` filters scope every count to the shard, even though all
 groups share one trace) and over the whole
 :class:`~repro.cluster.service.ClusterService` (no filter: every record
@@ -17,13 +17,13 @@ else's").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, cast
+from typing import TYPE_CHECKING, Dict
 
-from repro.core.service import RTPBService
+from repro.core.group import ReplicationGroup
 from repro.metrics.summary import RunMetrics, collect_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.service import ClusterService, ReplicationGroup
+    from repro.cluster.service import ClusterService
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ class ClusterMetrics:
     per_group: Dict[str, RunMetrics]
 
 
-def collect_group(group: "ReplicationGroup", horizon: float,
+def collect_group(group: ReplicationGroup, horizon: float,
                   warmup: float = 2.0) -> RunMetrics:
     """Compute :class:`RunMetrics` for one group of a finished cluster run."""
-    return collect_metrics(cast(RTPBService, group), horizon, warmup,
+    return collect_metrics(group, horizon, warmup,
                            objects=group.object_ids())
 
 
@@ -47,6 +47,5 @@ def collect_cluster(cluster: "ClusterService", horizon: float,
                     warmup: float = 2.0) -> ClusterMetrics:
     """Compute cluster-wide and per-group metrics in one call."""
     return ClusterMetrics(
-        cluster=collect_metrics(cast(RTPBService, cluster), horizon, warmup),
-        per_group={group.name: collect_group(group, horizon, warmup)
-                   for group in cluster.groups})
+        cluster=collect_metrics(cluster, horizon, warmup),
+        per_group=cluster.collect_groups(horizon, warmup))

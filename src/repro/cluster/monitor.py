@@ -1,11 +1,11 @@
 """Cluster-wide invariant checking: one monitor per replication group.
 
 :class:`ClusterInvariantMonitor` instantiates a per-group
-:class:`~repro.faults.monitor.InvariantMonitor` over each group's
-deployment view, so split-brain, missed-failover and temporal-window
-checks are *scoped to the shard*: two groups legitimately running one
-primary each never look like a split brain, and a crash in group 3 cannot
-charge a violation to group 7.  Every violation bubbles up into one
+:class:`~repro.faults.monitor.InvariantMonitor` over each group, so
+split-brain, missed-failover and temporal-window checks are *scoped to the
+shard*: two groups legitimately running one primary each never look like
+a split brain, and a crash in group 3 cannot charge a violation to group
+7.  Every violation bubbles up into one
 merged, detection-ordered list with the owning group stamped into its
 details; degraded-state findings merge the same way.
 
@@ -26,7 +26,7 @@ from repro.faults.monitor import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.service import ClusterService, ReplicationGroup
+    from repro.cluster.service import ClusterService, ShardGroup
 
 
 class ClusterInvariantMonitor:
@@ -46,7 +46,7 @@ class ClusterInvariantMonitor:
         for group in cluster.groups:
             self.add_group(group)
 
-    def add_group(self, group: "ReplicationGroup") -> None:
+    def add_group(self, group: "ShardGroup") -> None:
         """Start monitoring a group: the constructor's, or one created
         later (scale-out).
 
@@ -62,7 +62,7 @@ class ClusterInvariantMonitor:
         if self._attached:
             monitor.attach()
 
-    def _stamp(self, group: "ReplicationGroup"
+    def _stamp(self, group: "ShardGroup"
                ) -> Callable[[InvariantViolation], None]:
         def on_violation(violation: InvariantViolation) -> None:
             violation.details.setdefault("group", group.name)

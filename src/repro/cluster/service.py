@@ -24,10 +24,11 @@ simulated hosts:
   directory entries (``group#replicaK``), recruited back by the same
   manager sweep when they die.
 
-Each group is itself a duck-typed deployment view
-(:class:`ReplicationGroup` exposes the :class:`RTPBService` introspection
-surface), so the existing per-service machinery — `SensorClient`,
-`InvariantMonitor`, the metric collectors — runs unchanged per shard.
+Each group is a :class:`~repro.core.group.ReplicationGroup` — the same
+group view a pair deployment is — so `SensorClient`, `InvariantMonitor`,
+the metric collectors and the fault-target grammar run unchanged per
+shard; :class:`ShardGroup` adds only the manager's per-shard bookkeeping.
+The member class is the scenario's replication discipline.
 
 Trace categories: ``cluster_place``, ``cluster_reject``,
 ``cluster_host_down``.
@@ -35,15 +36,16 @@ Trace categories: ``cluster_place``, ``cluster_reject``,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Type
 
 from repro.core.admission import AdmissionController
 from repro.core.client import SensorClient
-from repro.core.failure import CrashInjector
+from repro.core.group import ReplicationGroup
 from repro.core.name_service import ROLE_SEPARATOR, NameService
 from repro.core.server import ReplicaServer, Role, build_processor
 from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.errors import ClusterError, ReplicationError
+from repro.metrics.summary import RunMetrics
 from repro.net.ip import Host
 from repro.net.link import LossModel, NetworkFabric
 from repro.replicas.reader import ReaderClient
@@ -53,6 +55,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.workload.environment import EnvironmentModel
 
+from repro.cluster.metrics import collect_group
 from repro.cluster.placement import (
     HostSlot,
     Placement,
@@ -66,37 +69,30 @@ from repro.cluster.shardmap import ShardMap
 CLUSTER_PORT_BASE = 7000
 
 
-class ReplicationGroup:
-    """One shard's replication group: a logical, re-placeable deployment.
+class ShardGroup(ReplicationGroup):
+    """One shard's group plus what the cluster manager keeps about it.
 
-    The group object persists across *incarnations* (initial placement,
-    re-placements after host deaths); its ``members`` list holds the live
-    incarnation's servers.  It duck-types the ``RTPBService`` introspection
-    surface so monitors, clients and metric collectors treat it as a
-    single-shard deployment sharing the cluster's simulator and trace.
+    It persists across *incarnations* (initial placement, re-placements
+    after host deaths); ``members`` holds the live incarnation's servers.
     """
 
     def __init__(self, cluster: "ClusterService", gid: int) -> None:
-        self.cluster = cluster
+        super().__init__(cluster.sim, cluster.config, cluster.name_service,
+                         f"{cluster.service_name}/g{gid:02d}")
         self.gid = gid
-        self.name = f"{cluster.service_name}/g{gid:02d}"
+        self.aliases = (self.name, f"g{gid:02d}", f"g{gid}")
         self.port = CLUSTER_PORT_BASE + gid
         #: Objects the shard map routed here (registration order).
         self.specs: List[ObjectSpec] = []
-        #: Current incarnation's servers (creation order; primary first).
-        self.members: List[ReplicaServer] = []
         #: Decommissioned servers of earlier incarnations (debugging).
         self.retired: List[ReplicaServer] = []
-        self.client: Optional[SensorClient] = None
         self.parked = False
         #: Scale-in retired this group for good: the sweep skips it and it
         #: is never re-placed (its objects migrated away first).
         self.retired_for_good = False
         #: Completed placements (1 = initial, +1 per re-placement).
         self.placements = 0
-        self._registered: List[ObjectSpec] = []
-        #: Live read replicas (creation order) and their retired forebears.
-        self.replicas: List[ReadReplica] = []
+        #: Retired forebears of the live read replicas.
         self.retired_replicas: List[ReadReplica] = []
         self.reader: Optional[ReaderClient] = None
         self.router: Optional[ReadRouter] = None
@@ -105,94 +101,12 @@ class ReplicationGroup:
         self.replica_seq = 0
         self.replica_parked = False
 
-    # -- RTPBService-compatible surface ---------------------------------
-
-    @property
-    def sim(self) -> Simulator:
-        return self.cluster.sim
-
-    @property
-    def config(self) -> ServiceConfig:
-        return self.cluster.config
-
-    @property
-    def name_service(self) -> NameService:
-        return self.cluster.name_service
-
-    @property
-    def service_name(self) -> str:
-        return self.name
-
-    @property
-    def trace(self) -> Tracer:
-        return self.cluster.sim.trace
-
-    @property
-    def servers(self) -> Dict[int, ReplicaServer]:
-        return dict(enumerate(self.members))
-
-    @property
-    def clients(self) -> List[SensorClient]:
-        return [self.client] if self.client is not None else []
-
-    def registered_specs(self) -> List[ObjectSpec]:
-        return list(self._registered)
-
-    def current_primary(self) -> ReplicaServer:
-        for member in self.members:
-            if member.alive and member.role is Role.PRIMARY:
-                return member
-        raise ReplicationError(f"no live primary in group {self.name}")
-
-    def current_backup(self) -> Optional[ReplicaServer]:
-        for member in self.members:
-            if member.alive and member.role is Role.BACKUP:
-                return member
-        return None
-
-    # -- group-local helpers --------------------------------------------
-
-    def live_members(self) -> List[ReplicaServer]:
-        return [member for member in self.members if member.alive]
-
-    def live_replicas(self) -> List[ReadReplica]:
-        return [replica for replica in self.replicas if replica.alive]
-
     def replica_at(self, address: int) -> Optional[ReadReplica]:
         """This group's live read replica at a fabric address, if any."""
         for replica in self.replicas:
             if replica.alive and replica.host.address == address:
                 return replica
         return None
-
-    def server_at(self, address: int) -> Optional[ReplicaServer]:
-        """The member at a fabric address (live members preferred)."""
-        for member in self.members:
-            if member.host.address == address and member.alive:
-                return member
-        for member in self.members:
-            if member.host.address == address:
-                return member
-        return None
-
-    def authoritative_primary(self) -> Optional[ReplicaServer]:
-        """The live PRIMARY the name file currently points at, if any."""
-        published = self.name_service.peek(self.name)
-        if published is None:
-            return None
-        for member in self.members:
-            if (member.alive and member.role is Role.PRIMARY
-                    and member.host.address == published):
-                return member
-        return None
-
-    def object_ids(self) -> List[int]:
-        return [spec.object_id for spec in self._registered]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        live = len(self.live_members())
-        return (f"<ReplicationGroup {self.name} {live}/{len(self.members)} "
-                f"live, {len(self._registered)} objects>")
 
 
 class ClusterService:
@@ -207,7 +121,8 @@ class ClusterService:
                  replicas_per_group: int = 0,
                  read_period: float = 0.0,
                  read_policy: str = "round_robin",
-                 service_name: str = "rtpb") -> None:
+                 service_name: str = "rtpb",
+                 server_class: Type[ReplicaServer] = ReplicaServer) -> None:
         self.config = config if config is not None else ServiceConfig()
         if self.config.scheduling_mode is SchedulingMode.COMPRESSED:
             raise ClusterError(
@@ -239,13 +154,8 @@ class ClusterService:
                 f"unknown read policy {read_policy!r}; "
                 f"choose one of {', '.join(POLICIES)}")
 
-        #: Every member's class: the pair protocol, or the succession-aware
-        #: server when a group keeps several backups.
-        self.server_class: Type[ReplicaServer] = ReplicaServer
-        if backups_per_group > 1:
-            from repro.extensions.multibackup import MultiBackupServer
-
-            self.server_class = MultiBackupServer
+        #: Every member's class: the replication discipline.
+        self.server_class = server_class
         self.service_name = service_name
         self.n_shards = n_shards
         self.n_hosts = n_hosts
@@ -263,7 +173,6 @@ class ClusterService:
         self.name_service = NameService(self.sim)
         self.name_service.set_liveness_probe(self._entry_alive)
         self.environment = EnvironmentModel(seed=seed)
-        self.injector = CrashInjector(self.sim)
         self.shard_map = ShardMap(n_shards, salt=service_name)
 
         #: The host pool: fabric addresses 1..n_hosts, shared CPUs.
@@ -279,9 +188,9 @@ class ClusterService:
         self.placement = PlacementEngine(self.slots, self.shard_map,
                                          self.config)
 
-        self.groups: List[ReplicationGroup] = [
-            ReplicationGroup(self, gid) for gid in range(n_shards)]
-        self._groups_by_name: Dict[str, ReplicationGroup] = {
+        self.groups: List[ShardGroup] = [
+            ShardGroup(self, gid) for gid in range(n_shards)]
+        self._groups_by_name: Dict[str, ShardGroup] = {
             group.name: group for group in self.groups}
         #: Every placement rejection, in occurrence order (over-capacity
         #: feedback; also traced as ``cluster_reject``).
@@ -292,7 +201,7 @@ class ClusterService:
     # Configuration phase
     # ------------------------------------------------------------------
 
-    def register(self, spec: ObjectSpec) -> ReplicationGroup:
+    def register(self, spec: ObjectSpec) -> ShardGroup:
         """Route one object to its owning group (admission runs at
         placement time, against the destination hosts' budgets)."""
         if self._started:
@@ -302,7 +211,7 @@ class ClusterService:
         return group
 
     def register_all(self, specs: Sequence[ObjectSpec]
-                     ) -> List[ReplicationGroup]:
+                     ) -> List[ShardGroup]:
         return [self.register(spec) for spec in specs]
 
     def registered_specs(self) -> List[ObjectSpec]:
@@ -311,7 +220,7 @@ class ClusterService:
                   for spec in group.registered_specs()]
         return sorted(merged, key=lambda spec: spec.object_id)
 
-    def group_named(self, name: str) -> ReplicationGroup:
+    def group_named(self, name: str) -> ShardGroup:
         group = self._groups_by_name.get(name)
         if group is None:
             raise ClusterError(f"no group named {name!r}")
@@ -340,7 +249,7 @@ class ClusterService:
     # Placement / re-placement
     # ------------------------------------------------------------------
 
-    def _place_group(self, group: ReplicationGroup, event: str) -> bool:
+    def _place_group(self, group: ShardGroup, event: str) -> bool:
         """Place one group's replicas; False (and feedback) on rejection."""
         placed = self.placement.place_group(
             group.gid, group.specs, self.backups_per_group, self.sim.now)
@@ -351,7 +260,7 @@ class ClusterService:
         self._instantiate(group, placed, event)
         return True
 
-    def _park(self, group: ReplicationGroup, flag: str,
+    def _park(self, group: ShardGroup, flag: str,
               rejection: PlacementRejection) -> None:
         """Raise the group's park ``flag``; a rejection is reported (the
         feedback list, a ``cluster_reject`` record) once per parked spell."""
@@ -363,7 +272,7 @@ class ClusterService:
             "cluster_reject", group=group.name, role=rejection.role,
             reason=rejection.reason)
 
-    def _instantiate(self, group: ReplicationGroup,
+    def _instantiate(self, group: ShardGroup,
                      placed: Placement, event: str) -> None:
         """Create, register and start one incarnation of a group."""
         primary_slot = self.slots[placed.primary]
@@ -373,26 +282,22 @@ class ClusterService:
             primary=primary_slot.host,
             backups=[slot.host for slot in backup_slots],
             seat=lambda host: self._seat(group, host))
-        primary = new_members[0]
-
         group.members.extend(new_members)
         group._registered = []
-        for spec in group.specs:
-            decision = primary.register_object(spec)
-            if decision.accepted:
-                group._registered.append(spec)
+        group.register_all(group.specs)
         self.sim.trace.record(
             "cluster_place", group=group.name, event=event,
             primary=primary_slot.host.name,
             backups=",".join(slot.host.name for slot in backup_slots),
             objects=len(group._registered))
         if group.client is None and group._registered:
-            group.client = SensorClient(
+            client = SensorClient(
                 self.sim, self.environment, self.name_service, group.name,
                 resolver=group.server_at, specs=group._registered,
                 name=f"{group.name}.client", write_jitter=self.write_jitter)
+            group.clients.append(client)
             if self._started:
-                group.client.start()
+                client.start()
         if (group.reader is None and group._registered
                 and self.read_period > 0):
             group.router = ReadRouter(
@@ -412,14 +317,14 @@ class ClusterService:
             member.start()
         group.placements += 1
 
-    def _seat(self, group: ReplicationGroup, host: Host) -> Dict[str, object]:
+    def _seat(self, group: ShardGroup, host: Host) -> Dict[str, object]:
         """Constructor keywords of a group member co-located on ``host``:
         the group's port, the host's shared CPU, process-level crashes."""
         return dict(port=group.port,
                     processor=self.slots[host.address].processor,
                     owns_host=False, name=f"{group.name}@{host.name}")
 
-    def _retire_dead(self, group: ReplicationGroup) -> None:
+    def _retire_dead(self, group: ShardGroup) -> None:
         """Decommission dead members: close their group port, refund their
         hosts' admission charges, move them to the retired list."""
         keep: List[ReplicaServer] = []
@@ -469,24 +374,20 @@ class ClusterService:
             self._ensure_replicas(group)
         self.sim.schedule(self.rebalance_period, self._sweep)
 
-    def _repair_pair(self, group: ReplicationGroup) -> None:
-        live = group.live_members()
-        has_standby = any(member.role in (Role.BACKUP, Role.SPARE)
-                          for member in live)
-        if not has_standby:
+    def _repair_pair(self, group: ShardGroup) -> None:
+        spare = group.select("spare")
+        if spare is None and group.current_backup() is None:
             self._spawn_spare(group)
             return
         # A spare can stall mid-recruitment (e.g. the RECRUIT exchange was
         # cut by a partition until the primary gave up): re-nudge the
         # authoritative primary while it has no peer.
-        spare = next((member for member in live
-                      if member.role is Role.SPARE), None)
         primary = group.authoritative_primary()
         if (spare is not None and primary is not None
                 and primary.peer_address is None):
             primary.notice_spare(spare.host.address)
 
-    def _spawn_spare(self, group: ReplicationGroup) -> None:
+    def _spawn_spare(self, group: ShardGroup) -> None:
         """Place a fresh SPARE for a pair group that lost one replica and
         hand it to the authoritative primary for recruitment."""
         primary = group.authoritative_primary()
@@ -518,7 +419,7 @@ class ClusterService:
     # Read-replica recruitment (repro.replicas at cluster scale)
     # ------------------------------------------------------------------
 
-    def _ensure_replicas(self, group: ReplicationGroup) -> None:
+    def _ensure_replicas(self, group: ShardGroup) -> None:
         """Bring a group's replica count back to target (sweep + startup).
 
         Dead replicas are decommissioned and their admission charges
@@ -535,7 +436,7 @@ class ClusterService:
             if not self._spawn_read_replica(group):
                 break
 
-    def _retire_replicas(self, group: ReplicationGroup,
+    def _retire_replicas(self, group: ShardGroup,
                          only_dead: bool) -> None:
         keep: List[ReadReplica] = []
         for replica in group.replicas:
@@ -547,7 +448,7 @@ class ClusterService:
             group.retired_replicas.append(replica)
         group.replicas = keep
 
-    def _spawn_read_replica(self, group: ReplicationGroup) -> bool:
+    def _spawn_read_replica(self, group: ShardGroup) -> bool:
         """Place and start one read replica; False (+ feedback) on
         rejection.  Replicas land on hosts holding none of the group's
         other seats — a replica co-located with its primary would die with
@@ -609,7 +510,7 @@ class ClusterService:
     # Elastic reconfiguration (repro.elastic's control-plane surface)
     # ------------------------------------------------------------------
 
-    def add_group(self) -> ReplicationGroup:
+    def add_group(self) -> ShardGroup:
         """Grow the cluster by one shard: a fresh, initially-empty group.
 
         The shard map is regrown to ``n+1`` shards (rendezvous hashing
@@ -629,7 +530,7 @@ class ClusterService:
             group = min(retired, key=lambda candidate: candidate.gid)
             group.retired_for_good = False
         else:
-            group = ReplicationGroup(self, len(self.groups))
+            group = ShardGroup(self, len(self.groups))
             self.groups.append(group)
             self._groups_by_name[group.name] = group
         active = len([g for g in self.groups if not g.retired_for_good])
@@ -639,7 +540,7 @@ class ClusterService:
         self._place_group(group, event="scale_out")
         return group
 
-    def retire_group(self, group: ReplicationGroup) -> None:
+    def retire_group(self, group: ShardGroup) -> None:
         """Take a (by now object-free) group out of service for good."""
         group.retired_for_good = True
         self._retire_replicas(group, only_dead=False)
@@ -711,17 +612,8 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     @property
-    def servers(self) -> Dict[str, ReplicaServer]:
-        """Every live-incarnation server, keyed ``"<group>#<index>"`` in
-        deterministic (gid, member) order — the injector's generic loop."""
-        return {f"{group.name}#{index}": member
-                for group in self.groups
-                for index, member in enumerate(group.members)}
-
-    @property
     def clients(self) -> List[SensorClient]:
-        return [group.client for group in self.groups
-                if group.client is not None]
+        return [client for group in self.groups for client in group.clients]
 
     def current_primary(self) -> ReplicaServer:
         """A sharded cluster has no single primary — ask a group.
@@ -734,69 +626,11 @@ class ClusterService:
             "a sharded cluster has no single primary; use "
             "group_named(...).current_primary()")
 
-    def current_backup(self) -> Optional[ReplicaServer]:
-        return None
-
-    def resolve_server(self, address: int) -> Optional[ReplicaServer]:
-        """First live server at a fabric address (any group), else any."""
-        for group in self.groups:
-            for member in group.members:
-                if member.host.address == address and member.alive:
-                    return member
-        for group in self.groups:
-            for member in group.members:
-                if member.host.address == address:
-                    return member
-        return None
-
-    def resolve_fault_target(self, target: Union[int, str]
-                             ) -> "ReplicaServer | ReadReplica | None":
-        """Group-scoped fault targets: ``"g03/primary"``, ``"g03/backup"``,
-        ``"g03/spare"``, ``"g03/deposed"`` (a live primary the name file no
-        longer points at — the split-brain loser), ``"g03/replicaK"`` (the
-        group's K-th live read replica, creation order).  Full group names
-        work too (``"rtpb/g03/primary"``).  Anything else returns None and
-        falls through to the injector's generic resolution.
-        """
-        if not isinstance(target, str) or "/" not in target:
-            return None
-        prefix, selector = target.rsplit("/", 1)
-        group = self._group_for_prefix(prefix)
-        if group is None:
-            return None
-        if selector == "primary":
-            live = [member for member in group.members
-                    if member.alive and member.role is Role.PRIMARY]
-            authoritative = group.authoritative_primary()
-            if authoritative is not None:
-                return authoritative
-            return live[0] if live else None
-        if selector == "backup":
-            return next((member for member in group.members
-                         if member.alive and member.role is Role.BACKUP),
-                        None)
-        if selector == "spare":
-            return next((member for member in group.members
-                         if member.alive and member.role is Role.SPARE),
-                        None)
-        if selector == "deposed":
-            published = self.name_service.peek(group.name)
-            return next(
-                (member for member in group.members
-                 if member.alive and member.role is Role.PRIMARY
-                 and member.host.address != published), None)
-        if selector.startswith("replica") and selector[7:].isdigit():
-            live = group.live_replicas()
-            index = int(selector[7:])
-            return live[index] if index < len(live) else None
-        return None
-
-    def _group_for_prefix(self, prefix: str) -> Optional[ReplicationGroup]:
-        for group in self.groups:
-            short = f"g{group.gid:02d}"
-            if prefix in (group.name, short, f"g{group.gid}"):
-                return group
-        return None
+    def collect_groups(self, horizon: float,
+                       warmup: float = 2.0) -> Dict[str, RunMetrics]:
+        """Per-group metrics of a finished run, by group name, gid order."""
+        return {group.name: collect_group(group, horizon, warmup)
+                for group in self.groups}
 
     @property
     def trace(self) -> Tracer:

@@ -17,12 +17,15 @@ Components (mirroring Section 4):
 - :mod:`~repro.core.client` — the sensing client application.
 - :mod:`~repro.core.name_service` — the name file mapping the service name
   to the current primary's address.
+- :mod:`~repro.core.group` — the replication group: which live member
+  holds which role, and the one fault-target grammar.
 - :mod:`~repro.core.service` — the facade that wires a whole deployment
-  into one simulator.
+  (one group on its own hosts) into one simulator.
 """
 
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.client import SensorClient
+from repro.core.group import ReplicationGroup
 from repro.core.name_service import NameService
 from repro.core.object_store import ObjectRecord, ObjectStore
 from repro.core.server import ReplicaServer, Role
@@ -47,5 +50,6 @@ __all__ = [
     "Role",
     "SensorClient",
     "NameService",
+    "ReplicationGroup",
     "RTPBService",
 ]

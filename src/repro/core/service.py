@@ -14,13 +14,14 @@ lines::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Type
 
 from repro.core.admission import AdmissionDecision
 from repro.core.client import SensorClient
 from repro.core.failure import CrashInjector
+from repro.core.group import ReplicationGroup
 from repro.core.name_service import NameService
-from repro.core.server import ReplicaServer, Role
+from repro.core.server import ReplicaServer
 from repro.core.spec import InterObjectConstraint, ObjectSpec, ServiceConfig
 from repro.errors import ReplicationError
 from repro.net.ip import Host
@@ -28,20 +29,24 @@ from repro.net.link import LossModel, NetworkFabric
 from repro.sim.engine import Simulator
 from repro.workload.environment import EnvironmentModel
 
+if TYPE_CHECKING:  # pragma: no cover - repro.metrics sits above repro.core
+    from repro.metrics.summary import RunMetrics
+
 PRIMARY_ADDRESS = 1
 #: The first backup; spares follow the last backup.
 BACKUP_ADDRESS = 2
 
 
-class RTPBService:
-    """A complete single-group deployment inside one simulator.
+class RTPBService(ReplicationGroup):
+    """A complete single-group deployment inside one simulator: the
+    :class:`ReplicationGroup` seated on hosts of its own, with its own
+    simulator, fabric and name service.
 
     ``server_class`` is the replication discipline — the
     :class:`ReplicaServer` subclass every member runs, whatever its role
     (see :data:`repro.baselines.DISCIPLINES`) — and ``n_backups`` the
     length of the succession line (more than one needs a discipline that
-    replicates to several, e.g.
-    :class:`~repro.extensions.multibackup.MultiBackupServer`).
+    replicates to several, i.e. ``multi_backup``).
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None, seed: int = 0,
@@ -52,16 +57,15 @@ class RTPBService:
         if n_backups < 1:
             raise ReplicationError(
                 f"need at least one backup, got {n_backups}")
-        self.config = config if config is not None else ServiceConfig()
-        self.service_name = service_name
-        self.sim = Simulator(seed=seed)
+        config = config if config is not None else ServiceConfig()
+        sim = Simulator(seed=seed)
         self.fabric = NetworkFabric(
-            self.sim, delay_bound=self.config.ell,
-            delay_min=self.config.link_delay_min, loss_model=loss_model)
-        self.name_service = NameService(self.sim)
+            sim, delay_bound=config.ell,
+            delay_min=config.link_delay_min, loss_model=loss_model)
+        super().__init__(sim, config, NameService(sim), service_name)
         self.environment = EnvironmentModel(seed=seed)
         self.injector = CrashInjector(self.sim,
-                                      on_recover=self._announce_recovered)
+                                      on_recover=self.announce_recovered)
 
         # Hosts take consecutive fabric addresses: the primary, the backups
         # in succession order, the spares (each named after its address).
@@ -71,49 +75,34 @@ class RTPBService:
                   for index in range(n_spares)]
         hosts = [Host(self.sim, self.fabric, name, PRIMARY_ADDRESS + index)
                  for index, name in enumerate(names)]
-        members = server_class.build_group(
+        self.members = server_class.build_group(
             self.sim, self.config, self.name_service, service_name,
             primary=hosts[0], backups=hosts[1:n_members],
             spares=hosts[n_members:])
-        self.primary_server = members[0]
+        self.primary_server = self.members[0]
         #: The initial backups, in succession order.
-        self.backup_servers: List[ReplicaServer] = members[1:n_members]
+        self.backup_servers: List[ReplicaServer] = self.members[1:n_members]
         self.backup_server = self.backup_servers[0]
-        self.spare_servers: List[ReplicaServer] = members[n_members:]
-        self.servers: Dict[int, ReplicaServer] = {
-            server.host.address: server for server in members}
+        self.spare_servers: List[ReplicaServer] = self.members[n_members:]
 
-        self.clients: List[SensorClient] = []
         #: Deployment extensions with a ``start()`` hook, started after the
         #: core servers and clients.  :class:`repro.replicas.ReplicaExtension`
         #: registers itself here; the core never imports upward.
         self.extensions: List[object] = []
-        self._registered: List[ObjectSpec] = []
         self._started = False
+
+    @property
+    def groups(self) -> List[ReplicationGroup]:
+        """The deployment's groups: this one."""
+        return [self]
 
     # ------------------------------------------------------------------
     # Configuration phase
     # ------------------------------------------------------------------
 
-    def register(self, spec: ObjectSpec) -> AdmissionDecision:
-        """Register one object with the (current) primary."""
-        decision = self.current_primary().register_object(spec)
-        if decision.accepted:
-            self._registered.append(spec)
-        return decision
-
-    def register_all(self, specs: Sequence[ObjectSpec]
-                     ) -> List[AdmissionDecision]:
-        """Register many objects; returns one decision per spec, in order."""
-        return [self.register(spec) for spec in specs]
-
     def add_constraint(self, constraint: InterObjectConstraint
                        ) -> AdmissionDecision:
         return self.current_primary().add_constraint(constraint)
-
-    def registered_specs(self) -> List[ObjectSpec]:
-        """Specs accepted so far (what a client should write to)."""
-        return list(self._registered)
 
     def create_client(self, specs: Sequence[ObjectSpec],
                       name: str = "client",
@@ -129,7 +118,7 @@ class RTPBService:
             resolver=self.resolve_server, specs=specs, name=name,
             write_jitter=write_jitter)
         self.clients.append(client)
-        for server in self.servers.values():
+        for server in self.members:
             server.local_client = client
         return client
 
@@ -141,7 +130,7 @@ class RTPBService:
         if self._started:
             return
         self._started = True
-        for server in self.servers.values():
+        for server in self.members:
             server.start()
         for client in self.clients:
             client.start()
@@ -154,34 +143,20 @@ class RTPBService:
         self.sim.run(until=horizon)
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Deployment surface (shared with the sharded cluster)
     # ------------------------------------------------------------------
 
-    def resolve_server(self, address: int) -> Optional[ReplicaServer]:
-        return self.servers.get(address)
+    #: A client's address → server resolver (one server per host here).
+    resolve_server = ReplicationGroup.server_at
 
-    def _announce_recovered(self, server: ReplicaServer) -> None:
-        """Tell live primaries a rebooted host is available as a spare."""
-        for other in self.servers.values():
-            if other.alive and other.role is Role.PRIMARY:
-                other.notice_spare(server.host.address)
+    def kill_host(self, address: int) -> None:
+        """Take a machine down: each server owns its host, so this is the
+        resident server's crash."""
+        server = self.server_at(address)
+        if server is not None:
+            server.crash()
 
-    def current_primary(self) -> ReplicaServer:
-        """The live server currently playing the primary role."""
-        for server in self.servers.values():
-            if server.alive and server.role is Role.PRIMARY:
-                return server
-        raise ReplicationError("no live primary in the deployment")
-
-    def current_backups(self) -> List[ReplicaServer]:
-        """The live servers currently playing the backup role."""
-        return [server for server in self.servers.values()
-                if server.alive and server.role is Role.BACKUP]
-
-    def current_backup(self) -> Optional[ReplicaServer]:
-        backups = self.current_backups()
-        return backups[0] if backups else None
-
-    @property
-    def trace(self):
-        return self.sim.trace
+    def collect_groups(self, horizon: float,
+                       warmup: float = 2.0) -> Dict[str, "RunMetrics"]:
+        """Per-group metrics: none, the deployment is its one group."""
+        return {}

@@ -45,7 +45,7 @@ from repro.elastic.shedding import OverloadShedder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.placement import HostSlot
-    from repro.cluster.service import ClusterService, ReplicationGroup
+    from repro.cluster.service import ClusterService, ShardGroup
     from repro.workload.elastic import ElasticScenario
 
 
@@ -57,7 +57,7 @@ class _Wave:
     owner: str
     claimed: List[int]
     pending: int = 0
-    victim: Optional["ReplicationGroup"] = None
+    victim: Optional["ShardGroup"] = None
     new_map: Optional[ShardMap] = None
     migrations: List[ShardMigration] = field(default_factory=list)
 
@@ -68,7 +68,7 @@ class ElasticController:
     def __init__(self, cluster: "ClusterService",
                  scenario: "ElasticScenario",
                  on_group_added: Optional[
-                     Callable[["ReplicationGroup"], None]] = None) -> None:
+                     Callable[["ShardGroup"], None]] = None) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.scenario = scenario
@@ -89,7 +89,7 @@ class ElasticController:
         self._wave: Optional[_Wave] = None
         #: A scale-out group placement parked (over capacity): its wave
         #: launches as soon as the sweep manages to place it.
-        self._pending_scaleout: Optional["ReplicationGroup"] = None
+        self._pending_scaleout: Optional["ShardGroup"] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -143,7 +143,7 @@ class ElasticController:
     # Scale out
     # ------------------------------------------------------------------
 
-    def _active_groups(self) -> List["ReplicationGroup"]:
+    def _active_groups(self) -> List["ShardGroup"]:
         return [group for group in self.cluster.groups
                 if not group.retired_for_good]
 
@@ -177,8 +177,8 @@ class ElasticController:
             if self._wave is not None:
                 return
 
-    def _launch_scaleout_wave(self, group: "ReplicationGroup") -> None:
-        moves: List[tuple["ReplicationGroup", List[int]]] = []
+    def _launch_scaleout_wave(self, group: "ShardGroup") -> None:
+        moves: List[tuple["ShardGroup", List[int]]] = []
         for source in self._active_groups():
             if source is group:
                 continue
@@ -259,8 +259,8 @@ class ElasticController:
             wave.claimed.append(gid)
         return True
 
-    def _launch_migration(self, wave: _Wave, source: "ReplicationGroup",
-                          dest: "ReplicationGroup",
+    def _launch_migration(self, wave: _Wave, source: "ShardGroup",
+                          dest: "ShardGroup",
                           object_ids: List[int]) -> None:
         scenario = self.scenario
         migration = ShardMigration(

@@ -54,7 +54,7 @@ from repro.faults.monitor import TraceMonitor, migrating_ids
 from repro.sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.service import ClusterService, ReplicationGroup
+    from repro.cluster.service import ClusterService, ShardGroup
 
 _EPSILON = 1e-9
 
@@ -80,7 +80,7 @@ class ShardMigration:
     """One traced freeze→transfer→republish hand-off between two groups."""
 
     def __init__(self, cluster: "ClusterService",
-                 source: "ReplicationGroup", dest: "ReplicationGroup",
+                 source: "ShardGroup", dest: "ShardGroup",
                  object_ids: List[int], *,
                  tail_delay: float = 0.05,
                  barrier_poll: float = 0.01,
@@ -270,14 +270,15 @@ class ShardMigration:
     def _attach_dest_client(self) -> None:
         dest = self.dest
         if dest.client is None:
-            dest.client = SensorClient(
+            client = SensorClient(
                 self.sim, self.cluster.environment, self.cluster.name_service,
                 dest.name, resolver=dest.server_at, specs=self.frozen_specs,
                 name=f"{dest.name}.client",
                 write_jitter=self.cluster.write_jitter)
+            dest.clients.append(client)
             for member in dest.members:
-                member.local_client = dest.client
-            dest.client.start()
+                member.local_client = client
+            client.start()
         else:
             dest.client.add_objects(self.frozen_specs)
 

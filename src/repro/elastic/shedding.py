@@ -40,7 +40,7 @@ from repro.errors import ReplicationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.placement import PlacementRejection
-    from repro.cluster.service import ClusterService, ReplicationGroup
+    from repro.cluster.service import ClusterService, ShardGroup
     from repro.workload.elastic import ElasticScenario
 
 
@@ -126,7 +126,7 @@ class OverloadShedder:
                     object=spec.object_id, window=new_spec.window,
                     old_window=spec.window)
 
-    def _target_group(self) -> Optional["ReplicationGroup"]:
+    def _target_group(self) -> Optional["ShardGroup"]:
         """The group whose live primary sits on the most-utilized host and
         still has un-degraded objects (ties break on lower address)."""
         ranked = sorted(
@@ -171,7 +171,7 @@ class OverloadShedder:
                     window=original.window, degraded_window=current.window)
 
     def _locate(self, object_id: int
-                ) -> Optional[Tuple["ReplicationGroup", ObjectSpec]]:
+                ) -> Optional[Tuple["ShardGroup", ObjectSpec]]:
         """The group currently owning a degraded object (it may have
         migrated since degradation) and its active spec."""
         for group in self.cluster.groups:
@@ -184,7 +184,7 @@ class OverloadShedder:
 
     # ------------------------------------------------------------------
 
-    def _swap(self, group: "ReplicationGroup", old_spec: ObjectSpec,
+    def _swap(self, group: "ShardGroup", old_spec: ObjectSpec,
               new_spec: ObjectSpec) -> bool:
         """Swap one object's spec across every budget layer, atomically.
 
@@ -220,7 +220,7 @@ class OverloadShedder:
         return True
 
     @staticmethod
-    def _replace_spec(group: "ReplicationGroup", new_spec: ObjectSpec
+    def _replace_spec(group: "ShardGroup", new_spec: ObjectSpec
                       ) -> None:
         for specs in (group.specs, group._registered):
             for index, spec in enumerate(specs):

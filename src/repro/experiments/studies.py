@@ -21,11 +21,10 @@ import math
 import random
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
-from repro.baselines import DISCIPLINES
+from repro.baselines import DISCIPLINES, MultiBackupServer
 from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.experiments.harness import run_scenario
-from repro.extensions.multibackup import MultiBackupServer
 from repro.metrics.collectors import (
     average_inconsistency_duration,
     average_max_distance,

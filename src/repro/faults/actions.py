@@ -5,7 +5,9 @@ and for transient faults how long to keep it broken — applied at its
 scheduled virtual time by the :class:`~repro.faults.injector.FaultInjector`.
 Actions resolve their targets *at fire time* ("primary" means whoever holds
 the role when the fault hits, not when the schedule was written), which is
-what makes schedules composable with failovers.
+what makes schedules composable with failovers.  A target is a
+:data:`~repro.core.group.Target`: ``[<group>/]<selector>``, a fabric
+address, a host name or a server name.
 
 All actions are plain dataclasses with deterministic ``describe()`` output,
 so a schedule serialises into the chaos report byte-identically run after
@@ -16,14 +18,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
+from repro.core.group import Target
 from repro.errors import ProtocolError
 from repro.net.link import LossModel
-
-#: How a fault names a server: a fabric address, a host name, or a dynamic
-#: role selector ("primary" / "backup" resolved at fire time).
-Target = Union[int, str]
 
 
 class FaultAction:
@@ -58,8 +57,9 @@ class CrashServer(FaultAction):
 
 @dataclass
 class RecoverServer(FaultAction):
-    """Reboot a crashed server; it rejoins as a spare and the current
-    primary is told about it (restarting recruitment if it lacks a backup)."""
+    """Reboot a crashed server; it rejoins as a spare and its group's
+    current primary is told about it (restarting recruitment if it lacks
+    a backup)."""
 
     target: Target
 
@@ -70,18 +70,19 @@ class RecoverServer(FaultAction):
         if server is None or server.alive:
             return
         server.recover()
-        injector.announce_spare(server.host.address)
+        for group in injector.service.groups:
+            if server in group.members:  # only its own group hears of it
+                group.announce_recovered(server)
 
 
 @dataclass
 class KillHost(FaultAction):
-    """Take a whole simulated machine down.
+    """Take a whole simulated machine down: the target's host.
 
-    On a sharded cluster (the facade exposes ``kill_host``) every replica
-    server co-located on the target host crashes and the host's NIC and
-    admission budget die with it — the trigger for cluster re-placement.
-    On single-group deployments, where one server owns the whole host,
-    this degrades to :class:`CrashServer`.
+    On a sharded cluster every replica server co-located on the host
+    crashes and the host's NIC and admission budget die with it — the
+    trigger for cluster re-placement.  On a pair, where one server owns
+    the whole host, this is :class:`CrashServer`.
     """
 
     target: Target
@@ -90,13 +91,8 @@ class KillHost(FaultAction):
 
     def apply(self, injector: "FaultInjector") -> None:
         server = injector.resolve_server(self.target)
-        if server is None:
-            return
-        kill = getattr(injector.service, "kill_host", None)
-        if kill is not None:
-            kill(server.host.address)
-        else:
-            server.crash()
+        if server is not None:
+            injector.service.kill_host(server.host.address)
 
 
 @dataclass
@@ -293,9 +289,7 @@ class FlashCrowd(FaultAction):
             raise ProtocolError(
                 f"flash crowd needs positive duration and factor, got "
                 f"duration={self.duration}, factor={self.factor}")
-        clients = [client for client in
-                   getattr(injector.service, "clients", [])
-                   if client is not None]
+        clients = list(injector.service.clients)
 
         def restore() -> None:
             for client in clients:

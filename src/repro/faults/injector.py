@@ -10,26 +10,27 @@ Trace categories: ``fault_injected``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.core.server import ReplicaServer, Role
+from repro.core.group import Target, resolve_target
+from repro.core.server import ReplicaServer
 from repro.core.service import RTPBService
 from repro.errors import ProtocolError
-from repro.faults.actions import Target
 from repro.faults.schedule import FaultSchedule, TimedFault
+
+if TYPE_CHECKING:  # pragma: no cover - repro.cluster sits above faults
+    from repro.cluster.service import ClusterService
+    from repro.replicas.server import ReadReplica
 
 
 class FaultInjector:
-    """Applies a fault schedule to one deployment.
-
-    ``service`` is duck-typed: any facade exposing ``sim``, ``fabric`` and
-    a ``servers`` mapping works — :class:`RTPBService`, the multi-backup
-    service, or a sharded :class:`~repro.cluster.service.ClusterService`
-    (which additionally understands group-scoped targets like
-    ``"g00/primary"`` via ``resolve_fault_target``).
+    """Applies a fault schedule to one deployment: a pair
+    (:class:`RTPBService`, any discipline) or a sharded
+    :class:`~repro.cluster.service.ClusterService` — each exposes its
+    ``sim``, ``fabric``, ``groups`` and ``kill_host``.
     """
 
-    def __init__(self, service: "RTPBService | Any",
+    def __init__(self, service: "RTPBService | ClusterService",
                  schedule: Optional[FaultSchedule] = None) -> None:
         self.service = service
         self.sim = service.sim
@@ -68,31 +69,17 @@ class FaultInjector:
     # Services to actions
     # ------------------------------------------------------------------
 
-    def resolve_server(self, target: Target) -> Optional[ReplicaServer]:
-        """Find the server a target names, or None if nothing matches.
+    def resolve_server(self, target: Target
+                       ) -> "ReplicaServer | ReadReplica | None":
+        """The server a target names right now, or None if nothing matches
+        (see :func:`~repro.core.group.resolve_target` for the grammar).
 
-        ``"primary"``/``"backup"`` select whoever holds the role *now* (and
-        is alive); an int is a fabric address; any other string is a host
-        or server name.  Deployments exposing ``resolve_fault_target``
-        (the cluster facade, for ``"g00/primary"``-style group-scoped
-        targets) are consulted first.  Role selectors returning None (e.g.
-        "backup" while the spare is still being recruited) make the fault
-        a deterministic no-op.
+        Role selectors resolve at fire time, so ``"primary"`` hits whoever
+        holds the role when the fault fires; one that names nobody (e.g.
+        ``"backup"`` while the spare is still being recruited) makes the
+        fault a deterministic no-op.
         """
-        resolver = getattr(self.service, "resolve_fault_target", None)
-        if resolver is not None:
-            server = resolver(target)
-            if server is not None:
-                return server
-        if target == "primary":
-            return self._live_with_role(Role.PRIMARY)
-        if target == "backup":
-            return self._live_with_role(Role.BACKUP)
-        for server in self.service.servers.values():
-            if (server.host.address == target or server.host.name == target
-                    or getattr(server, "name", None) == target):
-                return server
-        return None
+        return resolve_target(self.service.groups, target)
 
     def resolve_address(self, target: Target) -> int:
         """A target's fabric address; raises if nothing matches."""
@@ -100,18 +87,6 @@ class FaultInjector:
         if server is None:
             raise ProtocolError(f"no server matches fault target {target!r}")
         return server.host.address
-
-    def _live_with_role(self, role: Role) -> Optional[ReplicaServer]:
-        for server in self.service.servers.values():
-            if server.alive and server.role is role:
-                return server
-        return None
-
-    def announce_spare(self, address: int) -> None:
-        """Tell every live primary a spare host is available (rejoin path)."""
-        for server in self.service.servers.values():
-            if server.alive and server.role is Role.PRIMARY:
-                server.notice_spare(address)
 
     def schedule_restore(self, delay: float, restore: Callable[..., Any],
                          *args: Any) -> None:

@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.core.group import ReplicationGroup
 from repro.core.server import Role
-from repro.core.service import RTPBService
 from repro.sim.trace import TraceRecord
 
 _EPSILON = 1e-9
@@ -62,11 +62,6 @@ _WATCHED = frozenset({
     "reattached", "read_served", *DEGRADED_KINDS, "server_recover",
     "cluster_place", "migration_freeze", "migration_commit",
     "migration_abort", "window_degraded", "window_restored"})
-
-
-def _server_name(server: Any) -> str:
-    """A server's trace identity (``name`` attribute, host name fallback)."""
-    return getattr(server, "name", None) or server.host.name
 
 
 @dataclass(frozen=True)
@@ -148,16 +143,16 @@ class TraceMonitor:
 
 
 class InvariantMonitor(TraceMonitor):
-    """Watches one deployment's trace for invariant violations, online.
+    """Watches one replication group's trace for invariant violations,
+    online.
 
-    ``service`` is duck-typed: anything exposing the :class:`RTPBService`
-    introspection surface works — including one *group view* of a sharded
-    cluster, in which case member-scoping (below) confines every check to
-    that group's servers and the shared trace stream is demultiplexed by
-    membership.
+    ``service`` is a :class:`~repro.core.group.ReplicationGroup`: a pair
+    deployment, or one shard of a sharded cluster — in which case
+    member-scoping (below) confines every check to that group's servers
+    and the shared trace stream is demultiplexed by membership.
     """
 
-    def __init__(self, service: "RTPBService | Any",
+    def __init__(self, service: ReplicationGroup,
                  grace: Optional[float] = None,
                  failover_margin: float = 0.1,
                  on_violation: Optional[Callable[[InvariantViolation],
@@ -235,8 +230,7 @@ class InvariantMonitor(TraceMonitor):
             # This group was (re-)placed onto fresh hosts: new windows may
             # have registered, the snapshot transfer re-baselines pending
             # writes, and the membership just changed under the split check.
-            if record.get("group") == getattr(self.service, "service_name",
-                                              None):
+            if record.get("group") == self.service.service_name:
                 self._windows.update(
                     {spec.object_id: spec.window
                      for spec in self.service.registered_specs()})
@@ -248,8 +242,7 @@ class InvariantMonitor(TraceMonitor):
             # destination is that group's monitor's business, and
             # ``primary_write`` records carry no server identity to demux
             # by — membership of ``_windows`` is the demux).
-            if record.get("source") == getattr(self.service, "service_name",
-                                               None):
+            if record.get("source") == self.service.service_name:
                 for object_id in migrating_ids(record):
                     self._windows.pop(object_id, None)
                     self._pending.pop(object_id, None)
@@ -258,7 +251,7 @@ class InvariantMonitor(TraceMonitor):
             # Ownership settled (either way): rebuild the window table from
             # what this group *actually* registers now — commit moved
             # objects in/out, abort returned them to the source.
-            name = getattr(self.service, "service_name", None)
+            name = self.service.service_name
             if name in (record.get("source"), record.get("dest")):
                 self._windows = {
                     spec.object_id: spec.window
@@ -268,8 +261,7 @@ class InvariantMonitor(TraceMonitor):
             # Overload shedding renegotiated an object's δ: enforce the
             # *new* contract from this instant (past pending writes were
             # admitted under the old one; re-baseline).
-            if record.get("group") == getattr(self.service, "service_name",
-                                              None):
+            if record.get("group") == self.service.service_name:
                 object_id = record["object"]
                 if object_id in self._windows:
                     self._windows[object_id] = record["window"]
@@ -346,11 +338,10 @@ class InvariantMonitor(TraceMonitor):
     # -- replica staleness -------------------------------------------------
 
     def _on_read_served(self, record: TraceRecord) -> None:
-        # Replicas are not ``service.servers`` members, so the usual server
-        # demux does not apply; replica records carry the service name they
+        # Replicas are not group members, so the usual server demux does
+        # not apply; replica records carry the service name they
         # subscribed under instead.
-        if record.get("service") != getattr(self.service, "service_name",
-                                            None):
+        if record.get("service") != self.service.service_name:
             return
         staleness = record.get("staleness")
         bound = record.get("bound")
@@ -375,13 +366,13 @@ class InvariantMonitor(TraceMonitor):
         """Whether a trace record's server identity belongs to this
         deployment (always true for single-group services; the demux
         predicate for cluster group views sharing one trace stream)."""
-        return any(_server_name(server) == server_name
-                   for server in self.service.servers.values())
+        return any(server.name == server_name
+                   for server in self.service.members)
 
     def _check_split_brain(self) -> None:
         self._split_check_pending = False
         primaries = frozenset(
-            _server_name(server) for server in self.service.servers.values()
+            server.name for server in self.service.members
             if server.alive and server.role is Role.PRIMARY)
         if len(primaries) >= 2 and primaries != self._flagged_primaries:
             self._flagged_primaries = primaries
@@ -410,23 +401,23 @@ class InvariantMonitor(TraceMonitor):
         deadline = (self.service.config.failure_detection_latency()
                     + self.failover_margin)
         self.sim.schedule(deadline, self._check_failover, record.time,
-                          _server_name(backup))
+                          backup.name)
 
     def _was_authoritative(self, server_name: Any) -> bool:
         """Whether the named server is the one the name file points at."""
         published = self.service.name_service.peek(self.service.service_name)
         if published is None:
             return False
-        return any(_server_name(server) == server_name
+        return any(server.name == server_name
                    and server.host.address == published
-                   for server in self.service.servers.values())
+                   for server in self.service.members)
 
     def _check_failover(self, crash_time: float, backup_name: str) -> None:
         if (self._last_failover_at is not None
                 and self._last_failover_at >= crash_time):
             return
-        backup = next((server for server in self.service.servers.values()
-                       if _server_name(server) == backup_name), None)
+        backup = next((server for server in self.service.members
+                       if server.name == backup_name), None)
         if backup is None or not backup.alive:
             return  # the would-be successor died too; nobody could promote
         self._emit(MISSED_FAILOVER, crash_time=crash_time,

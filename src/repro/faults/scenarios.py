@@ -12,17 +12,14 @@ function of ``(name, seed)``; ``python -m repro chaos`` runs it as a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS
 from repro.faults.monitor import SPLIT_BRAIN, TEMPORAL_WINDOW
 from repro.faults.schedule import FaultSchedule
 from repro.net.link import GilbertElliottLoss
 from repro.units import ms
-from repro.workload.scenarios import Scenario
-
-if TYPE_CHECKING:
-    from repro.workload.cluster import ClusterScenario
+from repro.workload.scenarios import BaseScenario, Scenario
 
 
 @dataclass
@@ -31,7 +28,7 @@ class ChaosScenario:
 
     name: str
     description: str
-    workload: "Scenario | ClusterScenario"
+    workload: BaseScenario
     schedule: FaultSchedule
     #: Violation kinds this fault pattern is designed to provoke; kinds the
     #: monitor flags beyond these deserve attention.

@@ -25,6 +25,41 @@ from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
 
+#: Trace categories the collectors consume: a pair run's trace allow-list.
+METRIC_TRACE_CATEGORIES = (
+    "client_response",
+    "primary_write",
+    "backup_apply",
+    "backup_apply_stale",
+    "update_sent",
+    "retx_request",
+    "registration",
+    "server_crash",
+    "server_recover",
+    "failover",
+    "recruited",
+    "peer_declared_dead",
+    "client_activated",
+    "fault_injected",
+    "invariant_violation",
+    # Read path (repro.replicas).  Replica-free runs never emit these, so
+    # enabling them leaves every historical trace digest byte-identical.
+    "client_read",
+    "read_served",
+    "read_refused_stale",
+    "read_rejected",
+    "read_fallback",
+    "read_unserved",
+    "replica_subscribe",
+    "replica_sync",
+    # Fast path / degraded states.  Paper-faithful runs never emit these,
+    # so enabling them leaves historical trace digests byte-identical.
+    "fastpath_commit",
+    "fastpath_drain",
+    "client_response_degraded",
+    "replication_degraded",
+)
+
 
 @dataclass(frozen=True, eq=False)
 class SummaryStats:
@@ -168,9 +203,10 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
     """Response-time distributions keyed by reply path.
 
     ``"fast"`` — answered before the backup ack; ``"deferred"`` — the
-    paper's defer-until-ack path.  Untagged responses (non-fast-path runs)
-    land under ``"deferred"``, so the split degenerates gracefully to the
-    plain distribution.
+    paper's defer-until-ack path.  Only path-tagged responses count (the
+    tag exists only on fast-path deployments), so both are empty on every
+    run without the fast path — the inert defaults of
+    :class:`~repro.metrics.summary.RunMetrics`, whatever the topology.
     """
     ids = None if objects is None else set(objects)
     split: Dict[str, List[float]] = {"fast": [], "deferred": []}
@@ -179,8 +215,8 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
                                        and record["object"] not in ids):
             continue
         path = record.get("path")
-        bucket = "fast" if path == "fast" else "deferred"
-        split[bucket].append(record["response"])
+        if path is not None:
+            split[path].append(record["response"])
     return {path: summarize(values) for path, values in split.items()}
 
 

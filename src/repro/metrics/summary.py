@@ -8,8 +8,9 @@ pair, one group of a cluster, or a whole cluster — from one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.core.group import ReplicationGroup
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
@@ -27,6 +28,9 @@ from repro.metrics.collectors import (
 )
 from repro.metrics.report import Table
 from repro.units import to_ms
+
+if TYPE_CHECKING:  # pragma: no cover - repro.cluster sits above metrics
+    from repro.cluster.service import ClusterService
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,14 @@ class MetricsView:
         return self.metrics.response.mean
 
 
-def collect_metrics(view: RTPBService, horizon: float, warmup: float = 2.0,
+def collect_metrics(view: "ReplicationGroup | ClusterService",
+                    horizon: float, warmup: float = 2.0,
                     objects: Optional[Iterable[int]] = None) -> RunMetrics:
     """The :class:`RunMetrics` fields every topology shares.
 
-    ``view`` is duck-typed like every collector's ``service``; ``objects``
-    scopes the trace-counting collectors to one group of a cluster whose
-    groups share a trace.
+    ``view`` is one group (a pair deployment, a cluster shard) or a whole
+    cluster; ``objects`` scopes the trace-counting collectors to one group
+    of a cluster whose groups share a trace.
     """
     return RunMetrics(
         admitted=len(view.registered_specs()),

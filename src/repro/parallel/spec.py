@@ -1,9 +1,9 @@
 """Picklable run requests and outcomes.
 
 A :class:`RunSpec` is everything one simulation run needs — the
-:class:`~repro.workload.scenarios.Scenario`, an optional fault schedule,
-and the monitor/trace flags — as a plain value that crosses a process
-boundary.  :func:`execute` is the worker-side entry point: it runs the
+scenario value (:class:`~repro.workload.scenarios.BaseScenario`, any
+topology), an optional fault schedule, and the monitor/trace flags — as a
+plain value that crosses a process boundary.  :func:`execute` is the worker-side entry point: it runs the
 spec through the experiments harness and returns a :class:`RunOutcome`,
 the slim picklable rendering of the finished run (metrics, counters, and
 the trace digest — *not* the live :class:`~repro.core.service.RTPBService`,
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.metrics.summary import MetricsView, RunMetrics
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import BaseScenario
 
 if TYPE_CHECKING:
     # Runtime imports stay local to the functions below: the experiments
@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     # a module-level import here would close that cycle.
     from repro.experiments.harness import RunResult
     from repro.faults.schedule import FaultSchedule
-    from repro.workload.cluster import ClusterScenario
 
 #: Injectable worker stopwatch — a *reference* to ``time.perf_counter``,
 #: so the wall clock never leaks into model code (DET001-clean).
@@ -40,12 +39,11 @@ _STOPWATCH = time.perf_counter
 class RunSpec:
     """One simulation run, phrased as a picklable value.
 
-    ``scenario`` may be the single-pair :class:`Scenario` or a sharded
-    :class:`~repro.workload.cluster.ClusterScenario`; the worker-side
-    harness dispatches on the type.
+    ``scenario`` is any topology's scenario value — a pair, a sharded
+    cluster, an elastic cluster; it names its own build stages.
     """
 
-    scenario: "Scenario | ClusterScenario"
+    scenario: BaseScenario
     #: Seconds excluded from every metric at the head of the run.
     warmup: float = 2.0
     #: Attach the online invariant monitor (chaos runs).
@@ -63,7 +61,7 @@ class RunOutcome(MetricsView):
     """The picklable rendering of one finished run (flat metric access as
     on ``RunResult``, through :class:`MetricsView`)."""
 
-    scenario: "Scenario | ClusterScenario"
+    scenario: BaseScenario
     metrics: RunMetrics
     events_executed: int
     peak_live_events: int

@@ -1,12 +1,13 @@
 """Cluster scenarios: every knob of a sharded multi-group run, as a value.
 
-:class:`ClusterScenario` is the cluster-scale sibling of
-:class:`~repro.workload.scenarios.Scenario` — frozen, slotted, picklable —
-so sweeps over shard counts, host pools and loss rates ride the existing
-:mod:`repro.parallel` machinery unchanged.  :func:`build_cluster` turns one
-into a ready-to-start :class:`~repro.cluster.service.ClusterService` with
-every object routed to its owning shard (placement, admission and client
-creation all happen inside ``start()``).
+:class:`ClusterScenario` is the sharded topology of
+:class:`~repro.workload.scenarios.BaseScenario` — frozen, slotted,
+picklable — so sweeps over shard counts, host pools, loss rates and
+replication disciplines ride the existing :mod:`repro.parallel` machinery
+unchanged.  :func:`build_cluster` turns one into a ready-to-start
+:class:`~repro.cluster.service.ClusterService` with every object routed to
+its owning shard (placement, admission and client creation all happen
+inside ``start()``).
 
 This module imports :mod:`repro.cluster.service` directly (not the package
 facade) to keep the layering acyclic: ``repro.cluster`` must never import
@@ -16,67 +17,39 @@ facade) to keep the layering acyclic: ``repro.cluster`` must never import
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, ClassVar, List, Tuple
 
+from repro.baselines import discipline
+from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
+from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.service import ClusterService
-from repro.core.spec import ServiceConfig
-from repro.net.link import BernoulliLoss, LossModel, NoLoss
-from repro.units import ms
-from repro.workload.generator import homogeneous_specs
-from repro.workload.scenarios import ping_misses_for_loss
+from repro.workload.scenarios import BaseScenario
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterScenario:
+class ClusterScenario(BaseScenario):
     """Parameters for one sharded cluster run (a picklable value).
 
-    The same discipline as :class:`~repro.workload.scenarios.Scenario`
-    applies: scenarios cross process boundaries in parallel sweeps, so they
-    must pickle round-trip exactly and never be mutated — vary knobs with
-    ``dataclasses.replace``.
+    Every member of every group runs the ``replication`` discipline;
+    ``backups_per_group > 1`` needs one that replicates to several
+    (``"multi_backup"``).
     """
 
     n_shards: int = 16
     n_hosts: int = 6
-    n_objects: int = 32
-    #: δ = δ^B - δ^P, seconds (the paper's "window size").
-    window: float = ms(200.0)
-    #: Client write period p_i, seconds (1/write-rate).
-    client_period: float = ms(100.0)
-    object_size: int = 64
-    #: Message loss probability on every link (Bernoulli).
-    loss_probability: float = 0.0
-    admission_enabled: bool = True
-    retransmission_enabled: bool = True
-    #: Virtual-time horizon of the run, seconds.
-    horizon: float = 20.0
-    seed: int = 0
     backups_per_group: int = 1
     #: Manager sweep period, seconds (re-placement / spare recruitment).
     rebalance_period: float = 0.5
-    slack_factor: float = 2.0
-    ell: float = ms(5.0)
-    #: Random client-write jitter half-width, seconds.
-    write_jitter: float = ms(2.0)
     #: Read replicas per group (0 = paper-faithful: none).
     replicas_per_group: int = 0
-    #: Per-object read period of each group's reader, seconds (0 = none).
-    read_period: float = 0.0
-    #: Read-routing policy (see :data:`repro.replicas.POLICIES`).
-    read_policy: str = "round_robin"
 
-    def loss_model(self) -> LossModel:
-        if self.loss_probability <= 0:
-            return NoLoss()
-        return BernoulliLoss(self.loss_probability)
+    trace_categories: ClassVar[Tuple[str, ...]] = CLUSTER_TRACE_CATEGORIES
 
-    def config(self) -> ServiceConfig:
-        return ServiceConfig(
-            ell=self.ell,
-            slack_factor=self.slack_factor,
-            admission_enabled=self.admission_enabled,
-            retransmission_enabled=self.retransmission_enabled,
-            ping_max_misses=ping_misses_for_loss(self.loss_probability),
-        )
+    def build(self) -> ClusterService:
+        return build_cluster(self)
+
+    def monitors(self, deployment: Any) -> List[Any]:
+        return [ClusterInvariantMonitor(deployment)]
 
 
 def build_cluster(scenario: ClusterScenario) -> ClusterService:
@@ -93,11 +66,8 @@ def build_cluster(scenario: ClusterScenario) -> ClusterService:
         replicas_per_group=scenario.replicas_per_group,
         read_period=scenario.read_period,
         read_policy=scenario.read_policy,
+        server_class=discipline(scenario.replication,
+                                backups=scenario.backups_per_group),
     )
-    cluster.register_all(homogeneous_specs(
-        scenario.n_objects,
-        window=scenario.window,
-        client_period=scenario.client_period,
-        size_bytes=scenario.object_size,
-    ))
+    cluster.register_all(scenario.specs())
     return cluster

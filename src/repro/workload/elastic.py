@@ -4,9 +4,10 @@
 ``repro.elastic`` control-plane knobs — the autoscaler's hysteresis
 watermarks, the overload-shedding red line, and the live-migration timing
 parameters.  It stays frozen, slotted and picklable, so elastic sweeps
-ride the existing :mod:`repro.parallel` machinery unchanged;
-:func:`repro.experiments.harness.run_scenario` picks the elastic stages
-(migration invariant, controller) from the scenario type.
+ride the existing :mod:`repro.parallel` machinery unchanged; the
+scenario names the elastic stages
+:func:`repro.experiments.harness.run_scenario` adds — the migration
+invariant among its monitors, and the controller as its control plane.
 
 The same layering rule as :mod:`repro.workload.cluster` applies: this
 module must never be imported by :mod:`repro.cluster` or
@@ -17,7 +18,11 @@ other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, ClassVar, List, Optional, Tuple
 
+from repro.elastic.controller import ElasticController
+from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
+from repro.elastic.migration import MigrationWindowInvariant
 from repro.workload.cluster import ClusterScenario
 
 
@@ -79,3 +84,20 @@ class ElasticScenario(ClusterScenario):
     #: Give up (abort, unfreeze at the source) if the reconfiguration
     #: barrier has not been reached after this long, seconds.
     barrier_timeout: float = 1.0
+
+    trace_categories: ClassVar[Tuple[str, ...]] = ELASTIC_TRACE_CATEGORIES
+
+    def monitors(self, deployment: Any) -> List[Any]:
+        return (ClusterScenario.monitors(self, deployment)
+                + [MigrationWindowInvariant(deployment)])
+
+    def control_plane(self, deployment: Any,
+                      monitors: List[Any]) -> Optional[ElasticController]:
+        # Groups the controller creates get the cluster monitor too.
+        if not self.elastic_enabled:
+            return None
+        controller = ElasticController(
+            deployment, self,
+            on_group_added=monitors[0].add_group if monitors else None)
+        controller.start()
+        return controller

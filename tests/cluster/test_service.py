@@ -8,8 +8,9 @@ the group-scoped fault-target syntax.
 
 import pytest
 
+from repro.baselines import MultiBackupServer
 from repro.cluster.service import CLUSTER_PORT_BASE, ClusterService
-from repro.core.server import Role
+from repro.core.group import resolve_target
 from repro.core.spec import SchedulingMode, ServiceConfig
 from repro.errors import ClusterError, NoRouteError, ReplicationError
 from repro.experiments.harness import run_scenario
@@ -96,7 +97,8 @@ def test_cluster_facade_has_no_single_primary():
     cluster = build_cluster(SMALL)
     with pytest.raises(ReplicationError, match="no single primary"):
         cluster.current_primary()
-    assert cluster.current_backup() is None
+    # The role queries belong to the group view, defined once.
+    assert not hasattr(cluster, "current_backup")
 
 
 # ----------------------------------------------------------------------
@@ -208,28 +210,51 @@ def test_resolve_fault_target_selectors():
     cluster.start()
     cluster.sim.run(until=1.0)
     group = cluster.groups[2]
-    primary = cluster.resolve_fault_target("g02/primary")
+
+    def resolve(target):
+        return resolve_target(cluster.groups, target)
+
+    primary = resolve("g02/primary")
     assert primary is group.current_primary()
     # Full group names and unpadded gids work too.
-    assert cluster.resolve_fault_target(f"{group.name}/primary") is primary
-    assert cluster.resolve_fault_target("g2/backup") is \
-        group.current_backup()
-    assert cluster.resolve_fault_target("g02/spare") is None
-    assert cluster.resolve_fault_target("g02/deposed") is None
-    assert cluster.resolve_fault_target("g99/primary") is None
-    # Non-group targets fall through to the injector's generic path.
-    assert cluster.resolve_fault_target("primary") is None
-    assert cluster.resolve_fault_target(1) is None
+    assert resolve(f"{group.name}/primary") is primary
+    assert resolve("g2/backup") is group.current_backup()
+    assert resolve("g02/spare") is None
+    assert resolve("g02/deposed") is None
+    assert resolve("g99/primary") is None
+    # A bare selector names no group of a four-group cluster; an address
+    # names the first member on that host.
+    assert resolve("primary") is None
+    assert resolve(1) is next(member for g in cluster.groups
+                              for member in g.members
+                              if member.host.address == 1)
 
 
-def test_servers_view_is_keyed_by_group_and_member():
-    cluster = build_cluster(SMALL)
-    cluster.start()
-    keys = list(cluster.servers)
-    assert keys == sorted(keys)
-    assert all("#" in key for key in keys)
-    roles = {server.role for server in cluster.servers.values()}
-    assert roles == {Role.PRIMARY, Role.BACKUP}
+def test_recovered_server_is_announced_to_its_own_group_only():
+    # Regression: a recovered server used to be announced to the live
+    # primaries of *every* group.  Here g01's primary adopted host 4 —
+    # where no g01 member lives — as its first spare, kept re-sending the
+    # recruitment there, and never recruited the spare the sweep placed
+    # for it: g01 ran backup-less to the horizon.
+    scenario = ClusterScenario(n_shards=2, n_hosts=4, n_objects=8,
+                               horizon=12.0, seed=0)
+    schedule = (FaultSchedule()
+                .crash(3.05, "rtpb/g01@host3")
+                .crash(3.05, "rtpb/g00@host4")
+                .recover(3.1, "rtpb/g00@host4"))
+    result = run_scenario(scenario, fault_schedule=schedule,
+                          full_trace=True)
+    trace = result.service.trace
+    placed = [record.time for record
+              in trace.select("cluster_place", event="spare")
+              if record["group"] == "rtpb/g01"]
+    recruited = [record.time for record in trace.select("recruited")
+                 if record["server"].startswith("rtpb/g01@")]
+    assert placed and recruited
+    assert placed[0] <= recruited[0] <= (
+        placed[0] + 2 * scenario.rebalance_period)
+    assert [record for record in trace.select("recruit_gave_up")
+            if record["spare"] == 4] == []
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +291,9 @@ def test_over_capacity_parks_groups_with_rejection_feedback():
 # ----------------------------------------------------------------------
 
 def test_multibackup_groups_build_and_run():
-    from repro.extensions.multibackup import MultiBackupServer
-
     scenario = ClusterScenario(n_shards=2, n_hosts=4, n_objects=4,
-                               backups_per_group=2, horizon=6.0, seed=0)
+                               backups_per_group=2, horizon=6.0, seed=0,
+                               replication="multi_backup")
     result = run_scenario(scenario, monitor=True)
     cluster = result.service
     assert isinstance(cluster, ClusterService)

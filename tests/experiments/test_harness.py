@@ -27,7 +27,7 @@ from repro.faults.monitor import (
 )
 from repro.faults.scenarios import build
 from repro.parallel import RunSpec, outcome_from_result
-from repro.workload.cluster import build_cluster
+from repro.workload.cluster import ClusterScenario, build_cluster
 from repro.workload.elastic import ElasticScenario
 from repro.workload.scenarios import Scenario, build_scenario
 
@@ -47,15 +47,40 @@ def test_run_scenario_produces_full_result():
     assert lossy.avg_max_distance > 0
 
 
-@pytest.mark.parametrize("name", sorted(DISCIPLINES))
-@pytest.mark.parametrize("monitor", [False, True])
-def test_every_discipline_runs_through_the_one_pipeline(name, monitor):
-    scenario = Scenario(replication=name, horizon=4.0)
+#: One scenario per topology for a discipline: a pair, and two shards on
+#: four hosts (multi_backup keeping two backups per group).
+TOPOLOGIES = {
+    "pair": lambda name: Scenario(replication=name, horizon=4.0),
+    "sharded": lambda name: ClusterScenario(
+        n_shards=2, n_hosts=4, n_objects=8, horizon=4.0, replication=name,
+        backups_per_group=2 if name == "multi_backup" else 1),
+}
+
+
+@pytest.mark.parametrize("topology, monitor, name", [
+    pytest.param(topology, monitor, name, id="-".join(
+        ([] if topology == "pair" else [topology]) + [str(monitor), name]))
+    for topology in TOPOLOGIES for monitor in (False, True)
+    for name in sorted(DISCIPLINES)])
+def test_every_discipline_runs_through_the_one_pipeline(topology, monitor,
+                                                         name):
+    scenario = TOPOLOGIES[topology](name)
     result = run_scenario(scenario, monitor=monitor)
-    assert type(result.service.current_primary()) is DISCIPLINES[name]
+    members = [member for group in result.service.groups
+               for member in group.members]
+    assert members
+    assert {type(member) for member in members} == {DISCIPLINES[name]}
     assert result.response.count > 0
+    if monitor:
+        assert result.violations == [] and result.degraded == []
     spec = RunSpec(scenario=scenario, monitor=monitor, key=(name,))
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_several_backups_per_group_need_the_multi_backup_discipline():
+    with pytest.raises(ValueError, match="multi_backup"):
+        build_cluster(ClusterScenario(n_shards=2, n_hosts=4,
+                                      backups_per_group=2))
 
 
 def test_unknown_discipline_lists_the_known_ones():

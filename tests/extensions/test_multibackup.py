@@ -4,15 +4,12 @@ import pytest
 
 import repro.core.rtpb_protocol as protocol_module
 import repro.core.server as server_module
+from repro.baselines import MultiBackupServer, MultiBackupServerError
 from repro.core.rtpb_protocol import PingAckMsg, encode_message
 from repro.core.server import Role
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
-from repro.extensions.multibackup import (
-    MultiBackupServer,
-    MultiBackupServerError,
-)
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 

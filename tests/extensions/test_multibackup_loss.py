@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.baselines import MultiBackupServer
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
-from repro.extensions.multibackup import MultiBackupServer
 from repro.net.link import BernoulliLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs

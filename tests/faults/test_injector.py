@@ -17,10 +17,13 @@ from repro.faults.actions import (
     LossBurst,
 )
 from repro.faults.injector import FaultInjector
+from repro.faults.scenarios import SCENARIOS, build
 from repro.faults.schedule import FaultSchedule
 from repro.net.link import BernoulliLoss, NoLoss
 from repro.units import ms
+from repro.workload.cluster import ClusterScenario, build_cluster
 from repro.workload.generator import homogeneous_specs
+from repro.workload.scenarios import Scenario
 
 
 def make_service(seed=5, n_spares=0):
@@ -186,3 +189,97 @@ def test_past_action_validation_errors_surface():
         injector.inject_now(DuplicateMessages(1.0, probability=2.0))
     with pytest.raises(ReplicationError):
         injector.inject_now(ClockDrift("backup", scale=0.0))
+
+
+# ----------------------------------------------------------------------
+# One target grammar, every topology
+# ----------------------------------------------------------------------
+
+def _resolver(topology, split):
+    """A deployment's injector at t=3 s.  With ``split`` a backup's host
+    was isolated at t=1 s: it declared its primary dead and promoted
+    itself, so two primaries are live and the name file points at the
+    promoted one (the pair's backup; g01's backup in the cluster)."""
+    if topology == "pair":
+        service = make_service(n_spares=1)
+        victim = BACKUP_ADDRESS
+    else:
+        service = build_cluster(ClusterScenario(
+            n_shards=2, n_hosts=5, n_objects=8, seed=0,
+            replicas_per_group=1, read_period=ms(20)))
+        service.start()
+        victim = "g01/backup"
+    schedule = FaultSchedule()
+    if split:
+        schedule.isolate(1.0, 5.0, victim)
+    injector = FaultInjector(service, schedule)
+    injector.arm()
+    service.run(3.0)
+    return injector
+
+
+#: (topology, split, target, the server name it resolves to).  Role
+#: selectors resolve in the group a prefix names, or — bare — in the only
+#: group of a one-group deployment; anything else is an address, host name
+#: or server name.
+RESOLUTIONS = [
+    ("pair", False, "primary", "primary"),
+    ("pair", False, "backup", "backup"),
+    ("pair", False, "spare", "spare3"),
+    ("pair", False, "deposed", None),
+    ("pair", False, "replica0", None),
+    ("pair", False, "rtpb/primary", "primary"),
+    ("pair", False, PRIMARY_ADDRESS, "primary"),
+    ("pair", False, "spare3", "spare3"),
+    ("pair", False, "nonesuch", None),
+    # The split-brain instant.  ``primary`` is the authoritative primary
+    # (the one the name file points at), else the first live one — the
+    # rule shards always used.  A pair used to take the first live
+    # primary by address, the deposed one here; no catalogue entry sees
+    # the difference (test_no_pair_catalogue_entry_targets_a_role).
+    ("pair", True, "primary", "backup"),
+    ("pair", True, "deposed", "primary"),
+    ("pair", True, "backup", "spare3"),
+    ("pair", True, BACKUP_ADDRESS, "backup"),
+    ("cluster", False, "g01/primary", "rtpb/g01@host2"),
+    ("cluster", False, "g01/backup", "rtpb/g01@host3"),
+    ("cluster", False, "g01/spare", None),
+    ("cluster", False, "g01/deposed", None),
+    ("cluster", False, "g01/replica0", "rtpb/g01/replica0@host1"),
+    ("cluster", False, "rtpb/g01/primary", "rtpb/g01@host2"),
+    ("cluster", False, "g1/backup", "rtpb/g01@host3"),
+    ("cluster", False, 2, "rtpb/g01@host2"),
+    ("cluster", False, 1, None),  # hosts only g01's read replica
+    ("cluster", False, "host5", "rtpb/g00@host5"),
+    ("cluster", False, "rtpb/g01@host3", "rtpb/g01@host3"),
+    ("cluster", False, "primary", None),  # two groups: a bare role is ambiguous
+    ("cluster", False, "g07/primary", None),
+    ("cluster", True, "g01/primary", "rtpb/g01@host3"),
+    ("cluster", True, "g01/deposed", "rtpb/g01@host2"),
+    ("cluster", True, "g01/spare", "rtpb/g01@host5"),
+    ("cluster", True, "g01/backup", None),
+]
+
+
+@pytest.mark.parametrize("topology, split, target, expected", RESOLUTIONS,
+                         ids=[f"{topology}-{'split' if split else 'steady'}"
+                              f"-{target}"
+                              for topology, split, target, _ in RESOLUTIONS])
+def test_one_target_grammar_on_every_topology(topology, split, target,
+                                              expected):
+    server = _resolver(topology, split).resolve_server(target)
+    assert (server.name if server is not None else None) == expected
+
+
+def test_no_pair_catalogue_entry_targets_a_role():
+    # Chaos schedules aim at a pair by fabric address only, so the one
+    # split-brain rule for ``primary`` changes no catalogue run.
+    for name in SCENARIOS:
+        chaos = build(name)
+        if not isinstance(chaos.workload, Scenario):
+            continue
+        for entry in chaos.schedule.entries:
+            for field in ("target", "a", "b"):
+                target = getattr(entry.action, field, None)
+                assert target is None or isinstance(target, int), (
+                    name, target)

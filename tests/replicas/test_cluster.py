@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.service import ClusterService
+from repro.core.group import resolve_target
 from repro.errors import ClusterError
 from repro.faults.monitor import REPLICA_STALENESS
 from repro.faults.report import report_dict, run_chaos
@@ -44,10 +45,10 @@ def test_replica_count_and_policy_are_validated():
 def test_group_scoped_replica_fault_target_resolves():
     cluster = build_cluster(READY)
     cluster.start()
-    target = cluster.resolve_fault_target("g00/replica0")
+    target = resolve_target(cluster.groups, "g00/replica0")
     assert isinstance(target, ReadReplica)
     assert target is cluster.groups[0].replicas[0]
-    assert cluster.resolve_fault_target("g00/replica7") is None
+    assert resolve_target(cluster.groups, "g00/replica7") is None
 
 
 def test_kill_host_crashes_the_resident_replica_and_the_sweep_recruits():
