@@ -519,63 +519,27 @@ def _update_arrivals(service: RTPBService,
 # ---------------------------------------------------------------------------
 
 
-def _served_read_records(service: RTPBService, start: float = 0.0,
-                         objects: Optional[Iterable[int]] = None) -> List:
-    """Served reads across both tiers: replicas and the primary.
+def served_read_stats(service: RTPBService, horizon: float,
+                      start: float = 0.0,
+                      objects: Optional[Iterable[int]] = None
+                      ) -> Tuple[float, SummaryStats]:
+    """Served reads per second over ``[start, horizon]`` and the summary of
+    their delivered staleness, from one pass that reads each field once.
 
-    ``read_served`` records come from replicas, ``client_read`` from the
-    primary (fallbacks and direct primary reads) — delivered-staleness
-    accounting must cover both or fallback traffic would vanish from the
-    distribution.
+    Both tiers count — replicas trace ``read_served``, the primary
+    ``client_read`` — or fallback traffic would vanish from the distribution.
+    Reads of never-written objects report infinite staleness (a routing
+    artefact, not a sample age) and are left out of the summary.
     """
     ids = None if objects is None else set(objects)
-    records = (service.trace.select("read_served")
-               + service.trace.select("client_read"))
-    return [record for record in records
-            if record["issue"] >= start
-            and (ids is None or record["object"] in ids)]
-
-
-def read_staleness_values(service: RTPBService, start: float = 0.0,
-                          objects: Optional[Iterable[int]] = None
-                          ) -> List[float]:
-    """Delivered staleness of every served read after ``start``.
-
-    Reads of never-written objects report infinite staleness; those are
-    excluded (the value is a routing artefact, not a sample age).
-    """
-    return [record["staleness"]
-            for record in _served_read_records(service, start, objects)
-            if math.isfinite(record["staleness"])]
-
-
-def read_staleness_stats(service: RTPBService, start: float = 0.0,
-                         objects: Optional[Iterable[int]] = None
-                         ) -> SummaryStats:
-    return summarize(read_staleness_values(service, start, objects=objects))
-
-
-def read_response_stats(service: RTPBService, start: float = 0.0,
-                        objects: Optional[Iterable[int]] = None
-                        ) -> SummaryStats:
-    """Queueing + service time of served reads, both tiers."""
-    return summarize([
-        record["response"]
-        for record in _served_read_records(service, start, objects)])
-
-
-def reads_served_count(service: RTPBService, start: float = 0.0,
-                       objects: Optional[Iterable[int]] = None) -> int:
-    return len(_served_read_records(service, start, objects))
-
-
-def read_throughput(service: RTPBService, horizon: float, start: float = 0.0,
-                    objects: Optional[Iterable[int]] = None) -> float:
-    """Served reads per second over ``[start, horizon]``, both tiers."""
+    served = [record for record in (service.trace.select("read_served")
+                                    + service.trace.select("client_read"))
+              if record["issue"] >= start
+              and (ids is None or record["object"] in ids)]
     span = horizon - start
-    if span <= 0:
-        return 0.0
-    return reads_served_count(service, start, objects) / span
+    return (len(served) / span if span > 0 else 0.0, summarize([
+        staleness for staleness in map(itemgetter("staleness"), served)
+        if math.isfinite(staleness)]))
 
 
 def read_slo_violations(service: RTPBService,

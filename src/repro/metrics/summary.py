@@ -20,9 +20,8 @@ from repro.metrics.collectors import (
     failover_latency,
     primary_fallback_rate,
     read_slo_violations,
-    read_staleness_stats,
-    read_throughput,
     response_time_stats,
+    served_read_stats,
     unanswered_writes,
     update_delivery_rate,
 )
@@ -111,6 +110,8 @@ def collect_metrics(view: "ReplicationGroup | ClusterService",
     cluster; ``objects`` scopes the trace-counting collectors to one group
     of a cluster whose groups share a trace.
     """
+    read_throughput, read_staleness = served_read_stats(
+        view, horizon, start=warmup, objects=objects)
     return RunMetrics(
         admitted=len(view.registered_specs()),
         response=response_time_stats(view, start=warmup, objects=objects),
@@ -119,10 +120,8 @@ def collect_metrics(view: "ReplicationGroup | ClusterService",
         avg_inconsistency=average_inconsistency_duration(view, horizon,
                                                          start=warmup),
         delivery_rate=update_delivery_rate(view, objects=objects),
-        read_throughput=read_throughput(view, horizon, start=warmup,
-                                        objects=objects),
-        read_staleness=read_staleness_stats(view, start=warmup,
-                                            objects=objects),
+        read_throughput=read_throughput,
+        read_staleness=read_staleness,
         slo_violations=read_slo_violations(view, objects=objects),
         fallback_rate=primary_fallback_rate(view, start=warmup,
                                             objects=objects),

@@ -16,6 +16,7 @@ and it is measured per worker so pool queueing never inflates it.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -132,5 +133,9 @@ def execute(spec: RunSpec) -> RunOutcome:
                           full_trace=spec.full_trace,
                           fault_schedule=spec.fault_schedule,
                           monitor=spec.monitor)
-    return outcome_from_result(result, wall_s=_STOPWATCH() - started,
-                               key=spec.key)
+    outcome = outcome_from_result(result, wall_s=_STOPWATCH() - started,
+                                  key=spec.key)
+    # Free the finished run now: its graph is cyclic, sweeps pause the GC.
+    del result
+    gc.collect(0)
+    return outcome

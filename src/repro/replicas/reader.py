@@ -99,24 +99,24 @@ class ReaderClient:
 
     def _read_once(self, spec: ObjectSpec) -> None:
         self.reads_issued += 1
-        self._outstanding[spec.object_id] = self.sim.now
+        issued_at = self._outstanding[spec.object_id] = self.sim.now
 
         def complete(_value: bytes, _staleness: float,
                      _response: float) -> None:
             self.reads_completed += 1
-            self._outstanding.pop(spec.object_id, None)
+            self._release(spec, issued_at)
 
         replica = self.router.route(spec)
         if replica is not None:
             accepted = replica.serve_read(
                 spec.object_id,
                 on_complete=complete,
-                on_reject=lambda: self._fallback(spec, complete))
+                on_reject=lambda: self._fallback(spec, issued_at, complete))
             if accepted:
                 return
-        self._fallback(spec, complete)
+        self._fallback(spec, issued_at, complete)
 
-    def _fallback(self, spec: ObjectSpec,
+    def _fallback(self, spec: ObjectSpec, issued_at: float,
                   complete: "Optional[ReadCallback]" = None) -> None:
         """Aim one read at the primary; the registered contract trivially
         holds there (the primary *is* the freshest copy)."""
@@ -126,19 +126,24 @@ class ReaderClient:
         try:
             address = self.name_service.lookup(self.service_name)
         except NoRouteError:
-            self._unserved(spec)
+            self._unserved(spec, issued_at)
             return
         server = self.resolver(address)
         if (server is None or not server.alive
                 or server.role is not Role.PRIMARY
                 or spec.object_id not in server.store):
-            self._unserved(spec)
+            self._unserved(spec, issued_at)
             return
         if not server.client_read(spec.object_id, on_complete=complete):
-            self._unserved(spec)
+            self._unserved(spec, issued_at)
 
-    def _unserved(self, spec: ObjectSpec) -> None:
+    def _unserved(self, spec: ObjectSpec, issued_at: float) -> None:
         self.reads_unserved += 1
-        self._outstanding.pop(spec.object_id, None)
+        self._release(spec, issued_at)
         self.sim.trace.record("read_unserved", object=spec.object_id,
                               client=self.name, service=self.service_name)
+
+    def _release(self, spec: ObjectSpec, issued_at: float) -> None:
+        # A reply that outlived its lease leaves its successor's entry be.
+        if self._outstanding.get(spec.object_id) == issued_at:
+            del self._outstanding[spec.object_id]

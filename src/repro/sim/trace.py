@@ -7,12 +7,11 @@ them directly.  Online observers (the fault subsystem's invariant monitor)
 :meth:`~Tracer.subscribe` instead and see every record as it is produced,
 independently of the storage filter.
 
-A record is four slots — ``time``, ``category``, a *shape* and a ``values``
-tuple.  The shape (key order, key -> position, precompiled digest template)
-is interned once per (category, key tuple), so the ~100k ``read_served``
-rows of a read-heavy run share one; ``record[key]`` / ``.get`` read through
-it, and ``record.fields`` is a fresh dict per access: no listener or
-:meth:`Tracer.ingest` caller can rewrite a stored record through it.
+A record is one tuple ``(time, *values)`` whose class is its shape: one
+:class:`TraceRecord` subclass per (category, key tuple), made once, holds the
+category, key -> position and the compiled digest template.  ``fields`` is a
+fresh dict per access: no listener or :meth:`Tracer.ingest` caller can
+rewrite a stored record through it.
 
 Storage is one append-only list plus a per-category view of it.  A
 single-field equality query (``select("primary_write", object=3)``, what
@@ -36,12 +35,18 @@ dropped on arrival.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
+from itertools import islice
 from types import MappingProxyType
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple, Type, cast)
 
-#: (category, key tuple) -> its one shape: a process-wide intern table.
-_SHAPES: Dict[Tuple[str, Tuple[str, ...]], _Shape] = {}
+#: (category, key tuple) -> its one shape class: a process-wide intern table.
+_SHAPES: Dict[Tuple[str, Tuple[str, ...]], Type[TraceRecord]] = {}
+
+_Timed = namedtuple("_Timed", "time")
+#: The C-level tuple item descriptor ``namedtuple`` gives its fields.
+_ItemGetter = type(vars(_Timed)["time"])
 
 
 def _literal(text: str) -> str:
@@ -49,53 +54,49 @@ def _literal(text: str) -> str:
     return repr(text).replace("{", "{{").replace("}", "}}")
 
 
-class _Shape:
-    """What all records of one (category, key tuple) share."""
+class TraceRecord(tuple):
+    """One traced occurrence at virtual time :attr:`time`: the tuple
+    ``(time, *values)``, an instance of its (category, key tuple)'s class."""
 
-    __slots__ = ("index", "template")
+    __slots__ = ()
+    #: Field 0, by the C item getter (a ``property`` is ~5x slower).
+    time: float = _ItemGetter(0, None)
+    # Set per shape: key -> tuple position (in key order), and the digest
+    # line ``repr((time, category, sorted(fields.items())))`` as a template.
+    category: str
+    _index: Dict[str, int]
+    _template: str
 
-    def __init__(self, category: str, keys: Tuple[str, ...]) -> None:
-        #: key -> position in a record's ``values``, in the record's key order.
-        self.index = {key: position for position, key in enumerate(keys)}
-        #: ``repr((time, category, sorted(fields.items())))`` as a
-        #: ``str.format`` template over ``(time, *values)``.
-        pairs = ", ".join(f"({_literal(key)}, {{{self.index[key] + 1}!r}})"
-                          for key in sorted(keys))
-        self.template = f"({{0!r}}, {_literal(category)}, [{pairs}])"
-
-
-class TraceRecord:
-    """One traced occurrence at virtual time :attr:`time`."""
-
-    __slots__ = ("time", "category", "shape", "values")
-
-    def __init__(self, time: float, category: str,
-                 fields: Mapping[str, Any] = MappingProxyType({})) -> None:
+    def __new__(cls, time: float, category: str,
+                fields: Mapping[str, Any] = MappingProxyType({})
+                ) -> TraceRecord:
         keys = tuple(fields)
-        shape = _SHAPES.get((category, keys))
-        if shape is None:
-            shape = _SHAPES[category, keys] = _Shape(category, keys)
-        self.time = time
-        self.category = category
-        self.shape = shape
-        self.values = tuple(fields.values())
+        shape = _SHAPES.get((category, keys)) or _new_shape(category, keys)
+        return tuple.__new__(shape, (time, *fields.values()))
+
+    if TYPE_CHECKING:  # each shape class defines them; see _new_shape
+        def __getitem__(self, key: str) -> Any: ...  # type: ignore[override]
+        def get(self, key: str, default: Any = None) -> Any: ...
 
     @property
     def fields(self) -> Dict[str, Any]:
-        return dict(zip(self.shape.index, self.values))
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[self.shape.index[key]]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        position = self.shape.index.get(key)
-        return default if position is None else self.values[position]
+        return dict(zip(self._index, islice(self, 1, None)))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        return ((self.time, self.category, self.fields)
-                == (other.time, other.category, other.fields))
+        if isinstance(other, TraceRecord):
+            return ((self.time, self.category, self.fields)
+                    == (other.time, other.category, other.fields))
+        # Never item by item, as tuple's == would against a plain tuple.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError("trace records are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (f"TraceRecord(time={self.time!r}, "
@@ -103,6 +104,30 @@ class TraceRecord:
 
     def __reduce__(self) -> Tuple[Any, ...]:
         return TraceRecord, (self.time, self.category, self.fields)
+
+
+def _new_shape(category: str, keys: Tuple[str, ...]) -> Type[TraceRecord]:
+    """Make and intern the class of every (category, keys) record.  Item
+    ``i`` is also attribute ``_i``, a C item getter: ``getattr`` of it is the
+    cheapest keyed read on a tuple subclass (``tuple.__getitem__`` is not)."""
+    index = {key: position for position, key in enumerate(keys, 1)}
+    names = {key: f"_{position}" for key, position in index.items()}
+
+    def __getitem__(self: TraceRecord, key: str) -> Any:
+        return getattr(self, names[key])
+
+    def get(self: TraceRecord, key: str, default: Any = None) -> Any:
+        name = names.get(key)
+        return default if name is None else getattr(self, name)
+
+    pairs = ", ".join(f"({_literal(key)}, {{{index[key]}!r}})"
+                      for key in sorted(keys))
+    return _SHAPES.setdefault((category, keys), cast("Type[TraceRecord]", type(
+        "TraceRecord", (TraceRecord,), {
+            "__slots__": (), "__getitem__": __getitem__, "get": get,
+            "category": category, "_index": index,
+            "_template": f"({{0!r}}, {_literal(category)}, [{pairs}])",
+            **{names[key]: _ItemGetter(index[key], None) for key in keys}})))
 
 
 class _FieldIndex:
@@ -176,7 +201,9 @@ class Tracer:
             self._live_cache[category] = live
         if not live:
             return
-        record = TraceRecord(self._clock(), category, fields)
+        keys = tuple(fields)
+        shape = _SHAPES.get((category, keys)) or _new_shape(category, keys)
+        record = tuple.__new__(shape, (self._clock(), *fields.values()))
         for listener in self._listeners:
             listener(record)
         if (self._enabled is None or category in self._enabled):
@@ -291,7 +318,7 @@ class Tracer:
         records, chunk = self._records, 1024  # records per hasher.update
         for start in range(0, len(records), chunk):
             hasher.update("".join([
-                record.shape.template.format(record.time, *record.values)
+                type(record)._template.format(*record)
                 for record in records[start:start + chunk]]).encode())
         return hasher.hexdigest()
 

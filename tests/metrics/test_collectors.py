@@ -329,26 +329,25 @@ def read_path_service():
 
 
 def test_read_staleness_excludes_infinite_samples():
-    from repro.metrics.collectors import (
-        read_staleness_stats,
-        read_staleness_values,
-    )
+    from repro.metrics.collectors import served_read_stats, summarize
 
     service = read_path_service()
-    assert read_staleness_values(service) == [0.05, 0.25, 0.4]
-    assert read_staleness_stats(service).count == 3
+    assert served_read_stats(service, horizon=5.0)[1] == summarize(
+        [0.05, 0.25, 0.4])
     # The start filter gates on issue time.
-    assert read_staleness_values(service, start=1.5) == [0.25, 0.4]
+    assert served_read_stats(service, horizon=5.0, start=1.5)[1] == (
+        summarize([0.25, 0.4]))
 
 
 def test_read_throughput_counts_both_tiers():
-    from repro.metrics.collectors import read_throughput, reads_served_count
+    from repro.metrics.collectors import served_read_stats
 
     service = read_path_service()
-    assert reads_served_count(service) == 4  # 3 replica + 1 primary
-    assert read_throughput(service, horizon=5.0, start=1.0) == pytest.approx(
-        4 / 4.0)
-    assert read_throughput(service, horizon=1.0, start=1.0) == 0.0
+    # 3 replica + 1 primary
+    assert served_read_stats(service, horizon=1.0)[0] == 4.0
+    assert served_read_stats(service, horizon=5.0, start=1.0)[0] == (
+        pytest.approx(4 / 4.0))
+    assert served_read_stats(service, horizon=1.0, start=1.0)[0] == 0.0
 
 
 def test_read_slo_violations_counts_only_over_bound_replica_reads():

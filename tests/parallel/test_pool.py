@@ -4,17 +4,23 @@ Worker callables live at module level so they pickle by reference; the
 pool tests run real subprocesses (small inputs, so they stay fast).
 """
 
+import gc
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.parallel import (
     JOBS_ENV_VAR,
+    RunSpec,
     SweepPool,
     SweepSubmissionError,
     process_support,
     resolve_jobs,
+    run_specs,
 )
+from repro.units import ms
+from repro.workload.scenarios import Scenario
 
 
 def square(value):
@@ -112,3 +118,39 @@ def test_unpicklable_callable_fails_at_submission():
 def test_single_item_work_runs_inline():
     # One item can never benefit from a pool; closures prove the bypass.
     assert SweepPool(jobs=8).map(lambda v: v - 1, [5]) == [4]
+
+
+# ---------------------------------------------------------------------------
+# run_specs: what a finished point leaves behind
+# ---------------------------------------------------------------------------
+
+
+def test_finished_points_are_not_kept():
+    """Regression: a deployment's object graph is cyclic, so a finished
+    point — its trace included — was freed only by the cycle collector,
+    which sweeps run with paused: a serial sweep held every point to its
+    end."""
+
+    def retained_after(points):
+        specs = [RunSpec(Scenario(n_objects=4, client_period=ms(20),
+                                  horizon=6.0, seed=seed))
+                 for seed in range(points)]
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcomes = run_specs(specs)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        return retained, outcomes
+
+    retained_after(1)  # interns the record shapes a run makes
+    one, _ = retained_after(1)
+    four, outcomes = retained_after(4)
+    records = min(outcome.trace_records for outcome in outcomes)
+    assert records > 1000
+    # An extra point keeps its outcome: less than a pointer per record.
+    assert (four - one) / 3 < 8 * records, (four - one) / 3

@@ -95,3 +95,27 @@ def test_reads_are_unserved_when_nobody_can_serve():
     assert service.trace.select("read_unserved")
     # Unserved reads release the closed loop immediately (no lease wait).
     assert reader.reads_skipped == 0
+
+
+def test_a_late_reply_does_not_reopen_the_loop():
+    """Regression: a reply arriving after its read's lease expired cleared
+    the entry of the read issued after it, so the loop issued again with
+    that read still in flight — up to dozens at once per object."""
+    scenario = Scenario(n_objects=8, window=ms(200), read_period=ms(0.5),
+                        horizon=4.0, seed=1)
+    service = build_scenario(scenario)
+    service.run(scenario.horizon)
+    lease = LEASE_PERIODS * scenario.read_period
+    served = service.trace.select("client_read")
+    assert len(served) > 10_000
+    early = 0
+    for object_id in range(scenario.n_objects):
+        spans = sorted((record["issue"], record["issue"] + record["response"])
+                       for record in served if record["object"] == object_id)
+        # The loop issues at most once a period, so only the last
+        # LEASE_PERIODS reads can have been issued within one lease.
+        for index, (issue, _) in enumerate(spans):
+            recent = spans[max(0, index - LEASE_PERIODS):index]
+            early += any(issue - before < lease and issue < end
+                         for before, end in recent)
+    assert early == 0

@@ -476,14 +476,19 @@ def test_record_api_matches_dict_backed_reference(time, category, fields,
     assert record != TraceRecord(time, category, {**fields, "extra": 1})
     assert record != TraceRecord(time, category + "x", fields)
     assert record != (time, category, fields)
+    # Not tuple's != either, which would compare the values in key order.
+    assert not (record != reordered)
+    assert record != (time, *fields.values())
     with pytest.raises(TypeError):
         hash(record)
+    with pytest.raises(TypeError):
+        record < reordered
     restored = pickle.loads(pickle.dumps(record))
     # Equal unless a NaN came back as a new object, as for the reference.
     assert (restored == record) == (
         pickle.loads(pickle.dumps(reference)) == reference)
     assert repr(restored) == repr(record)
-    assert restored.shape is record.shape
+    assert type(restored) is type(record)
     assert list(restored.fields) == list(fields)
 
 
@@ -492,9 +497,9 @@ def test_shapes_are_interned_per_category_and_key_order():
     again = TraceRecord(2.0, "read_served", {"object": 2, "server": "b"})
     swapped = TraceRecord(1.0, "read_served", {"server": "a", "object": 1})
     other = TraceRecord(1.0, "read_refused", {"object": 1, "server": "a"})
-    assert first.shape is again.shape
-    assert first.shape is not swapped.shape
-    assert first.shape is not other.shape
+    assert type(first) is type(again)
+    assert type(first) is not type(swapped)
+    assert type(first) is not type(other)
     assert first == swapped
     assert TraceRecord(1.0, "bare").fields == {}
 
@@ -528,15 +533,18 @@ def test_stored_record_cannot_be_rewritten_through_fields():
 
 
 def test_retained_records_stay_compact():
-    """Memory canary: retaining a record costs well under the tuple-and-dict
-    it replaced — and stops doing so the day it grows a ``__dict__`` or a
-    per-record dict again."""
-    # The field values exist before measuring and are shared by both sides,
-    # so the bytes compared are those of the representation alone.
+    """Memory canary: a retained record costs what the bare tuple
+    ``(time, *values)`` in two lists (the trace and its category view)
+    costs — and stops doing so the day it grows a ``__dict__``, a second
+    object or a per-record dict again."""
+    # The field values and the interned shape exist before measuring and
+    # are shared by every record of the category, so the bytes compared are
+    # those of the representation alone.
     rows = [{"object": index % 8, "server": "rtpb/r0@host2",
              "service": "rtpb", "issue": index * 1e-3,
              "response": index * 1e-3 + 4e-4, "staleness": index * 1e-5,
              "bound": 0.2} for index in range(20_000)]
+    assert not hasattr(TraceRecord(0.5, "read_served", rows[0]), "__dict__")
 
     def retained_bytes(build):
         gc.collect()
@@ -547,20 +555,28 @@ def test_retained_records_stay_compact():
             after = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(kept) == len(rows)
+        assert len(kept[0]) == len(rows)
         return after - before
 
     def as_tracer():
         trace = Tracer(clock=lambda: 0.5)
         for row in rows:
             trace.record("read_served", **row)
-        return trace
+        return trace, None
 
-    def as_tuples_and_dicts():
-        return [(0.5, "read_served", dict(row)) for row in rows]
+    def as_exact_tuples():
+        stored, view = [], []
+        for row in rows:
+            record = (0.5, *row.values())
+            stored.append(record)
+            view.append(record)
+        return stored, view
 
     compact = retained_bytes(as_tracer)
-    reference = retained_bytes(as_tuples_and_dicts)
-    assert compact <= 0.6 * reference, (compact / len(rows),
-                                        reference / len(rows))
-    assert not hasattr(TraceRecord(0.5, "read_served", rows[0]), "__dict__")
+    reference = retained_bytes(as_exact_tuples)
+    # CPython allocates every tuple-subclass instance one item longer than
+    # it uses (a sentinel slot), and the tracer's own tables are a fixed
+    # cost; the pre-tuple record paid ~50 B more per row.
+    sentinel, tables = 8, 4096
+    assert compact <= reference + sentinel * len(rows) + tables, (
+        compact / len(rows), reference / len(rows))
