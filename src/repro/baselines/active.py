@@ -122,7 +122,7 @@ class ActiveReplica(ReplicaServer):
             record.value = value
             record.write_time = self.sim.now
             record.source_time = source_time
-            record.history.record(self.sim.now, seq, source_time, value)
+            record.history.record(self.sim.now, seq, source_time)
             self.writes_handled += 1
             self.sim.trace.record("primary_write", object=object_id,
                                   seq=seq, source_time=source_time)

@@ -47,12 +47,15 @@ class ExternalConsistencyChecker:
         violations = []
         for interval_start, interval_end in history.violation_intervals(
                 self.delta, start, end):
+            # Peak staleness, just before the end, less the bound.
+            anchor = history.timestamp_at(interval_start)
             violations.append(Violation(
                 object_ids=(history.object_id,),
                 start=interval_start,
                 end=interval_end,
                 bound=self.delta,
-                worst=(interval_end - interval_start),
+                worst=(interval_end - interval_start if anchor is None
+                       else interval_end - anchor - self.delta),
             ))
         return violations
 
@@ -124,10 +127,9 @@ class InterObjectConsistencyChecker:
     def _sweep(history_i: VersionHistory, history_j: VersionHistory,
                start: float, end: float):
         """Yield ``(t, T_i(t), T_j(t))`` at every step-change instant."""
-        instants = sorted(
-            {start, end}
-            | {t for t in history_i.times if start <= t <= end}
-            | {t for t in history_j.times if start <= t <= end})
+        instants = sorted({start, end,
+                           *history_i.times_between(start, end),
+                           *history_j.times_between(start, end)})
         for time in instants:
             t_i = history_i.timestamp_at(time)
             t_j = history_j.timestamp_at(time)

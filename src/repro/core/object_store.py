@@ -97,11 +97,8 @@ class ObjectStore:
               source_time: float) -> ObjectRecord:
         """Apply a client write at the primary; bumps the sequence number."""
         record = self.get(object_id)
-        record.seq += 1
-        record.value = value
-        record.write_time = now
-        record.source_time = source_time
-        record.history.record(now, record.seq, source_time, value)
+        self.apply_update(object_id, now, record.seq + 1, now, source_time,
+                          value)
         return record
 
     def apply_update(self, object_id: int, now: float, seq: int,
@@ -120,7 +117,7 @@ class ObjectStore:
         record.value = value
         record.write_time = write_time
         record.source_time = source_time
-        record.history.record(now, seq, source_time, value)
+        record.history.record(now, seq, source_time)
         return True
 
     def snapshot(self, object_id: int) -> Tuple[int, float, float, bytes]:

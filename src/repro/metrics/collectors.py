@@ -393,27 +393,18 @@ def average_inconsistency_duration(service: RTPBService, horizon: float,
 def primary_external_violations(service: RTPBService, start: float,
                                 end: float) -> Dict[int, List[Violation]]:
     """Per-object δ^P violations at the primary (empty dict values = clean)."""
-    primary = service.current_primary()
-    result: Dict[int, List[Violation]] = {}
-    for record in primary.store:
-        checker = ExternalConsistencyChecker(record.spec.delta_primary)
-        result[record.spec.object_id] = checker.check(record.history,
-                                                      start, end)
-    return result
+    return {record.spec.object_id: ExternalConsistencyChecker(
+                record.spec.delta_primary).check(record.history, start, end)
+            for record in service.current_primary().store}
 
 
 def backup_external_violations(service: RTPBService, start: float,
                                end: float) -> Dict[int, List[Violation]]:
     """Per-object δ^B violations at the backup."""
     backup = service.current_backup()
-    result: Dict[int, List[Violation]] = {}
-    if backup is None:
-        return result
-    for record in backup.store:
-        checker = ExternalConsistencyChecker(record.spec.delta_backup)
-        result[record.spec.object_id] = checker.check(record.history,
-                                                      start, end)
-    return result
+    return {record.spec.object_id: ExternalConsistencyChecker(
+                record.spec.delta_backup).check(record.history, start, end)
+            for record in (backup.store if backup is not None else ())}
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,14 @@ in the caller with a clear :class:`SweepSubmissionError` instead of a
 worker traceback; and when a worker raises, the original exception
 propagates to the caller while pending work is cancelled — no hung pool.
 
-``jobs=1`` (the default) bypasses multiprocessing entirely and runs inline,
-as does any platform without fork/spawn support.
+``jobs=1`` (the default) bypasses multiprocessing entirely — not even
+importing it — and runs inline, as does any platform without fork/spawn.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -113,14 +112,14 @@ class SweepPool:
         for index, item in enumerate(work):
             _check_picklable(f"work item #{index} ({type(item).__name__})",
                              item)
+        from concurrent.futures import ProcessPoolExecutor
         try:
             executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(work)))
         except (OSError, NotImplementedError):  # pragma: no cover - platform
             return [func(item) for item in work]
         with executor:
-            futures: List[Future[ResultT]] = [
-                executor.submit(func, item) for item in work]
+            futures = [executor.submit(func, item) for item in work]
             try:
                 return [future.result() for future in futures]
             except BaseException:

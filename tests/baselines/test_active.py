@@ -47,8 +47,7 @@ def test_every_replica_applies_every_write_in_order():
             assert sequencer_seq - member_seq <= 8
         # Ordered delivery: history sequence numbers strictly increase.
         for spec in specs:
-            seqs = [version.seq for version in
-                    member.store.get(spec.object_id).history._versions]
+            seqs = list(member.store.get(spec.object_id).history.seqs)
             assert seqs == sorted(seqs)
 
 
@@ -85,8 +84,7 @@ def test_atomicity_under_loss():
     assert retransmissions
     for member in service.backup_servers:
         for spec in specs:
-            seqs = [version.seq for version in
-                    member.store.get(spec.object_id).history._versions]
+            seqs = list(member.store.get(spec.object_id).history.seqs)
             assert seqs == sorted(seqs)
 
 

@@ -41,8 +41,7 @@ def test_semi_active_still_delivers_everything_in_order():
                                  horizon=15.0)
     for member in service.backup_servers:
         for spec in specs:
-            seqs = [version.seq for version in
-                    member.store.get(spec.object_id).history._versions]
+            seqs = list(member.store.get(spec.object_id).history.seqs)
             assert seqs == sorted(seqs)
             # Retries delivered the stream despite 15% loss: the member
             # tracks the sequencer closely.

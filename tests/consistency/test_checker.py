@@ -1,6 +1,8 @@
 """Unit tests for the trace-based consistency checkers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consistency.checker import (
     ExternalConsistencyChecker,
@@ -38,6 +40,15 @@ def test_external_detects_gap_violation():
     assert violation.end == pytest.approx(4.0)
     assert violation.object_ids == (0,)
     assert violation.duration == pytest.approx(1.5)
+
+
+def test_external_violation_open_at_window_start_reports_its_worst():
+    # The update at 1.0 is δ-stale from 1.5; the window opens at 2.0.
+    history = make_history(0, [1.0, 3.0])
+    violation = ExternalConsistencyChecker(delta=0.5).check(
+        history, 2.0, 2.9)[0]
+    assert (violation.start, violation.end) == (2.0, 2.9)
+    assert violation.worst == pytest.approx(1.4)
 
 
 def test_external_negative_delta_rejected():
@@ -122,3 +133,24 @@ def test_appendix_f_necessity_construction():
 def test_interobject_negative_delta_rejected():
     with pytest.raises(InvalidTaskError):
         InterObjectConsistencyChecker(-1.0)
+
+
+_instants = st.lists(st.floats(min_value=0.0, max_value=10.0).map(
+    lambda value: round(value, 2)), max_size=20).map(sorted)
+
+
+@given(_instants, _instants, st.sampled_from([0.0, 2.5, 5.0]),
+       st.sampled_from([5.0, 7.5, 10.0]))
+@settings(max_examples=200, deadline=None)
+def test_interobject_sweep_visits_every_step_of_the_window(
+        times_i, times_j, start, end):
+    """The bisected sweep equals a scan of every update of the run."""
+    history_i = make_history(0, times_i)
+    history_j = make_history(1, times_j)
+    instants = sorted({start, end}
+                      | {t for t in times_i + times_j if start <= t <= end})
+    expected = [(t, history_i.timestamp_at(t), history_j.timestamp_at(t))
+                for t in instants]
+    assert list(InterObjectConsistencyChecker._sweep(
+        history_i, history_j, start, end)) == [
+            point for point in expected if None not in point]

@@ -1,11 +1,17 @@
 """Unit tests for the versioned object store."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.consistency.timestamps import VersionHistory
 from repro.core.object_store import ObjectStore
+from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError, UnknownObjectError
 from repro.units import ms
+from repro.workload.generator import spec_for_window
 
 
 def make_spec(object_id=0):
@@ -111,3 +117,40 @@ def test_object_ids_and_iteration():
         store.register(make_spec(object_id))
     assert sorted(store.object_ids()) == [2, 5, 9]
     assert sorted(record.spec.object_id for record in store) == [2, 5, 9]
+
+
+def _history_bytes_per_update(size_bytes, role):
+    """Bytes freed by dropping one replica's history, per update it held."""
+    tracemalloc.start()
+    try:
+        service = RTPBService(seed=5)
+        spec = spec_for_window(0, window=ms(200), client_period=ms(20),
+                               size_bytes=size_bytes)
+        assert service.register(spec).accepted
+        service.create_client([spec])
+        service.run(4.0)
+        server = (service.primary_server if role == "primary"
+                  else service.backup_server)
+        record = server.store.get(0)
+        updates = len(record.history)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        record.history = VersionHistory(0)
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert updates >= 20
+    return freed / updates
+
+
+@pytest.mark.parametrize("role", ["primary", "backup"])
+def test_a_history_retains_its_timeline_not_its_payloads(role):
+    """Regression: every applied update kept a version object and its
+    payload, so a history grew with the object's size (≈ 228 B an update
+    at 64 B, ≈ 4.2 KB at 4096 B)."""
+    small = _history_bytes_per_update(64, role)
+    large = _history_bytes_per_update(4096, role)
+    assert abs(large - small) <= 8, (small, large)
+    # Three 8-byte columns, plus the arrays' growth headroom.
+    assert max(small, large) <= 48, (small, large)

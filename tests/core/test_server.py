@@ -74,8 +74,7 @@ def test_stale_update_does_not_regress_backup():
     service.create_client([spec])
     service.run(5.0)
     backup_record = service.backup_server.store.get(0)
-    history_seqs = [version.seq for version in
-                    backup_record.history._versions]
+    history_seqs = list(backup_record.history.seqs)
     assert history_seqs == sorted(history_seqs)
     assert len(set(history_seqs)) == len(history_seqs)
 

@@ -69,8 +69,7 @@ def test_heal_after_partition_keeps_state_monotonic():
     service.run(12.0)
     promoted = service.backup_server
     for spec in specs:
-        seqs = [version.seq for version in
-                promoted.store.get(spec.object_id).history._versions]
+        seqs = list(promoted.store.get(spec.object_id).history.seqs)
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 

@@ -41,7 +41,7 @@ def test_backup_state_monotonic_despite_reordering():
     service.create_client([spec])
     service.run(5.0)
     history = service.backup_server.store.get(0).history
-    seqs = [version.seq for version in history._versions]
+    seqs = list(history.seqs)
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
     assert service.backup_server.updates_stale >= 0  # counter exists

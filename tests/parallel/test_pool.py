@@ -5,11 +5,15 @@ pool tests run real subprocesses (small inputs, so they stay fast).
 """
 
 import gc
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.parallel import (
     JOBS_ENV_VAR,
     RunSpec,
@@ -154,3 +158,19 @@ def test_finished_points_are_not_kept():
     assert records > 1000
     # An extra point keeps its outcome: less than a pointer per record.
     assert (four - one) / 3 < 8 * records, (four - one) / 3
+
+
+def test_a_serial_run_path_never_imports_the_process_pool():
+    """Regression: importing the pool module loaded ``multiprocessing``
+    (and with it ``socket`` and ``subprocess``) into every serial run."""
+    probe = ("import sys\n"
+             "import repro.experiments.figures, repro.cluster.harness, "
+             "repro.elastic.harness\n"
+             "print(sorted(name for name in ('multiprocessing', "
+             "'concurrent.futures.process') if name in sys.modules))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=60)
+    assert loaded.stdout.strip() == "[]", loaded.stdout
