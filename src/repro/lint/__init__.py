@@ -10,7 +10,7 @@ published role resolvable, timestamp units never mixed).  This package
 enforces both mechanically in a two-phase run: per-file rules over each
 parsed module, then whole-program rules over a :class:`ProjectModel`.  See
 ``docs/LINT.md`` for the rule catalogue, the ``# lint: disable=RULE``
-suppression syntax, SARIF output, and the baseline workflow.
+suppression syntax, and the baseline workflow.
 
 Public API::
 
@@ -28,7 +28,6 @@ from repro.lint.finding import Finding
 from repro.lint.project import ModuleInfo, ProjectModel, module_name_for
 from repro.lint.registry import (ProjectRule, Rule, all_rules, get_rule,
                                  known_codes, register)
-from repro.lint.sarif import sarif_document
 from repro.lint.suppress import META_CODE, Suppressions
 from repro.lint.symbols import ClassInfo, SymbolTable
 
@@ -54,6 +53,5 @@ __all__ = [
     "lint_source",
     "module_name_for",
     "register",
-    "sarif_document",
     "select_rules",
 ]

@@ -4,7 +4,6 @@ Also installed as the ``repro-lint`` console script.  Examples::
 
     python -m repro.lint                      # analyze src and tests
     python -m repro.lint src --output json    # machine-readable report
-    python -m repro.lint src --output sarif   # SARIF for CI annotations
     python -m repro.lint --rules              # rule catalogue
     python -m repro.lint --select PROTO001 src  # one rule only
     python -m repro.lint --update-baseline    # grandfather current findings
@@ -22,7 +21,6 @@ from typing import List, Optional
 from repro.lint.baseline import Baseline
 from repro.lint.engine import lint_paths, select_rules
 from repro.lint.registry import all_rules
-from repro.lint.sarif import sarif_document
 from repro.metrics.jsonio import stable_dumps
 
 DEFAULT_BASELINE = Path("lint-baseline.json")
@@ -37,9 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories (default: src tests)")
     parser.add_argument("--output", "--format", dest="output",
-                        choices=("human", "json", "sarif"),
-                        default="human",
-                        help="report format (sarif feeds CI annotations)")
+                        choices=("human", "json"), default="human",
+                        help="report format")
     parser.add_argument("--select", default=None, metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
@@ -98,8 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "baseline": None if baseline is None else len(baseline),
         }
         print(stable_dumps(report))
-    elif args.output == "sarif":
-        print(stable_dumps(sarif_document(findings, rules)))
     else:
         for finding in findings:
             print(finding.render())

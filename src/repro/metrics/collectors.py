@@ -24,6 +24,7 @@ from repro.consistency.checker import ExternalConsistencyChecker, Violation
 from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
+from repro.sim.trace import Selection
 
 #: Trace categories the collectors consume: a pair run's trace allow-list.
 METRIC_TRACE_CATEGORIES = (
@@ -121,6 +122,20 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     return ordered[max(0, index)]
 
 
+def _scoped(service: RTPBService, category: str,
+            objects: Optional[Iterable[int]]) -> Selection:
+    """``category``'s records, only those of ``objects`` when given: one
+    indexed query per object, so a cluster group view reads its own records,
+    not every group's.  They come grouped by object, which no count or
+    sorted summary sees."""
+    if objects is None:
+        return service.trace.select(category)
+    scoped = Selection()
+    for object_id in sorted(set(objects)):
+        scoped += service.trace.select(category, object=object_id)
+    return scoped
+
+
 # ---------------------------------------------------------------------------
 # Client response time (Figures 6-7)
 # ---------------------------------------------------------------------------
@@ -134,11 +149,9 @@ def response_times(service: RTPBService,
     ``objects`` restricts the count to those object ids (a cluster group
     view filtering the shared trace); None keeps every record.
     """
-    ids = None if objects is None else set(objects)
     return [record["response"]
-            for record in service.trace.select("client_response")
-            if record["issue"] >= start
-            and (ids is None or record["object"] in ids)]
+            for record in _scoped(service, "client_response", objects)
+            if record["issue"] >= start]
 
 
 def response_time_stats(service: RTPBService,
@@ -157,12 +170,9 @@ def unanswered_writes(service: RTPBService,
     client too, so they count as answered even though they are excluded
     from the response-time distribution.
     """
-    ids = None if objects is None else set(objects)
     issued = sum(client.writes_issued for client in service.clients)
-    answered = sum(
-        1 for record in (service.trace.select("client_response")
-                         + service.trace.select("client_response_degraded"))
-        if ids is None or record["object"] in ids)
+    answered = (len(_scoped(service, "client_response", objects))
+                + len(_scoped(service, "client_response_degraded", objects)))
     return max(0, issued - answered)
 
 
@@ -180,11 +190,9 @@ def fastpath_hit_rate(service: RTPBService, start: float = 0.0,
     0.0 when no write carried a path tag — i.e. on every run without the
     fast path.
     """
-    ids = None if objects is None else set(objects)
     fast = total = 0
-    for record in service.trace.select("client_response"):
-        if record["issue"] < start or (ids is not None
-                                       and record["object"] not in ids):
+    for record in _scoped(service, "client_response", objects):
+        if record["issue"] < start:
             continue
         path = record.get("path")
         if path is None:
@@ -208,11 +216,9 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
     run without the fast path — the inert defaults of
     :class:`~repro.metrics.summary.RunMetrics`, whatever the topology.
     """
-    ids = None if objects is None else set(objects)
     split: Dict[str, List[float]] = {"fast": [], "deferred": []}
-    for record in service.trace.select("client_response"):
-        if record["issue"] < start or (ids is not None
-                                       and record["object"] not in ids):
+    for record in _scoped(service, "client_response", objects):
+        if record["issue"] < start:
             continue
         path = record.get("path")
         if path is not None:
@@ -223,11 +229,9 @@ def fastpath_response_split(service: RTPBService, start: float = 0.0,
 def degraded_responses(service: RTPBService, start: float = 0.0,
                        objects: Optional[Iterable[int]] = None) -> int:
     """Writes completed degraded (flushed when the backup died unacked)."""
-    ids = None if objects is None else set(objects)
     return sum(
-        1 for record in service.trace.select("client_response_degraded")
-        if record["issue"] >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _scoped(service, "client_response_degraded", objects)
+        if record["issue"] >= start)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,7 @@ def update_delivery_rate(service: RTPBService,
     the very pathology the chaos reports exist to surface (see
     :func:`duplicate_deliveries`).
     """
-    sent = _sent_count(service, objects)
+    sent = len(_scoped(service, "update_sent", objects))
     if sent == 0:
         return 1.0
     return _update_arrivals(service, objects) / sent
@@ -486,23 +490,13 @@ def duplicate_deliveries(service: RTPBService,
     copy in the arithmetic.
     """
     return max(0, _update_arrivals(service, objects)
-               - _sent_count(service, objects))
-
-
-def _sent_count(service: RTPBService,
-                objects: Optional[Iterable[int]] = None) -> int:
-    ids = None if objects is None else set(objects)
-    return sum(1 for record in service.trace.select("update_sent")
-               if ids is None or record["object"] in ids)
+               - len(_scoped(service, "update_sent", objects)))
 
 
 def _update_arrivals(service: RTPBService,
                      objects: Optional[Iterable[int]] = None) -> int:
-    ids = None if objects is None else set(objects)
-    return sum(
-        1 for record in (service.trace.select("backup_apply")
-                         + service.trace.select("backup_apply_stale"))
-        if ids is None or record["object"] in ids)
+    return (len(_scoped(service, "backup_apply", objects))
+            + len(_scoped(service, "backup_apply_stale", objects)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +516,17 @@ def served_read_stats(service: RTPBService, horizon: float,
     Reads of never-written objects report infinite staleness (a routing
     artefact, not a sample age) and are left out of the summary.
     """
-    ids = None if objects is None else set(objects)
-    served = [record for record in (service.trace.select("read_served")
-                                    + service.trace.select("client_read"))
-              if record["issue"] >= start
-              and (ids is None or record["object"] in ids)]
+    served = 0
+    finite: List[float] = []
+    for record in (_scoped(service, "read_served", objects)
+                   + _scoped(service, "client_read", objects)):
+        if record["issue"] >= start:
+            served += 1
+            staleness = record["staleness"]
+            if math.isfinite(staleness):
+                finite.append(staleness)
     span = horizon - start
-    return (len(served) / span if span > 0 else 0.0, summarize([
-        staleness for staleness in map(itemgetter("staleness"), served)
-        if math.isfinite(staleness)]))
+    return (served / span if span > 0 else 0.0, summarize(finite))
 
 
 def read_slo_violations(service: RTPBService,
@@ -542,11 +538,9 @@ def read_slo_violations(service: RTPBService,
     :class:`~repro.faults.monitor.ReplicaStalenessInvariant` (same
     predicate, independent implementation).
     """
-    ids = None if objects is None else set(objects)
     return sum(
-        1 for record in service.trace.select("read_served")
-        if (ids is None or record["object"] in ids)
-        and record["staleness"] > record["bound"] + 1e-12)
+        1 for record in _scoped(service, "read_served", objects)
+        if record["staleness"] > record["bound"] + 1e-12)
 
 
 def primary_fallback_rate(service: RTPBService, start: float = 0.0,
@@ -557,15 +551,12 @@ def primary_fallback_rate(service: RTPBService, start: float = 0.0,
     or the routed replica refused late) against all reads that entered the
     system — replica-served plus fallbacks.  0.0 when no reads ran.
     """
-    ids = None if objects is None else set(objects)
     fallbacks = sum(
-        1 for record in service.trace.select("read_fallback")
-        if record.time >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _scoped(service, "read_fallback", objects)
+        if record.time >= start)
     replica_served = sum(
-        1 for record in service.trace.select("read_served")
-        if record["issue"] >= start
-        and (ids is None or record["object"] in ids))
+        1 for record in _scoped(service, "read_served", objects)
+        if record["issue"] >= start)
     total = fallbacks + replica_served
     if total == 0:
         return 0.0

@@ -9,37 +9,36 @@ independently of the storage filter.
 
 A record is one tuple ``(time, *values)`` whose class is its shape: one
 :class:`TraceRecord` subclass per (category, key tuple), made once, holds the
-category, key -> position and the compiled digest template.  ``fields`` is a
-fresh dict per access: no listener or :meth:`Tracer.ingest` caller can
-rewrite a stored record through it.
+category, key -> position and the compiled digest template.
 
-Storage is one append-only list plus a per-category view of it.  A
-single-field equality query (``select("primary_write", object=3)``, what
-every per-object collector issues) is answered from a hash index of that
-category's records grouped by that field's value, built by the first query
-that names the (category, field) pair and caught up at each later one;
-recording never touches it.  Multi-field queries, unhashable values, and
-fields holding an unhashable value fall back to scanning the category — the
-reference the index is tested against.  Iteration order, result order,
-:meth:`Tracer.digest` and the filter semantics are those of a plain scan.
+A tracer keeps values, not records.  Each shape's rows are columns (exact
+floats in ``array('d')``, 64-bit ints in ``array('q')``, anything else in a
+list), and the stored order is one small array of shape numbers: ~66 B per
+``read_served`` row against ~220 B as tuples.  :meth:`Tracer.select` returns
+a :class:`Selection`, a snapshot that builds each record as it is read; a
+single-field query (``select("primary_write", object=3)``) is answered from
+a hash index of the category's rows by that field's value, built by the
+first query that names the pair and caught up at each later one.  Results,
+iteration order and :meth:`Tracer.digest` are those of a plain scan of
+stored records, which the tests keep as the reference.
 
-Dead categories cost (almost) nothing: :meth:`Tracer.enabled` answers
-"would a record of this category go anywhere?" from a per-category cache,
-so hot call sites can guard with ``if trace.enabled("tick"):`` and skip
-building the keyword-argument dict, the clock call, and the record entirely
-when a run has narrowed the filter.  The guard is digest-neutral by
-construction — it only ever skips records that :meth:`record` would have
-dropped on arrival.
+Dead categories cost (almost) nothing: hot call sites guard with ``if
+trace.enabled("tick"):``, a per-category cache that skips exactly the
+records :meth:`Tracer.record` would drop when a run narrowed the filter.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
+import struct
+from array import array
+from bisect import bisect_right
 from collections import namedtuple
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple, Type, cast)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Mapping, Optional, Sequence, Tuple, Type, cast)
 
 #: (category, key tuple) -> its one shape class: a process-wide intern table.
 _SHAPES: Dict[Tuple[str, Tuple[str, ...]], Type[TraceRecord]] = {}
@@ -130,18 +129,139 @@ def _new_shape(category: str, keys: Tuple[str, ...]) -> Type[TraceRecord]:
             **{names[key]: _ItemGetter(index[key], None) for key in keys}})))
 
 
-class _FieldIndex:
-    """One category's records grouped by the value of one field."""
+#: The trace order's typecode once a tracer holds this many shapes.
+_WIDER_ORDER = {256: "H", 65536: "I"}
+#: Rows a table takes before it moves them into its columns.
+_BATCH = 256
+#: By typecode: the one type the column holds, a full batch's packer.
+_KINDS = {"d": float, "q": int}
+_PACK = {code: struct.Struct(f"{_BATCH}{code}").pack for code in _KINDS}
 
-    __slots__ = ("groups", "absorbed")
 
-    def __init__(self) -> None:
-        #: field value (``None`` where the field is missing) -> records in
-        #: stored order; ``None`` once a record held an unhashable value,
-        #: after which the pair is always answered by scanning.
-        self.groups: Optional[Dict[Any, List[TraceRecord]]] = {}
-        #: How many of the category's records ``groups`` already covers.
-        self.absorbed = 0
+class _Table:
+    """One shape's rows, column by column; column 0 is the time.
+
+    Rows wait in ``pending`` and move into the columns a batch at a time:
+    exact ``float`` values to ``array('d')``, exact ``int`` values that fit
+    64 bits to ``array('q')``, anything else to a list.  A batch its column
+    cannot hold turns that column into a list for good, so every value reads
+    back with its own type and ``repr`` (``1`` vs ``1.0`` vs ``True``).
+    """
+
+    __slots__ = ("shape", "number", "columns", "pending")
+
+    def __init__(self, shape: Type[TraceRecord], number: int) -> None:
+        self.shape = shape
+        self.number = number  # what the trace order stores
+        self.columns: List[Any] = []
+        self.pending: List[Sequence[Any]] = []
+
+    def __len__(self) -> int:
+        return len(self.pending) + sum(map(len, self.columns[:1]))
+
+    def flush(self) -> None:
+        batch, self.pending = self.pending, []
+        columns = self.columns
+        for position, values in enumerate(zip(*batch)):
+            kinds = {*map(type, values)}
+            if len(columns) == position:  # the first batch picks the kind
+                columns.append(array("d") if kinds == {float} else
+                               array("q") if kinds == {int} else [])
+            column = columns[position]
+            if type(column) is array:
+                code = column.typecode
+                if kinds == {_KINDS[code]}:
+                    try:
+                        column.frombytes(
+                            _PACK[code](*values) if len(values) == _BATCH
+                            else array(code, values).tobytes())
+                        continue
+                    except (OverflowError, struct.error):  # beyond 64 bits
+                        pass
+                # A new list: a snapshot holding the array keeps reading it.
+                column = columns[position] = list(column)
+            column.extend(values)
+
+
+class _Rows(Sequence[TraceRecord]):
+    """Rows of one table as a query found them: ``rows`` is a ``range`` from
+    0 or an array of row numbers, and the columns are the ones of then."""
+
+    __slots__ = ("shape", "columns", "rows")
+
+    def __init__(self, table: _Table, rows: Sequence[int]) -> None:
+        self.shape, self.columns, self.rows = (table.shape,
+                                               tuple(table.columns), rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, position: Any) -> Any:
+        row = self.rows[position]
+        return tuple.__new__(self.shape,
+                             [column[row] for column in self.columns])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        rows = self.rows
+        return map(tuple.__new__, repeat(self.shape), zip(*[
+            islice(column, len(rows)) if type(rows) is range
+            else map(column.__getitem__, rows) for column in self.columns]))
+
+
+class Selection(Sequence[TraceRecord]):
+    """The records a :meth:`Tracer.select` call found, as they were then.
+
+    A read-only sequence that builds each record from the tracer's columns
+    as it is read, so holding one costs row numbers, not records.  Records
+    stored after the call, and a later :meth:`Tracer.clear`, never change
+    it.  ``==`` compares element-wise with lists and selections; ``+`` with
+    another selection is a selection, with a list a list.
+    """
+
+    __slots__ = ("_parts", "_ends")
+
+    def __init__(self, parts: Iterable[Sequence[TraceRecord]] = ()) -> None:
+        self._parts = tuple(part for part in parts if len(part))
+        self._ends = list(accumulate(map(len, self._parts)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[position]
+                    for position in range(*index.indices(len(self)))]
+        position, size = operator.index(index), len(self)
+        if not -size <= position < size:
+            raise IndexError("selection index out of range")
+        position %= size
+        part = bisect_right(self._ends, position)
+        return self._parts[part][
+            position - (self._ends[part - 1] if part else 0)]
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return chain.from_iterable(self._parts)
+
+    def __add__(self, other: object) -> Any:
+        if isinstance(other, Selection):
+            return Selection(self._parts + other._parts)
+        return [*self, *other] if isinstance(other, list) else NotImplemented
+
+    def __radd__(self, other: object) -> Any:
+        return [*other, *self] if isinstance(other, list) else NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Selection, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Selection({list(self)!r})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return Selection, ((list(self),),)
 
 
 class Tracer:
@@ -153,13 +273,16 @@ class Tracer:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._records: List[TraceRecord] = []
-        #: Per-category view of ``_records`` (same record objects, same
-        #: relative order); keys appear in first-recorded order.
-        self._by_category: Dict[str, List[TraceRecord]] = {}
-        #: (category, field) -> index, for the pairs :meth:`select` was
-        #: asked about.  Built and extended by queries only.
-        self._field_indexes: Dict[Tuple[str, str], _FieldIndex] = {}
+        #: shape -> its table, in table-number order.
+        self._tables: Dict[Type[TraceRecord], _Table] = {}
+        #: The table number of every stored record, in stored order.
+        self._order = array("B")
+        #: category -> its tables, both in first-recorded order.
+        self._by_category: Dict[str, List[_Table]] = {}
+        #: (category, field) -> (value -> rows, rows covered), built and
+        #: caught up by queries only; no groups once a value is unhashable.
+        self._field_indexes: Dict[Tuple[str, str],
+                                  Tuple[Optional[Dict[Any, array]], int]] = {}
         self._enabled: Optional[frozenset] = None  # None means "all"
         self._listeners: List[Callable[[TraceRecord], None]] = []
         #: category -> "a record of this category goes somewhere" (stored
@@ -203,24 +326,42 @@ class Tracer:
             return
         keys = tuple(fields)
         shape = _SHAPES.get((category, keys)) or _new_shape(category, keys)
-        record = tuple.__new__(shape, (self._clock(), *fields.values()))
-        for listener in self._listeners:
-            listener(record)
+        row = (self._clock(), *fields.values())
+        if self._listeners:
+            record = tuple.__new__(shape, row)
+            for listener in self._listeners:
+                listener(record)
         if (self._enabled is None or category in self._enabled):
-            self.ingest(record)
+            self._store(shape, row)
 
     def ingest(self, record: TraceRecord) -> None:
         """Store a pre-built record, bypassing clock, filter, and listeners.
 
         For tests and replay tooling that assemble traces by hand; normal
-        model code uses :meth:`record`.  Going through this method (never
-        ``_records`` directly) keeps the category index coherent.
+        model code uses :meth:`record`.  The record's values are stored,
+        not the record.
         """
-        self._records.append(record)
-        bucket = self._by_category.get(record.category)
-        if bucket is None:
-            bucket = self._by_category[record.category] = []
-        bucket.append(record)
+        self._store(type(record), record)
+
+    def _store(self, shape: Type[TraceRecord], row: Sequence[Any]) -> None:
+        table = self._tables.get(shape)
+        if table is None:
+            number = len(self._tables)
+            if number in _WIDER_ORDER:
+                self._order = array(_WIDER_ORDER[number], self._order)
+            table = self._tables[shape] = _Table(shape, number)
+            self._by_category.setdefault(shape.category, []).append(table)
+        pending = table.pending
+        pending.append(row)
+        if len(pending) == _BATCH:
+            table.flush()
+        self._order.append(table.number)
+
+    def _flush(self) -> None:
+        """Move every pending row into its columns: reads see columns only."""
+        for table in self._tables.values():
+            if table.pending:
+                table.flush()
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Start delivering every record to ``listener`` as it is produced."""
@@ -245,33 +386,40 @@ class Tracer:
         self._enabled = None
         self._live_cache.clear()
 
-    def select(self, category: str, **matches: Any) -> List[TraceRecord]:
+    def select(self, category: str, **matches: Any) -> Selection:
         """Records of ``category`` whose fields equal all of ``matches``.
 
-        A field a record lacks matches ``None``.  The result is a fresh
-        list in stored order.  Never touches another category's records;
-        a single-field query costs O(result) once the (category, field)
-        index exists, anything else O(category size).
+        A field a record lacks matches ``None``.  The result is a
+        :class:`Selection` in stored order, unaffected by later records.
+        Never touches another category's records; a single-field query
+        costs O(result) once the (category, field) index exists, anything
+        else O(category size).
         """
-        bucket = self._by_category.get(category)
-        if not bucket:
-            return []
-        if not matches:
-            return list(bucket)
-        if len(matches) == 1:
-            (key, value), = matches.items()
-            group = self._indexed(category, bucket, key, value)
-            if group is not None:
-                return list(group)
-        return [
-            record for record in bucket
-            if all(record.get(key) == value for key, value in matches.items())
-        ]
+        tables = self._by_category.get(category)
+        if tables is None:
+            return Selection()
+        self._flush()
+        found: Sequence[TraceRecord]
+        if len(tables) == 1:
+            table, = tables
+            if len(matches) == 1:
+                (key, value), = matches.items()
+                rows = self._indexed(category, table, key, value)
+                if rows is not None:
+                    return Selection((_Rows(table, rows),))
+            found = _Rows(table, range(len(table)))
+        else:  # several key orders, which is rare: scan the trace
+            found = [record for record in self if record.category == category]
+        if matches:
+            found = [record for record in found
+                     if all(record.get(key) == value
+                            for key, value in matches.items())]
+        return Selection((found,))
 
-    def _indexed(self, category: str, bucket: List[TraceRecord], key: str,
-                 value: Any) -> Optional[Sequence[TraceRecord]]:
-        """``bucket``'s records with ``record.get(key) == value``, from the
-        hash index — or None when only a scan gives ``==`` semantics."""
+    def _indexed(self, category: str, table: _Table, key: str,
+                 value: Any) -> Optional[Sequence[int]]:
+        """``table``'s rows with ``record.get(key) == value``, from the hash
+        index — or None when only a scan gives ``==`` semantics."""
         try:
             hash(value)
         except TypeError:
@@ -279,33 +427,29 @@ class Tracer:
         if value != value:
             # NaN equals nothing, yet a dict finds it by identity.
             return None
-        index = self._field_indexes.get((category, key))
-        if index is None:
-            index = self._field_indexes[(category, key)] = _FieldIndex()
-        groups = index.groups
-        if groups is None:
-            return None
-        if index.absorbed < len(bucket):
+        groups, start = self._field_indexes.get((category, key), ({}, 0))
+        size = len(table)
+        if groups is not None and start < size:
+            position = table.shape._index.get(key)
+            values = (repeat(None, size - start) if position is None
+                      else islice(table.columns[position], start, size))
             try:
-                for record in bucket[index.absorbed:]:
-                    field_value = record.get(key)
-                    group = groups.get(field_value)
-                    if group is None:
-                        groups[field_value] = [record]
-                    else:
-                        group.append(record)
+                for row, field_value in enumerate(values, start):
+                    groups.setdefault(field_value, array("q")).append(row)
             except TypeError:
                 # An unhashable field value may still equal a hashable
                 # query ({1} == frozenset({1})): scan this pair from now on.
-                index.groups = None
-                return None
-            index.absorbed = len(bucket)
-        return groups.get(value, ())
+                groups = None
+            self._field_indexes[(category, key)] = (groups, size)
+        if groups is None:
+            return None
+        group = groups.get(value)
+        return range(0) if group is None else group[:]
 
     def categories(self) -> Dict[str, int]:
         """Histogram of category -> record count (diagnostics)."""
-        return {category: len(bucket)
-                for category, bucket in self._by_category.items()}
+        return {category: sum(map(len, tables))
+                for category, tables in self._by_category.items()}
 
     def digest(self) -> str:
         """SHA-256 hex digest of every stored record.
@@ -314,21 +458,29 @@ class Tracer:
         filter) produce identical digests; the determinism tests and the
         chaos reports rely on this as a cheap whole-trace fingerprint.
         """
+        self._flush()
         hasher = hashlib.sha256()
-        records, chunk = self._records, 1024  # records per hasher.update
-        for start in range(0, len(records), chunk):
-            hasher.update("".join([
-                type(record)._template.format(*record)
-                for record in records[start:start + chunk]]).encode())
+        lines = [map(table.shape._template.format, *table.columns)
+                 for table in self._tables.values()]
+        ordered = map(next, map(lines.__getitem__, self._order))
+        while chunk := "".join(islice(ordered, 1024)):  # records per update
+            hasher.update(chunk.encode())
         return hasher.hexdigest()
 
     def clear(self) -> None:
-        self._records.clear()
-        self._by_category.clear()
-        self._field_indexes.clear()
+        # Drop the tables, never empty them: a Selection reads their columns.
+        self._tables = {}
+        self._order = array("B")
+        self._by_category = {}
+        self._field_indexes = {}
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        self._flush()
+        records = [map(tuple.__new__, repeat(table.shape), zip(*table.columns))
+                   for table in self._tables.values()]
+        # Each table's records, taken in stored order up to the current end.
+        return map(next, map(records.__getitem__, islice(self._order,
+                                                         len(self))))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._order)

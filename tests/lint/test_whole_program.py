@@ -8,7 +8,7 @@ negative case of every rule are pinned — anything extra or missing fails.
 
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_source, sarif_document, select_rules
+from repro.lint import lint_paths, lint_source
 from repro.metrics.jsonio import stable_dumps
 
 PROJ = Path(__file__).parent / "fixtures" / "proj"
@@ -53,26 +53,6 @@ def test_repeat_runs_are_byte_identical():
     second = stable_dumps([vars(finding) for finding in proj_findings()])
     assert first == second
     assert first.encode("utf-8") == second.encode("utf-8")
-
-
-def test_sarif_document_shape_and_determinism():
-    rules = select_rules()
-    findings = proj_findings()
-    doc = sarif_document(findings, rules)
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro.lint"
-    declared = {descriptor["id"]
-                for descriptor in run["tool"]["driver"]["rules"]}
-    results = run["results"]
-    assert len(results) == len(findings)
-    # Every result references a declared rule; columns are 1-based.
-    for result, finding in zip(results, findings):
-        assert result["ruleId"] in declared
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == finding.line
-        assert region["startColumn"] == finding.col + 1
-    assert stable_dumps(doc) == stable_dumps(sarif_document(findings, rules))
 
 
 def test_single_file_runs_still_catch_module_local_project_rules():

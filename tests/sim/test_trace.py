@@ -190,8 +190,11 @@ def test_select_returns_copy_not_index_bucket():
     trace = Tracer(clock=lambda: 0.0)
     trace.record("a", n=1)
     rows = trace.select("a")
-    rows.append("garbage")
-    assert len(trace.select("a")) == 1
+    with pytest.raises(AttributeError):
+        rows.append("garbage")  # a read-only snapshot, not the store
+    trace.record("a", n=2)
+    assert len(rows) == 1
+    assert len(trace.select("a")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +298,26 @@ OPERATIONS = st.one_of(
 )
 
 
+def exact(records):
+    """Each record as its time, category, key order and every value's type
+    and ``repr``: what telling two stores apart needs, NaN included (a
+    stored record is built anew at each read, so ``is`` says nothing)."""
+    return [(type(record.time), repr(record.time), record.category,
+             [(key, type(value), repr(value))
+              for key, value in record.fields.items()])
+            for record in records]
+
+
 def assert_select_is_the_scan(trace, category, matches):
     expected = reference_select(trace, category, **matches)
     rows = trace.select(category, **matches)
     assert len(rows) == len(expected)
-    assert all(row is want for row, want in zip(rows, expected))
-    # A fresh list each time: mutating one answer must not reach the next.
-    rows.append(None)
+    assert exact(rows) == exact(expected)
+    # Every call answers anew, and an answer cannot be written to.
     again = trace.select(category, **matches)
     assert again is not rows
-    assert len(again) == len(expected)
+    assert exact(again) == exact(expected)
+    assert not hasattr(rows, "append")
 
 
 @given(st.lists(OPERATIONS, min_size=5, max_size=60))
@@ -580,3 +593,258 @@ def test_retained_records_stay_compact():
     sentinel, tables = 8, 4096
     assert compact <= reference + sentinel * len(rows) + tables, (
         compact / len(rows), reference / len(rows))
+
+
+# ---------------------------------------------------------------------------
+# The columnar store: a tracer keeps each shape's values in typed columns
+# and answers with snapshots that build records as they are read.  It must
+# be indistinguishable from a plain store of dict-backed rows.
+# ---------------------------------------------------------------------------
+
+
+class RowStore:
+    """The reference: every stored row as a dict-backed record, in stored
+    order, scanned for every answer."""
+
+    def __init__(self):
+        self.rows = []
+        self.kept = None  # None means "all"
+
+    def record(self, time, category, fields):
+        if self.kept is None or category in self.kept:
+            self.ingest(time, category, fields)
+
+    def ingest(self, time, category, fields):
+        self.rows.append(DictBackedRecord(time, category, dict(fields)))
+
+    def select(self, category, **matches):
+        return [row for row in self.rows if row.category == category
+                and all(row.get(key) == value
+                        for key, value in matches.items())]
+
+    def categories(self):
+        counts = {}
+        for row in self.rows:
+            counts[row.category] = counts.get(row.category, 0) + 1
+        return counts
+
+
+#: Values that put a column through every kind change: int then float,
+#: ``True`` into an int column, past 64 bits, None, signed zero, inf, NaN,
+#: str and tuple — and their look-alikes, which must keep their own repr.
+COLUMN_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.sampled_from([None, -0.0, 0.0, 0, False, float("inf"), NAN, 2 ** 70,
+                     2 ** 63, 2 ** 63 - 1, -2 ** 63, -2 ** 63 - 1, "1", "",
+                     (1, 2.0), (), 1, 1.0, True]))
+#: One shape mostly, now and then a second key order of the same category.
+COLUMN_FIELDS = st.one_of(
+    st.fixed_dictionaries({"object": COLUMN_VALUES, "seq": COLUMN_VALUES}),
+    st.fixed_dictionaries({"seq": COLUMN_VALUES, "object": COLUMN_VALUES}))
+COLUMN_QUERIES = st.dictionaries(
+    st.sampled_from(("object", "seq", "absent")),
+    st.one_of(COLUMN_VALUES, st.just([1, 2])), max_size=2)
+COLUMN_OPERATIONS = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(CATEGORIES), COLUMN_FIELDS),
+    st.tuples(st.just("ingest"), st.sampled_from(CATEGORIES), COLUMN_FIELDS),
+    # A run of one value long enough to fill a whole batch of a column.
+    st.tuples(st.just("burst"), st.sampled_from(CATEGORIES), COLUMN_VALUES,
+              st.integers(1, 300)),
+    st.tuples(st.just("select"), st.sampled_from(CATEGORIES + ("none",)),
+              COLUMN_QUERIES),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("enable_only"),
+              st.lists(st.sampled_from(CATEGORIES), max_size=2)),
+    st.tuples(st.just("enable_all")),
+)
+
+
+@given(st.lists(COLUMN_OPERATIONS, min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_columnar_tracer_equals_a_row_store(operations):
+    clock = {"now": 0.0}
+    trace = Tracer(clock=lambda: clock["now"])
+    reference = RowStore()
+    held = []  # (selection, what the reference answered then)
+    for operation in operations:
+        clock["now"] += 0.25
+        kind, arguments = operation[0], operation[1:]
+        if kind == "record":
+            category, fields = arguments
+            trace.record(category, **fields)
+            reference.record(clock["now"], category, fields)
+        elif kind == "ingest":
+            category, fields = arguments
+            trace.ingest(TraceRecord(clock["now"], category, fields))
+            reference.ingest(clock["now"], category, fields)
+        elif kind == "burst":
+            category, value, count = arguments
+            for seq in range(count):
+                trace.record(category, object=value, seq=seq)
+                reference.record(clock["now"], category,
+                                 {"object": value, "seq": seq})
+        elif kind == "select":
+            category, matches = arguments
+            answer = trace.select(category, **matches)
+            expected = reference.select(category, **matches)
+            assert exact(answer) == exact(expected)
+            held.append((answer, exact(expected)))
+        elif kind == "clear":
+            trace.clear()
+            reference.rows = []
+        elif kind == "enable_only":
+            trace.enable_only(*arguments[0])
+            reference.kept = set(arguments[0])
+        else:
+            trace.enable_all()
+            reference.kept = None
+    assert len(trace) == len(reference.rows)
+    assert exact(trace) == exact(reference.rows)
+    assert trace.categories() == reference.categories()
+    assert trace.digest() == reference_digest(reference.rows)
+    # Snapshots: later records and clear() never reach a held answer.
+    for answer, expected in held:
+        assert exact(answer) == expected
+        assert len(answer) == len(expected)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2.0], [1.0, 2], [1, True], [True, 1], [1.0, True], [2 ** 70, 1],
+    [1, 2 ** 70], [-2 ** 63 - 1], [1, None], [None, 1.0], [0.0, -0.0],
+    [1.0, float("inf"), NAN], [1, "1"], ["1", (1,)], [1.0, (1.0,)],
+], ids=repr)
+@pytest.mark.parametrize("run", [1, 255, 256, 257, 600])
+def test_a_column_keeps_every_value_exact_across_batches(values, run):
+    """Each value repeated ``run`` times in turn: the column changes kind
+    inside a batch, at its edge, and after whole batches were packed."""
+    trace = Tracer(clock=lambda: 0.5)
+    rows = [value for value in values for _ in range(run)]
+    for value in rows:
+        trace.record("write", object=value)
+        trace.record("tick", now=1.5)
+    reference = [DictBackedRecord(0.5, category, fields) for value in rows
+                 for category, fields in (("write", {"object": value}),
+                                          ("tick", {"now": 1.5}))]
+    assert exact(trace) == exact(reference)
+    assert exact(trace.select("write")) == exact(reference[::2])
+    assert trace.digest() == reference_digest(reference)
+    for value in values:
+        assert len(trace.select("write", object=value)) == sum(
+            1 for row in rows if row == value)
+
+
+def test_more_shapes_than_the_order_array_first_holds():
+    # The stored order starts at one byte per record: 300 shapes need two.
+    trace, reference = Tracer(clock=lambda: 0.25), RowStore()
+    for index in range(900):
+        trace.record(f"c{index % 300}", n=index)
+        reference.record(0.25, f"c{index % 300}", {"n": index})
+    assert exact(trace) == exact(reference.rows)
+    assert trace.categories() == reference.categories()
+    assert trace.digest() == reference_digest(reference.rows)
+    assert exact(trace.select("c299")) == exact(reference.select("c299"))
+
+
+def test_snapshot_outlives_later_records_and_clear():
+    trace = Tracer(clock=lambda: 1.0)
+    for index in range(300):
+        trace.record("write", object=index % 3, seq=index)
+    every = trace.select("write")
+    ones = trace.select("write", object=1)
+    scanned = trace.select("write", object=1, seq=4)
+    before = exact(every), exact(ones), exact(scanned)
+    for index in range(300):
+        trace.record("write", object=1, seq=2.5)  # seq turns into a list
+    assert (exact(every), exact(ones), exact(scanned)) == before
+    trace.clear()
+    trace.record("write", object=1, seq="new")
+    assert (exact(every), exact(ones), exact(scanned)) == before
+    assert [len(every), len(ones), len(scanned)] == [300, 100, 1]
+    assert exact(trace.select("write", object=1)) == exact(
+        [DictBackedRecord(1.0, "write", {"object": 1, "seq": "new"})])
+
+
+def test_selection_behaves_like_the_list_of_its_records():
+    trace = Tracer(clock=lambda: 2.0)
+    for index in range(7):
+        trace.record("a", n=index)
+        trace.record("b", n=-index)
+    a, b, none = trace.select("a"), trace.select("b"), trace.select("zz")
+    rows, other = list(a), list(b)
+    assert a == rows and rows == a and not (a != rows)
+    assert a != other and a != rows[:-1] and a != rows + rows[:1]
+    assert none == [] and [] == none and not none and a
+    assert a != tuple(rows)  # a list's == : never equal to a tuple
+    assert [] + a == rows and a + [] == rows
+    assert type([] + a) is list and type(a + []) is list
+    assert rows[:1] + a == rows[:1] + rows and a + other == rows + other
+    both = a + b
+    assert type(both) is type(a) and both == rows + other
+    assert len(both) == 14 and bool(both)
+    assert both[0] == rows[0] and both[-1] == other[-1] and both[7] == other[0]
+    for window in (slice(None), slice(2, 5), slice(-3, None),
+                   slice(None, None, -1), slice(1, 13, 4), slice(20, 30)):
+        assert both[window] == (rows + other)[window]
+    with pytest.raises(IndexError):
+        both[14]
+    with pytest.raises(IndexError):
+        both[-15]
+    assert list(reversed(both)) == list(reversed(rows + other))
+    assert both.index(other[2]) == 9 and both.count(rows[3]) == 1
+    assert rows[4] in both
+    with pytest.raises(TypeError):
+        hash(both)
+    restored = pickle.loads(pickle.dumps(both))
+    assert type(restored) is type(both) and restored == both
+
+
+def test_a_stored_record_costs_its_values_not_its_objects():
+    """Memory canary: 20k ``read_served``-shaped rows, their floats fresh
+    per row as in a run, cost at most 72 B each (~66 B of column values and
+    order, plus array headroom) — a retained tuple with its own floats cost
+    ~220 B."""
+    now = {"t": 0.0}
+    server, service = "rtpb/r0@host2", "rtpb"
+    Tracer(clock=lambda: 0.0).record(  # interns the shape beforehand
+        "read_served", object=0, server=server, service=service, issue=0.0,
+        response=0.0, staleness=0.0, bound=0.2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = Tracer(clock=lambda: now["t"])
+        for index in range(20_000):
+            now["t"] = index * 1e-3 + 4e-4
+            trace.record("read_served", object=index % 8, server=server,
+                         service=service, issue=index * 1e-3,
+                         response=index * 1e-3 + 4e-4,
+                         staleness=index * 1e-5, bound=0.2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_000
+    assert retained / 20_000 <= 72, retained / 20_000
+
+
+def test_counting_over_joined_selections_holds_no_records():
+    """Memory canary: a collector-style pass over ``select(a) + select(b)``
+    across 100k stored records stays under 1 MB of traced peak; lists of
+    the records (or of references to them) would not."""
+    trace = Tracer(clock=lambda: 0.0)
+    for index in range(50_000):
+        trace.record("read_served", object=index % 8, issue=index * 1e-3)
+        trace.record("client_read", object=index % 8, issue=index * 1e-3)
+    trace.select("client_read")  # a read packs every pending row
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counted = sum(1 for record in (trace.select("read_served")
+                                       + trace.select("client_read"))
+                      if record["issue"] >= 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counted == 100_000
+    assert peak < 1 << 20, peak
