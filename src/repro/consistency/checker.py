@@ -45,18 +45,13 @@ class ExternalConsistencyChecker:
               end: float) -> List[Violation]:
         """All maximal violation intervals of ``history`` on ``[start, end]``."""
         violations = []
-        for interval_start, interval_end in history.violation_intervals(
-                self.delta, start, end):
+        for low, high in history.violation_intervals(self.delta, start, end):
             # Peak staleness, just before the end, less the bound.
-            anchor = history.timestamp_at(interval_start)
+            anchor = history.timestamp_at(low)
             violations.append(Violation(
-                object_ids=(history.object_id,),
-                start=interval_start,
-                end=interval_end,
-                bound=self.delta,
-                worst=(interval_end - interval_start if anchor is None
-                       else interval_end - anchor - self.delta),
-            ))
+                (history.object_id,), low, high, self.delta,
+                worst=(high - low if anchor is None
+                       else high - anchor - self.delta)))
         return violations
 
     def holds(self, history: VersionHistory, start: float, end: float) -> bool:

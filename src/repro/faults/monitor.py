@@ -36,9 +36,11 @@ Trace categories: ``invariant_violation``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
+from repro.consistency.timestamps import UncoveredWrites
 from repro.core.group import ReplicationGroup
 from repro.core.server import Role
 from repro.sim.trace import TraceRecord
@@ -166,12 +168,10 @@ class InvariantMonitor(TraceMonitor):
         #: apply queueing at the backup (all objects applying back-to-back).
         self.grace = (grace if grace is not None else
                       config.ell + max(8, len(specs)) * config.apply_cost_base)
-        self._windows: Dict[int, float] = {
-            spec.object_id: spec.window for spec in specs}
-        #: Per object: write instants not yet covered by a backup apply.
-        self._pending: Dict[int, List[float]] = {}
+        self._windows = self._registered_windows()
+        #: Per object: the writes no backup apply has covered yet.
+        self._uncovered: Dict[int, UncoveredWrites] = {}
         self._timer_armed: Set[int] = set()
-        self._violating: Set[int] = set()
         self._split_check_pending = False
         self._flagged_primaries: frozenset = frozenset()
         self._last_failover_at: Optional[float] = None
@@ -180,10 +180,12 @@ class InvariantMonitor(TraceMonitor):
         """Start observing; objects registered since construction are
         picked up here."""
         if not self._attached:
-            self._windows.update(
-                {spec.object_id: spec.window
-                 for spec in self.service.registered_specs()})
+            self._windows.update(self._registered_windows())
         super().attach()
+
+    def _registered_windows(self) -> Dict[int, float]:
+        return {spec.object_id: spec.window
+                for spec in self.service.registered_specs()}
 
     # ------------------------------------------------------------------
     # Trace dispatch
@@ -205,7 +207,7 @@ class InvariantMonitor(TraceMonitor):
             self._last_failover_at = record.time
             # The old primary's unreplicated writes died with it; window
             # accounting restarts against the new primary's stream.
-            self._reset_window_state()
+            self._uncovered.clear()
             self._schedule_split_check()
         elif category in ("recruited", "reattached"):
             if not self._is_member(record.get("server")):
@@ -215,7 +217,7 @@ class InvariantMonitor(TraceMonitor):
             # covered by it, so window accounting restarts here (otherwise
             # a timer expiring in the few ms before the snapshot applies
             # raises a spurious violation).
-            self._reset_window_state()
+            self._uncovered.clear()
             self._schedule_split_check()
         elif category == "read_served":
             self._on_read_served(record)
@@ -231,10 +233,8 @@ class InvariantMonitor(TraceMonitor):
             # have registered, the snapshot transfer re-baselines pending
             # writes, and the membership just changed under the split check.
             if record.get("group") == self.service.service_name:
-                self._windows.update(
-                    {spec.object_id: spec.window
-                     for spec in self.service.registered_specs()})
-                self._reset_window_state()
+                self._windows.update(self._registered_windows())
+                self._uncovered.clear()
                 self._schedule_split_check()
         elif category == "migration_freeze":
             # Our objects are leaving: stop charging their writes to this
@@ -245,18 +245,15 @@ class InvariantMonitor(TraceMonitor):
             if record.get("source") == self.service.service_name:
                 for object_id in migrating_ids(record):
                     self._windows.pop(object_id, None)
-                    self._pending.pop(object_id, None)
-                    self._violating.discard(object_id)
+                    self._uncovered.pop(object_id, None)
         elif category in ("migration_commit", "migration_abort"):
             # Ownership settled (either way): rebuild the window table from
             # what this group *actually* registers now — commit moved
             # objects in/out, abort returned them to the source.
             name = self.service.service_name
             if name in (record.get("source"), record.get("dest")):
-                self._windows = {
-                    spec.object_id: spec.window
-                    for spec in self.service.registered_specs()}
-                self._reset_window_state()
+                self._windows = self._registered_windows()
+                self._uncovered.clear()
         elif category in ("window_degraded", "window_restored"):
             # Overload shedding renegotiated an object's δ: enforce the
             # *new* contract from this instant (past pending writes were
@@ -265,75 +262,62 @@ class InvariantMonitor(TraceMonitor):
                 object_id = record["object"]
                 if object_id in self._windows:
                     self._windows[object_id] = record["window"]
-                    self._pending.pop(object_id, None)
-                    self._violating.discard(object_id)
+                    self._uncovered.pop(object_id, None)
 
     # -- temporal window ---------------------------------------------------
 
     def _on_primary_write(self, record: TraceRecord) -> None:
         object_id = record["object"]
-        window = self._windows.get(object_id)
-        if window is None:
-            return
-        pending = self._pending.setdefault(object_id, [])
-        pending.append(record.time)
-        self._arm_window_timer(object_id)
+        if object_id in self._windows:
+            self._uncovered.setdefault(object_id, UncoveredWrites()).append(
+                record.time)
+            self._arm_window_timer(object_id)
 
     def _on_backup_apply(self, record: TraceRecord) -> None:
-        object_id = record["object"]
-        pending = self._pending.get(object_id)
-        if not pending:
-            return
-        covered_until = record["write_time"] + _EPSILON
-        self._pending[object_id] = [instant for instant in pending
-                                    if instant > covered_until]
-        if object_id in self._violating and self._head_overdue_at(
-                object_id) is None:
-            self._violating.discard(object_id)
+        uncovered = self._uncovered.get(record["object"])
+        if uncovered is not None:
+            uncovered.cover(record["write_time"])
+            # An apply that ended an episode re-arms for the next one.
+            self._arm_window_timer(record["object"])
 
-    def _head_overdue_at(self, object_id: int) -> Optional[float]:
-        """Deadline of the oldest pending write, or None when nothing pends."""
-        pending = self._pending.get(object_id)
-        if not pending:
-            return None
-        return pending[0] + self._windows[object_id] + self.grace
+    def _deadline(self, object_id: int) -> float:
+        uncovered = self._uncovered.get(object_id)
+        return (math.inf if uncovered is None else
+                uncovered.oldest + self._windows[object_id] + self.grace)
 
     def _arm_window_timer(self, object_id: int) -> None:
-        if object_id in self._timer_armed:
-            return
-        deadline = self._head_overdue_at(object_id)
-        if deadline is None:
+        """Wake when the oldest uncovered write falls due.  No timer runs
+        while that write is overdue (its episode is open and reported), so
+        an expiry that finds it overdue opens a new episode."""
+        deadline = self._deadline(object_id)
+        if (object_id in self._timer_armed
+                or not self.sim.now + _EPSILON < deadline < math.inf):
             return
         self._timer_armed.add(object_id)
-        self.sim.schedule(max(0.0, deadline - self.sim.now),
-                          self._check_window, object_id)
+        self.sim.schedule(deadline - self.sim.now, self._check_window,
+                          object_id)
 
     def _check_window(self, object_id: int) -> None:
         self._timer_armed.discard(object_id)
-        now = self.sim.now
         window = self._windows.get(object_id)
         if window is None:
             # The object left this deployment (migration froze it) between
             # arming the timer and its expiry; nothing to check here.
-            self._pending.pop(object_id, None)
+            self._uncovered.pop(object_id, None)
             return
-        pending = self._pending.get(object_id, [])
-        while pending and pending[0] + window + self.grace <= now + _EPSILON:
-            overdue = pending.pop(0)
+        now = self.sim.now
+        if self._deadline(object_id) <= now + _EPSILON:
+            uncovered = self._uncovered[object_id]
             if self.service.current_backup() is None:
                 # No backup to be consistent with: the invariant is vacuous
-                # until recruitment finishes (single-failure assumption).
-                continue
-            if object_id not in self._violating:
-                self._violating.add(object_id)
+                # until recruitment finishes (single-failure assumption),
+                # so what fell due meanwhile is forgiven.
+                uncovered.cover(now - window - self.grace)
+            else:
                 self._emit(TEMPORAL_WINDOW, object=object_id,
-                           write_time=overdue, window=window,
-                           lateness=now - overdue - window)
+                           write_time=uncovered.oldest, window=window,
+                           lateness=now - uncovered.oldest - window)
         self._arm_window_timer(object_id)
-
-    def _reset_window_state(self) -> None:
-        self._pending.clear()
-        self._violating.clear()
 
     # -- replica staleness -------------------------------------------------
 
@@ -388,7 +372,7 @@ class InvariantMonitor(TraceMonitor):
         self._schedule_split_check()
         if record.get("role") != Role.PRIMARY.value:
             return
-        self._reset_window_state()
+        self._uncovered.clear()
         if not self.service.config.failover_enabled:
             return
         if not self._was_authoritative(record.get("server")):

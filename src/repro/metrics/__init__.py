@@ -16,7 +16,6 @@ from repro.metrics.collectors import (
     average_inconsistency_duration,
     average_max_distance,
     backup_external_violations,
-    distance_timeline,
     duplicate_deliveries,
     failover_latencies,
     failover_latency,
@@ -51,7 +50,6 @@ __all__ = [
     "backup_external_violations",
     "failover_latency",
     "failover_latencies",
-    "distance_timeline",
     "unanswered_writes",
     "update_delivery_rate",
     "duplicate_deliveries",

@@ -21,6 +21,7 @@ from typing import (Collection, Deque, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from repro.consistency.checker import ExternalConsistencyChecker, Violation
+from repro.consistency.timestamps import UncoveredWrites, late_intervals
 from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
@@ -235,55 +236,50 @@ def degraded_responses(service: RTPBService, start: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# Primary-backup distance (Figures 8-10)
+# Primary-backup distance (Figures 8-10), backup inconsistency (Figures 11-12)
 # ---------------------------------------------------------------------------
 
 
-def distance_timeline(service: RTPBService, object_id: int,
-                      horizon: float, start: float = 0.0,
-                      allowance: float = 0.0
-                      ) -> List[Tuple[float, float]]:
-    """Piecewise-constant primary-backup distance as (time, distance) steps.
-
-    Distance at ``t`` is ``W_P(t - allowance) - W_B(t)``: how far the write
-    frontier the backup *should already reflect* (writes older than the
-    propagation ``allowance``) runs ahead of the write time of the version
-    the backup holds.  With ``allowance = 0`` this is the raw lag; the
-    figure-8/9/10 collectors pass the provisioned lag (update period + ℓ),
-    so a loss-free run measures ≈ 0 and every lost update shows up as a
-    positive step — matching the paper's "close to zero when there is no
-    message loss".
-
-    Measurement begins at the first backup apply (before that the backup
-    legitimately holds nothing).  Clamped to events in ``[start, horizon]``.
-    """
-    # (due, happened, version): a write advances ``W_P`` to its instant
-    # ``allowance`` after it happened (version None); an apply advances
-    # ``W_B`` to the write time of the version applied, at once.  Events
-    # due together go in the order they happened, and a write before an
-    # apply that happened with it (the sort is stable).
-    events: List[Tuple[float, float, Optional[float]]] = [
-        (record.time + allowance, record.time, None) for record
+def _uncovered_timeline(service: RTPBService, object_id: int,
+                        horizon: float) -> List[Tuple[float, float]]:
+    """``(instant, oldest write the backup lacks)`` at each of the object's
+    writes and applies up to ``horizon``, in the order they happened, from
+    the first apply on: before it the backup legitimately holds nothing."""
+    events: List[Tuple[float, Optional[float]]] = [
+        (record.time, None) for record
         in service.trace.select("primary_write", object=object_id)]
-    events += [
-        (record.time, record.time, record["write_time"]) for record
-        in service.trace.select("backup_apply", object=object_id)]
-    events.sort(key=itemgetter(0, 1))
+    events += [(record.time, record["write_time"]) for record
+               in service.trace.select("backup_apply", object=object_id)]
+    events.sort(key=itemgetter(0))
+    uncovered = UncoveredWrites()
     timeline: List[Tuple[float, float]] = []
-    frontier: Optional[float] = None
-    w_b: Optional[float] = None
-    for time, happened, version in events:
+    for time, version in events:
         if time > horizon:
             break
         if version is None:
-            frontier = happened
+            uncovered.append(time)
         else:
-            w_b = max(w_b, version) if w_b is not None else version
-        if frontier is None or w_b is None:
-            continue
-        if time >= start:
-            timeline.append((time, max(0.0, frontier - w_b)))
+            uncovered.cover(version)
+        if version is not None or timeline:
+            timeline.append((time, uncovered.oldest))
     return timeline
+
+
+def lateness_episodes(service: RTPBService, object_id: int, horizon: float,
+                      start: float = 0.0, allowance: float = 0.0
+                      ) -> List[Tuple[float, float]]:
+    """Maximal intervals of ``[start, horizon]`` on which the backup lacked
+    a version of ``object_id`` written over ``allowance`` earlier
+    (``W_B(t) < W_P(t - allowance)``).  Lateness grows linearly within an
+    episode, so its length IS the most the backup fell behind."""
+    return _episodes(_uncovered_timeline(service, object_id, horizon),
+                     allowance, start, horizon)
+
+
+def _episodes(timeline: List[Tuple[float, float]], allowance: float,
+              start: float, horizon: float) -> List[Tuple[float, float]]:
+    return late_intervals(((instant, oldest + allowance)
+                           for instant, oldest in timeline), start, horizon)
 
 
 def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
@@ -303,90 +299,61 @@ def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
     return period + service.config.ell
 
 
-def _lag_episode_durations(timeline: List[Tuple[float, float]],
-                           horizon: float) -> List[float]:
-    """Durations of maximal intervals where the lag is positive.
-
-    Within such an interval the backup's *lateness* (seconds behind where
-    it should be) grows linearly, so the episode duration IS the maximum
-    lateness reached — the natural "distance in time" between the replicas.
-    """
-    durations: List[float] = []
-    episode_start: Optional[float] = None
-    for time, distance in timeline:
-        behind = distance > 1e-12
-        if behind and episode_start is None:
-            episode_start = time
-        elif not behind and episode_start is not None:
-            durations.append(time - episode_start)
-            episode_start = None
-    if episode_start is not None:
-        durations.append(horizon - episode_start)
-    return durations
-
-
-def _mean_or_zero(values: Collection[float]) -> float:
+def mean_or_zero(values: Collection[float]) -> float:
+    """The mean of ``values``; 0 when there are none."""
     return sum(values) / len(values) if values else 0.0
+
+
+def distance_and_inconsistency(service: RTPBService, horizon: float,
+                               start: float = 0.0
+                               ) -> Tuple[Dict[int, float], List[float]]:
+    """:func:`max_distance_per_object` and :func:`inconsistency_durations`
+    from one replay of each object's writes and applies."""
+    distance: Dict[int, float] = {}
+    inconsistency: List[float] = []
+    for spec in service.registered_specs():
+        timeline = _uncovered_timeline(service, spec.object_id, horizon)
+        lateness, inconsistent = (
+            [until - begin for begin, until
+             in _episodes(timeline, allowance, start, horizon)]
+            for allowance in (_propagation_allowance(service, spec),
+                              spec.window))
+        distance[spec.object_id] = max(lateness, default=0.0)
+        inconsistency.extend(inconsistent)
+    return distance, inconsistency
 
 
 def max_distance_per_object(service: RTPBService, horizon: float,
                             start: float = 0.0) -> Dict[int, float]:
-    """Per-object maximum primary-backup distance over the run.
-
-    *Distance* here is lateness: the longest stretch of time during which
-    the backup was missing some version it should already have had under
-    the provisioned propagation allowance (update period + ℓ).  A loss-free
-    run measures ≈ 0; each lost update opens a lateness episode lasting
-    until the next successful update — the quantity the paper's Figures
-    8-10 track ("close to zero when there is no message loss", growing with
-    loss rate and client write rate).
-    """
-    result: Dict[int, float] = {}
-    for spec in service.registered_specs():
-        timeline = distance_timeline(
-            service, spec.object_id, horizon, start,
-            allowance=_propagation_allowance(service, spec))
-        result[spec.object_id] = max(
-            _lag_episode_durations(timeline, horizon), default=0.0)
-    return result
+    """Per-object maximum primary-backup distance: the longest
+    :func:`lateness_episodes` episode at the provisioned allowance (update
+    period + ℓ).  Each lost update opens one, lasting until the next update
+    gets through — so Figures 8-10 are "close to zero when there is no
+    message loss" and grow with loss rate and client write rate."""
+    return distance_and_inconsistency(service, horizon, start)[0]
 
 
 def average_max_distance(service: RTPBService, horizon: float,
                          start: float = 0.0) -> float:
     """The paper's "average maximum primary/backup distance"."""
-    return _mean_or_zero(
+    return mean_or_zero(
         max_distance_per_object(service, horizon, start).values())
-
-
-# ---------------------------------------------------------------------------
-# Duration of backup inconsistency (Figures 11-12)
-# ---------------------------------------------------------------------------
 
 
 def inconsistency_durations(service: RTPBService, horizon: float,
                             start: float = 0.0) -> List[float]:
-    """Durations of all backup-inconsistency episodes, all objects.
-
-    The backup is *inconsistent* for object *i* while it fails window
-    consistency: some version written more than δ_i ago is still missing
-    from it (``W_B(t) < W_P(t - δ_i)``).  One episode runs from the first
-    such instant to the apply that clears it; episodes still open at the
-    horizon count up to the horizon.  "If an update message is lost, the
-    backup would stay inconsistent until the next update message comes"
-    (Section 5.3) — these durations are exactly that.
-    """
-    durations: List[float] = []
-    for spec in service.registered_specs():
-        timeline = distance_timeline(service, spec.object_id, horizon,
-                                     start, allowance=spec.window)
-        durations.extend(_lag_episode_durations(timeline, horizon))
-    return durations
+    """Durations of all backup-inconsistency episodes, all objects: the
+    :func:`lateness_episodes` at allowance δ_i, while the backup fails
+    window consistency ``W_B(t) < W_P(t - δ_i)``.  "If an update message is
+    lost, the backup would stay inconsistent until the next update message
+    comes" (Section 5.3) — these durations are exactly that."""
+    return distance_and_inconsistency(service, horizon, start)[1]
 
 
 def average_inconsistency_duration(service: RTPBService, horizon: float,
                                    start: float = 0.0) -> float:
     """Mean episode duration; 0 when the backup never left its window."""
-    return _mean_or_zero(inconsistency_durations(service, horizon, start))
+    return mean_or_zero(inconsistency_durations(service, horizon, start))
 
 
 # ---------------------------------------------------------------------------

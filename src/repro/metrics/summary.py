@@ -14,10 +14,10 @@ from repro.core.group import ReplicationGroup
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
     backup_external_violations,
+    distance_and_inconsistency,
     failover_latency,
+    mean_or_zero,
     primary_fallback_rate,
     read_slo_violations,
     response_time_stats,
@@ -112,13 +112,14 @@ def collect_metrics(view: "ReplicationGroup | ClusterService",
     """
     read_throughput, read_staleness = served_read_stats(
         view, horizon, start=warmup, objects=objects)
+    distance, inconsistency = distance_and_inconsistency(view, horizon,
+                                                         start=warmup)
     return RunMetrics(
         admitted=len(view.registered_specs()),
         response=response_time_stats(view, start=warmup, objects=objects),
         starved_writes=unanswered_writes(view, objects=objects),
-        avg_max_distance=average_max_distance(view, horizon, start=warmup),
-        avg_inconsistency=average_inconsistency_duration(view, horizon,
-                                                         start=warmup),
+        avg_max_distance=mean_or_zero(distance.values()),
+        avg_inconsistency=mean_or_zero(inconsistency),
         delivery_rate=update_delivery_rate(view, objects=objects),
         read_throughput=read_throughput,
         read_staleness=read_staleness,

@@ -1,10 +1,12 @@
-"""The collectors' per-object timelines against a brute-force reference.
+"""The collectors' lateness episodes against a brute-force reference.
 
-``collect`` / ``collect_cluster`` select each object's write and apply
-records and order them with one sort per allowance.  The reference below
-reads nothing but ``iter(trace)``, builds every timeline the slow way —
-gather, sort, shift, sort again — and must agree with them to the last bit,
-on runs that lose updates, lose hosts, and move objects between groups.
+``collect`` / ``collect_cluster`` replay each object's write and apply
+records once, in the order they happened, and decide both allowances'
+episodes with ``late_intervals``.  The reference below reads nothing but
+``iter(trace)``, builds every distance timeline the slow way — gather,
+sort, shift, sort again — cuts its positive runs at ``start``, and must
+agree with them to the last bit, on runs that lose updates, lose hosts,
+and move objects between groups.
 """
 
 import pytest
@@ -17,8 +19,8 @@ from repro.faults.schedule import FaultSchedule
 from repro.metrics.collectors import (
     average_inconsistency_duration,
     average_max_distance,
-    distance_timeline,
     inconsistency_durations,
+    lateness_episodes,
     max_distance_per_object,
 )
 from repro.sim.trace import TraceRecord
@@ -36,7 +38,7 @@ WARMUP = 2.0
 # ---------------------------------------------------------------------------
 
 
-def reference_timeline(trace, object_id, horizon, start, allowance):
+def reference_timeline(trace, object_id, horizon, allowance):
     writes = [(record.time, "write", record.time) for record in trace
               if record.category == "primary_write"
               and record.get("object") == object_id]
@@ -58,24 +60,31 @@ def reference_timeline(trace, object_id, horizon, start, allowance):
             frontier = value
         else:
             w_b = value if w_b is None else max(w_b, value)
-        if frontier is not None and w_b is not None and time >= start:
+        if frontier is not None and w_b is not None:
             timeline.append((time, max(0.0, frontier - w_b)))
     return timeline
 
 
-def reference_episodes(timeline, horizon):
-    durations = []
+def reference_episodes(timeline, horizon, start):
+    """Each maximal run of positive distance, cut to begin no earlier than
+    ``start``; one that is empty after the cut is no episode."""
+    episodes = []
     opened = None
     for time, distance in timeline:
         if distance > 1e-12:
             if opened is None:
                 opened = time
         elif opened is not None:
-            durations.append(time - opened)
+            episodes.append((opened, time))
             opened = None
     if opened is not None:
-        durations.append(horizon - opened)
-    return durations
+        episodes.append((opened, horizon))
+    return [(max(opened, start), closed) for opened, closed in episodes
+            if closed > max(opened, start)]
+
+
+def durations(episodes):
+    return [closed - opened for opened, closed in episodes]
 
 
 def reference_allowance(view, spec):
@@ -95,13 +104,14 @@ def reference_metrics(view, horizon, start):
     distance = {}
     inconsistency = []
     for spec in view.registered_specs():
-        lateness = reference_episodes(
-            reference_timeline(trace, spec.object_id, horizon, start,
-                               reference_allowance(view, spec)), horizon)
+        lateness = durations(reference_episodes(
+            reference_timeline(trace, spec.object_id, horizon,
+                               reference_allowance(view, spec)),
+            horizon, start))
         distance[spec.object_id] = max(lateness, default=0.0)
-        inconsistency.extend(reference_episodes(
-            reference_timeline(trace, spec.object_id, horizon, start,
-                               spec.window), horizon))
+        inconsistency.extend(durations(reference_episodes(
+            reference_timeline(trace, spec.object_id, horizon, spec.window),
+            horizon, start)))
     return distance, inconsistency
 
 
@@ -124,10 +134,11 @@ def assert_view_matches_reference(view, metrics, horizon):
         metrics.avg_inconsistency
     for spec in view.registered_specs():
         for allowance in (0.0, spec.window):
-            assert distance_timeline(
+            assert lateness_episodes(
                 view, spec.object_id, horizon, WARMUP, allowance
-            ) == reference_timeline(view.trace, spec.object_id, horizon,
-                                    WARMUP, allowance)
+            ) == reference_episodes(reference_timeline(
+                view.trace, spec.object_id, horizon, allowance),
+                horizon, WARMUP)
     return distance, inconsistency
 
 
@@ -214,31 +225,29 @@ def apply(time, write_time):
                        {"object": 0, "write_time": write_time})
 
 
-def test_a_write_coming_due_at_an_apply_instant_goes_first():
+def test_a_write_coming_due_at_its_apply_instant_is_not_late():
     # The write of 1.0 comes due (1.0 + 0.5) at the very instant the
-    # backup applies it.  Due first: for that instant the backup is
-    # behind, and a zero-length episode is counted.  Were the apply taken
-    # first, the backup would never have been behind at all.
+    # backup applies it.  ``W_B(1.5)`` counts the apply at 1.5, so the
+    # backup is never behind and no episode, not even an empty one, counts.
     service = hand_built_service(window=0.5, records=[
         write(0.5), apply(0.75, 0.5), write(1.0), apply(1.5, 1.0)])
     assert 1.0 + 0.5 == 1.5
-    assert distance_timeline(service, 0, horizon=3.0, allowance=0.5) == [
-        (1.0, 0.0), (1.5, 0.5), (1.5, 0.0)]
-    assert inconsistency_durations(service, horizon=3.0) == [0.0]
+    assert lateness_episodes(service, 0, horizon=3.0, allowance=0.5) == []
+    assert inconsistency_durations(service, horizon=3.0) == []
     assert average_inconsistency_duration(service, horizon=3.0) == 0.0
-    assert reference_timeline(service.trace, 0, 3.0, 0.0, 0.5) == \
-        distance_timeline(service, 0, horizon=3.0, allowance=0.5)
+    assert reference_episodes(reference_timeline(
+        service.trace, 0, 3.0, 0.5), 3.0, 0.0) == []
 
 
-@pytest.mark.parametrize("allowance", [0.0, 0.25, 0.5, -0.5])
+@pytest.mark.parametrize("allowance", [0.0, 0.25, 0.5])
 def test_ties_and_out_of_order_ingest_match_reference(allowance):
     # Simultaneous write and apply, two applies at one instant (newer
-    # version recorded first), records ingested out of time order, and a
-    # negative allowance that pulls a *later* write back onto an apply.
+    # version recorded first), and records ingested out of time order.
     service = hand_built_service(window=0.5, records=[
         write(1.0), apply(1.0, 0.5), write(0.5), apply(0.75, 0.5),
         apply(1.5, 1.0), apply(1.5, 0.5), write(2.0), write(1.5),
         apply(2.5, 2.0), write(2.25)])
-    for start in (0.0, 1.5):
-        assert distance_timeline(service, 0, 3.0, start, allowance) == \
-            reference_timeline(service.trace, 0, 3.0, start, allowance)
+    for start in (0.0, 1.5, 2.0):
+        assert lateness_episodes(service, 0, 3.0, start, allowance) == \
+            reference_episodes(reference_timeline(
+                service.trace, 0, 3.0, allowance), 3.0, start)

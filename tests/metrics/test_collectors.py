@@ -9,11 +9,11 @@ from repro.metrics.collectors import (
     SummaryStats,
     average_inconsistency_duration,
     average_max_distance,
-    distance_timeline,
     duplicate_deliveries,
     failover_latencies,
     failover_latency,
     inconsistency_durations,
+    lateness_episodes,
     max_distance_per_object,
     response_time_stats,
     summarize,
@@ -56,7 +56,7 @@ def test_summarize_singleton():
 
 
 # ---------------------------------------------------------------------------
-# Distance timeline on a hand-built trace
+# Lateness episodes on a hand-built trace
 # ---------------------------------------------------------------------------
 
 
@@ -75,7 +75,7 @@ def ingest_all(trace, records):
         trace.ingest(record)
 
 
-def test_distance_timeline_steps():
+def test_lateness_episodes_steps():
     service = synthetic_service()
     trace = service.trace
 
@@ -90,14 +90,14 @@ def test_distance_timeline_steps():
         TraceRecord(3.5, "backup_apply", {"object": 0, "seq": 3,
                                           "write_time": 3.0}),
     ])
-    # Raw timeline (allowance=0): the version-age gap.
-    timeline = distance_timeline(service, 0, horizon=4.0)
-    assert timeline == [
-        (1.2, pytest.approx(0.0)),   # backup caught up to write@1
-        (2.0, pytest.approx(1.0)),   # primary advanced to 2
-        (3.0, pytest.approx(2.0)),   # primary advanced to 3
-        (3.5, pytest.approx(0.0)),   # backup caught up to write@3
-    ]
+    # With no allowance the backup lacks write@2 from the instant it is
+    # written until the apply that covers it; write@3 extends that episode.
+    assert lateness_episodes(service, 0, horizon=4.0) == [(2.0, 3.5)]
+    assert lateness_episodes(service, 0, horizon=4.0, allowance=0.5) == [
+        (2.5, 3.5)]
+    assert lateness_episodes(service, 0, horizon=4.0, start=2.5) == [
+        (2.5, 3.5)]
+    assert lateness_episodes(service, 0, horizon=4.0, allowance=1.5) == []
     # max_distance is lateness: with the provisioned allowance a of
     # update period + ell (window 100 ms -> a = 0.0525 s), the backup is
     # behind from the shifted write@2 frontier (t=2.0525) until the apply
@@ -121,6 +121,26 @@ def test_inconsistency_episode_measured_against_window():
     durations = inconsistency_durations(service, horizon=3.0)
     assert durations == [pytest.approx(0.3)]
     assert average_inconsistency_duration(service, 3.0) == pytest.approx(0.3)
+
+
+def test_an_episode_in_progress_at_start_counts_from_start():
+    """Regression: an episode already open when observation began was
+    measured from the first write or apply after ``start``, so one that
+    ended before any such event was not counted at all."""
+    service = synthetic_service()  # window = 100 ms
+    ingest_all(service.trace, [
+        TraceRecord(1.0, "primary_write", {"object": 0, "seq": 1}),
+        TraceRecord(1.01, "backup_apply", {"object": 0, "seq": 1,
+                                           "write_time": 1.0}),
+        TraceRecord(2.0, "primary_write", {"object": 0, "seq": 2}),
+        TraceRecord(2.4, "backup_apply", {"object": 0, "seq": 2,
+                                          "write_time": 2.0}),
+    ])
+    # Inconsistent on [2.1, 2.4); observation opens at 2.2.
+    assert inconsistency_durations(service, horizon=3.0, start=2.2) == [
+        pytest.approx(0.2)]
+    assert lateness_episodes(service, 0, horizon=3.0, start=2.2,
+                             allowance=0.1) == [(2.2, 2.4)]
 
 
 def test_open_episode_counts_to_horizon():
