@@ -14,8 +14,8 @@ Run:  python examples/patient_monitoring.py
 from repro import ObjectSpec, RTPBService, ms, to_ms
 from repro.metrics import (
     backup_external_violations,
+    collect_metrics,
     max_distance_per_object,
-    update_delivery_rate,
 )
 from repro.net.link import BernoulliLoss
 
@@ -49,7 +49,7 @@ def main() -> None:
     primary = service.current_primary()
     backup = service.current_backup()
     print(f"\n8% message loss; delivery rate observed: "
-          f"{update_delivery_rate(service):.3f}")
+          f"{collect_metrics(service, HORIZON).delivery_rate:.3f}")
     print(f"retransmission requests from backup: {backup.retx_requests_sent} "
           f"(served: {primary.retx_requests_served})")
 

@@ -11,12 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import RTPBService, Scenario, build_scenario, ms, to_ms
-from repro.metrics import (
-    average_inconsistency_duration,
-    average_max_distance,
-    backup_external_violations,
-    response_time_stats,
-)
+from repro.metrics import backup_external_violations, collect_metrics
 
 HORIZON = 20.0
 
@@ -33,9 +28,10 @@ def main() -> None:
     service = build_scenario(scenario)
     service.run(HORIZON)
 
-    response = response_time_stats(service, start=2.0)
+    metrics = collect_metrics(service, HORIZON, warmup=2.0)
+    response = metrics.response
     print("RTPB quickstart")
-    print(f"  objects admitted        : {len(service.registered_specs())}")
+    print(f"  objects admitted        : {metrics.admitted}")
     print(f"  client writes handled   : {service.current_primary().writes_handled}")
     print(f"  updates sent to backup  : "
           f"{service.current_primary().transmitter.updates_sent}")
@@ -43,9 +39,9 @@ def main() -> None:
     print(f"  mean response time      : {to_ms(response.mean):.3f} ms "
           f"(p95 {to_ms(response.p95):.3f} ms)")
     print(f"  avg max P/B distance    : "
-          f"{to_ms(average_max_distance(service, HORIZON, 2.0)):.1f} ms")
+          f"{to_ms(metrics.avg_max_distance):.1f} ms")
     print(f"  avg inconsistency burst : "
-          f"{to_ms(average_inconsistency_duration(service, HORIZON, 2.0)):.1f} ms")
+          f"{to_ms(metrics.avg_inconsistency):.1f} ms")
 
     violations = backup_external_violations(service, 2.0, HORIZON - 1.0)
     total = sum(len(per_object) for per_object in violations.values())

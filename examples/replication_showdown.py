@@ -20,7 +20,7 @@ Run:  python examples/replication_showdown.py
 from repro import ms, to_ms
 from repro.baselines import DISCIPLINES
 from repro.core.service import RTPBService
-from repro.metrics import Table, response_time_stats
+from repro.metrics import Table, collect_metrics
 from repro.workload.generator import homogeneous_specs
 
 HORIZON = 10.0
@@ -46,7 +46,7 @@ def main() -> None:
         service.register_all(specs)
         service.create_client(specs)
         service.run(HORIZON)
-        stats = response_time_stats(service, 2.0)
+        stats = collect_metrics(service, HORIZON, warmup=2.0).response
         table.add_row(label, to_ms(stats.mean), to_ms(stats.p95),
                       service.fabric.messages_sent)
     print(table.render())

@@ -17,7 +17,7 @@ The scenario type and runner live one layer up to keep imports acyclic:
 which names the run's trace allow-list, is deliberately not imported here).
 """
 
-from repro.cluster.metrics import ClusterMetrics, collect_cluster, collect_group
+from repro.cluster.metrics import ClusterMetrics, collect_cluster
 from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.placement import (
     HostSlot,
@@ -44,5 +44,4 @@ __all__ = [
     "ShardGroup",
     "ShardMap",
     "collect_cluster",
-    "collect_group",
 ]

@@ -45,7 +45,6 @@ from repro.core.name_service import ROLE_SEPARATOR, NameService
 from repro.core.server import ReplicaServer, Role, build_processor
 from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.errors import ClusterError, ReplicationError
-from repro.metrics.summary import RunMetrics
 from repro.net.ip import Host
 from repro.net.link import LossModel, NetworkFabric
 from repro.replicas.reader import ReaderClient
@@ -55,7 +54,6 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.workload.environment import EnvironmentModel
 
-from repro.cluster.metrics import collect_group
 from repro.cluster.placement import (
     HostSlot,
     Placement,
@@ -625,12 +623,6 @@ class ClusterService:
         raise ReplicationError(
             "a sharded cluster has no single primary; use "
             "group_named(...).current_primary()")
-
-    def collect_groups(self, horizon: float,
-                       warmup: float = 2.0) -> Dict[str, RunMetrics]:
-        """Per-group metrics of a finished run, by group name, gid order."""
-        return {group.name: collect_group(group, horizon, warmup)
-                for group in self.groups}
 
     @property
     def trace(self) -> Tracer:

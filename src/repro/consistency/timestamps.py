@@ -8,8 +8,9 @@ current value) and answers the queries the consistency models are phrased
 in: ``T(t)``, staleness ``t - T(t)``, and the intervals on which a bound
 ``δ`` was violated.  Window queries bisect to the window's updates.
 
-:func:`late_intervals` alone decides lateness: the history passes ``T(t) +
-δ``, the collectors an :class:`UncoveredWrites`' oldest write + allowance.
+:class:`LateIntervals` alone decides lateness: the history steps it through
+``T(t) + δ``, the collectors through an :class:`UncoveredWrites`' oldest
+write + allowance.
 """
 
 from __future__ import annotations
@@ -18,18 +19,17 @@ import bisect
 import math
 from array import array
 from collections import deque
-from itertools import chain
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
-def late_intervals(changes: Iterable[Tuple[float, float]], start: float,
-                   end: float) -> List[Tuple[float, float]]:
+class LateIntervals:
     """Maximal sub-intervals of ``[start, end]`` where ``t`` is past due.
 
-    ``changes`` lists ``(instant, deadline)`` in time order; a deadline
-    holds until the next change (the last until ``end``) and nothing is due
-    before the first.  An episode under way at ``start`` counts from
-    ``start``; touching segments are one episode, an empty one is none.
+    :meth:`step` each ``(instant, deadline)`` change in time order, then
+    :meth:`close`: a deadline holds until the next change (the last until
+    ``end``) and nothing is due before the first.  An episode under way at
+    ``start`` counts from ``start``; touching segments are one episode, an
+    empty one is none.
 
     The online :class:`~repro.faults.monitor.InvariantMonitor` times the
     collectors' deadline (oldest uncovered write + ``window + grace``) and
@@ -41,17 +41,29 @@ def late_intervals(changes: Iterable[Tuple[float, float]], start: float,
     seed 0 the monitor reports 8 findings, the collectors 6 episodes, four
     of them open from about 3.5 s to the 20 s horizon.
     """
-    intervals: List[Tuple[float, float]] = []
-    since = due = math.inf
-    for instant, deadline in chain(changes, [(end, math.inf)]):
-        begin, until = max(since, due, start), min(instant, end)
+
+    __slots__ = ("start", "end", "intervals", "_since", "_due")
+
+    def __init__(self, start: float, end: float) -> None:
+        self.start, self.end = start, end
+        self.intervals: List[Tuple[float, float]] = []
+        self._since = self._due = math.inf
+
+    def step(self, instant: float, deadline: float) -> None:
+        begin = max(self._since, self._due, self.start)
+        until = min(instant, self.end)
         if begin < until:
+            intervals = self.intervals
             if intervals and intervals[-1][1] == begin:
                 intervals[-1] = (intervals[-1][0], until)
             else:
                 intervals.append((begin, until))
-        since, due = instant, deadline
-    return intervals
+        self._since, self._due = instant, deadline
+
+    def close(self) -> List[Tuple[float, float]]:
+        """The intervals, the last deadline held until ``end``."""
+        self.step(self.end, math.inf)
+        return self.intervals
 
 
 class UncoveredWrites(deque[float]):
@@ -186,9 +198,10 @@ class VersionHistory:
         """
         if delta < 0:
             raise ValueError(f"delta must be >= 0, got {delta}")
-        return late_intervals(
-            ((anchor, anchor + delta) for anchor in self._anchors(start, end)),
-            start, end)
+        late = LateIntervals(start, end)
+        for anchor in self._anchors(start, end):
+            late.step(anchor, anchor + delta)
+        return late.close()
 
     def satisfies(self, delta: float, start: float, end: float) -> bool:
         """True when ``t - T(t) ≤ delta`` holds throughout ``[start, end]``."""

@@ -16,6 +16,7 @@ replica copy on.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.name_service import NameService
@@ -46,7 +47,8 @@ class SensorClient:
         self.name = name
         self.write_jitter = write_jitter
         self.active = active
-        self.writes_issued = 0
+        #: Writes the primary accepted, by object.
+        self.issued: Counter[int] = Counter()
         self.writes_refused = 0
         #: Write-rate multiplier (flash-crowd injection): 2.0 doubles the
         #: offered load of every object loop.  Exactly 1.0 leaves the loop
@@ -57,6 +59,11 @@ class SensorClient:
         #: leave two live loops for one object.
         self._loop_gen: Dict[int, int] = {}
         self._started = False
+
+    @property
+    def writes_issued(self) -> int:
+        """Writes the primary accepted, all objects together."""
+        return sum(self.issued.values())
 
     # ------------------------------------------------------------------
 
@@ -146,7 +153,7 @@ class SensorClient:
         accepted = server.client_write(spec.object_id, value,
                                        source_time=sample_time)
         if accepted:
-            self.writes_issued += 1
+            self.issued[spec.object_id] += 1
         else:
             self.writes_refused += 1
 

@@ -11,6 +11,7 @@ grammar over a deployment's groups.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -59,6 +60,9 @@ class ReplicationGroup:
         #: replica tier is a deployment extension, not group members.
         self.replicas: List["ReadReplica"] = []
         self._registered: List[ObjectSpec] = []
+        #: Snapshot writes a live migration injected here, by object: the
+        #: primary answers them like client writes, so they count as issued.
+        self.snapshot_writes: Counter[int] = Counter()
 
     @property
     def service_name(self) -> str:

@@ -14,7 +14,7 @@ lines::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Type
 
 from repro.core.admission import AdmissionDecision
 from repro.core.client import SensorClient
@@ -28,9 +28,6 @@ from repro.net.ip import Host
 from repro.net.link import LossModel, NetworkFabric
 from repro.sim.engine import Simulator
 from repro.workload.environment import EnvironmentModel
-
-if TYPE_CHECKING:  # pragma: no cover - repro.metrics sits above repro.core
-    from repro.metrics.summary import RunMetrics
 
 PRIMARY_ADDRESS = 1
 #: The first backup; spares follow the last backup.
@@ -155,8 +152,3 @@ class RTPBService(ReplicationGroup):
         server = self.server_at(address)
         if server is not None:
             server.crash()
-
-    def collect_groups(self, horizon: float,
-                       warmup: float = 2.0) -> Dict[str, "RunMetrics"]:
-        """Per-group metrics: none, the deployment is its one group."""
-        return {}

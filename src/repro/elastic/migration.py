@@ -197,8 +197,9 @@ class ShardMigration:
                 source_primary.store.snapshot(spec.object_id))
             if seq > 0:
                 self.floors[spec.object_id] = source_time
-                dest_primary.client_write(spec.object_id, value,
-                                          source_time=source_time)
+                if dest_primary.client_write(spec.object_id, value,
+                                             source_time=source_time):
+                    self.dest.snapshot_writes[spec.object_id] += 1
         self.state = TRANSFERRED
         self.sim.trace.record(
             "migration_transfer", source=self.source.name,

@@ -29,17 +29,13 @@ does not blind them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple,
                     Optional)
 
-from repro.metrics.collectors import (
-    METRIC_TRACE_CATEGORIES,
-    degraded_responses,
-    fastpath_hit_rate,
-    fastpath_response_split,
-)
-from repro.metrics.summary import MetricsView, RunMetrics, collect_metrics
+from repro.metrics.collectors import METRIC_TRACE_CATEGORIES
+from repro.metrics.summary import (MetricsView, RunMetrics, collect_metrics,
+                                   collect_views)
 
 if TYPE_CHECKING:
     from repro.cluster.monitor import ClusterInvariantMonitor
@@ -167,13 +163,14 @@ def run_scenario(scenario: "BaseScenario", warmup: float = 2.0,
         attached.attach()
     controller = scenario.control_plane(service, monitors)
     service.run(scenario.horizon)
+    metrics, per_group = collect_views(service, scenario.horizon, warmup)
     return RunResult(
         scenario=scenario,
         service=service,
-        metrics=collect(scenario, service, warmup),
+        metrics=metrics,
         injector=injector,
         monitors=monitors,
-        per_group=service.collect_groups(scenario.horizon, warmup),
+        per_group=per_group,
         controller=controller,
     )
 
@@ -183,11 +180,4 @@ def collect(scenario: "BaseScenario",
             warmup: float = 2.0) -> RunMetrics:
     """Compute the whole deployment's :class:`RunMetrics` for an
     already-finished run, whatever its topology."""
-    split = fastpath_response_split(service, start=warmup)
-    return replace(
-        collect_metrics(service, scenario.horizon, warmup),
-        fastpath_hit_rate=fastpath_hit_rate(service, start=warmup),
-        fast_response=split["fast"],
-        deferred_response=split["deferred"],
-        degraded_responses=degraded_responses(service),
-    )
+    return collect_metrics(service, scenario.horizon, warmup)

@@ -25,15 +25,10 @@ from repro.baselines import DISCIPLINES, MultiBackupServer
 from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.experiments.harness import run_scenario
-from repro.metrics.collectors import (
-    average_inconsistency_duration,
-    average_max_distance,
-    backup_external_violations,
-    failover_latency,
-    response_time_stats,
-    unanswered_writes,
-)
+from repro.metrics.collectors import (backup_external_violations,
+                                     failover_latency)
 from repro.metrics.report import Table
+from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss, GilbertElliottLoss, LossModel
 from repro.parallel import SweepPool
 from repro.sched import (
@@ -94,7 +89,8 @@ def _ack_row(point: Tuple[float, bool, float, int]) -> Row:
     return (loss, "yes" if ack_updates else "no",
             service.fabric.messages_sent,
             round(service.fabric.bytes_sent / 1024, 1),
-            to_ms(average_max_distance(service, horizon, _WARMUP)))
+            to_ms(collect_metrics(service, horizon,
+                                  _WARMUP).avg_max_distance))
 
 
 def ablation_ack_strategy(loss_points: Sequence[float], horizon: float,
@@ -149,7 +145,7 @@ def _baseline_row(point: Tuple[str, float, float, int]) -> Row:
         homogeneous_specs(6, window=ms(200.0), client_period=write_period),
         horizon)
     return (name, to_ms(write_period),
-            to_ms(response_time_stats(service, _WARMUP).mean),
+            to_ms(collect_metrics(service, horizon, _WARMUP).mean_response),
             len(service.trace.select("update_sent")))
 
 
@@ -177,9 +173,9 @@ def _burst_loss_row(point: Tuple[str, LossModel, float, int]) -> Row:
                     config=ServiceConfig(ping_max_misses=60)),
         homogeneous_specs(8, window=ms(150.0), client_period=ms(50.0)),
         horizon)
-    return (label,
-            to_ms(average_max_distance(service, horizon, _WARMUP)),
-            to_ms(average_inconsistency_duration(service, horizon, _WARMUP)))
+    metrics = collect_metrics(service, horizon, _WARMUP)
+    return (label, to_ms(metrics.avg_max_distance),
+            to_ms(metrics.avg_inconsistency))
 
 
 def ablation_burst_loss(horizon: float, seed: int = 5,
@@ -211,13 +207,14 @@ def _cpu_row(point: Tuple[int, str, bool, float, int]) -> Row:
         homogeneous_specs(n_objects, window=ms(100.0),
                           client_period=ms(100.0)),
         horizon, write_jitter=ms(2.0) if admission else 0.0)
-    stats = response_time_stats(service, _WARMUP)
+    metrics = collect_metrics(service, horizon, _WARMUP)
+    stats = metrics.response
     if admission:
         return (n_objects, policy, to_ms(stats.mean), to_ms(stats.p95),
                 service.current_primary().processor.deadline_misses, 0)
     return (f"{n_objects} (no AC)", policy,
             "-" if math.isnan(stats.mean) else f"{to_ms(stats.mean):.3f}",
-            "-", "-", unanswered_writes(service))
+            "-", "-", metrics.starved_writes)
 
 
 def ablation_cpu_scheduler(object_counts: Sequence[int],
@@ -309,7 +306,8 @@ def _multibackup_row(point: Tuple[int, float, int]) -> Row:
         for spec in specs
         for a in service.backup_servers for b in service.backup_servers)
     return (n_backups, service.fabric.messages_sent,
-            to_ms(response_time_stats(service, _WARMUP).mean), skew)
+            to_ms(collect_metrics(service, horizon, _WARMUP).mean_response),
+            skew)
 
 
 def extension_multibackup(backup_counts: Sequence[int], horizon: float,
@@ -344,7 +342,8 @@ def _dcs_row(point: Tuple[SchedulingMode, float, float, int]) -> Row:
             worst_variance = max(worst_variance,
                                  phase_variance(finishes[1:], period))
     return (mode.value, loss, to_ms(worst_variance),
-            to_ms(average_max_distance(service, horizon, _WARMUP)))
+            to_ms(collect_metrics(service, horizon,
+                                  _WARMUP).avg_max_distance))
 
 
 def extension_dcs_transmission(loss_points: Sequence[float], horizon: float,
@@ -375,9 +374,9 @@ def _deferrable_row(point: Tuple[str, float, int]) -> Row:
         RTPBService(seed=seed, config=config),
         homogeneous_specs(36, window=ms(100.0), client_period=ms(100.0)),
         horizon)
-    stats = response_time_stats(service, _WARMUP)
-    return (variant, len(service.registered_specs()), to_ms(stats.mean),
-            to_ms(stats.p95), unanswered_writes(service),
+    metrics = collect_metrics(service, horizon, _WARMUP)
+    return (variant, metrics.admitted, to_ms(metrics.response.mean),
+            to_ms(metrics.response.p95), metrics.starved_writes,
             service.current_primary().processor.deadline_misses)
 
 

@@ -1,32 +1,32 @@
 """Performability metrics (Section 5).
 
-The collectors compute the paper's three evaluation metrics from a finished
-run's trace and stores:
+One pass over a finished run's trace, :func:`collect_views`, fills a
+:class:`RunMetrics` — for the whole deployment and, on a cluster, for every
+group — with the paper's three evaluation metrics:
 
-- **client response time** (Figures 6-7),
-- **average maximum primary-backup distance** (Figures 8-10),
-- **duration of backup inconsistency** (Figures 11-12),
+- **client response time** (Figures 6-7): ``response``,
+- **average maximum primary-backup distance** (Figures 8-10):
+  ``avg_max_distance``,
+- **duration of backup inconsistency** (Figures 11-12):
+  ``avg_inconsistency``,
 
-plus consistency-violation audits and failover timing used by the extra
-benches and tests.
+plus starved writes, update delivery, read-path and fast-path numbers.
+:func:`collect_metrics` returns the whole deployment's alone.  The
+collectors beside it answer what ``RunMetrics`` does not carry: per-object
+distances and lateness episodes, consistency-violation audits, failover
+timing and duplicate deliveries.
 """
 
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
     backup_external_violations,
     duplicate_deliveries,
     failover_latencies,
     failover_latency,
-    inconsistency_durations,
+    lateness_episodes,
     max_distance_per_object,
     primary_external_violations,
-    response_time_stats,
-    response_times,
     summarize,
-    unanswered_writes,
-    update_delivery_rate,
 )
 from repro.metrics.jsonio import jsonable, stable_dumps
 from repro.metrics.report import Series, Table
@@ -34,30 +34,26 @@ from repro.metrics.summary import (
     RunMetrics,
     RunSummary,
     collect_metrics,
+    collect_views,
     summarize_run,
 )
 
 __all__ = [
     "SummaryStats",
     "summarize",
-    "response_times",
-    "response_time_stats",
     "max_distance_per_object",
-    "average_max_distance",
-    "inconsistency_durations",
-    "average_inconsistency_duration",
+    "lateness_episodes",
     "primary_external_violations",
     "backup_external_violations",
     "failover_latency",
     "failover_latencies",
-    "unanswered_writes",
-    "update_delivery_rate",
     "duplicate_deliveries",
     "Table",
     "Series",
     "RunMetrics",
     "RunSummary",
     "collect_metrics",
+    "collect_views",
     "summarize_run",
     "jsonable",
     "stable_dumps",

@@ -1,31 +1,31 @@
 """Metric collectors over finished runs.
 
-All collectors are pure functions of a finished
-:class:`~repro.core.service.RTPBService` (its trace and object stores); they
-never mutate the simulation.  ``service`` is duck-typed — any deployment
-view exposing the same introspection surface works, including one *group*
-of a sharded cluster; the trace-counting collectors take an optional
-``objects`` filter so a group view sharing a cluster-wide trace counts only
-its own shard's records.  Times in the returned values are in the
-simulator's native seconds — convert with :func:`repro.units.to_ms` for
-paper-style tables.
+Every :class:`~repro.metrics.summary.RunMetrics` field comes from one pass,
+:func:`~repro.metrics.summary.collect_views`; this module holds what that
+pass shares with the collectors of numbers ``RunMetrics`` does not carry:
+sample summaries, the write/apply replay behind the distance and
+inconsistency metrics (:func:`lateness_episodes`,
+:func:`max_distance_per_object`), the δ^P/δ^B audits, failover timing and
+the duplicate count.  All are pure functions of a finished deployment view
+(a pair, one group of a cluster, or a whole cluster); they never mutate the
+simulation.  Times are in the simulator's native seconds — convert with
+:func:`repro.units.to_ms` for paper-style tables.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import (Collection, Deque, Dict, Iterable, List, Optional,
+from operator import attrgetter
+from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.consistency.checker import ExternalConsistencyChecker, Violation
-from repro.consistency.timestamps import UncoveredWrites, late_intervals
+from repro.consistency.timestamps import LateIntervals, UncoveredWrites
 from repro.core.service import RTPBService
 from repro.core.spec import ObjectSpec
 from repro.errors import ReplicationError
-from repro.sim.trace import Selection
 
 #: Trace categories the collectors consume: a pair run's trace allow-list.
 METRIC_TRACE_CATEGORIES = (
@@ -72,10 +72,8 @@ class SummaryStats:
     p50: float
     p95: float
     maximum: float
-    #: Tail percentiles (ROADMAP: tail metrics).  Defaulted so older
-    #: positional construction sites keep working.
-    p99: float = math.nan
-    p999: float = math.nan
+    p99: float
+    p999: float
 
     @staticmethod
     def empty() -> "SummaryStats":
@@ -100,11 +98,12 @@ class SummaryStats:
         return hash(self._key())
 
 
-def summarize(values: Sequence[float]) -> SummaryStats:
-    """Summary statistics of ``values`` (NaNs when empty)."""
-    if not values:
+def summarize(ordered: List[float]) -> SummaryStats:
+    """Summary statistics of ``ordered`` (NaNs when empty), sorting the list
+    itself: pass a copy to keep the original order."""
+    if not ordered:
         return SummaryStats.empty()
-    ordered = sorted(values)
+    ordered.sort()
     return SummaryStats(
         count=len(ordered),
         mean=sum(ordered) / len(ordered),
@@ -117,122 +116,8 @@ def summarize(values: Sequence[float]) -> SummaryStats:
 
 
 def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    if not ordered:
-        return math.nan
     index = min(len(ordered) - 1, int(math.ceil(fraction * len(ordered))) - 1)
     return ordered[max(0, index)]
-
-
-def _scoped(service: RTPBService, category: str,
-            objects: Optional[Iterable[int]]) -> Selection:
-    """``category``'s records, only those of ``objects`` when given: one
-    indexed query per object, so a cluster group view reads its own records,
-    not every group's.  They come grouped by object, which no count or
-    sorted summary sees."""
-    if objects is None:
-        return service.trace.select(category)
-    scoped = Selection()
-    for object_id in sorted(set(objects)):
-        scoped += service.trace.select(category, object=object_id)
-    return scoped
-
-
-# ---------------------------------------------------------------------------
-# Client response time (Figures 6-7)
-# ---------------------------------------------------------------------------
-
-
-def response_times(service: RTPBService,
-                   start: float = 0.0,
-                   objects: Optional[Iterable[int]] = None) -> List[float]:
-    """All client-write response times observed after ``start``.
-
-    ``objects`` restricts the count to those object ids (a cluster group
-    view filtering the shared trace); None keeps every record.
-    """
-    return [record["response"]
-            for record in _scoped(service, "client_response", objects)
-            if record["issue"] >= start]
-
-
-def response_time_stats(service: RTPBService,
-                        start: float = 0.0,
-                        objects: Optional[Iterable[int]] = None
-                        ) -> SummaryStats:
-    return summarize(response_times(service, start, objects=objects))
-
-
-def unanswered_writes(service: RTPBService,
-                      objects: Optional[Iterable[int]] = None) -> int:
-    """Writes issued whose RPC never completed (overload starvation).
-
-    Degraded completions (``client_response_degraded`` — the eager
-    baseline flushing deferred writes when the backup dies) answered their
-    client too, so they count as answered even though they are excluded
-    from the response-time distribution.
-    """
-    issued = sum(client.writes_issued for client in service.clients)
-    answered = (len(_scoped(service, "client_response", objects))
-                + len(_scoped(service, "client_response_degraded", objects)))
-    return max(0, issued - answered)
-
-
-# ---------------------------------------------------------------------------
-# Commutative/stable fast path (repro.core.fastpath)
-# ---------------------------------------------------------------------------
-
-
-def fastpath_hit_rate(service: RTPBService, start: float = 0.0,
-                      objects: Optional[Iterable[int]] = None) -> float:
-    """Fraction of answered writes the fast path replied to early.
-
-    Counts ``client_response`` records with ``path == "fast"`` against all
-    path-tagged responses (the tag exists only on fast-path deployments).
-    0.0 when no write carried a path tag — i.e. on every run without the
-    fast path.
-    """
-    fast = total = 0
-    for record in _scoped(service, "client_response", objects):
-        if record["issue"] < start:
-            continue
-        path = record.get("path")
-        if path is None:
-            continue
-        total += 1
-        if path == "fast":
-            fast += 1
-    if total == 0:
-        return 0.0
-    return fast / total
-
-
-def fastpath_response_split(service: RTPBService, start: float = 0.0,
-                            objects: Optional[Iterable[int]] = None
-                            ) -> Dict[str, SummaryStats]:
-    """Response-time distributions keyed by reply path.
-
-    ``"fast"`` — answered before the backup ack; ``"deferred"`` — the
-    paper's defer-until-ack path.  Only path-tagged responses count (the
-    tag exists only on fast-path deployments), so both are empty on every
-    run without the fast path — the inert defaults of
-    :class:`~repro.metrics.summary.RunMetrics`, whatever the topology.
-    """
-    split: Dict[str, List[float]] = {"fast": [], "deferred": []}
-    for record in _scoped(service, "client_response", objects):
-        if record["issue"] < start:
-            continue
-        path = record.get("path")
-        if path is not None:
-            split[path].append(record["response"])
-    return {path: summarize(values) for path, values in split.items()}
-
-
-def degraded_responses(service: RTPBService, start: float = 0.0,
-                       objects: Optional[Iterable[int]] = None) -> int:
-    """Writes completed degraded (flushed when the backup died unacked)."""
-    return sum(
-        1 for record in _scoped(service, "client_response_degraded", objects)
-        if record["issue"] >= start)
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +125,108 @@ def degraded_responses(service: RTPBService, start: float = 0.0,
 # ---------------------------------------------------------------------------
 
 
-def _uncovered_timeline(service: RTPBService, object_id: int,
-                        horizon: float) -> List[Tuple[float, float]]:
-    """``(instant, oldest write the backup lacks)`` at each of the object's
-    writes and applies up to ``horizon``, in the order they happened, from
-    the first apply on: before it the backup legitimately holds nothing."""
-    events: List[Tuple[float, Optional[float]]] = [
-        (record.time, None) for record
-        in service.trace.select("primary_write", object=object_id)]
-    events += [(record.time, record["write_time"]) for record
-               in service.trace.select("backup_apply", object=object_id)]
-    events.sort(key=itemgetter(0))
-    uncovered = UncoveredWrites()
-    timeline: List[Tuple[float, float]] = []
-    for time, version in events:
-        if time > horizon:
-            break
+class LatenessReplay:
+    """One object's lateness episodes at each of several allowances, from
+    its writes and applies fed to :meth:`step` in the order they happened.
+
+    From the backup's first apply on (before it the backup legitimately
+    holds nothing), each write and apply may move the deadline ``oldest
+    uncovered write + allowance`` that :class:`LateIntervals` times: the
+    backup is late while ``W_B(t) < W_P(t - allowance)``.  A step that
+    leaves the oldest uncovered write where it was only splits a segment
+    that ``LateIntervals`` would join again, so it is not passed on.
+    """
+
+    __slots__ = ("uncovered", "oldest", "lates")
+
+    def __init__(self, allowances: Iterable[float], start: float,
+                 horizon: float) -> None:
+        self.uncovered = UncoveredWrites()
+        #: The oldest uncovered write last passed on; None before the
+        #: first apply.
+        self.oldest: Optional[float] = None
+        self.lates = {allowance: LateIntervals(start, horizon)
+                      for allowance in allowances}
+
+    def step(self, time: float, version: Optional[float]) -> None:
+        """A write at ``time`` (``version`` None), or an apply at ``time``
+        of the version written at ``version``."""
+        uncovered = self.uncovered
         if version is None:
             uncovered.append(time)
+            if self.oldest is None:
+                return
         else:
             uncovered.cover(version)
-        if version is not None or timeline:
-            timeline.append((time, uncovered.oldest))
-    return timeline
+        oldest = uncovered.oldest
+        if oldest != self.oldest:
+            self.oldest = oldest
+            for allowance, late in self.lates.items():
+                late.step(time, oldest + allowance)
+
+    def episodes(self, allowance: float) -> List[Tuple[float, float]]:
+        """The maximal late intervals at ``allowance``, closed at the
+        horizon (closing twice adds nothing)."""
+        return self.lates[allowance].close()
+
+
+def replay_lateness(writes: Sequence[Any], applies: Sequence[Any],
+                    allowances: Mapping[Any, Sequence[float]], start: float,
+                    horizon: float
+                    ) -> Tuple[Dict[Any, LatenessReplay], Counter]:
+    """Every object's :class:`LatenessReplay` at its ``allowances``, fed
+    its ``primary_write`` and ``backup_apply`` records up to ``horizon``,
+    and every object's backup applies counted (the horizon aside).
+
+    The two categories are merged in one pass, writes first at one
+    instant; a record older than its predecessor in its category (a trace
+    ingested out of order) makes the pass start again over each category
+    sorted by time.
+    """
+    replayed = _replay(writes, applies, allowances, start, horizon)
+    if replayed is None:
+        by_time = attrgetter("time")
+        replayed = _replay(sorted(writes, key=by_time),
+                           sorted(applies, key=by_time), allowances, start,
+                           horizon)
+    return replayed
+
+
+def _replay(writes_in: Iterable[Any], applies_in: Iterable[Any],
+            allowances: Mapping[Any, Sequence[float]], start: float,
+            horizon: float
+            ) -> Optional[Tuple[Dict[Any, LatenessReplay], Counter]]:
+    """:func:`replay_lateness`'s pass; None when a record steps back in
+    time, which merging two time-ordered categories never does."""
+    replays = {object_id: LatenessReplay(each, start, horizon)
+               for object_id, each in allowances.items()}
+    applied: Counter = Counter()
+    writes, applies = iter(writes_in), iter(applies_in)
+    write, apply = next(writes, None), next(applies, None)
+    now = -math.inf
+    while write is not None or apply is not None:
+        if apply is None or (write is not None and write.time <= apply.time):
+            record, version, write = write, None, next(writes, None)
+        else:
+            record, version = apply, apply["write_time"]
+            apply = next(applies, None)
+        time = record.time
+        if time < now:
+            return None
+        now = time
+        object_id = record.get("object")
+        if version is not None:
+            applied[object_id] += 1
+        if time <= horizon:
+            replay = replays.get(object_id)
+            if replay is not None:
+                replay.step(time, version)
+    return replays, applied
+
+
+def longest(episodes: Iterable[Tuple[float, float]]) -> float:
+    """The longest episode's length; 0 when there are none."""
+    return max((until - begin for begin, until in episodes), default=0.0)
 
 
 def lateness_episodes(service: RTPBService, object_id: int, horizon: float,
@@ -272,21 +236,19 @@ def lateness_episodes(service: RTPBService, object_id: int, horizon: float,
     a version of ``object_id`` written over ``allowance`` earlier
     (``W_B(t) < W_P(t - allowance)``).  Lateness grows linearly within an
     episode, so its length IS the most the backup fell behind."""
-    return _episodes(_uncovered_timeline(service, object_id, horizon),
-                     allowance, start, horizon)
+    trace = service.trace
+    replays, _ = replay_lateness(
+        trace.select("primary_write", object=object_id),
+        trace.select("backup_apply", object=object_id),
+        {object_id: (allowance,)}, start, horizon)
+    return replays[object_id].episodes(allowance)
 
 
-def _episodes(timeline: List[Tuple[float, float]], allowance: float,
-              start: float, horizon: float) -> List[Tuple[float, float]]:
-    return late_intervals(((instant, oldest + allowance)
-                           for instant, oldest in timeline), start, horizon)
-
-
-def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
+def propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
     """The provisioned primary→backup lag: update period + delay bound ℓ.
 
-    Falls back to the spec's configured update period when the deployment
-    has no live primary (a cluster group whose hosts all died) — the
+    Falls back to the spec's configured update period when the view has no
+    live primary (a whole cluster, or a group whose hosts all died) — the
     distance episodes already on the trace still deserve an allowance.
     """
     try:
@@ -299,61 +261,24 @@ def _propagation_allowance(service: RTPBService, spec: ObjectSpec) -> float:
     return period + service.config.ell
 
 
-def mean_or_zero(values: Collection[float]) -> float:
-    """The mean of ``values``; 0 when there are none."""
-    return sum(values) / len(values) if values else 0.0
-
-
-def distance_and_inconsistency(service: RTPBService, horizon: float,
-                               start: float = 0.0
-                               ) -> Tuple[Dict[int, float], List[float]]:
-    """:func:`max_distance_per_object` and :func:`inconsistency_durations`
-    from one replay of each object's writes and applies."""
-    distance: Dict[int, float] = {}
-    inconsistency: List[float] = []
-    for spec in service.registered_specs():
-        timeline = _uncovered_timeline(service, spec.object_id, horizon)
-        lateness, inconsistent = (
-            [until - begin for begin, until
-             in _episodes(timeline, allowance, start, horizon)]
-            for allowance in (_propagation_allowance(service, spec),
-                              spec.window))
-        distance[spec.object_id] = max(lateness, default=0.0)
-        inconsistency.extend(inconsistent)
-    return distance, inconsistency
-
-
 def max_distance_per_object(service: RTPBService, horizon: float,
                             start: float = 0.0) -> Dict[int, float]:
-    """Per-object maximum primary-backup distance: the longest
-    :func:`lateness_episodes` episode at the provisioned allowance (update
-    period + ℓ).  Each lost update opens one, lasting until the next update
-    gets through — so Figures 8-10 are "close to zero when there is no
-    message loss" and grow with loss rate and client write rate."""
-    return distance_and_inconsistency(service, horizon, start)[0]
-
-
-def average_max_distance(service: RTPBService, horizon: float,
-                         start: float = 0.0) -> float:
-    """The paper's "average maximum primary/backup distance"."""
-    return mean_or_zero(
-        max_distance_per_object(service, horizon, start).values())
-
-
-def inconsistency_durations(service: RTPBService, horizon: float,
-                            start: float = 0.0) -> List[float]:
-    """Durations of all backup-inconsistency episodes, all objects: the
-    :func:`lateness_episodes` at allowance δ_i, while the backup fails
-    window consistency ``W_B(t) < W_P(t - δ_i)``.  "If an update message is
-    lost, the backup would stay inconsistent until the next update message
-    comes" (Section 5.3) — these durations are exactly that."""
-    return distance_and_inconsistency(service, horizon, start)[1]
-
-
-def average_inconsistency_duration(service: RTPBService, horizon: float,
-                                   start: float = 0.0) -> float:
-    """Mean episode duration; 0 when the backup never left its window."""
-    return mean_or_zero(inconsistency_durations(service, horizon, start))
+    """Per-object maximum primary-backup distance: the longest lateness
+    episode at the provisioned allowance (update period + ℓ).  Each lost
+    update opens one, lasting until the next update gets through — so
+    Figures 8-10 are "close to zero when there is no message loss" and grow
+    with loss rate and client write rate.  Their mean is
+    :attr:`RunMetrics.avg_max_distance <repro.metrics.summary.RunMetrics>`.
+    """
+    allowances = {spec.object_id: propagation_allowance(service, spec)
+                  for spec in service.registered_specs()}
+    trace = service.trace
+    replays, _ = replay_lateness(
+        trace.select("primary_write"), trace.select("backup_apply"),
+        {object_id: (allowance,) for object_id, allowance
+         in allowances.items()}, start, horizon)
+    return {object_id: longest(replays[object_id].episodes(allowance))
+            for object_id, allowance in allowances.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -430,101 +355,17 @@ def failover_latency(service: RTPBService) -> Optional[float]:
     return latencies[0] if latencies else None
 
 
-def update_delivery_rate(service: RTPBService,
-                         objects: Optional[Iterable[int]] = None) -> float:
-    """Ratio of backup arrivals to transmitted updates.
-
-    Arrivals include stale-rejected duplicates: the slack-factor-2 schedule
-    deliberately re-sends unchanged snapshots, and those arriving duplicates
-    are deliveries, not losses.  The ratio is *not* clamped — a value above
-    1.0 means the network duplicated messages, and hiding that would mask
-    the very pathology the chaos reports exist to surface (see
-    :func:`duplicate_deliveries`).
-    """
-    sent = len(_scoped(service, "update_sent", objects))
-    if sent == 0:
-        return 1.0
-    return _update_arrivals(service, objects) / sent
-
-
-def duplicate_deliveries(service: RTPBService,
-                         objects: Optional[Iterable[int]] = None) -> int:
+def duplicate_deliveries(service: RTPBService) -> int:
     """Lower bound on network-duplicated update deliveries.
 
-    Computed as ``max(0, arrivals - sent)``: every arrival beyond the send
-    count must be a duplicate.  It is a lower bound because when loss and
-    duplication occur together, each lost original cancels one duplicated
-    copy in the arithmetic.
+    Computed as ``max(0, arrivals - sent)``, arrivals being backup applies
+    plus stale-rejected copies: every arrival beyond the send count must be
+    a duplicate.  It is a lower bound because when loss and duplication
+    occur together, each lost original cancels one duplicated copy in the
+    arithmetic.  The ratio of the two is
+    :attr:`RunMetrics.delivery_rate <repro.metrics.summary.RunMetrics>`.
     """
-    return max(0, _update_arrivals(service, objects)
-               - len(_scoped(service, "update_sent", objects)))
-
-
-def _update_arrivals(service: RTPBService,
-                     objects: Optional[Iterable[int]] = None) -> int:
-    return (len(_scoped(service, "backup_apply", objects))
-            + len(_scoped(service, "backup_apply_stale", objects)))
-
-
-# ---------------------------------------------------------------------------
-# Staleness-SLO read accounting (repro.replicas)
-# ---------------------------------------------------------------------------
-
-
-def served_read_stats(service: RTPBService, horizon: float,
-                      start: float = 0.0,
-                      objects: Optional[Iterable[int]] = None
-                      ) -> Tuple[float, SummaryStats]:
-    """Served reads per second over ``[start, horizon]`` and the summary of
-    their delivered staleness, from one pass that reads each field once.
-
-    Both tiers count — replicas trace ``read_served``, the primary
-    ``client_read`` — or fallback traffic would vanish from the distribution.
-    Reads of never-written objects report infinite staleness (a routing
-    artefact, not a sample age) and are left out of the summary.
-    """
-    served = 0
-    finite: List[float] = []
-    for record in (_scoped(service, "read_served", objects)
-                   + _scoped(service, "client_read", objects)):
-        if record["issue"] >= start:
-            served += 1
-            staleness = record["staleness"]
-            if math.isfinite(staleness):
-                finite.append(staleness)
-    span = horizon - start
-    return (served / span if span > 0 else 0.0, summarize(finite))
-
-
-def read_slo_violations(service: RTPBService,
-                        objects: Optional[Iterable[int]] = None) -> int:
-    """Served *replica* reads whose staleness exceeded their bound.
-
-    The replica's serve-time re-check makes this structurally zero; the
-    collector is the offline audit backing
-    :class:`~repro.faults.monitor.ReplicaStalenessInvariant` (same
-    predicate, independent implementation).
-    """
-    return sum(
-        1 for record in _scoped(service, "read_served", objects)
-        if record["staleness"] > record["bound"] + 1e-12)
-
-
-def primary_fallback_rate(service: RTPBService, start: float = 0.0,
-                          objects: Optional[Iterable[int]] = None) -> float:
-    """Fraction of issued reads the replica tier could not honour.
-
-    Counts ``read_fallback`` records (routing found no qualified replica,
-    or the routed replica refused late) against all reads that entered the
-    system — replica-served plus fallbacks.  0.0 when no reads ran.
-    """
-    fallbacks = sum(
-        1 for record in _scoped(service, "read_fallback", objects)
-        if record.time >= start)
-    replica_served = sum(
-        1 for record in _scoped(service, "read_served", objects)
-        if record["issue"] >= start)
-    total = fallbacks + replica_served
-    if total == 0:
-        return 0.0
-    return fallbacks / total
+    trace = service.trace
+    return max(0, len(trace.select("backup_apply"))
+               + len(trace.select("backup_apply_stale"))
+               - len(trace.select("update_sent")))

@@ -6,7 +6,7 @@ from repro.baselines.active import ActiveReplica
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
-from repro.metrics.collectors import response_time_stats
+from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -58,8 +58,8 @@ def test_response_waits_for_whole_group():
     rtpb.register_all(specs)
     rtpb.create_client(specs)
     rtpb.run(10.0)
-    active_mean = response_time_stats(active, 2.0).mean
-    rtpb_mean = response_time_stats(rtpb, 2.0).mean
+    active_mean = collect_metrics(active, active.sim.now, 2.0).response.mean
+    rtpb_mean = collect_metrics(rtpb, rtpb.sim.now, 2.0).response.mean
     # Agreement costs at least one multicast round trip.
     assert active_mean > rtpb_mean + ms(5)
 
@@ -68,8 +68,8 @@ def test_more_replicas_cost_more():
     two, _ = run_service(n_replicas=2)
     four, _ = run_service(n_replicas=4)
     assert four.fabric.messages_sent > 1.5 * two.fabric.messages_sent
-    assert response_time_stats(four, 2.0).mean >= \
-        response_time_stats(two, 2.0).mean - ms(1)
+    assert collect_metrics(four, four.sim.now, 2.0).response.mean >= \
+        collect_metrics(two, two.sim.now, 2.0).response.mean - ms(1)
 
 
 def test_atomicity_under_loss():

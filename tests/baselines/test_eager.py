@@ -9,10 +9,7 @@ from repro.core.rtpb_protocol import RetxRequestMsg
 from repro.core.server import ReplicaServer
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
-from repro.metrics.collectors import (
-    average_max_distance,
-    response_time_stats,
-)
+from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -36,8 +33,8 @@ def run_service(cls, seed=5, loss=None, horizon=10.0, **kwargs):
 def test_eager_response_includes_round_trip():
     eager = run_service(EagerServer)
     rtpb = run_service(ReplicaServer)
-    eager_mean = response_time_stats(eager, 2.0).mean
-    rtpb_mean = response_time_stats(rtpb, 2.0).mean
+    eager_mean = collect_metrics(eager, eager.sim.now, 2.0).response.mean
+    rtpb_mean = collect_metrics(rtpb, rtpb.sim.now, 2.0).response.mean
     # Eager pays tx cost + one-way delay + apply + ack delay; RTPB only the
     # local RPC.  The gap must be at least one ell (5 ms).
     assert eager_mean > rtpb_mean + ms(5)
@@ -65,8 +62,8 @@ def test_eager_keeps_backup_equally_fresh():
     rtpb = run_service(ReplicaServer)
     # Eager pushes on every write: its primary/backup distance cannot exceed
     # RTPB's (which waits for the periodic task).
-    assert average_max_distance(eager, 10.0, 2.0) <= \
-        average_max_distance(rtpb, 10.0, 2.0) + 1e-9
+    assert collect_metrics(eager, 10.0, 2.0).avg_max_distance <= \
+        collect_metrics(rtpb, 10.0, 2.0).avg_max_distance + 1e-9
 
 
 def test_eager_has_no_periodic_transmission_tasks():

@@ -13,11 +13,7 @@ from repro.baselines.fastpath import FastPathEagerServer
 from repro.core.server import Role
 from repro.core.service import RTPBService
 from repro.core.spec import InterObjectConstraint
-from repro.metrics.collectors import (
-    fastpath_hit_rate,
-    fastpath_response_split,
-    response_time_stats,
-)
+from repro.metrics.summary import collect_metrics
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
@@ -42,8 +38,8 @@ def run_service(cls, seed=5, horizon=10.0, n_objects=4, n_spares=0,
 def test_fastpath_cuts_eager_response_time():
     eager = run_service(EagerServer)
     fast = run_service(FastPathEagerServer)
-    eager_mean = response_time_stats(eager, 2.0).mean
-    fast_mean = response_time_stats(fast, 2.0).mean
+    eager_mean = collect_metrics(eager, eager.sim.now, 2.0).response.mean
+    fast_mean = collect_metrics(fast, fast.sim.now, 2.0).response.mean
     # Eager pays the full replication round trip; the fast path answers
     # after the local RPC.  The gap must be at least one ell (5 ms).
     assert fast_mean < eager_mean - ms(5)
@@ -51,7 +47,7 @@ def test_fastpath_cuts_eager_response_time():
 
 def test_fastpath_hit_rate_is_total_without_constraints():
     service = run_service(FastPathEagerServer)
-    assert fastpath_hit_rate(service, start=2.0) == 1.0
+    assert collect_metrics(service, service.sim.now, 2.0).fastpath_hit_rate == 1.0
     assert service.primary_server.fastpath_fast_replies > 0
     commits = service.trace.select("fastpath_commit")
     assert commits
@@ -64,8 +60,8 @@ def test_fastpath_tags_response_records():
     assert responses
     assert all(record["path"] in ("fast", "deferred")
                for record in responses)
-    split = fastpath_response_split(service, start=2.0)
-    assert split["fast"].count > 0
+    metrics = collect_metrics(service, service.sim.now, 2.0)
+    assert metrics.fast_response.count > 0
 
 
 def test_plain_eager_records_stay_untagged():
@@ -100,7 +96,7 @@ def test_constrained_partner_defers_writes():
     primary = service.primary_server
     assert primary.fastpath_deferred_writes > 0
     assert primary.fastpath_fast_replies > 0
-    assert 0.0 < fastpath_hit_rate(service) < 1.0
+    assert 0.0 < collect_metrics(service, service.sim.now, 0.0).fastpath_hit_rate < 1.0
     # The deferred writes still complete — through the ack, not early.
     deferred = [record for record
                 in service.trace.select("client_response", object=1)

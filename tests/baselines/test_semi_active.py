@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.active import ActiveReplica, SemiActiveReplica
 from repro.core.service import RTPBService
-from repro.metrics.collectors import response_time_stats
+from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -29,8 +29,8 @@ def run_service(cls, seed=5, loss=None, horizon=10.0):
 def test_semi_active_responds_at_passive_speed():
     semi, _ = run_service(SemiActiveReplica)
     active, _ = run_service(ActiveReplica)
-    semi_mean = response_time_stats(semi, 2.0).mean
-    active_mean = response_time_stats(active, 2.0).mean
+    semi_mean = collect_metrics(semi, semi.sim.now, 2.0).response.mean
+    active_mean = collect_metrics(active, active.sim.now, 2.0).response.mean
     # Semi-active answers after the local apply: no agreement round trip.
     assert semi_mean < ms(2.0)
     assert active_mean > 5 * semi_mean

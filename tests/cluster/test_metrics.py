@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.cluster.metrics import collect_group
+from repro.cluster.metrics import collect_cluster
 from repro.cluster.service import ClusterService
 from repro.experiments.harness import run_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.collectors import failover_latencies
 from repro.sim.trace import TraceRecord
 from repro.workload.cluster import ClusterScenario, build_cluster
+from repro.workload.elastic import ElasticScenario
 
 SMALL = ClusterScenario(n_shards=4, n_hosts=4, n_objects=8, horizon=8.0,
                         seed=0)
@@ -42,9 +43,11 @@ def test_collect_group_matches_the_harness_breakdown():
     result = run_scenario(SMALL)
     cluster = result.service
     assert isinstance(cluster, ClusterService)
-    for group in cluster.groups:
-        recomputed = collect_group(group, SMALL.horizon, warmup=2.0)
-        assert recomputed == result.per_group[group.name]
+    recomputed = collect_cluster(cluster, SMALL.horizon, warmup=2.0)
+    assert recomputed.cluster == result.metrics
+    assert recomputed.per_group == result.per_group
+    assert list(recomputed.per_group) == [group.name
+                                          for group in cluster.groups]
 
 
 # ---------------------------------------------------------------------------
@@ -93,3 +96,33 @@ def test_crossing_failovers_pair_with_their_own_crash():
         pytest.approx(0.5)]
     assert failover_latencies(cluster.group_named("rtpb/g01")) == [
         pytest.approx(0.1)]
+
+
+# ---------------------------------------------------------------------------
+# Starved writes follow their objects across a live migration
+# ---------------------------------------------------------------------------
+
+
+def test_per_group_starved_writes_follow_migrated_objects():
+    # An idle two-group cluster scales in: the victim's objects, written by
+    # its client before the move, are answered by the survivor after it.
+    scenario = ElasticScenario(
+        n_shards=2, n_hosts=4, n_objects=8, horizon=10.0, seed=0,
+        low_watermark=0.5, low_samples=4, max_groups=0, max_hosts=0)
+    result = run_scenario(scenario)
+    assert result.controller.migrations_committed >= 1
+    trace = result.service.trace
+    # Each migrated snapshot is written to the new primary and answered
+    # like a client write: it counts as issued, as the benchmark counts it.
+    snapshots = sum(record["snapshots"]
+                    for record in trace.select("migration_transfer"))
+    assert snapshots > 0
+    issued = snapshots + sum(client.writes_issued
+                             for client in result.service.clients)
+    answered = (len(trace.select("client_response"))
+                + len(trace.select("client_response_degraded")))
+    assert issued - answered >= 0  # nothing for the clamp to hide
+    assert result.metrics.starved_writes == issued - answered
+    assert sum(metrics.starved_writes
+               for metrics in result.per_group.values()) == \
+        result.metrics.starved_writes

@@ -5,7 +5,7 @@ import pytest
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
-from repro.metrics.collectors import response_time_stats, unanswered_writes
+from repro.metrics.summary import collect_metrics
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
@@ -49,10 +49,10 @@ def test_writes_flow_normally_through_reservation():
     service.register_all(specs)
     service.create_client(specs)
     service.run(6.0)
-    stats = response_time_stats(service, 1.0)
+    stats = collect_metrics(service, service.sim.now, 1.0).response
     assert stats.count > 150
     assert stats.mean < ms(10)
-    assert unanswered_writes(service) <= 2
+    assert collect_metrics(service, service.sim.now).starved_writes <= 2
     for spec in specs:
         assert service.backup_server.store.get(spec.object_id).seq > 20
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
-from repro.metrics.collectors import response_time_stats, unanswered_writes
+from repro.metrics.summary import collect_metrics
 from repro.sched.edf import EDFScheduler
 from repro.sched.rm import RateMonotonicScheduler
 from repro.units import ms
@@ -43,8 +43,8 @@ def test_rm_starves_aperiodics_under_overload_edf_does_not():
     client RPC, while EDF shares the overload."""
     edf = run_overloaded("edf")
     rm = run_overloaded("rm")
-    assert response_time_stats(edf, 2.0).count > 1000
-    assert unanswered_writes(rm) > 0.9 * sum(
+    assert collect_metrics(edf, edf.sim.now, 2.0).response.count > 1000
+    assert collect_metrics(rm, rm.sim.now).starved_writes > 0.9 * sum(
         client.writes_issued for client in rm.clients)
 
 
@@ -59,6 +59,6 @@ def test_policies_agree_at_moderate_load():
         service.register_all(specs)
         service.create_client(specs)
         service.run(6.0)
-        results[policy] = response_time_stats(service, 2.0)
+        results[policy] = collect_metrics(service, service.sim.now, 2.0).response
     assert results["edf"].mean == pytest.approx(results["rm"].mean,
                                                 rel=0.05)

@@ -53,9 +53,9 @@ def test_deferrable_server_with_rm_scheduler():
     service.register_all(specs)
     service.create_client(specs)
     service.run(5.0)
-    from repro.metrics.collectors import response_time_stats
+    from repro.metrics.summary import collect_metrics
 
-    stats = response_time_stats(service, 1.0)
+    stats = collect_metrics(service, service.sim.now, 1.0).response
     assert stats.count > 100
     # DS jobs run at real-time priority even under RM (explicit deadline).
     assert stats.mean < ms(10)

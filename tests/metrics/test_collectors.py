@@ -7,18 +7,14 @@ import pytest
 from repro.core.service import RTPBService
 from repro.metrics.collectors import (
     SummaryStats,
-    average_inconsistency_duration,
-    average_max_distance,
     duplicate_deliveries,
     failover_latencies,
     failover_latency,
-    inconsistency_durations,
     lateness_episodes,
     max_distance_per_object,
-    response_time_stats,
     summarize,
-    update_delivery_rate,
 )
+from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.sim.trace import TraceRecord
 from repro.units import ms
@@ -118,9 +114,10 @@ def test_inconsistency_episode_measured_against_window():
         TraceRecord(2.4, "backup_apply", {"object": 0, "seq": 2,
                                           "write_time": 2.0}),
     ])
-    durations = inconsistency_durations(service, horizon=3.0)
-    assert durations == [pytest.approx(0.3)]
-    assert average_inconsistency_duration(service, 3.0) == pytest.approx(0.3)
+    assert lateness_episodes(service, 0, horizon=3.0, allowance=0.1) == [
+        (pytest.approx(2.1), 2.4)]
+    metrics = collect_metrics(service, horizon=3.0, warmup=0.0)
+    assert metrics.avg_inconsistency == pytest.approx(0.3)
 
 
 def test_an_episode_in_progress_at_start_counts_from_start():
@@ -137,8 +134,8 @@ def test_an_episode_in_progress_at_start_counts_from_start():
                                           "write_time": 2.0}),
     ])
     # Inconsistent on [2.1, 2.4); observation opens at 2.2.
-    assert inconsistency_durations(service, horizon=3.0, start=2.2) == [
-        pytest.approx(0.2)]
+    assert collect_metrics(service, horizon=3.0,
+                           warmup=2.2).avg_inconsistency == pytest.approx(0.2)
     assert lateness_episodes(service, 0, horizon=3.0, start=2.2,
                              allowance=0.1) == [(2.2, 2.4)]
 
@@ -153,13 +150,13 @@ def test_open_episode_counts_to_horizon():
     ])
     # The write@2 falls due at 2.1 (100 ms window) and is never applied:
     # the open episode runs to the horizon.
-    durations = inconsistency_durations(service, horizon=5.0)
-    assert durations == [pytest.approx(2.9)]
+    assert collect_metrics(service, horizon=5.0,
+                           warmup=0.0).avg_inconsistency == pytest.approx(2.9)
 
 
 def test_no_episodes_gives_zero_mean():
     service = synthetic_service()
-    assert average_inconsistency_duration(service, 1.0) == 0.0
+    assert collect_metrics(service, 1.0, warmup=0.0).avg_inconsistency == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +181,22 @@ def run_real(loss=0.0, horizon=8.0):
 
 def test_response_stats_populated_on_real_run():
     service = run_real()
-    stats = response_time_stats(service, start=1.0)
+    stats = collect_metrics(service, 8.0, warmup=1.0).response
     assert stats.count > 100
     assert 0 < stats.mean < ms(10)
 
 
 def test_distance_grows_with_loss():
-    clean = average_max_distance(run_real(0.0), 8.0, 1.0)
-    lossy = average_max_distance(run_real(0.3), 8.0, 1.0)
+    clean = collect_metrics(run_real(0.0), 8.0, 1.0).avg_max_distance
+    lossy = collect_metrics(run_real(0.3), 8.0, 1.0).avg_max_distance
     assert lossy > clean
 
 
 def test_delivery_rate_reflects_loss():
     # A handful of updates are legitimately in flight at the horizon or
     # precede the backup's registration, so "no loss" is ~0.96+, not 1.0.
-    assert update_delivery_rate(run_real(0.0)) > 0.95
-    assert update_delivery_rate(run_real(0.3)) < 0.85
+    assert collect_metrics(run_real(0.0), 8.0).delivery_rate > 0.95
+    assert collect_metrics(run_real(0.3), 8.0).delivery_rate < 0.85
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +204,23 @@ def test_delivery_rate_reflects_loss():
 # ---------------------------------------------------------------------------
 
 
+def delivery_rate(service):
+    return collect_metrics(service, horizon=3.0).delivery_rate
+
+
 def test_delivery_rate_not_clamped_under_duplication():
     service = synthetic_service()
     ingest_all(service.trace, [
         TraceRecord(1.0, "update_sent", {"object": 0, "seq": 1}),
-        TraceRecord(1.1, "backup_apply", {"object": 0, "seq": 1}),
+        TraceRecord(1.1, "backup_apply", {"object": 0, "seq": 1,
+                                          "write_time": 1.0}),
         # The network duplicated the datagram: the stale copy still arrives.
         TraceRecord(1.2, "backup_apply_stale", {"object": 0, "seq": 1}),
         TraceRecord(2.0, "update_sent", {"object": 0, "seq": 2}),
-        TraceRecord(2.1, "backup_apply", {"object": 0, "seq": 2}),
+        TraceRecord(2.1, "backup_apply", {"object": 0, "seq": 2,
+                                          "write_time": 2.0}),
     ])
-    assert update_delivery_rate(service) == pytest.approx(1.5)
+    assert delivery_rate(service) == pytest.approx(1.5)
     assert duplicate_deliveries(service) == 1
 
 
@@ -225,9 +228,10 @@ def test_no_duplicates_on_clean_trace():
     service = synthetic_service()
     ingest_all(service.trace, [
         TraceRecord(1.0, "update_sent", {"object": 0, "seq": 1}),
-        TraceRecord(1.1, "backup_apply", {"object": 0, "seq": 1}),
+        TraceRecord(1.1, "backup_apply", {"object": 0, "seq": 1,
+                                          "write_time": 1.0}),
     ])
-    assert update_delivery_rate(service) == pytest.approx(1.0)
+    assert delivery_rate(service) == pytest.approx(1.0)
     assert duplicate_deliveries(service) == 0
 
 
@@ -236,9 +240,10 @@ def test_duplicates_never_negative_under_loss():
     ingest_all(service.trace, [
         TraceRecord(1.0, "update_sent", {"object": 0, "seq": 1}),
         TraceRecord(2.0, "update_sent", {"object": 0, "seq": 2}),
-        TraceRecord(2.1, "backup_apply", {"object": 0, "seq": 2}),
+        TraceRecord(2.1, "backup_apply", {"object": 0, "seq": 2,
+                                          "write_time": 2.0}),
     ])
-    assert update_delivery_rate(service) == pytest.approx(0.5)
+    assert delivery_rate(service) == pytest.approx(0.5)
     assert duplicate_deliveries(service) == 0
 
 
@@ -348,42 +353,38 @@ def read_path_service():
     return service
 
 
-def test_read_staleness_excludes_infinite_samples():
-    from repro.metrics.collectors import served_read_stats, summarize
+def read_metrics(service, horizon=5.0, warmup=0.0):
+    return collect_metrics(service, horizon, warmup)
 
+
+def test_read_staleness_excludes_infinite_samples():
     service = read_path_service()
-    assert served_read_stats(service, horizon=5.0)[1] == summarize(
+    assert read_metrics(service).read_staleness == summarize(
         [0.05, 0.25, 0.4])
-    # The start filter gates on issue time.
-    assert served_read_stats(service, horizon=5.0, start=1.5)[1] == (
+    # The warmup filter gates on issue time.
+    assert read_metrics(service, warmup=1.5).read_staleness == (
         summarize([0.25, 0.4]))
 
 
 def test_read_throughput_counts_both_tiers():
-    from repro.metrics.collectors import served_read_stats
-
     service = read_path_service()
     # 3 replica + 1 primary
-    assert served_read_stats(service, horizon=1.0)[0] == 4.0
-    assert served_read_stats(service, horizon=5.0, start=1.0)[0] == (
+    assert read_metrics(service, horizon=1.0).read_throughput == 4.0
+    assert read_metrics(service, warmup=1.0).read_throughput == (
         pytest.approx(4 / 4.0))
-    assert served_read_stats(service, horizon=1.0, start=1.0)[0] == 0.0
+    assert read_metrics(service, horizon=1.0,
+                        warmup=1.0).read_throughput == 0.0
 
 
 def test_read_slo_violations_counts_only_over_bound_replica_reads():
-    from repro.metrics.collectors import read_slo_violations
-
     service = read_path_service()
-    assert read_slo_violations(service) == 1
-    assert read_slo_violations(service, objects=[7]) == 0
+    assert read_metrics(service).slo_violations == 1
 
 
 def test_primary_fallback_rate_weighs_fallbacks_against_replica_reads():
-    from repro.metrics.collectors import primary_fallback_rate
-
     service = read_path_service()
     # 1 fallback vs 3 replica-served reads.
-    assert primary_fallback_rate(service) == pytest.approx(0.25)
+    assert read_metrics(service).fallback_rate == pytest.approx(0.25)
     # With no read traffic at all the rate is 0, not NaN.
     quiet = synthetic_service()
-    assert primary_fallback_rate(quiet) == 0.0
+    assert read_metrics(quiet).fallback_rate == 0.0

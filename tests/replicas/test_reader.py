@@ -2,7 +2,7 @@
 
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
-from repro.metrics.collectors import primary_fallback_rate, read_slo_violations
+from repro.metrics.summary import collect_metrics
 from repro.replicas.reader import LEASE_PERIODS, ReaderClient
 from repro.replicas.router import ReadRouter
 from repro.units import ms
@@ -29,7 +29,7 @@ def test_zero_replica_baseline_falls_back_on_every_read():
     assert reader.reads_issued > 0
     assert reader.reads_fallback == reader.reads_issued
     assert reader.reads_unserved == 0
-    assert primary_fallback_rate(service) == 1.0
+    assert collect_metrics(service, service.sim.now, 0.0).fallback_rate == 1.0
     assert service.trace.select("client_read")
     assert not service.trace.select("read_served")
 
@@ -42,9 +42,9 @@ def test_replica_tier_serves_without_slo_violations():
     reader = find_reader(service)
     assert reader.reads_completed > 0
     assert service.trace.select("read_served")
-    assert read_slo_violations(service) == 0
+    assert collect_metrics(service, service.sim.now).slo_violations == 0
     # Warm steady state: the replica tier carries (nearly) all traffic.
-    assert primary_fallback_rate(service, start=2.0) < 0.05
+    assert collect_metrics(service, service.sim.now, 2.0).fallback_rate < 0.05
 
 
 def test_lease_bounds_the_wait_on_a_lost_reply():
