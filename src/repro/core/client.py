@@ -17,6 +17,7 @@ replica copy on.
 from __future__ import annotations
 
 from collections import Counter
+from random import Random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.name_service import NameService
@@ -24,7 +25,7 @@ from repro.core.server import ReplicaServer, Role
 from repro.core.spec import ObjectSpec
 from repro.errors import NoRouteError
 from repro.sim.engine import Simulator
-from repro.sim.process import Timeout
+from repro.sim.events import Event
 
 #: Resolves a fabric address to the server object living there.
 ServerResolver = Callable[[int], Optional[ReplicaServer]]
@@ -58,6 +59,8 @@ class SensorClient:
         #: the current generation, so freeze/abort/re-freeze cycles never
         #: leave two live loops for one object.
         self._loop_gen: Dict[int, int] = {}
+        #: object id -> the event record its current loop re-arms.
+        self._timers: Dict[int, Event] = {}
         self._started = False
 
     @property
@@ -68,7 +71,7 @@ class SensorClient:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn one sensing loop per object (random initial phases)."""
+        """Start one sensing timer per object (random initial phases)."""
         if self._started:
             return
         self._started = True
@@ -78,8 +81,7 @@ class SensorClient:
     def _spawn_loop(self, spec: ObjectSpec) -> None:
         generation = self._loop_gen.get(spec.object_id, 0) + 1
         self._loop_gen[spec.object_id] = generation
-        self.sim.spawn(self._object_loop(spec, generation),
-                       name=f"{self.name}.obj{spec.object_id}")
+        self.sim.schedule(0.0, self._arm, spec, generation)
 
     def activate(self, _server: ReplicaServer) -> None:
         """Failover up-call: the replica client takes over the sensing task."""
@@ -118,21 +120,26 @@ class SensorClient:
 
     # ------------------------------------------------------------------
 
-    def _object_loop(self, spec: ObjectSpec, generation: int = 1):
+    def _arm(self, spec: ObjectSpec, generation: int) -> None:
         rng = self.sim.random.stream(f"{self.name}.phase.{spec.object_id}")
-        yield Timeout(rng.uniform(0.0, spec.client_period))
-        while True:
-            if self._loop_gen.get(spec.object_id) != generation:
-                return
-            if self.active:
-                self._write_once(spec)
-            delay = spec.client_period
-            if self.rate_scale != 1.0:
-                delay /= self.rate_scale
-            if self.write_jitter > 0:
-                delay = max(1e-6, delay + rng.uniform(-self.write_jitter,
-                                                      self.write_jitter))
-            yield Timeout(delay)
+        self._timers[spec.object_id] = self.sim.schedule(
+            rng.uniform(0.0, spec.client_period), self._tick, spec,
+            generation, rng)
+
+    def _tick(self, spec: ObjectSpec, generation: int, rng: Random) -> None:
+        """One write period; re-arms its record while ``generation`` holds."""
+        if self._loop_gen.get(spec.object_id) != generation:
+            return
+        if self.active:
+            self._write_once(spec)
+        delay = spec.client_period
+        if self.rate_scale != 1.0:
+            delay /= self.rate_scale
+        if self.write_jitter > 0:
+            delay = max(1e-6, delay + rng.uniform(-self.write_jitter,
+                                                  self.write_jitter))
+        self.sim.reschedule_at(self._timers[spec.object_id],
+                               self.sim.now + delay)
 
     def _write_once(self, spec: ObjectSpec) -> None:
         try:

@@ -34,14 +34,12 @@ class NameService:
         #: failover; roles carry the *read* topology (which replicas serve
         #: a shard) without ever competing for the primary slot.
         self._roles: Dict[str, Dict[str, int]] = {}
-        #: service name → ``(role, composite name, address)`` sorted by role,
-        #: for :meth:`lookup_roles`; dropped when a role under it changes.
-        self._listings: Dict[str, List[Tuple[str, str, int]]] = {}
         #: Full change history: (time, name, address); ``UNPUBLISHED`` (-1)
         #: as the address marks a removal.  Role entries appear under their
         #: composite ``name#role`` form.
         self.changes: List[Tuple[float, str, int]] = []
-        self._liveness: Optional[Callable[[str, int], bool]] = None
+        #: Installed by :meth:`set_liveness_probe`; None trusts every entry.
+        self.liveness_probe: Optional[Callable[[str, int], bool]] = None
 
     def publish(self, name: str, address: int) -> None:
         """Set (or update) the address serving ``name``."""
@@ -83,7 +81,7 @@ class NameService:
         keep the paper's behaviour: the stale entry stands until the new
         primary overwrites it.
         """
-        self._liveness = probe
+        self.liveness_probe = probe
 
     def lookup(self, name: str) -> int:
         """Address currently serving ``name``; raises when unpublished.
@@ -94,7 +92,8 @@ class NameService:
         address = self._entries.get(name)
         if address is None:
             raise NoRouteError(f"service {name!r} not published")
-        if self._liveness is not None and not self._liveness(name, address):
+        probe = self.liveness_probe
+        if probe is not None and not probe(name, address):
             raise NoRouteError(
                 f"service {name!r} entry at address {address} is stale")
         return address
@@ -112,7 +111,6 @@ class NameService:
                 f"name/role may not contain {ROLE_SEPARATOR!r}: "
                 f"{name!r} / {role!r}")
         self._roles.setdefault(name, {})[role] = address
-        self._listings.pop(name, None)
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, address))
         self.sim.trace.record("name_update", name=composite, address=address)
@@ -124,7 +122,6 @@ class NameService:
             return
         if not roles:
             del self._roles[name]
-        self._listings.pop(name, None)
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, UNPUBLISHED))
         self.sim.trace.record("name_unpublish", name=composite)
@@ -140,15 +137,19 @@ class NameService:
         entry to fall back on.  ``prefix`` filters by role name
         (``"replica"`` selects the read replicas).
         """
-        listing = self._listings.get(name)
-        if listing is None:
-            listing = self._listings[name] = [
-                (role, f"{name}{ROLE_SEPARATOR}{role}", address)
-                for role, address in sorted(self._roles.get(name, {}).items())]
-        liveness = self._liveness
-        return [(role, address) for role, composite, address in listing
-                if role.startswith(prefix)
-                and (liveness is None or liveness(composite, address))]
+        liveness = self.liveness_probe
+        return [(role, address)
+                for role, composite, address in self.role_entries(name, prefix)
+                if liveness is None or liveness(composite, address)]
+
+    def role_entries(self, name: str,
+                     prefix: str = "") -> List[Tuple[str, str, int]]:
+        """``(role, composite name, address)`` under ``name`` as written,
+        sorted by role: :meth:`lookup_roles` before the probe, for a caller
+        that keeps them until :attr:`changes` grows."""
+        return [(role, f"{name}{ROLE_SEPARATOR}{role}", address)
+                for role, address in sorted(self._roles.get(name, {}).items())
+                if role.startswith(prefix)]
 
     def peek_role(self, name: str, role: str) -> Optional[int]:
         """Raw role entry (no liveness guard, no raise)."""

@@ -42,7 +42,7 @@ CATEGORY_METHODS = frozenset({"record", "select"})
 #: ``prefix=`` prefix match).
 ROLE_PUBLISH_METHODS = frozenset({"publish_role"})
 ROLE_EXACT_LOOKUP_METHODS = frozenset({"peek_role", "unpublish_role"})
-ROLE_PREFIX_LOOKUP_METHODS = frozenset({"lookup_roles"})
+ROLE_PREFIX_LOOKUP_METHODS = frozenset({"lookup_roles", "role_entries"})
 
 
 @register
@@ -169,7 +169,8 @@ class RoleConformanceRule(ProjectRule):
                 ("publish_role", "pub", 1, "role", False),
                 ("peek_role", "sub", 1, "role", False),
                 ("unpublish_role", "sub", 1, "role", False),
-                ("lookup_roles", "sub", 1, "prefix", True)):
+                ("lookup_roles", "sub", 1, "prefix", True),
+                ("role_entries", "sub", 1, "prefix", True)):
             for site in project.calls(method):
                 info = project.by_path.get(site.path)
                 if info is None or not info.in_src:

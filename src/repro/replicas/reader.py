@@ -28,7 +28,7 @@ both tiers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.client import ServerResolver
 from repro.core.name_service import NameService
@@ -38,7 +38,7 @@ from repro.errors import NoRouteError
 from repro.replicas.router import ReadRouter
 from repro.replicas.server import ReadCallback
 from repro.sim.engine import Simulator
-from repro.sim.process import Timeout
+from repro.sim.events import Event
 
 #: Read periods an outstanding read is waited for before the closed loop
 #: gives up on its reply and issues again (lost-reply self-healing).
@@ -70,30 +70,36 @@ class ReaderClient:
         self.reads_skipped = 0
         #: object id -> issue instant of its outstanding read.
         self._outstanding: Dict[int, float] = {}
+        #: object id -> the one event record its read timer re-arms.
+        self._timers: Dict[int, Event] = {}
+        self._lease = LEASE_PERIODS * read_period
         self._started = False
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn one reading loop per object (random initial phases)."""
+        """Start one reading timer per object (random initial phases)."""
         if self._started:
             return
         self._started = True
         for spec in self.specs:
-            self.sim.spawn(self._object_loop(spec),
-                           name=f"{self.name}.obj{spec.object_id}")
+            self.sim.schedule(0.0, self._arm, spec)
 
-    def _object_loop(self, spec: ObjectSpec) -> Iterator[Timeout]:
+    def _arm(self, spec: ObjectSpec) -> None:
         rng = self.sim.random.stream(f"{self.name}.phase.{spec.object_id}")
-        yield Timeout(rng.uniform(0.0, self.read_period))
-        lease = LEASE_PERIODS * self.read_period
-        while True:
-            issued_at = self._outstanding.get(spec.object_id)
-            if issued_at is not None and self.sim.now - issued_at < lease:
-                self.reads_skipped += 1
-            else:
-                self._read_once(spec)
-            yield Timeout(self.read_period)
+        self._timers[spec.object_id] = self.sim.schedule(
+            rng.uniform(0.0, self.read_period), self._tick, spec)
+
+    def _tick(self, spec: ObjectSpec) -> None:
+        """One read period of one object; re-arms its own event record."""
+        now = self.sim.now
+        issued_at = self._outstanding.get(spec.object_id)
+        if issued_at is not None and now - issued_at < self._lease:
+            self.reads_skipped += 1
+        else:
+            self._read_once(spec)
+        self.sim.reschedule_at(self._timers[spec.object_id],
+                               now + self.read_period)
 
     # ------------------------------------------------------------------
 

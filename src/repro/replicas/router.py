@@ -2,10 +2,12 @@
 
 The router answers one question per read: *which replica, if any, can
 provably honour the staleness bound right now?*  Candidates come from the
-name file's role-tagged entries (``shard → [replica addresses]``); each is
-kept only if it is alive and its **advertised** staleness for the object —
-plus a configurable headroom absorbing advertisement lag and read
-queueing — fits within the object's δ^B.  Because the advertisement is a
+name file's role-tagged entries (``shard → [replica addresses]``), listed,
+de-duplicated by address and resolved once per name-file change; each is
+kept only if the liveness probe passes it, it is alive and its
+**advertised** staleness for the object — plus a configurable headroom
+absorbing advertisement lag and read queueing — fits within the object's
+δ^B, all three asked anew on every read.  Because the advertisement is a
 past snapshot of the applied state, the filter only over-estimates
 staleness; a routed read can still age past the bound while queueing on
 the replica's CPU, which is why :meth:`ReadReplica.serve_read` re-checks
@@ -31,7 +33,7 @@ stay byte-identical across worker counts.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.name_service import NameService
 from repro.core.spec import ObjectSpec, ServiceConfig
@@ -76,28 +78,37 @@ class ReadRouter:
         self.routed = 0
         self.unroutable = 0
         self._rr_counter = 0
+        #: (address, role names, replica) by address, at _listed_at changes.
+        self._listing: List[Tuple[int, Tuple[str, ...],
+                                  Optional[ReadReplica]]] = []
+        self._listed_at = -1
 
     # ------------------------------------------------------------------
 
     def candidates(self, spec: ObjectSpec) -> List[Tuple[int, ReadReplica]]:
         """Live, window-qualified ``(address, replica)`` pairs, by address."""
+        names = self.name_service
+        if len(names.changes) != self._listed_at:
+            composites: Dict[int, List[str]] = {}
+            for _role, composite, address in names.role_entries(
+                    self.service_name, prefix=REPLICA_ROLE_PREFIX):
+                composites.setdefault(address, []).append(composite)
+            self._listing = [(address, tuple(roles), self.resolver(address))
+                             for address, roles in sorted(composites.items())]
+            self._listed_at = len(names.changes)
+        probe = names.liveness_probe
         now = self.sim.now
         headroom = self.config.read_headroom
         qualified: List[Tuple[int, ReadReplica]] = []
-        seen = set()
-        for _role, address in self.name_service.lookup_roles(
-                self.service_name, prefix=REPLICA_ROLE_PREFIX):
-            if address in seen:
-                continue
-            seen.add(address)
-            replica = self.resolver(address)
-            if replica is None or not replica.alive:
+        for address, roles, replica in self._listing:
+            if replica is None or not replica.alive or (
+                    probe is not None
+                    and not any(probe(role, address) for role in roles)):
                 continue
             advertised = replica.advertised_staleness(spec.object_id, now)
             if advertised + headroom > spec.delta_backup:
                 continue
             qualified.append((address, replica))
-        qualified.sort(key=lambda pair: pair[0])
         return qualified
 
     def route(self, spec: ObjectSpec) -> Optional[ReadReplica]:

@@ -103,6 +103,8 @@ class ReadReplica:
         self.reads_served = 0
         self.reads_refused = 0
         self.reads_inflight = 0
+        #: object id -> the name of its read jobs, built once.
+        self._read_job_names: Dict[int, str] = {}
 
         self._started = False
         #: Bumped on crash/recover so stale scheduled ticks self-cancel.
@@ -334,7 +336,8 @@ class ReadReplica:
             return False
         record = self.store.get(object_id)
         bound = record.spec.delta_backup
-        staleness = (self.sim.now - record.source_time
+        issue_time = self.sim.now
+        staleness = (issue_time - record.source_time
                      if record.seq > 0 else float("inf"))
         if staleness > bound:
             self.reads_refused += 1
@@ -342,7 +345,6 @@ class ReadReplica:
                                   server=self.name, staleness=staleness,
                                   bound=bound, late=False)
             return False
-        issue_time = self.sim.now
         self.reads_inflight += 1
 
         def handle(_job: object) -> None:
@@ -351,7 +353,8 @@ class ReadReplica:
                 if on_reject is not None:
                     on_reject()
                 return
-            staleness = (self.sim.now - record.source_time
+            now = self.sim.now
+            staleness = (now - record.source_time
                          if record.seq > 0 else float("inf"))
             if staleness > bound:
                 self.reads_refused += 1
@@ -362,7 +365,7 @@ class ReadReplica:
                 if on_reject is not None:
                     on_reject()
                 return
-            response = self.sim.now - issue_time
+            response = now - issue_time
             self.reads_served += 1
             self.sim.trace.record(
                 "read_served", object=object_id, server=self.name,
@@ -371,9 +374,12 @@ class ReadReplica:
             if on_complete is not None:
                 on_complete(record.value, staleness, response)
 
+        names = self._read_job_names
         self.processor.submit(
-            name=f"rread-{object_id}", cost=self.config.rpc_read_cost,
-            deadline=self.sim.now + self.config.rpc_deadline,
+            name=names.get(object_id)
+            or names.setdefault(object_id, f"rread-{object_id}"),
+            cost=self.config.rpc_read_cost,
+            deadline=issue_time + self.config.rpc_deadline,
             band=BAND_REALTIME, action=handle)
         return True
 

@@ -84,7 +84,7 @@ class _ReleaseLoop:
         processor._release_events[task.name] = self.event
 
     def fire(self) -> None:
-        self.processor._release_batched(self.task, self)
+        self.processor._release(self.task, self.base_time, self)
 
 
 class Processor:
@@ -222,8 +222,8 @@ class Processor:
     def _schedule_release(self, task: Task, base_time: float) -> None:
         if self.batch_releases:
             # Installation entry point of the batched path: one loop (and
-            # one event record) per installed task; _release_batched
-            # re-arms it directly every period afterwards.
+            # one event record) per installed task; _release re-arms it
+            # directly every period afterwards.
             loop = _ReleaseLoop(self, task)
             self._release_loops[task.name] = loop
             loop.arm(base_time)
@@ -237,7 +237,11 @@ class Processor:
             self._release, task, base_time)
         self._release_events[task.name] = event
 
-    def _release(self, task: Task, base_time: float) -> None:
+    def _release(self, task: Task, base_time: float,
+                 loop: Optional[_ReleaseLoop] = None) -> None:
+        # One body for both modes (``loop`` is the batched one's): every
+        # side effect — jitter draw, sequence number, trace record,
+        # enqueue — happens at the same program point in each.
         if task.name not in self.tasks:
             return  # removed while the release event was in flight
         index = len(self.finish_times.get(task.name, ()))
@@ -256,33 +260,10 @@ class Processor:
                   action=task.action)
         self._pending_jobs[task.name] = job
         # Next release keeps the nominal grid (jitter does not accumulate).
-        self._schedule_release(task, base_time + task.period)
-        self._enqueue(job)
-
-    def _release_batched(self, task: Task, loop: _ReleaseLoop) -> None:
-        # Mirror of _release: every side effect (jitter draw, sequence
-        # number, trace record, enqueue) happens at the same program point,
-        # which is what makes the two modes digest-identical.  Keep the two
-        # bodies in lockstep.
-        if task.name not in self.tasks:
-            return  # removed while the release event was in flight
-        index = len(self.finish_times.get(task.name, ()))
-        if task.replace_pending:
-            stale = self._pending_jobs.get(task.name)
-            if stale is not None and not stale.started and not stale.finished:
-                if stale in self._ready:
-                    self._ready.remove(stale)
-                    trace = self.sim.trace
-                    if trace.enabled("job_replaced"):
-                        trace.record("job_replaced", cpu=self.name,
-                                     task=task.name, index=stale.index)
-        job = Job(name=task.name, release_time=self.sim.now, cost=task.wcet,
-                  absolute_deadline=self.sim.now + task.deadline,
-                  task=task, index=index, band=BAND_REALTIME,
-                  action=task.action)
-        self._pending_jobs[task.name] = job
-        # Next release keeps the nominal grid (jitter does not accumulate).
-        loop.arm(loop.base_time + task.period)
+        if loop is None:
+            self._schedule_release(task, base_time + task.period)
+        else:
+            loop.arm(base_time + task.period)
         self._enqueue(job)
 
     # ------------------------------------------------------------------
@@ -294,6 +275,10 @@ class Processor:
         if trace.enabled("job_release"):
             trace.record("job_release", cpu=self.name, job=job.name,
                          index=job.index, band=job.band)
+        if self._running is None and not self._ready:
+            # Idle CPU: queued, it would be popped again at once.
+            self._start(job)
+            return
         insort(self._ready, job, key=self._key)
         self._reschedule()
 
@@ -333,23 +318,26 @@ class Processor:
             if self.on_idle is not None:
                 self.on_idle()
             return
-        job = self._ready.pop(0)
+        self._start(self._ready.pop(0))
+
+    def _start(self, job: Job) -> None:
+        now = self.sim.now
         if job.start_time is None:
-            job.start_time = self.sim.now
+            job.start_time = now
         self._running = job
-        self._run_started_at = self.sim.now
+        self._run_started_at = now
         self._completion_event = self.sim.schedule(
             max(0.0, job.remaining), self._complete, job)
 
     def _complete(self, job: Job) -> None:
-        self.busy_time += self.sim.now - self._run_started_at
+        now = job.finish_time = self.sim.now
+        self.busy_time += now - self._run_started_at
         job.remaining = 0.0
-        job.finish_time = self.sim.now
         self._running = None
         self._completion_event = None
         self.jobs_completed += 1
         if job.task is not None:
-            self.finish_times[job.task.name].append(job.finish_time)
+            self.finish_times[job.task.name].append(now)
             if self._pending_jobs.get(job.task.name) is job:
                 del self._pending_jobs[job.task.name]
         trace = self.sim.trace
@@ -358,7 +346,7 @@ class Processor:
                 "job_finish", cpu=self.name, job=job.name, index=job.index,
                 release=job.release_time, finish=job.finish_time,
                 response=job.response_time, band=job.band)
-        if job.finish_time > job.absolute_deadline + 1e-12:
+        if now > job.absolute_deadline + 1e-12:
             self.deadline_misses += 1
             trace.record(
                 "deadline_miss", cpu=self.name, job=job.name, index=job.index,

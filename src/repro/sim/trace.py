@@ -9,7 +9,7 @@ independently of the storage filter.
 
 A record is one tuple ``(time, *values)`` whose class is its shape: one
 :class:`TraceRecord` subclass per (category, key tuple), made once, holds the
-category, key -> position and the compiled digest template.
+category, key -> position and the glue of its digest line.
 
 A tracer keeps values, not records.  Each shape's rows are columns (exact
 floats in ``array('d')``, 64-bit ints in ``array('q')``, anything else in a
@@ -48,11 +48,6 @@ _Timed = namedtuple("_Timed", "time")
 _ItemGetter = type(vars(_Timed)["time"])
 
 
-def _literal(text: str) -> str:
-    """``repr(text)`` with its braces escaped for a ``str.format`` template."""
-    return repr(text).replace("{", "{{").replace("}", "}}")
-
-
 class TraceRecord(tuple):
     """One traced occurrence at virtual time :attr:`time`: the tuple
     ``(time, *values)``, an instance of its (category, key tuple)'s class."""
@@ -61,10 +56,12 @@ class TraceRecord(tuple):
     #: Field 0, by the C item getter (a ``property`` is ~5x slower).
     time: float = _ItemGetter(0, None)
     # Set per shape: key -> tuple position (in key order), and the digest
-    # line ``repr((time, category, sorted(fields.items())))`` as a template.
+    # line ``repr((time, category, sorted(fields.items())))`` as constant
+    # glue before each tuple position it reprs, in line order, and a tail.
     category: str
     _index: Dict[str, int]
-    _template: str
+    _layout: Tuple[Tuple[str, int], ...]
+    _tail: str
 
     def __new__(cls, time: float, category: str,
                 fields: Mapping[str, Any] = MappingProxyType({})
@@ -119,13 +116,16 @@ def _new_shape(category: str, keys: Tuple[str, ...]) -> Type[TraceRecord]:
         name = names.get(key)
         return default if name is None else getattr(self, name)
 
-    pairs = ", ".join(f"({_literal(key)}, {{{index[key]}!r}})"
-                      for key in sorted(keys))
+    ordered = sorted(keys)
+    head = f", {category!r}, ["  # between the time and the first field
+    glue = ["(", *[f"{'), ' if n else head}({key!r}, "
+                   for n, key in enumerate(ordered)]]
     return _SHAPES.setdefault((category, keys), cast("Type[TraceRecord]", type(
         "TraceRecord", (TraceRecord,), {
             "__slots__": (), "__getitem__": __getitem__, "get": get,
             "category": category, "_index": index,
-            "_template": f"({{0!r}}, {_literal(category)}, [{pairs}])",
+            "_layout": tuple(zip(glue, (0, *map(index.get, ordered)))),
+            "_tail": ")])" if keys else f"{head}])",
             **{names[key]: _ItemGetter(index[key], None) for key in keys}})))
 
 
@@ -136,6 +136,32 @@ _BATCH = 256
 #: By typecode: the one type the column holds, a full batch's packer.
 _KINDS = {"d": float, "q": int}
 _PACK = {code: struct.Struct(f"{_BATCH}{code}").pack for code in _KINDS}
+
+
+_WORD, _DOUBLE = struct.Struct("Q"), struct.Struct("d")
+
+
+class _Reprs(Dict[int, str]):
+    """A float column's bit pattern -> ``repr`` of its value: each pattern
+    rendered once, and at most a batch of them kept."""
+
+    def __missing__(self, bits: int) -> str:
+        text = repr(_DOUBLE.unpack(_WORD.pack(bits))[0])
+        if len(self) < _BATCH:
+            self[bits] = text
+        return text
+
+
+def _reprs(column: Any) -> Iterator[str]:
+    """``map(repr, column)``, through a :class:`_Reprs` memo for a float
+    column with at most 3/4 of its first batch distinct.  The memo is keyed
+    by bits (a cast view, no copy), so ``-0.0`` and ``0.0`` stay apart."""
+    if type(column) is array and column.typecode == "d":
+        bits = memoryview(column).cast("B").cast("Q")
+        first = bits[:_BATCH]
+        if len(set(first)) * 4 <= len(first) * 3:
+            return map(_Reprs().__getitem__, bits)
+    return map(repr, column)
 
 
 class _Table:
@@ -460,8 +486,12 @@ class Tracer:
         """
         self._flush()
         hasher = hashlib.sha256()
-        lines = [map(table.shape._template.format, *table.columns)
-                 for table in self._tables.values()]
+        lines: List[Iterator[str]] = []
+        for table in self._tables.values():
+            parts: List[Iterator[str]] = []
+            for glue, position in table.shape._layout:
+                parts += repeat(glue), _reprs(table.columns[position])
+            lines.append(map("".join, zip(*parts, repeat(table.shape._tail))))
         ordered = map(next, map(lines.__getitem__, self._order))
         while chunk := "".join(islice(ordered, 1024)):  # records per update
             hasher.update(chunk.encode())

@@ -1,14 +1,17 @@
 """Sorted ready queue vs a ``min()`` scan: the same dispatch order.
 
 :class:`~repro.sched.processor.Processor` keeps its ready list sorted by
-the policy's key and runs the head.  The reference below decides every
-dispatch and preemption by scanning the list for its minimum, the way the
-processor did before; list order is immaterial to it.  Both must produce
-the same full trace (releases, preemptions, replacements, finishes) under
-every policy, with overload backlogs, aperiodic jobs in both bands,
-``replace_pending`` tasks and tasks removed and re-added mid-run.
+the policy's key, runs the head, and starts a job on an idle CPU with an
+empty queue at once.  The reference below queues every job, idle CPU or
+not, and decides every dispatch and preemption by scanning the list for
+its minimum, the way the processor did before; list order is immaterial
+to it.  Both must produce the same full trace (releases, preemptions,
+replacements, finishes) under every policy, with overload backlogs,
+aperiodic jobs in both bands, ``replace_pending`` tasks and tasks removed
+and re-added mid-run.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,16 @@ POLICIES = {"edf": EDFScheduler, "rm": RateMonotonicScheduler,
 
 
 class ScanProcessor(Processor):
-    """Reference: the next job is whatever a ``min()`` scan finds."""
+    """Reference: every job goes through the ready list, and the next job
+    is whatever a ``min()`` scan finds."""
+
+    def _enqueue(self, job):
+        trace = self.sim.trace
+        if trace.enabled("job_release"):
+            trace.record("job_release", cpu=self.name, job=job.name,
+                         index=job.index, band=job.band)
+        self._ready.append(job)
+        self._reschedule()
 
     def _best(self):
         return min(self._ready, key=self._key)
@@ -114,3 +126,57 @@ def test_the_workloads_do_queue_preempt_and_replace():
     assert sim.trace.select("job_preempt")
     assert sim.trace.select("job_replaced")
     assert cpu.backlog > 5
+
+
+def _job_log(cls, policy):
+    """A run whose jobs start on an idle CPU from an ``on_idle`` hook, from
+    inside another job's action, and right before a higher-priority job
+    preempts them; returns every job's life, in submission order."""
+    sim = Simulator(seed=9)
+    cpu = cls(sim, POLICIES[policy](), name="cpu")
+    jobs = []
+
+    def submit(name, cost, deadline, band=BAND_BACKGROUND, action=None):
+        jobs.append(cpu.submit(name, cost, sim.now + deadline, band, action))
+
+    idle_budget = [6]
+
+    def on_idle():
+        if idle_budget[0]:
+            idle_budget[0] -= 1
+            submit(f"idle{idle_budget[0]}", 0.003, 0.05)
+
+    def chain(_job):
+        if sum(job.name == "chain" for job in jobs) < 4:
+            submit("chain", 0.002, 0.04, BAND_REALTIME, chain)
+
+    cpu.on_idle = on_idle
+    cpu.add_task(Task("periodic", period=0.1, wcet=0.01, phase=0.05))
+
+    def preempted_start():
+        submit("slow", 0.02, 1.0)  # idle CPU: starts at once
+        submit("urgent", 0.001, 0.002, BAND_REALTIME)
+
+    sim.schedule_at(0.2, preempted_start)
+    sim.schedule_at(0.4, submit, "chain", 0.002, 0.04, BAND_REALTIME, chain)
+    sim.schedule_at(0.6, submit, "late", 0.01, 0.5)
+    sim.run(until=1.0)
+    lives = [(job.name, job.index, job.release_time, job.start_time,
+              job.finish_time, job.preemptions) for job in jobs]
+    return sim, cpu, lives
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_idle_cpu_start_matches_the_queue_round_trip(policy):
+    sim, cpu, lives = _job_log(Processor, policy)
+    ref_sim, ref_cpu, ref_lives = _job_log(ScanProcessor, policy)
+    assert lives == ref_lives
+    assert sim.trace.digest() == ref_sim.trace.digest()
+    assert sim.events_executed == ref_sim.events_executed
+    assert cpu.finish_times == ref_cpu.finish_times
+    names = [life[0] for life in lives]
+    assert names.count("chain") == 4
+    assert sum(name.startswith("idle") for name in names) == 6
+    if POLICIES[policy]().preemptive:
+        slow = next(life for life in lives if life[0] == "slow")
+        assert slow[3] == 0.2 and slow[5] == 1  # started, then preempted

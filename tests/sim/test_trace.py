@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import _BATCH, TraceRecord, Tracer, _Reprs
 
 
 def test_records_are_timestamped():
@@ -458,6 +460,87 @@ def test_digest_chunking_is_invisible():
     trace = populated_tracer(n=2 * 1024 + 7)
     assert trace.digest() == reference_digest(trace)
     assert Tracer(clock=lambda: 0.0).digest() == reference_digest([])
+
+
+#: Columns of 600+ rows each, so the digest meets full batches, packed
+#: columns and its per-column repr memo.  Each maps a row number to the
+#: column's value there.
+SCALE_ROWS = 700
+SCALE_COLUMNS = {
+    # Few bit patterns, and the signed zero, nan, inf and a subnormal among
+    # them: a memo keyed by value would print 0.0 for -0.0.
+    "float_specials": lambda row: (0.0, -0.0, NAN, math.inf, -math.inf,
+                                   1e-320, 0.1 + 0.2)[row % 7],
+    # Packed as 64-bit ints for two batches, then a list for good.
+    "int_outgrows_64_bits": lambda row: row % 5 if row < 512 else 2 ** 70,
+    # A list column from the first batch: every value keeps its own repr.
+    "mixed_numbers": lambda row: (1, 1.0, True)[row % 3],
+    # Repeats in batch 1 (the memo is taken), all distinct after it (the
+    # memo stops growing and every miss still renders right).
+    "few_then_distinct": lambda row: (row % 4 * 0.25 if row < 256
+                                      else row / 7.0),
+    "distinct_floats": lambda row: row * 1e-3 + 1e-9,
+}
+
+
+@pytest.mark.parametrize("column", sorted(SCALE_COLUMNS))
+def test_digest_at_scale_equals_reference_digest(column):
+    # Each row is recorded under both key orders of one shape and once as
+    # a shape with no keys, whose line has no field glue at all; the times
+    # repeat, so the time column takes the memo too.
+    value = SCALE_COLUMNS[column]
+    trace, reference = Tracer(clock=lambda: 0.0), []
+    for row in range(SCALE_ROWS):
+        time = row // 100 * 0.5
+        for category, fields in (("scaled", {"v": value(row), "n": row}),
+                                 ("scaled", {"n": row, "v": value(row)}),
+                                 ("no_keys", {})):
+            trace.ingest(TraceRecord(time, category, fields))
+            reference.append(DictBackedRecord(time, category, fields))
+    assert trace.digest() == reference_digest(reference)
+    assert trace.digest() == reference_digest(trace)
+
+
+def test_digest_renders_each_repeated_float_pattern_once(monkeypatch):
+    rendered = []
+    missing = _Reprs.__missing__
+
+    def counted(memo, bits):
+        rendered.append(bits)
+        return missing(memo, bits)
+
+    monkeypatch.setattr(_Reprs, "__missing__", counted)
+    ticks = itertools.count()  # distinct times: no memo for column 0
+    trace = Tracer(clock=lambda: next(ticks) * 0.5)
+    for row in range(SCALE_ROWS):
+        trace.record("special", v=SCALE_COLUMNS["float_specials"](row))
+    assert trace.digest() == reference_digest(trace)
+    # Seven patterns, seven renderings: -0.0 and 0.0 are two of them.
+    assert len(rendered) == len(set(rendered)) == 7
+    rendered.clear()
+    trace = Tracer(clock=lambda: next(ticks) * 0.5)
+    for row in range(3 * _BATCH):
+        trace.record("spread", v=SCALE_COLUMNS["few_then_distinct"](row))
+    assert trace.digest() == reference_digest(trace)
+    assert len(rendered) == 4 + 2 * _BATCH  # every later value is new
+
+
+def test_digest_holds_no_whole_column_copy():
+    """Memory canary: the digest memo and its bit view never copy, set or
+    memoise a whole column — 200k distinct floats after a repetitive first
+    batch peak well under what any of those would take (~6-25 MB)."""
+    trace = Tracer(clock=lambda: 0.0)
+    for row in range(200_000):
+        trace.record("spread", v=row % 2 * 0.5 if row < _BATCH else row / 7.0)
+    trace.digest()  # shapes and columns settled before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace.digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @given(st.floats(allow_nan=False), AWKWARD_NAMES, AWKWARD_FIELDS,
