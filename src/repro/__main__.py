@@ -48,7 +48,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.bench.compare import compare_documents
 from repro.bench.registry import SCENARIOS as BENCHES
 from repro.bench.runner import run_suite
-from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.service import ClusterService
 from repro.experiments.catalogue import CATALOGUE
 from repro.experiments.harness import RunResult, run_scenario
@@ -292,7 +291,7 @@ def _cluster_parser(parser: argparse.ArgumentParser) -> None:
                              "DUR seconds, e.g. 6.0:5.0:g01/backup "
                              "(repeatable)")
     parser.add_argument("--monitor", action="store_true",
-                        help="attach the per-group invariant monitor")
+                        help="attach the invariant monitor")
     _shared(parser, "horizon", "seed", "seeds", "jobs", "warmup", "output",
             horizon="virtual-time horizon, seconds (default 20)",
             seed="seed for a single run (default 0)",
@@ -342,7 +341,7 @@ def _cluster_run_document(result: RunResult) -> Dict[str, Any]:
     }
     if result.injector is not None:
         document["faults"] = list(result.injector.applied)
-    if isinstance(result.monitor, ClusterInvariantMonitor):
+    if result.monitors:
         document["violations"] = kind_counts(result.violations)
         document["violations_per_group"] = {
             name: counts for name, counts

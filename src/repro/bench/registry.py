@@ -436,7 +436,7 @@ def cluster_steady(quick: bool) -> BenchStats:
 @register("cluster_failover")
 def cluster_failover(quick: bool) -> BenchStats:
     """Cluster chaos: one group's primary crash plus a whole-group host
-    kill, under the per-group invariant monitor.
+    kill, under the invariant monitor.
 
     Exercises per-group failover, the manager sweep's full re-placement
     (admission re-checked on the survivors) and spare recruitment, all on

@@ -18,7 +18,6 @@ which names the run's trace allow-list, is deliberately not imported here).
 """
 
 from repro.cluster.metrics import ClusterMetrics, collect_cluster
-from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.placement import (
     HostSlot,
     Placement,
@@ -34,7 +33,6 @@ from repro.cluster.shardmap import ShardMap
 
 __all__ = [
     "CLUSTER_PORT_BASE",
-    "ClusterInvariantMonitor",
     "ClusterMetrics",
     "ClusterService",
     "HostSlot",

@@ -73,6 +73,11 @@ class ReplicationGroup:
         return self.sim.trace
 
     @property
+    def groups(self) -> List["ReplicationGroup"]:
+        """A group deployed on its own is a one-group deployment: this one."""
+        return [self]
+
+    @property
     def client(self) -> Optional[SensorClient]:
         """The group's sensing client (the first, if several write)."""
         return self.clients[0] if self.clients else None

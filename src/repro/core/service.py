@@ -88,11 +88,6 @@ class RTPBService(ReplicationGroup):
         self.extensions: List[object] = []
         self._started = False
 
-    @property
-    def groups(self) -> List[ReplicationGroup]:
-        """The deployment's groups: this one."""
-        return [self]
-
     # ------------------------------------------------------------------
     # Configuration phase
     # ------------------------------------------------------------------

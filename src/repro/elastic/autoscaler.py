@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
+from repro.metrics.collectors import percentile
 from repro.sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,13 +48,6 @@ def peak_utilization(cluster: "ClusterService") -> float:
     return max((slot.admission.planned_utilization()
                 for slot in cluster.slots.values()
                 if slot.alive and not slot.draining), default=0.0)
-
-
-def _p99(samples: List[float]) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
 
 
 class Autoscaler:
@@ -109,7 +103,9 @@ class Autoscaler:
             return
         scenario = self.scenario
         peak = peak_utilization(self.cluster)
-        p99 = _p99(self._responses)
+        # An empty tick reads 0.0, not NaN: ``p99_response`` is traced.
+        p99 = (percentile(sorted(self._responses), 0.99)
+               if self._responses else 0.0)
         violations = self._violations
         self._responses.clear()
         self._violations = 0

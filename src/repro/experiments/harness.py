@@ -38,7 +38,6 @@ from repro.metrics.summary import (MetricsView, RunMetrics, collect_metrics,
                                    collect_views)
 
 if TYPE_CHECKING:
-    from repro.cluster.monitor import ClusterInvariantMonitor
     from repro.cluster.service import ClusterService
     from repro.core.service import RTPBService
     from repro.elastic.controller import ElasticController
@@ -90,15 +89,14 @@ class RunResult(MetricsView):
     injector: Optional[FaultInjector] = None
     #: Every online monitor the run attached, in attach order; read their
     #: findings through :attr:`violations` / :attr:`degraded`.
-    monitors: "List[TraceMonitor | ClusterInvariantMonitor]" = field(
-        default_factory=list)
+    monitors: "List[TraceMonitor]" = field(default_factory=list)
     #: Cluster runs: per-group :class:`RunMetrics` by group name, gid order.
     per_group: Dict[str, RunMetrics] = field(default_factory=dict)
     #: Elastic runs: the control plane.
     controller: Optional[ElasticController] = None
 
     @property
-    def monitor(self) -> "TraceMonitor | ClusterInvariantMonitor | None":
+    def monitor(self) -> "TraceMonitor | None":
         """The topology's own invariant monitor (the first attached)."""
         return self.monitors[0] if self.monitors else None
 

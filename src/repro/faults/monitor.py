@@ -2,8 +2,9 @@
 
 The post-hoc checkers (:mod:`repro.consistency.checker`) answer "did this
 finished run stay consistent?"; the :class:`InvariantMonitor` answers it
-live.  It subscribes to the tracer (seeing every record regardless of the
-storage filter) and watches three invariants:
+live.  It subscribes to the tracer once per deployment (seeing every
+record regardless of the storage filter) and watches, in every group of
+the deployment, these invariants:
 
 - **temporal window** — every version the primary wrote more than
   ``δ_i`` (+ a small provisioning grace) ago must have reached the backup:
@@ -57,8 +58,9 @@ REPLICA_STALENESS = "replica_staleness"
 #: are observability findings, not invariant violations).
 DEGRADED_KINDS = ("replication_degraded", "client_response_degraded")
 
-#: The categories ``InvariantMonitor._on_record`` acts on; it drops the rest
-#: (``job_*``, ``link_*``: most of a monitored run) before its compare chain.
+#: The categories ``InvariantMonitor._on_record`` hands to each group's
+#: ``_GroupWatch.on_record``; it drops the rest (``job_*``, ``link_*``: most
+#: of a monitored run) once, before any group's compare chain.
 _WATCHED = frozenset({
     "primary_write", "backup_apply", "server_crash", "failover", "recruited",
     "reattached", "read_served", *DEGRADED_KINDS, "server_recover",
@@ -136,8 +138,13 @@ class TraceMonitor:
     def _on_record(self, record: TraceRecord) -> None:
         raise NotImplementedError
 
-    def _emit(self, kind: str, **details: Any) -> None:
-        violation = InvariantViolation(self.sim.now, kind, details)
+    def _emit(self, kind: str, group: Optional[str] = None,
+              **details: Any) -> None:
+        """Report a violation now; ``group`` names the group it belongs to
+        in the finding's details (not in its trace record)."""
+        violation = InvariantViolation(
+            self.sim.now, kind,
+            details if group is None else {**details, "group": group})
         self.violations.append(violation)
         self.sim.trace.record("invariant_violation", kind=kind, **details)
         if self.on_violation is not None:
@@ -145,56 +152,120 @@ class TraceMonitor:
 
 
 class InvariantMonitor(TraceMonitor):
-    """Watches one replication group's trace for invariant violations,
-    online.
+    """Watches every replication group of a deployment for invariant
+    violations, online, through one trace subscription.
 
-    ``service`` is a :class:`~repro.core.group.ReplicationGroup`: a pair
-    deployment, or one shard of a sharded cluster — in which case
-    member-scoping (below) confines every check to that group's servers
-    and the shared trace stream is demultiplexed by membership.
+    ``deployment`` is anything with ``groups``: a pair or a single shard
+    (one group), or a sharded cluster (one per shard).  Each group's checks
+    run on its own :class:`_GroupWatch` and are scoped to its members, so
+    two groups running one primary each are no split brain and a crash in
+    group 3 charges nothing to group 7.  On a cluster every finding carries
+    ``group=<name>`` in its details; :meth:`add_group` watches a group the
+    cluster grew later (scale-out).
+
+    Construct it after ``cluster.start()``: a group's window table is seeded
+    from its registered specs, which exist only once the group is placed
+    (re-placements are tracked through ``cluster_place`` records).
     """
 
-    def __init__(self, service: ReplicationGroup,
+    def __init__(self, deployment: Any,
                  grace: Optional[float] = None,
                  failover_margin: float = 0.1,
                  on_violation: Optional[Callable[[InvariantViolation],
                                                  None]] = None) -> None:
-        super().__init__(service.sim, on_violation)
-        self.service = service
+        super().__init__(deployment.sim, on_violation)
         self.failover_margin = failover_margin
-        config = service.config
-        specs = service.registered_specs()
-        #: Provisioning allowance on top of δ_i: link delay plus worst-case
-        #: apply queueing at the backup (all objects applying back-to-back).
-        self.grace = (grace if grace is not None else
-                      config.ell + max(8, len(specs)) * config.apply_cost_base)
-        self._windows = self._registered_windows()
-        #: Per object: the writes no backup apply has covered yet.
-        self._uncovered: Dict[int, UncoveredWrites] = {}
-        self._timer_armed: Set[int] = set()
-        self._split_check_pending = False
-        self._flagged_primaries: frozenset = frozenset()
-        self._last_failover_at: Optional[float] = None
+        self._grace = grace
+        #: A cluster's findings name their group; a lone group's do not.
+        self._stamps = not isinstance(deployment, ReplicationGroup)
+        self._watches: Dict[str, _GroupWatch] = {}
+        #: The slot of the group each ``degraded`` finding belongs to.
+        self._degraded_slots: List[int] = []
+        for group in deployment.groups:
+            self.add_group(group)
+
+    @property
+    def grace(self) -> float:
+        """The first group's provisioning grace (a pair's only one)."""
+        return next(iter(self._watches.values())).grace
+
+    def add_group(self, group: ReplicationGroup) -> None:
+        """Start watching a group.  Idempotent per group name, so a revived
+        retired group keeps its original slot."""
+        if group.name not in self._watches:
+            self._watches[group.name] = _GroupWatch(self, group,
+                                                    len(self._watches))
 
     def attach(self) -> None:
         """Start observing; objects registered since construction are
         picked up here."""
         if not self._attached:
-            self._windows.update(self._registered_windows())
+            for watch in self._watches.values():
+                watch.windows.update(watch.registered_windows())
         super().attach()
 
-    def _registered_windows(self) -> Dict[int, float]:
-        return {spec.object_id: spec.window
-                for spec in self.service.registered_specs()}
-
-    # ------------------------------------------------------------------
-    # Trace dispatch
-    # ------------------------------------------------------------------
+    def per_group_counts(self) -> Dict[str, Dict[str, int]]:
+        """Histogram kind -> count for every group, in slot order."""
+        # A lone group's findings carry no ``group``: all of them are its.
+        return {name: kind_counts([
+                    finding for finding in self.violations
+                    if finding.details.get("group", name) == name])
+                for name in self._watches}
 
     def _on_record(self, record: TraceRecord) -> None:
+        if record.category in _WATCHED:
+            for watch in self._watches.values():
+                watch.on_record(record)
+
+    def _add_degraded(self, finding: InvariantViolation, slot: int) -> None:
+        """Keep ``degraded`` in time order, slot order within an instant
+        (findings arrive in time order, so ``>=`` on time is "same instant")."""
+        at = len(self.degraded)
+        while (at and self.degraded[at - 1].time >= finding.time
+               and self._degraded_slots[at - 1] > slot):
+            at -= 1
+        self.degraded.insert(at, finding)
+        self._degraded_slots.insert(at, slot)
+
+
+class _GroupWatch:
+    """One group's invariant state inside an :class:`InvariantMonitor`:
+    its window table, uncovered writes, armed timers, and the split-brain
+    and failover bookkeeping."""
+
+    def __init__(self, monitor: InvariantMonitor, group: ReplicationGroup,
+                 slot: int) -> None:
+        self.monitor = monitor
+        self.sim = monitor.sim
+        self.group = group
+        self.slot = slot
+        #: What the group's findings are stamped with (None: nothing).
+        self.stamp = group.name if monitor._stamps else None
+        config = group.config
+        #: Provisioning allowance on top of δ_i: link delay plus worst-case
+        #: apply queueing at the backup (all objects applying back-to-back).
+        self.grace = (monitor._grace if monitor._grace is not None else
+                      config.ell + max(8, len(group.registered_specs()))
+                      * config.apply_cost_base)
+        self.windows = self.registered_windows()
+        #: Per object: the writes no backup apply has covered yet.
+        self.uncovered: Dict[int, UncoveredWrites] = {}
+        self.timer_armed: Set[int] = set()
+        self.split_check_pending = False
+        self.flagged_primaries: frozenset = frozenset()
+        self.last_failover_at: Optional[float] = None
+
+    def registered_windows(self) -> Dict[int, float]:
+        return {spec.object_id: spec.window
+                for spec in self.group.registered_specs()}
+
+    def _emit(self, kind: str, **details: Any) -> None:
+        self.monitor._emit(kind, group=self.stamp, **details)
+
+    def on_record(self, record: TraceRecord) -> None:
+        """Act on one record of a ``_WATCHED`` category."""
         category = record.category
-        if category not in _WATCHED:
-            return
+        name = self.group.name
         if category == "primary_write":
             self._on_primary_write(record)
         elif category == "backup_apply":
@@ -204,10 +275,10 @@ class InvariantMonitor(TraceMonitor):
         elif category == "failover":
             if not self._is_member(record.get("new_primary")):
                 return
-            self._last_failover_at = record.time
+            self.last_failover_at = record.time
             # The old primary's unreplicated writes died with it; window
             # accounting restarts against the new primary's stream.
-            self._uncovered.clear()
+            self.uncovered.clear()
             self._schedule_split_check()
         elif category in ("recruited", "reattached"):
             if not self._is_member(record.get("server")):
@@ -217,14 +288,18 @@ class InvariantMonitor(TraceMonitor):
             # covered by it, so window accounting restarts here (otherwise
             # a timer expiring in the few ms before the snapshot applies
             # raises a spurious violation).
-            self._uncovered.clear()
+            self.uncovered.clear()
             self._schedule_split_check()
         elif category == "read_served":
             self._on_read_served(record)
         elif category in DEGRADED_KINDS:
             if self._is_member(record.get("server")):
-                self.degraded.append(InvariantViolation(
-                    record.time, category, record.fields))
+                details = record.fields
+                if self.stamp is not None:
+                    details.setdefault("group", self.stamp)
+                self.monitor._add_degraded(
+                    InvariantViolation(record.time, category, details),
+                    self.slot)
         elif category == "server_recover":
             if self._is_member(record.get("server")):
                 self._schedule_split_check()
@@ -232,83 +307,82 @@ class InvariantMonitor(TraceMonitor):
             # This group was (re-)placed onto fresh hosts: new windows may
             # have registered, the snapshot transfer re-baselines pending
             # writes, and the membership just changed under the split check.
-            if record.get("group") == self.service.service_name:
-                self._windows.update(self._registered_windows())
-                self._uncovered.clear()
+            if record.get("group") == name:
+                self.windows.update(self.registered_windows())
+                self.uncovered.clear()
                 self._schedule_split_check()
         elif category == "migration_freeze":
             # Our objects are leaving: stop charging their writes to this
             # group's window accounting (the snapshot injection at the
-            # destination is that group's monitor's business, and
-            # ``primary_write`` records carry no server identity to demux
-            # by — membership of ``_windows`` is the demux).
-            if record.get("source") == self.service.service_name:
+            # destination is that group's business, and ``primary_write``
+            # records carry no server identity to demux by — membership of
+            # ``windows`` is the demux).
+            if record.get("source") == name:
                 for object_id in migrating_ids(record):
-                    self._windows.pop(object_id, None)
-                    self._uncovered.pop(object_id, None)
+                    self.windows.pop(object_id, None)
+                    self.uncovered.pop(object_id, None)
         elif category in ("migration_commit", "migration_abort"):
             # Ownership settled (either way): rebuild the window table from
             # what this group *actually* registers now — commit moved
             # objects in/out, abort returned them to the source.
-            name = self.service.service_name
             if name in (record.get("source"), record.get("dest")):
-                self._windows = self._registered_windows()
-                self._uncovered.clear()
+                self.windows = self.registered_windows()
+                self.uncovered.clear()
         elif category in ("window_degraded", "window_restored"):
             # Overload shedding renegotiated an object's δ: enforce the
             # *new* contract from this instant (past pending writes were
             # admitted under the old one; re-baseline).
-            if record.get("group") == self.service.service_name:
+            if record.get("group") == name:
                 object_id = record["object"]
-                if object_id in self._windows:
-                    self._windows[object_id] = record["window"]
-                    self._uncovered.pop(object_id, None)
+                if object_id in self.windows:
+                    self.windows[object_id] = record["window"]
+                    self.uncovered.pop(object_id, None)
 
     # -- temporal window ---------------------------------------------------
 
     def _on_primary_write(self, record: TraceRecord) -> None:
         object_id = record["object"]
-        if object_id in self._windows:
-            self._uncovered.setdefault(object_id, UncoveredWrites()).append(
+        if object_id in self.windows:
+            self.uncovered.setdefault(object_id, UncoveredWrites()).append(
                 record.time)
             self._arm_window_timer(object_id)
 
     def _on_backup_apply(self, record: TraceRecord) -> None:
-        uncovered = self._uncovered.get(record["object"])
+        uncovered = self.uncovered.get(record["object"])
         if uncovered is not None:
             uncovered.cover(record["write_time"])
             # An apply that ended an episode re-arms for the next one.
             self._arm_window_timer(record["object"])
 
     def _deadline(self, object_id: int) -> float:
-        uncovered = self._uncovered.get(object_id)
+        uncovered = self.uncovered.get(object_id)
         return (math.inf if uncovered is None else
-                uncovered.oldest + self._windows[object_id] + self.grace)
+                uncovered.oldest + self.windows[object_id] + self.grace)
 
     def _arm_window_timer(self, object_id: int) -> None:
         """Wake when the oldest uncovered write falls due.  No timer runs
         while that write is overdue (its episode is open and reported), so
         an expiry that finds it overdue opens a new episode."""
         deadline = self._deadline(object_id)
-        if (object_id in self._timer_armed
+        if (object_id in self.timer_armed
                 or not self.sim.now + _EPSILON < deadline < math.inf):
             return
-        self._timer_armed.add(object_id)
+        self.timer_armed.add(object_id)
         self.sim.schedule(deadline - self.sim.now, self._check_window,
                           object_id)
 
     def _check_window(self, object_id: int) -> None:
-        self._timer_armed.discard(object_id)
-        window = self._windows.get(object_id)
+        self.timer_armed.discard(object_id)
+        window = self.windows.get(object_id)
         if window is None:
-            # The object left this deployment (migration froze it) between
+            # The object left this group (migration froze it) between
             # arming the timer and its expiry; nothing to check here.
-            self._uncovered.pop(object_id, None)
+            self.uncovered.pop(object_id, None)
             return
         now = self.sim.now
         if self._deadline(object_id) <= now + _EPSILON:
-            uncovered = self._uncovered[object_id]
-            if self.service.current_backup() is None:
+            uncovered = self.uncovered[object_id]
+            if self.group.current_backup() is None:
                 # No backup to be consistent with: the invariant is vacuous
                 # until recruitment finishes (single-failure assumption),
                 # so what fell due meanwhile is forgiven.
@@ -325,7 +399,7 @@ class InvariantMonitor(TraceMonitor):
         # Replicas are not group members, so the usual server demux does
         # not apply; replica records carry the service name they
         # subscribed under instead.
-        if record.get("service") != self.service.service_name:
+        if record.get("service") != self.group.name:
             return
         staleness = record.get("staleness")
         bound = record.get("bound")
@@ -341,28 +415,27 @@ class InvariantMonitor(TraceMonitor):
     def _schedule_split_check(self) -> None:
         # Role flips happen *around* the trace record inside one event;
         # check after the event completes so we see the settled state.
-        if self._split_check_pending:
+        if self.split_check_pending:
             return
-        self._split_check_pending = True
+        self.split_check_pending = True
         self.sim.schedule(0.0, self._check_split_brain)
 
     def _is_member(self, server_name: Any) -> bool:
-        """Whether a trace record's server identity belongs to this
-        deployment (always true for single-group services; the demux
-        predicate for cluster group views sharing one trace stream)."""
+        """Whether a trace record's server identity belongs to this group
+        (the demux predicate for groups sharing one trace stream)."""
         return any(server.name == server_name
-                   for server in self.service.members)
+                   for server in self.group.members)
 
     def _check_split_brain(self) -> None:
-        self._split_check_pending = False
+        self.split_check_pending = False
         primaries = frozenset(
-            server.name for server in self.service.members
+            server.name for server in self.group.members
             if server.alive and server.role is Role.PRIMARY)
-        if len(primaries) >= 2 and primaries != self._flagged_primaries:
-            self._flagged_primaries = primaries
+        if len(primaries) >= 2 and primaries != self.flagged_primaries:
+            self.flagged_primaries = primaries
             self._emit(SPLIT_BRAIN, primaries=sorted(primaries))
         elif len(primaries) < 2:
-            self._flagged_primaries = frozenset()
+            self.flagged_primaries = frozenset()
 
     # -- failover deadline -------------------------------------------------
 
@@ -372,40 +445,40 @@ class InvariantMonitor(TraceMonitor):
         self._schedule_split_check()
         if record.get("role") != Role.PRIMARY.value:
             return
-        self._uncovered.clear()
-        if not self.service.config.failover_enabled:
+        self.uncovered.clear()
+        if not self.group.config.failover_enabled:
             return
         if not self._was_authoritative(record.get("server")):
-            # A deposed split-brain primary died; the service already moved
+            # A deposed split-brain primary died; the group already moved
             # on, so nobody owes a failover for this crash.
             return
-        backup = self.service.current_backup()
+        backup = self.group.current_backup()
         if backup is None:
             return
-        deadline = (self.service.config.failure_detection_latency()
-                    + self.failover_margin)
+        deadline = (self.group.config.failure_detection_latency()
+                    + self.monitor.failover_margin)
         self.sim.schedule(deadline, self._check_failover, record.time,
                           backup.name)
 
     def _was_authoritative(self, server_name: Any) -> bool:
         """Whether the named server is the one the name file points at."""
-        published = self.service.name_service.peek(self.service.service_name)
+        published = self.group.name_service.peek(self.group.name)
         if published is None:
             return False
         return any(server.name == server_name
                    and server.host.address == published
-                   for server in self.service.members)
+                   for server in self.group.members)
 
     def _check_failover(self, crash_time: float, backup_name: str) -> None:
-        if (self._last_failover_at is not None
-                and self._last_failover_at >= crash_time):
+        if (self.last_failover_at is not None
+                and self.last_failover_at >= crash_time):
             return
-        backup = next((server for server in self.service.members
+        backup = next((server for server in self.group.members
                        if server.name == backup_name), None)
         if backup is None or not backup.alive:
             return  # the would-be successor died too; nobody could promote
         self._emit(MISSED_FAILOVER, crash_time=crash_time,
                    backup=backup_name,
                    deadline=crash_time
-                   + self.service.config.failure_detection_latency()
-                   + self.failover_margin)
+                   + self.group.config.failure_detection_latency()
+                   + self.monitor.failover_margin)

@@ -232,7 +232,7 @@ def cluster_group_outage(seed: int = 0) -> ChaosScenario:
 
     Hosts are shared, so the isolation also severs co-located replicas of
     *other* groups — their backups miss updates past δ_i (temporal-window
-    violations) and may promote too.  The per-group monitors keep each
+    violations) and may promote too.  The invariant monitor keeps each
     finding attributed to the shard it happened in.
     """
     from repro.workload.cluster import ClusterScenario

@@ -107,15 +107,17 @@ def summarize(ordered: List[float]) -> SummaryStats:
     return SummaryStats(
         count=len(ordered),
         mean=sum(ordered) / len(ordered),
-        p50=_percentile(ordered, 0.50),
-        p95=_percentile(ordered, 0.95),
+        p50=percentile(ordered, 0.50),
+        p95=percentile(ordered, 0.95),
         maximum=ordered[-1],
-        p99=_percentile(ordered, 0.99),
-        p999=_percentile(ordered, 0.999),
+        p99=percentile(ordered, 0.99),
+        p999=percentile(ordered, 0.999),
     )
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
+def percentile(ordered: Sequence[float], fraction: float) -> float:
+    """The nearest-rank ``fraction`` percentile of a sorted, non-empty
+    sample: the value at rank ``ceil(fraction * n)``."""
     index = min(len(ordered) - 1, int(math.ceil(fraction * len(ordered))) - 1)
     return ordered[max(0, index)]
 

@@ -17,11 +17,10 @@ facade) to keep the layering acyclic: ``repro.cluster`` must never import
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, List, Tuple
+from typing import ClassVar, Tuple
 
 from repro.baselines import discipline
 from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
-from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.cluster.service import ClusterService
 from repro.workload.scenarios import BaseScenario
 
@@ -47,9 +46,6 @@ class ClusterScenario(BaseScenario):
 
     def build(self) -> ClusterService:
         return build_cluster(self)
-
-    def monitors(self, deployment: Any) -> List[Any]:
-        return [ClusterInvariantMonitor(deployment)]
 
 
 def build_cluster(scenario: ClusterScenario) -> ClusterService:

@@ -93,7 +93,7 @@ class ElasticScenario(ClusterScenario):
 
     def control_plane(self, deployment: Any,
                       monitors: List[Any]) -> Optional[ElasticController]:
-        # Groups the controller creates get the cluster monitor too.
+        # Groups the controller creates get the invariant monitor too.
         if not self.elastic_enabled:
             return None
         controller = ElasticController(

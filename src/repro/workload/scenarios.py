@@ -118,8 +118,12 @@ class BaseScenario:
         raise NotImplementedError
 
     def monitors(self, deployment: Any) -> List[Any]:
-        """The online invariant monitors of a run (not yet attached)."""
-        raise NotImplementedError
+        """The online invariant monitors of a run (not yet attached): one
+        :class:`~repro.faults.monitor.InvariantMonitor` over every group."""
+        # Local import: repro.faults sits above repro.workload.
+        from repro.faults.monitor import InvariantMonitor
+
+        return [InvariantMonitor(deployment)]
 
     def control_plane(self, deployment: Any,
                       monitors: List[Any]) -> Optional[Any]:
@@ -142,12 +146,6 @@ class Scenario(BaseScenario):
 
     def build(self) -> RTPBService:
         return build_scenario(self)
-
-    def monitors(self, deployment: Any) -> List[Any]:
-        # Local import: repro.faults sits above repro.workload.
-        from repro.faults.monitor import InvariantMonitor
-
-        return [InvariantMonitor(deployment)]
 
 
 def build_scenario(scenario: Scenario) -> RTPBService:

@@ -3,7 +3,9 @@
 from types import SimpleNamespace
 
 from repro.elastic.autoscaler import Autoscaler, peak_utilization
+from repro.metrics.collectors import summarize
 from repro.sim.engine import Simulator
+from repro.units import ms
 from repro.workload.elastic import ElasticScenario
 
 
@@ -121,3 +123,21 @@ def test_draining_and_dead_hosts_are_ignored():
     # The only loaded host is draining: no pressure is visible.
     assert actions == []
     assert peak_utilization(scaler.cluster) == 0.0
+
+
+def test_latency_pressure_reads_the_nearest_rank_p99():
+    # A tick of 100 responses: the p99 is the 99th value, as in every
+    # SummaryStats, not the maximum — so a red line between the two holds.
+    responses = [ms(value) for value in range(1, 101)]
+    assert summarize(list(responses)).p99 == ms(99)
+    for red_line, expected in ((ms(99.5), []), (ms(98.5), ["latency"])):
+        sim, scaler, level, actions = make_autoscaler(
+            high_samples=1, latency_red=red_line)
+        level["utilization"] = 0.3  # between the watermarks: no other reason
+        scaler.start()
+        for response in responses:
+            sim.trace.record("client_response", response=response)
+        sim.run(until=0.15)
+        assert [reason for _, reason in actions] == expected
+        if expected:
+            assert sim.trace.select("autoscale")[0]["p99_response"] == ms(99)

@@ -9,7 +9,6 @@ import pytest
 from repro.baselines import DISCIPLINES
 from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
 from repro.cluster.metrics import collect_cluster
-from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.elastic.controller import ElasticController
 from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
 from repro.elastic.migration import MigrationWindowInvariant, ShardMigration
@@ -143,12 +142,9 @@ def hand_stepped(scenario, schedule):
             else CLUSTER_TRACE_CATEGORIES))
     deployment.start()
     FaultInjector(deployment, schedule).arm()
-    if isinstance(scenario, Scenario):
-        monitors = [InvariantMonitor(deployment)]
-    else:
-        monitors = [ClusterInvariantMonitor(deployment)]
-        if isinstance(scenario, ElasticScenario):
-            monitors.append(MigrationWindowInvariant(deployment))
+    monitors = [InvariantMonitor(deployment)]
+    if isinstance(scenario, ElasticScenario):
+        monitors.append(MigrationWindowInvariant(deployment))
     for monitor in monitors:
         monitor.attach()
     if isinstance(scenario, ElasticScenario):
@@ -193,8 +189,8 @@ def test_findings_of_every_monitor_reach_the_result_and_the_outcome(
                           monitor=True, fault_schedule=chaos.schedule)
     assert [type(monitor) for monitor in result.monitors] == {
         "primary_crash_burst_loss": [InvariantMonitor],
-        "cluster_group_outage": [ClusterInvariantMonitor],
-        "flash_crowd": [ClusterInvariantMonitor, MigrationWindowInvariant],
+        "cluster_group_outage": [InvariantMonitor],
+        "flash_crowd": [InvariantMonitor, MigrationWindowInvariant],
     }[name]
     assert result.monitors[-1].violations  # the run is not vacuous
     for merged, attr in ((result.violations, "violations"),

@@ -11,7 +11,6 @@ import textwrap
 
 import pytest
 
-from repro.cluster.monitor import ClusterInvariantMonitor
 from repro.core.service import (
     BACKUP_ADDRESS,
     PRIMARY_ADDRESS,
@@ -191,7 +190,7 @@ def _unbarriered_commit(cluster):
 MONITORS = {
     "group": (lambda cluster: InvariantMonitor(cluster.groups[0]),
               _stale_read),
-    "cluster": (ClusterInvariantMonitor, _stale_read),
+    "cluster": (InvariantMonitor, _stale_read),
     "migration": (MigrationWindowInvariant, _unbarriered_commit),
 }
 
@@ -220,10 +219,11 @@ def test_attach_and_detach_are_idempotent_for_every_monitor(name):
 
 
 def test_early_return_set_names_exactly_the_dispatched_categories():
-    # `_on_record` returns at once for a category outside `_WATCHED`; a
-    # branch added to its chain without a matching entry would be dead.
+    # `InvariantMonitor._on_record` drops a category outside `_WATCHED`
+    # before any group's `_GroupWatch.on_record` chain sees it; a branch
+    # added to that chain without a matching entry would be dead.
     tree = ast.parse(textwrap.dedent(
-        inspect.getsource(InvariantMonitor._on_record)))
+        inspect.getsource(monitor_module._GroupWatch.on_record)))
     namespace = vars(monitor_module)
     compared = set()
     for node in ast.walk(tree):
