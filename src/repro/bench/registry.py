@@ -621,7 +621,7 @@ def replica_read_failover(quick: bool) -> BenchStats:
     scenario = ClusterScenario(
         n_shards=2, n_hosts=5, n_objects=8,
         horizon=12.0 if quick else 20.0, seed=4,
-        replicas_per_group=1,
+        n_replicas=1,
         read_period=ms(20.0) if quick else ms(10.0))
     schedule = (FaultSchedule()
                 .crash(3.0, "g00/replica0")

@@ -19,10 +19,10 @@ simulated hosts:
   rejection feedback when the cluster is over capacity) and recruits
   spares for groups that lost one replica;
 - optional **read replicas** (:mod:`repro.replicas`): each group gets
-  ``replicas_per_group`` window-consistent :class:`ReadReplica` seats on
-  hosts holding none of its other members, published as role-tagged
-  directory entries (``group#replicaK``), recruited back by the same
-  manager sweep when they die.
+  ``n_replicas`` window-consistent :class:`ReadReplica` seats on hosts
+  holding none of its other members, published as role-tagged directory
+  entries (``group#replicaK``), recruited back by the same manager sweep
+  when they die.
 
 Each group is a :class:`~repro.core.group.ReplicationGroup` — the same
 group view a pair deployment is — so `SensorClient`, `InvariantMonitor`,
@@ -47,8 +47,7 @@ from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.errors import ClusterError, ReplicationError
 from repro.net.ip import Host
 from repro.net.link import LossModel, NetworkFabric
-from repro.replicas.reader import ReaderClient
-from repro.replicas.router import POLICIES, ReadRouter
+from repro.replicas.reader import attach_reader, check_read_tier
 from repro.replicas.server import ReadReplica
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -92,19 +91,10 @@ class ShardGroup(ReplicationGroup):
         self.placements = 0
         #: Retired forebears of the live read replicas.
         self.retired_replicas: List[ReadReplica] = []
-        self.reader: Optional[ReaderClient] = None
-        self.router: Optional[ReadRouter] = None
         #: Monotonic role-name counter: each recruited replica gets a fresh
         #: ``replicaK`` so directory entries never collide across repairs.
         self.replica_seq = 0
         self.replica_parked = False
-
-    def replica_at(self, address: int) -> Optional[ReadReplica]:
-        """This group's live read replica at a fabric address, if any."""
-        for replica in self.replicas:
-            if replica.alive and replica.host.address == address:
-                return replica
-        return None
 
 
 class ClusterService:
@@ -116,7 +106,7 @@ class ClusterService:
                  backups_per_group: int = 1,
                  rebalance_period: float = 0.5,
                  write_jitter: float = 0.0,
-                 replicas_per_group: int = 0,
+                 n_replicas: int = 0,
                  read_period: float = 0.0,
                  read_policy: str = "round_robin",
                  service_name: str = "rtpb",
@@ -142,15 +132,7 @@ class ClusterService:
         if rebalance_period <= 0:
             raise ClusterError(
                 f"rebalance period must be > 0: {rebalance_period}")
-        if replicas_per_group < 0:
-            raise ClusterError(
-                f"replicas per group must be >= 0: {replicas_per_group}")
-        if read_period < 0:
-            raise ClusterError(f"read period must be >= 0: {read_period}")
-        if read_policy not in POLICIES:
-            raise ClusterError(
-                f"unknown read policy {read_policy!r}; "
-                f"choose one of {', '.join(POLICIES)}")
+        check_read_tier(n_replicas, read_period, read_policy)
 
         #: Every member's class: the replication discipline.
         self.server_class = server_class
@@ -160,7 +142,8 @@ class ClusterService:
         self.backups_per_group = backups_per_group
         self.rebalance_period = rebalance_period
         self.write_jitter = write_jitter
-        self.replicas_per_group = replicas_per_group
+        #: Read replicas per group.
+        self.n_replicas = n_replicas
         self.read_period = read_period
         self.read_policy = read_policy
 
@@ -296,19 +279,12 @@ class ClusterService:
             group.clients.append(client)
             if self._started:
                 client.start()
-        if (group.reader is None and group._registered
-                and self.read_period > 0):
-            group.router = ReadRouter(
-                self.sim, self.name_service, group.name,
-                resolver=group.replica_at, config=self.config,
-                policy=self.read_policy, fabric=self.fabric)
-            group.reader = ReaderClient(
-                self.sim, self.name_service, group.name,
-                router=group.router, resolver=group.server_at,
-                specs=group._registered, read_period=self.read_period,
-                name=f"{group.name}.reader")
+        if not group.readers and group._registered and self.read_period > 0:
+            reader = attach_reader(
+                group, self.fabric, group._registered, self.read_period,
+                self.read_policy, name=f"{group.name}.reader")
             if self._started:
-                group.reader.start()
+                reader.start()
         for member in new_members:
             member.local_client = group.client
         for member in new_members:
@@ -425,12 +401,12 @@ class ClusterService:
         replica needs a primary to subscribe to — recruitment resumes the
         sweep after re-placement succeeds).
         """
-        if self.replicas_per_group <= 0:
+        if self.n_replicas <= 0:
             return
         self._retire_replicas(group, only_dead=True)
         if not group.live_members():
             return
-        while len(group.replicas) < self.replicas_per_group:
+        while len(group.replicas) < self.n_replicas:
             if not self._spawn_read_replica(group):
                 break
 
@@ -497,12 +473,8 @@ class ClusterService:
         self.sim.trace.record("cluster_host_down", host=slot.host.name,
                               address=address)
         for group in self.groups:
-            for member in group.members:
-                if member.host.address == address and member.alive:
-                    member.crash()
-            for replica in group.replicas:
-                if replica.host.address == address and replica.alive:
-                    replica.crash()
+            for resident in group.residents(address):
+                resident.crash()
 
     # ------------------------------------------------------------------
     # Elastic reconfiguration (repro.elastic's control-plane surface)

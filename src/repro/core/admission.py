@@ -89,9 +89,16 @@ class AdmissionController:
         return entry.update_period
 
     def planned_utilization(self) -> float:
-        """Σ cost/period over admitted update tasks."""
-        return sum(entry.update_cost / entry.update_period
-                   for entry in self._admitted.values())
+        """Σ cost/period over admitted update tasks, added left to right.
+
+        Not ``sum()``: from Python 3.12 it compensates float rounding, so
+        the autoscaler would trace a different last digit of the same
+        admissions on each interpreter version.
+        """
+        total = 0.0
+        for entry in self._admitted.values():
+            total += entry.update_cost / entry.update_period
+        return total
 
     # ------------------------------------------------------------------
     # Object registration

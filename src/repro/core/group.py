@@ -5,8 +5,10 @@ everything monitors, collectors and faults ask of them: who holds which
 role, whom the name file points at, which objects are registered.  A pair
 (:class:`~repro.core.service.RTPBService`) is this group on hosts of its
 own; a cluster shard (:class:`~repro.cluster.service.ShardGroup`) is this
-group on shared hosts.  :func:`resolve_target` is the one fault-target
-grammar over a deployment's groups.
+group on shared hosts.  Either way the group holds its read tier too —
+read replicas, the router and the reading clients of
+:mod:`repro.replicas`, which seats them.  :func:`resolve_target` is the
+one fault-target grammar over a deployment's groups.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - repro.replicas sits above repro.core
+    from repro.replicas.reader import ReaderClient
+    from repro.replicas.router import ReadRouter
     from repro.replicas.server import ReadReplica
 
 #: How a fault names a server: a fabric address, a host or server name, or
@@ -56,9 +60,12 @@ class ReplicationGroup:
         self.aliases: Tuple[str, ...] = (name,)
         self.members: List[ReplicaServer] = []
         self.clients: List[SensorClient] = []
-        #: Read replicas seated in the group (creation order).  A pair's
-        #: replica tier is a deployment extension, not group members.
+        #: The read tier, in creation order: read replicas (never members
+        #: — they hold no role in failover), the router the readers share
+        #: (built with the first reader) and the reading clients.
         self.replicas: List["ReadReplica"] = []
+        self.router: Optional["ReadRouter"] = None
+        self.readers: List["ReaderClient"] = []
         self._registered: List[ObjectSpec] = []
         #: Snapshot writes a live migration injected here, by object: the
         #: primary answers them like client writes, so they count as issued.
@@ -151,6 +158,25 @@ class ReplicationGroup:
             if member.host.address == address:
                 return member
         return None
+
+    def replica_at(self, address: int) -> Optional["ReadReplica"]:
+        """The read replica at a fabric address (live replicas preferred)."""
+        for replica in self.replicas:
+            if replica.host.address == address and replica.alive:
+                return replica
+        for replica in self.replicas:
+            if replica.host.address == address:
+                return replica
+        return None
+
+    def residents(self, address: int
+                  ) -> "List[ReplicaServer | ReadReplica]":
+        """The live members, then the live read replicas, at an address:
+        what a host failure there takes down."""
+        servers: "List[ReplicaServer | ReadReplica]" = [*self.members,
+                                                       *self.replicas]
+        return [server for server in servers
+                if server.alive and server.host.address == address]
 
     def authoritative_primary(self) -> Optional[ReplicaServer]:
         """The live PRIMARY the name file currently points at, if any."""

@@ -275,7 +275,7 @@ def cluster_replica_outage(seed: int = 0) -> ChaosScenario:
 
     workload = ClusterScenario(n_shards=2, n_hosts=5, n_objects=8,
                                horizon=20.0, seed=seed,
-                               replicas_per_group=1, read_period=ms(20.0))
+                               n_replicas=1, read_period=ms(20.0))
     schedule = (FaultSchedule()
                 .crash(3.0, "g00/replica0")
                 .isolate(5.0, 4.0, "g01/replica0"))

@@ -14,24 +14,29 @@ prove fresh enough.  This package is that read path:
   ``freshest``, ``least_loaded``, ``nearest``), falling back to the
   primary when no replica qualifies.
 - :class:`ReaderClient` — a periodic read workload driving the router.
-- :class:`ReplicaExtension` — bolts the tier onto a single-group
-  :class:`~repro.core.service.RTPBService`; the cluster facade wires
-  replicas per group itself.
+
+The tier belongs to its replication group on both topologies
+(:class:`~repro.core.group.ReplicationGroup`'s ``replicas``, ``router``
+and ``readers``); the core never imports upward, so these functions fill
+it: :func:`check_read_tier` rejects bad knobs, :func:`seat_replicas`
+seats a pair's replicas (the cluster manager places a shard's itself),
+and :func:`attach_reader` adds a reader population to any group.
 
 See ``docs/REPLICAS.md`` for the staleness contract and routing
 semantics.
 """
 
-from repro.replicas.reader import ReaderClient
+from repro.replicas.reader import ReaderClient, attach_reader, check_read_tier
 from repro.replicas.router import POLICIES, ReadRouter, ReplicaResolver
-from repro.replicas.server import ReadReplica
-from repro.replicas.single import ReplicaExtension
+from repro.replicas.server import ReadReplica, seat_replicas
 
 __all__ = [
     "POLICIES",
     "ReadReplica",
     "ReadRouter",
     "ReaderClient",
-    "ReplicaExtension",
     "ReplicaResolver",
+    "attach_reader",
+    "check_read_tier",
+    "seat_replicas",
 ]

@@ -18,6 +18,9 @@ bounds the wait on a reply that will never come (e.g. the primary died
 with the fallback read still queued): when it expires the loop resumes
 issuing.
 
+:func:`attach_reader` adds a population to a replication group's read
+tier on either topology, once :func:`check_read_tier` passed its knobs.
+
 Trace categories: ``read_fallback`` (a read the replica tier could not
 honour, now aimed at the primary), ``read_unserved`` (nobody could serve
 it — no routable replica *and* no live primary).  Served reads are traced
@@ -31,11 +34,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.core.client import ServerResolver
+from repro.core.group import ReplicationGroup
 from repro.core.name_service import NameService
 from repro.core.server import Role
 from repro.core.spec import ObjectSpec
-from repro.errors import NoRouteError
-from repro.replicas.router import ReadRouter
+from repro.errors import NoRouteError, ReplicationError
+from repro.net.link import NetworkFabric
+from repro.replicas.router import POLICIES, ReadRouter
 from repro.replicas.server import ReadCallback
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -153,3 +158,39 @@ class ReaderClient:
         # A reply that outlived its lease leaves its successor's entry be.
         if self._outstanding.get(spec.object_id) == issued_at:
             del self._outstanding[spec.object_id]
+
+
+def check_read_tier(n_replicas: int, read_period: float,
+                    read_policy: str) -> None:
+    """Reject read-tier knobs no topology can run (pair and cluster alike)."""
+    if n_replicas < 0:
+        raise ReplicationError(
+            f"read replicas per group must be >= 0: {n_replicas}")
+    if read_period < 0:
+        raise ReplicationError(f"read period must be >= 0: {read_period}")
+    if read_policy not in POLICIES:
+        raise ReplicationError(
+            f"unknown read policy {read_policy!r}; "
+            f"choose one of {', '.join(POLICIES)}")
+
+
+def attach_reader(group: ReplicationGroup, fabric: NetworkFabric,
+                  specs: Sequence[ObjectSpec], read_period: float,
+                  policy: str, name: str = "reader") -> ReaderClient:
+    """Add one reading population over ``specs`` to ``group``'s read tier.
+
+    The group's router is built with its first reader and resolves
+    replicas through the group, so it routes over whichever replicas the
+    group holds at the time; reads fall back to the group's primary.
+    """
+    if group.router is None:
+        group.router = ReadRouter(
+            group.sim, group.name_service, group.name,
+            resolver=group.replica_at, config=group.config, policy=policy,
+            fabric=fabric)
+    reader = ReaderClient(
+        group.sim, group.name_service, group.name, router=group.router,
+        resolver=group.server_at, specs=specs, read_period=read_period,
+        name=name)
+    group.readers.append(reader)
+    return reader

@@ -31,7 +31,7 @@ Trace categories: ``replica_subscribe`` (primary side), ``replica_sync``
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.name_service import NameService
 from repro.core.object_store import ObjectStore
@@ -51,6 +51,9 @@ from repro.net.ip import Host
 from repro.sched.processor import Processor
 from repro.sched.task import BAND_REALTIME
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.service import RTPBService
 
 #: ``on_complete(value, staleness, response_time)`` for a served read.
 ReadCallback = Callable[[bytes, float, float], None]
@@ -387,3 +390,15 @@ class ReadReplica:
         state = "up" if self.alive else "crashed"
         return (f"<ReadReplica {self.name} {self.role_name} {state} "
                 f"objects={len(self.store)}>")
+
+
+def seat_replicas(service: "RTPBService", n_replicas: int) -> None:
+    """Seat ``n_replicas`` read replicas in a pair's group: ``replica0``, …
+    each on a host of its own, at the addresses after the last member."""
+    first_address = max(service.servers) + 1
+    for index in range(n_replicas):
+        host = Host(service.sim, service.fabric, f"replica{index}",
+                    first_address + index)
+        service.replicas.append(ReadReplica(
+            service.sim, host, service.config, service.name_service,
+            service_name=service.name, role_name=f"replica{index}"))

@@ -39,8 +39,6 @@ class ClusterScenario(BaseScenario):
     backups_per_group: int = 1
     #: Manager sweep period, seconds (re-placement / spare recruitment).
     rebalance_period: float = 0.5
-    #: Read replicas per group (0 = paper-faithful: none).
-    replicas_per_group: int = 0
 
     trace_categories: ClassVar[Tuple[str, ...]] = CLUSTER_TRACE_CATEGORIES
 
@@ -59,7 +57,7 @@ def build_cluster(scenario: ClusterScenario) -> ClusterService:
         backups_per_group=scenario.backups_per_group,
         rebalance_period=scenario.rebalance_period,
         write_jitter=scenario.write_jitter,
-        replicas_per_group=scenario.replicas_per_group,
+        n_replicas=scenario.n_replicas,
         read_period=scenario.read_period,
         read_policy=scenario.read_policy,
         server_class=discipline(scenario.replication,

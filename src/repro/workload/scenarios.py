@@ -84,6 +84,8 @@ class BaseScenario:
     #: ``"window_consistent"``, ``"eager"``, ``"eager_fastpath"``,
     #: ``"active"``, ``"semi_active"`` or ``"multi_backup"``.
     replication: str = "rtpb"
+    #: Read replicas per group (0 = paper-faithful: none).
+    n_replicas: int = 0
     #: Per-object read period of the reader population, seconds
     #: (0 = no readers).
     read_period: float = 0.0
@@ -137,8 +139,6 @@ class Scenario(BaseScenario):
 
     scheduling_mode: SchedulingMode = SchedulingMode.NORMAL
     n_spares: int = 0
-    #: Read replicas attached to the deployment (0 = paper-faithful: none).
-    n_replicas: int = 0
 
     def config(self) -> ServiceConfig:
         return replace(BaseScenario.config(self),
@@ -149,7 +149,15 @@ class Scenario(BaseScenario):
 
 
 def build_scenario(scenario: Scenario) -> RTPBService:
-    """Instantiate a service per ``scenario``: objects registered, client attached."""
+    """Instantiate a service per ``scenario``: objects registered, client,
+    read replicas and reader attached."""
+    # Local import keeps the layering acyclic: repro.replicas imports
+    # repro.core, and this module is imported by repro.core consumers.
+    from repro.replicas.reader import attach_reader, check_read_tier
+    from repro.replicas.server import seat_replicas
+
+    check_read_tier(scenario.n_replicas, scenario.read_period,
+                    scenario.read_policy)
     service = RTPBService(
         config=scenario.config(),
         seed=scenario.seed,
@@ -161,29 +169,10 @@ def build_scenario(scenario: Scenario) -> RTPBService:
     accepted = service.registered_specs()
     if accepted:
         service.create_client(accepted, write_jitter=scenario.write_jitter)
-    if scenario.n_replicas > 0:
-        # Local import keeps the layering acyclic: repro.replicas imports
-        # repro.core, and this module is imported by repro.core consumers.
-        from repro.replicas.single import ReplicaExtension
-
-        extension = ReplicaExtension(service, scenario.n_replicas,
-                                     policy=scenario.read_policy)
-        if accepted and scenario.read_period > 0:
-            extension.create_reader(accepted,
-                                    read_period=scenario.read_period)
-    elif accepted and scenario.read_period > 0:
-        # Readers without replicas: every read falls back to the primary —
-        # the baseline point of the replica-scaling figure.
-        from repro.replicas.reader import ReaderClient
-        from repro.replicas.router import ReadRouter
-
-        router = ReadRouter(
-            service.sim, service.name_service, service.service_name,
-            resolver=lambda _address: None, config=service.config,
-            policy=scenario.read_policy, fabric=service.fabric)
-        reader = ReaderClient(
-            service.sim, service.name_service, service.service_name,
-            router=router, resolver=service.resolve_server, specs=accepted,
-            read_period=scenario.read_period)
-        service.extensions.append(reader)
+    seat_replicas(service, scenario.n_replicas)
+    if accepted and scenario.read_period > 0:
+        # Without replicas every read falls back to the primary: the
+        # baseline point of the replica-scaling figure.
+        attach_reader(service, service.fabric, accepted,
+                      scenario.read_period, scenario.read_policy)
     return service

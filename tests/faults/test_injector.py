@@ -206,7 +206,7 @@ def _resolver(topology, split):
     else:
         service = build_cluster(ClusterScenario(
             n_shards=2, n_hosts=5, n_objects=8, seed=0,
-            replicas_per_group=1, read_period=ms(20)))
+            n_replicas=1, read_period=ms(20)))
         service.start()
         victim = "g01/backup"
     schedule = FaultSchedule()

@@ -325,7 +325,7 @@ def test_read_replica_cluster_run_matches_reference():
     # ``client_read``); each group counts its own objects' reads.
     scenario = ClusterScenario(n_shards=2, n_hosts=5, n_objects=6,
                                horizon=6.0, seed=1, loss_probability=0.2,
-                               replicas_per_group=1, read_period=ms(10.0))
+                               n_replicas=1, read_period=ms(10.0))
     result = run_scenario(scenario)
     expected = assert_cluster_matches_reference(result, scenario.horizon)
     assert expected["read_staleness"][0] > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.service import ClusterService
 from repro.core.group import resolve_target
-from repro.errors import ClusterError
+from repro.errors import ReplicationError
 from repro.faults.monitor import REPLICA_STALENESS
 from repro.faults.report import report_dict, run_chaos
 from repro.faults.schedule import FaultSchedule
@@ -13,7 +13,7 @@ from repro.units import ms
 from repro.workload.cluster import ClusterScenario, build_cluster
 
 READY = ClusterScenario(n_shards=2, n_hosts=5, n_objects=8, horizon=8.0,
-                        seed=0, replicas_per_group=1, read_period=ms(20.0))
+                        seed=0, n_replicas=1, read_period=ms(20.0))
 
 
 def test_start_places_one_replica_per_group_off_the_member_hosts():
@@ -29,16 +29,18 @@ def test_start_places_one_replica_per_group_off_the_member_hosts():
             (replica.role_name, replica.host.address)]
         if group.registered_specs():
             assert group.router is not None
-            assert group.reader is not None
+            assert [reader.name for reader in group.readers] == [
+                f"{group.name}.reader"]
     placements = cluster.trace.select("cluster_place")
     assert sum(1 for record in placements
                if record["event"] == "replica") == 2
 
 
 def test_replica_count_and_policy_are_validated():
-    with pytest.raises(ClusterError, match="replicas per group"):
-        ClusterService(replicas_per_group=-1)
-    with pytest.raises(ClusterError, match="read policy"):
+    # One check serves both topologies, so it raises the base error.
+    with pytest.raises(ReplicationError, match="replicas per group"):
+        ClusterService(n_replicas=-1)
+    with pytest.raises(ReplicationError, match="read policy"):
         ClusterService(read_policy="bogus")
 
 

@@ -3,21 +3,15 @@
 from repro.core.service import RTPBService
 from repro.core.spec import ServiceConfig
 from repro.metrics.summary import collect_metrics
-from repro.replicas.reader import LEASE_PERIODS, ReaderClient
-from repro.replicas.router import ReadRouter
+from repro.replicas.reader import LEASE_PERIODS, attach_reader
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 from repro.workload.scenarios import Scenario, build_scenario
 
 
 def find_reader(service):
-    for extension in service.extensions:
-        if isinstance(extension, ReaderClient):
-            return extension
-        readers = getattr(extension, "readers", None)
-        if readers:
-            return readers[0]
-    raise AssertionError("no reader attached")
+    assert service.readers, "no reader attached"
+    return service.readers[0]
 
 
 def test_zero_replica_baseline_falls_back_on_every_read():
@@ -77,15 +71,8 @@ def test_reads_are_unserved_when_nobody_can_serve():
     specs = homogeneous_specs(2, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     service.create_client(specs)
-    router = ReadRouter(
-        service.sim, service.name_service, service.service_name,
-        resolver=lambda _address: None, config=service.config,
-        fabric=service.fabric)
-    reader = ReaderClient(
-        service.sim, service.name_service, service.service_name,
-        router=router, resolver=service.resolve_server, specs=specs,
-        read_period=ms(10.0))
-    service.extensions.append(reader)
+    reader = attach_reader(service, service.fabric, specs, ms(10.0),
+                           "round_robin")
     service.start()
     # No replicas, failover disabled: once the primary dies the name file
     # keeps pointing at a dead address and every read is unservable.

@@ -12,7 +12,7 @@ from repro.errors import ReplicationError
 from repro.experiments.harness import run_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.replicas.router import POLICIES, REPLICA_ROLE_PREFIX, ReadRouter
-from repro.replicas.single import ReplicaExtension
+from repro.replicas.server import seat_replicas
 from repro.units import ms
 from repro.workload.cluster import ClusterScenario, build_cluster
 from repro.workload.generator import homogeneous_specs, spec_for_window
@@ -23,106 +23,106 @@ def make_env(n_replicas=3, seed=6):
     service = RTPBService(seed=seed)
     specs = homogeneous_specs(1, window=ms(200), client_period=ms(100))
     service.register_all(specs)
-    extension = ReplicaExtension(service, n_replicas)
+    seat_replicas(service, n_replicas)
     service.start()
     # Every replica starts routable: a just-advertised fresh sample.
-    for replica in extension.replicas:
+    for replica in service.replicas:
         replica.advertised[0] = service.sim.now
-    return service, extension, specs[0]
+    return service, specs[0]
 
 
-def router_for(service, extension, policy, **kwargs):
+def router_for(service, policy, **kwargs):
     return ReadRouter(
         service.sim, service.name_service, service.service_name,
-        resolver=extension.resolve_replica, config=service.config,
+        resolver=service.replica_at, config=service.config,
         policy=policy, fabric=service.fabric, **kwargs)
 
 
 def test_unknown_policy_raises():
-    service, extension, _spec = make_env(n_replicas=1)
+    service, _spec = make_env(n_replicas=1)
     assert "bogus" not in POLICIES
     with pytest.raises(ReplicationError, match="bogus"):
-        router_for(service, extension, "bogus")
+        router_for(service, "bogus")
 
 
 def test_round_robin_rotates_in_address_order():
-    service, extension, spec = make_env()
-    router = router_for(service, extension, "round_robin")
+    service, spec = make_env()
+    router = router_for(service, "round_robin")
     picks = [router.route(spec) for _ in range(6)]
-    ordered = sorted(extension.replicas, key=lambda r: r.host.address)
+    ordered = sorted(service.replicas, key=lambda r: r.host.address)
     assert picks == ordered * 2
     assert router.routed == 6
     assert router.unroutable == 0
 
 
 def test_freshest_picks_the_lowest_advertised_staleness():
-    service, extension, spec = make_env()
+    service, spec = make_env()
     now = service.sim.now
-    extension.replicas[0].advertised[0] = now - ms(50)
-    extension.replicas[1].advertised[0] = now - ms(5)
-    extension.replicas[2].advertised[0] = now - ms(20)
-    router = router_for(service, extension, "freshest")
-    assert router.route(spec) is extension.replicas[1]
+    service.replicas[0].advertised[0] = now - ms(50)
+    service.replicas[1].advertised[0] = now - ms(5)
+    service.replicas[2].advertised[0] = now - ms(20)
+    router = router_for(service, "freshest")
+    assert router.route(spec) is service.replicas[1]
 
 
 def test_least_loaded_picks_fewest_inflight_reads():
-    service, extension, spec = make_env()
-    extension.replicas[0].reads_inflight = 3
-    extension.replicas[1].reads_inflight = 1
-    extension.replicas[2].reads_inflight = 0
-    router = router_for(service, extension, "least_loaded")
-    assert router.route(spec) is extension.replicas[2]
+    service, spec = make_env()
+    service.replicas[0].reads_inflight = 3
+    service.replicas[1].reads_inflight = 1
+    service.replicas[2].reads_inflight = 0
+    router = router_for(service, "least_loaded")
+    assert router.route(spec) is service.replicas[2]
     # Ties break to the lowest address.
-    extension.replicas[2].reads_inflight = 1
-    extension.replicas[0].reads_inflight = 1
-    ordered = sorted(extension.replicas, key=lambda r: r.host.address)
+    service.replicas[2].reads_inflight = 1
+    service.replicas[0].reads_inflight = 1
+    ordered = sorted(service.replicas, key=lambda r: r.host.address)
     assert router.route(spec) is ordered[0]
 
 
 def test_nearest_minimises_link_distance_from_the_primary():
-    service, extension, spec = make_env()
+    service, spec = make_env()
     origin = service.name_service.peek(service.service_name)
     assert origin is not None
     fabric = service.fabric
-    fabric.set_link_distance(origin, extension.replicas[0].host.address,
+    fabric.set_link_distance(origin, service.replicas[0].host.address,
                              ms(5.0))
-    fabric.set_link_distance(origin, extension.replicas[1].host.address,
+    fabric.set_link_distance(origin, service.replicas[1].host.address,
                              ms(1.0))
-    fabric.set_link_distance(origin, extension.replicas[2].host.address,
+    fabric.set_link_distance(origin, service.replicas[2].host.address,
                              ms(3.0))
-    router = router_for(service, extension, "nearest")
-    assert router.route(spec) is extension.replicas[1]
+    router = router_for(service, "nearest")
+    assert router.route(spec) is service.replicas[1]
     # An explicit locality overrides the primary vantage point: from the
     # farthest replica's own host, itself (distance 0) wins.
-    mine = extension.replicas[0].host.address
-    router = router_for(service, extension, "nearest", locality=mine)
-    assert router.route(spec) is extension.replicas[0]
+    mine = service.replicas[0].host.address
+    router = router_for(service, "nearest", locality=mine)
+    assert router.route(spec) is service.replicas[0]
 
 
 def test_stale_advertisements_disqualify_candidates():
-    service, extension, spec = make_env()
+    service, spec = make_env()
     now = service.sim.now
     # Staleness + headroom beyond δ^B: provably unable to honour the bound.
-    for replica in extension.replicas:
+    for replica in service.replicas:
         replica.advertised[0] = now - spec.delta_backup
-    router = router_for(service, extension, "round_robin")
+    router = router_for(service, "round_robin")
     assert router.route(spec) is None
     assert router.unroutable == 1
 
 
 def test_dead_replicas_are_filtered_out():
-    service, extension, spec = make_env()
-    ordered = sorted(extension.replicas, key=lambda r: r.host.address)
+    service, spec = make_env()
+    ordered = sorted(service.replicas, key=lambda r: r.host.address)
     ordered[1].crash()
-    router = router_for(service, extension, "round_robin")
+    router = router_for(service, "round_robin")
     picks = {router.route(spec) for _ in range(4)}
     assert picks == {ordered[0], ordered[2]}
 
 
 def test_unadvertised_object_is_unroutable():
-    service, extension, _spec = make_env()
+    service, _spec = make_env()
     foreign = spec_for_window(7, window=ms(200), client_period=ms(100))
-    router = router_for(service, extension, "freshest")
+    router = router_for(service, "freshest")
     assert router.route(foreign) is None
     assert router.unroutable == 1
 
@@ -174,9 +174,7 @@ def test_cached_listing_follows_name_file_and_liveness(checked_routes):
     scenario = Scenario(n_objects=2, horizon=4.0, n_replicas=3,
                         read_period=ms(5.0), seed=8)
     service = build_scenario(scenario)
-    extension, = [extension for extension in service.extensions
-                  if isinstance(extension, ReplicaExtension)]
-    first, second, third = extension.replicas
+    first, second, third = service.replicas
     names, sim = service.name_service, service.sim
     dead = set()
     steps = [
@@ -213,7 +211,7 @@ def test_cached_listing_follows_name_file_and_liveness(checked_routes):
 def test_cached_listing_on_a_probed_cluster(checked_routes):
     scenario = ClusterScenario(
         n_shards=2, n_hosts=6, n_objects=6, horizon=6.0, seed=2,
-        replicas_per_group=2, read_period=ms(10.0))
+        n_replicas=2, read_period=ms(10.0))
     layout = build_cluster(scenario)
     layout.start()
     assert layout.name_service.liveness_probe is not None

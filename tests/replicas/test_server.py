@@ -1,7 +1,7 @@
 """ReadReplica behaviour: subscription, sync, apply, and the read contract."""
 
 from repro.core.service import RTPBService
-from repro.replicas.single import ReplicaExtension
+from repro.replicas.server import seat_replicas
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
@@ -12,15 +12,15 @@ def make_replicated(n_replicas=1, n_objects=2, seed=6, with_client=True):
     service.register_all(specs)
     if with_client:
         service.create_client(specs)
-    extension = ReplicaExtension(service, n_replicas)
+    seat_replicas(service, n_replicas)
     service.start()
-    return service, extension, specs
+    return service, specs
 
 
 def test_replica_subscribes_and_mirrors_the_catalogue():
-    service, extension, specs = make_replicated()
+    service, specs = make_replicated()
     service.run(3.0)
-    replica = extension.replicas[0]
+    replica = service.replicas[0]
     # The resubscribe loop reached the primary and the count mismatch made
     # it push the full catalogue; updates then flowed and applied.
     assert len(replica.store) == len(specs)
@@ -31,9 +31,9 @@ def test_replica_subscribes_and_mirrors_the_catalogue():
 
 
 def test_advertised_snapshot_never_leads_the_applied_state():
-    service, extension, _specs = make_replicated()
+    service, _specs = make_replicated()
     service.run(3.0)
-    replica = extension.replicas[0]
+    replica = service.replicas[0]
     assert replica.advertised, "beacon never refreshed the snapshot"
     for object_id, advertised in replica.advertised.items():
         record = replica.store.get(object_id)
@@ -43,8 +43,8 @@ def test_advertised_snapshot_never_leads_the_applied_state():
 
 
 def test_serve_read_honours_the_staleness_bound():
-    service, extension, specs = make_replicated()
-    replica = extension.replicas[0]
+    service, specs = make_replicated()
+    replica = service.replicas[0]
     results = []
     service.sim.schedule(
         3.0, lambda: replica.serve_read(
@@ -62,9 +62,9 @@ def test_serve_read_honours_the_staleness_bound():
 def test_serve_read_refuses_an_unwritten_object():
     # No client: the catalogue syncs but nothing is ever written, so the
     # provable staleness is infinite and the read must be refused.
-    service, extension, _specs = make_replicated(with_client=False)
+    service, _specs = make_replicated(with_client=False)
     service.run(2.0)
-    replica = extension.replicas[0]
+    replica = service.replicas[0]
     assert len(replica.store) == 2
     assert not replica.serve_read(0)
     assert replica.reads_refused == 1
@@ -74,9 +74,9 @@ def test_serve_read_refuses_an_unwritten_object():
 
 def test_read_that_ages_past_the_bound_is_refused_late():
     """Admission passes, but CPU queueing grows staleness past δ^B."""
-    service, extension, specs = make_replicated(with_client=False)
+    service, specs = make_replicated(with_client=False)
     service.run(1.0)
-    replica = extension.replicas[0]
+    replica = service.replicas[0]
     now = service.sim.now
     bound = specs[0].delta_backup
     # Plant a sample fresh enough to admit but older than the bound by the
@@ -95,8 +95,8 @@ def test_read_that_ages_past_the_bound_is_refused_late():
 
 
 def test_crash_recover_resubscribes_and_resumes():
-    service, extension, _specs = make_replicated()
-    replica = extension.replicas[0]
+    service, _specs = make_replicated()
+    replica = service.replicas[0]
     service.sim.schedule(2.0, replica.crash)
     service.sim.schedule(4.0, replica.recover)
     results = []
@@ -115,9 +115,9 @@ def test_crash_recover_resubscribes_and_resumes():
 
 
 def test_decommission_clears_the_role_entry_and_refuses_reads():
-    service, extension, _specs = make_replicated()
+    service, _specs = make_replicated()
     service.run(2.0)
-    replica = extension.replicas[0]
+    replica = service.replicas[0]
     assert service.name_service.lookup_roles("rtpb") == [
         ("replica0", replica.host.address)]
     replica.decommission()
