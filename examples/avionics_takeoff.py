@@ -22,6 +22,8 @@ from repro import (
     to_ms,
 )
 from repro.consistency import InterObjectConsistencyChecker
+from repro.core.service import PRIMARY_ADDRESS
+from repro.faults import FaultInjector, FaultSchedule
 from repro.metrics import failover_latency
 
 HORIZON = 20.0
@@ -51,7 +53,8 @@ def main() -> None:
 
     service.create_client(service.registered_specs())
     service.start()
-    service.injector.crash_at(CRASH_AT, service.primary_server)
+    FaultInjector(service,
+                  FaultSchedule().crash(CRASH_AT, PRIMARY_ADDRESS)).arm()
     service.run(HORIZON)
 
     latency = failover_latency(service)

@@ -11,7 +11,8 @@ Run:  python examples/multi_backup_cluster.py
 
 from repro import ms, to_ms
 from repro.baselines import MultiBackupServer
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
+from repro.faults import FaultInjector, FaultSchedule
 from repro.workload.generator import homogeneous_specs
 
 HORIZON = 25.0
@@ -25,8 +26,11 @@ def main() -> None:
     service.create_client(specs)
     service.start()
 
-    service.injector.crash_at(6.0, service.primary_server)
-    service.injector.crash_at(14.0, service.backup_servers[0])
+    # Kill the original primary, then the original first backup: fabric
+    # addresses name the machines, whatever role they hold by then.
+    FaultInjector(service, FaultSchedule()
+                  .crash(6.0, PRIMARY_ADDRESS)
+                  .crash(14.0, BACKUP_ADDRESS)).arm()
     service.run(HORIZON)
 
     print("failover history:")

@@ -6,7 +6,7 @@ Components (mirroring Section 4):
   configuration.
 - :mod:`~repro.core.rtpb_protocol` — the RTPB wire protocol (update, ping,
   retransmission-request, registration, recruitment and state-transfer
-  messages) as an x-kernel anchor protocol over UDP.
+  messages), carried over UDP through each host's ``UdpEndpoint``.
 - :mod:`~repro.core.object_store` — versioned object storage at each replica.
 - :mod:`~repro.core.admission` — admission control (Section 4.2).
 - :mod:`~repro.core.update_scheduler` — decoupled update transmission in

@@ -7,8 +7,10 @@ it will timeout and resend a 'ping' message.  If there is no response beyond
 a certain amount of time, the server will declare the other end dead."
 
 :class:`PingManager` is that thread for one side; it is symmetric, so each
-replica runs one.  A :class:`CrashInjector` provides the fault-injection the
-evaluation and the failure tests need.
+replica runs one.  The crashes it detects are scripted as
+:class:`~repro.faults.schedule.FaultSchedule` entries (``crash``,
+``recover``, ``crash_cycle``) armed by a
+:class:`~repro.faults.injector.FaultInjector`.
 """
 
 from __future__ import annotations
@@ -129,52 +131,3 @@ class PingManager:
     def _next_round(self) -> None:
         self._send_ping()
 
-
-class CrashInjector:
-    """Schedules crash (and recovery) failures for evaluation and tests.
-
-    Crash-only scripts model the paper's fail-stop assumption; the
-    ``recover_*`` methods script the other half of a crash→recover cycle:
-    the machine reboots and rejoins the replica group as a spare, to be
-    re-recruited through the Section 4.4 recruitment path.
-    """
-
-    def __init__(self, sim: Simulator,
-                 on_recover: Optional[Callable[["ReplicaServer"], None]] = None
-                 ) -> None:
-        self.sim = sim
-        #: Called after a scheduled recovery actually revives a server —
-        #: the deployment uses it to announce the rebooted host to the
-        #: current primary (a reboot nobody hears about is never recruited).
-        self.on_recover = on_recover
-
-    def crash_at(self, time: float, server: "ReplicaServer") -> None:
-        """Crash ``server`` at absolute virtual ``time``."""
-        self.sim.schedule_at(time, server.crash)
-
-    def crash_after(self, delay: float, server: "ReplicaServer") -> None:
-        """Crash ``server`` after ``delay`` seconds."""
-        self.sim.schedule(delay, server.crash)
-
-    def recover_at(self, time: float, server: "ReplicaServer") -> None:
-        """Bring ``server`` back (as a spare) at absolute virtual ``time``."""
-        self.sim.schedule_at(time, self._recover, server)
-
-    def recover_after(self, delay: float, server: "ReplicaServer") -> None:
-        """Bring ``server`` back (as a spare) after ``delay`` seconds."""
-        self.sim.schedule(delay, self._recover, server)
-
-    def _recover(self, server: "ReplicaServer") -> None:
-        was_down = not server.alive
-        server.recover()
-        if was_down and self.on_recover is not None:
-            self.on_recover(server)
-
-    def crash_for(self, time: float, outage: float,
-                  server: "ReplicaServer") -> None:
-        """Script a full crash→recover cycle: down at ``time``, back up
-        ``outage`` seconds later."""
-        if outage <= 0:
-            raise ValueError(f"outage must be > 0, got {outage}")
-        self.crash_at(time, server)
-        self.recover_at(time + outage, server)

@@ -1,8 +1,10 @@
 """The RTPB wire protocol.
 
 The paper's RTPB protocol is the anchor protocol of the x-kernel stack,
-running over UDP (Figure 5).  This module defines its message vocabulary and
-byte encoding:
+running over UDP (Figure 5); here each server sends and receives its
+encoded messages through a :class:`~repro.net.transport.UdpEndpoint` on
+its host's UDP.  This module defines the message vocabulary and byte
+encoding:
 
 ========================  =====================================================
 ``UPDATE``                periodic object snapshot, primary → backup

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Type
 
 from repro.core.admission import AdmissionDecision
 from repro.core.client import SensorClient
-from repro.core.failure import CrashInjector
 from repro.core.group import ReplicationGroup
 from repro.core.name_service import NameService
 from repro.core.server import ReplicaServer
@@ -61,8 +60,6 @@ class RTPBService(ReplicationGroup):
             delay_min=config.link_delay_min, loss_model=loss_model)
         super().__init__(sim, config, NameService(sim), service_name)
         self.environment = EnvironmentModel(seed=seed)
-        self.injector = CrashInjector(self.sim,
-                                      on_recover=self.announce_recovered)
 
         # Hosts take consecutive fabric addresses: the primary, the backups
         # in succession order, the spares (each named after its address).

@@ -84,10 +84,6 @@ class MessageFormatError(ProtocolError):
     """A message header could not be popped (truncated or wrong type)."""
 
 
-class ProtocolGraphError(ProtocolError):
-    """The protocol graph specification is malformed (cycle, unknown name...)."""
-
-
 class NoRouteError(ProtocolError):
     """No host or session matched the destination address."""
 

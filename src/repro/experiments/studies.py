@@ -22,7 +22,7 @@ import random
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from repro.baselines import DISCIPLINES, MultiBackupServer
-from repro.core.service import RTPBService
+from repro.core.service import PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ObjectSpec, SchedulingMode, ServiceConfig
 from repro.experiments.harness import run_scenario
 from repro.metrics.collectors import (backup_external_violations,
@@ -252,6 +252,10 @@ def run_failover(ping_period: float, horizon: float,
     The run behind each row of :func:`failover_latency_sweep` — and behind
     the ``failover_latency`` bench, which reads its engine counters.
     """
+    # Local import: repro.faults sits above the experiments layer.
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
+
     config = ServiceConfig(ping_period=ping_period,
                            ping_timeout=ping_period / 2.0,
                            ping_max_misses=3)
@@ -260,7 +264,8 @@ def run_failover(ping_period: float, horizon: float,
     service.register_all(specs)
     service.create_client(specs)
     service.start()
-    service.injector.crash_at(_CRASH_AT, service.primary_server)
+    FaultInjector(service,
+                  FaultSchedule().crash(_CRASH_AT, PRIMARY_ADDRESS)).arm()
     service.run(horizon)
     return service
 

@@ -11,7 +11,8 @@ address, a host name or a server name.
 
 All actions are plain dataclasses with deterministic ``describe()`` output,
 so a schedule serialises into the chaos report byte-identically run after
-run.
+run.  Each checks its parameters when it is written (``__post_init__``), so
+a bad schedule fails before the run, not mid-run when the fault fires.
 """
 
 from __future__ import annotations
@@ -23,6 +24,21 @@ from typing import Dict, Optional
 from repro.core.group import Target
 from repro.errors import ProtocolError
 from repro.net.link import LossModel
+
+
+def _positive(action: "FaultAction", *names: str) -> None:
+    """Reject a parameter of ``action`` that is not > 0 (NaN included)."""
+    for name in names:
+        value = getattr(action, name)
+        if not value > 0:
+            raise ProtocolError(f"{action.kind} {name} must be > 0: {value}")
+
+
+def _probability(action: "FaultAction", name: str) -> None:
+    """Reject a parameter of ``action`` outside [0, 1] (NaN included)."""
+    value = getattr(action, name)
+    if not 0.0 <= value <= 1.0:
+        raise ProtocolError(f"{action.kind} {name} must be in [0,1]: {value}")
 
 
 class FaultAction:
@@ -112,10 +128,10 @@ class IsolateHost(FaultAction):
 
     kind = "isolate"
 
+    def __post_init__(self) -> None:
+        _positive(self, "duration")
+
     def apply(self, injector: "FaultInjector") -> None:
-        if self.duration <= 0:
-            raise ProtocolError(
-                f"isolation duration must be > 0: {self.duration}")
         address = injector.resolve_address(self.target)
         injector.fabric.set_isolated(address, True)
         injector.schedule_restore(self.duration,
@@ -189,9 +205,10 @@ class LossBurst(FaultAction):
 
     kind = "loss_burst"
 
+    def __post_init__(self) -> None:
+        _positive(self, "duration")
+
     def apply(self, injector: "FaultInjector") -> None:
-        if self.duration <= 0:
-            raise ProtocolError(f"burst duration must be > 0: {self.duration}")
         fabric = injector.fabric
         previous = fabric.loss_model
         fabric.set_loss_model(copy.deepcopy(self.loss_model))
@@ -217,11 +234,10 @@ class DelaySpike(FaultAction):
 
     kind = "delay_spike"
 
+    def __post_init__(self) -> None:
+        _positive(self, "duration", "factor")
+
     def apply(self, injector: "FaultInjector") -> None:
-        if self.duration <= 0 or self.factor <= 0:
-            raise ProtocolError(
-                f"delay spike needs positive duration and factor, got "
-                f"duration={self.duration}, factor={self.factor}")
         fabric = injector.fabric
         previous = (fabric.delay_min, fabric.delay_bound)
         fabric.delay_min *= self.factor
@@ -242,6 +258,10 @@ class DuplicateMessages(FaultAction):
 
     kind = "duplicate"
 
+    def __post_init__(self) -> None:
+        _positive(self, "duration")
+        _probability(self, "probability")
+
     def apply(self, injector: "FaultInjector") -> None:
         fabric = injector.fabric
         previous = fabric.duplicate_probability
@@ -258,6 +278,10 @@ class CorruptMessages(FaultAction):
     probability: float
 
     kind = "corrupt"
+
+    def __post_init__(self) -> None:
+        _positive(self, "duration")
+        _probability(self, "probability")
 
     def apply(self, injector: "FaultInjector") -> None:
         fabric = injector.fabric
@@ -284,11 +308,10 @@ class FlashCrowd(FaultAction):
 
     kind = "flash_crowd"
 
+    def __post_init__(self) -> None:
+        _positive(self, "duration", "factor")
+
     def apply(self, injector: "FaultInjector") -> None:
-        if self.duration <= 0 or self.factor <= 0:
-            raise ProtocolError(
-                f"flash crowd needs positive duration and factor, got "
-                f"duration={self.duration}, factor={self.factor}")
         clients = list(injector.service.clients)
 
         def restore() -> None:
@@ -342,6 +365,11 @@ class ClockDrift(FaultAction):
     duration: Optional[float] = None
 
     kind = "clock_drift"
+
+    def __post_init__(self) -> None:
+        _positive(self, "scale")
+        if self.duration is not None:
+            _positive(self, "duration")
 
     def apply(self, injector: "FaultInjector") -> None:
         server = injector.resolve_server(self.target)

@@ -17,6 +17,7 @@ seed, so a chaotic run is exactly repeatable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -52,8 +53,9 @@ class TimedFault:
     action: FaultAction
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ProtocolError(f"fault time must be >= 0: {self.time}")
+        if not 0 <= self.time < math.inf:  # NaN fails both comparisons
+            raise ProtocolError(
+                f"fault time must be finite and >= 0: {self.time}")
 
 
 class FaultSchedule:

@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import NoRouteError, ProtocolError
 from repro.net.link import LinkPort, NetworkFabric
 from repro.sim.engine import Simulator
-from repro.xkernel.graph import ProtocolGraph
 from repro.xkernel.message import Header, Message
 from repro.xkernel.protocol import Protocol, ProtocolUser, Session
 
@@ -89,14 +88,10 @@ class IPSession(Session):
 class Host:
     """One machine: a fabric attachment plus its protocol stack.
 
-    The constructor assembles the paper's stack (link / IP / UDP) through the
-    declarative :class:`~repro.xkernel.graph.ProtocolGraph`; higher layers
-    (the RTPB protocol, endpoints) are added by the replication service.
+    The constructor assembles the paper's Figure 5 stack below the RTPB
+    layer — UDP on IP on the link port; higher layers (the RTPB protocol,
+    endpoints) are added by the replication service.
     """
-
-    #: The default protocol-graph spec, mirroring the paper's Figure 5
-    #: below the RTPB layer.
-    DEFAULT_GRAPH = {"udp": ["ip"], "ip": []}
 
     def __init__(self, sim: Simulator, fabric: NetworkFabric, name: str,
                  address: int) -> None:
@@ -107,18 +102,9 @@ class Host:
         self.name = name
         self.address = address
         self.port = fabric.attach(address)
-
-        def make_ip(name: str, **_context: Any) -> IPProtocol:
-            return IPProtocol(sim, name, self.port)
-
-        def make_udp(name: str, **_context: Any) -> UDPProtocol:
-            return UDPProtocol(sim, name)
-
-        self.graph = ProtocolGraph(self.DEFAULT_GRAPH,
-                                   {"ip": make_ip, "udp": make_udp})
-        protocols = self.graph.build()
-        self.ip: IPProtocol = protocols["ip"]  # type: ignore[assignment]
-        self.udp = protocols["udp"]
+        self.ip = IPProtocol(sim, "ip", self.port)
+        self.udp = UDPProtocol(sim, "udp")
+        self.udp.connect_below(self.ip)
         self.udp.open_enable_below()
 
     def udp_endpoint(self, port: int,

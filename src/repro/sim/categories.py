@@ -17,10 +17,9 @@ LINK_DELIVER = "link_deliver"
 LINK_DUPLICATE = "link_duplicate"
 LINK_CORRUPT = "link_corrupt"
 
-# -- IP / UDP / anchor protocols ------------------------------------------
+# -- IP / UDP protocols ----------------------------------------------------
 IP_DROP = "ip_drop"
 UDP_DROP = "udp_drop"
-ANCHOR_DROP = "anchor_drop"
 
 # -- CPU scheduling --------------------------------------------------------
 JOB_RELEASE = "job_release"

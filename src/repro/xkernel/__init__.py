@@ -1,8 +1,8 @@
 """x-kernel-style protocol framework.
 
 The paper's prototype is built inside the x-kernel [Hutchinson & Peterson
-1991]: protocols are objects composed into an explicit graph, messages carry
-a header *stack* that each layer pushes onto on the way down and pops on the
+1991]: protocols are objects stacked one on another, messages carry a
+header *stack* that each layer pushes onto on the way down and pops on the
 way up, and layers talk through a small uniform interface (open / demux /
 push / pop).
 
@@ -12,15 +12,11 @@ This subpackage reproduces that architecture:
   discipline, plus :class:`~repro.xkernel.message.Header` codecs.
 - :class:`~repro.xkernel.protocol.Protocol` /
   :class:`~repro.xkernel.protocol.Session` — the uniform protocol interface.
-- :class:`~repro.xkernel.graph.ProtocolGraph` — declarative composition of a
-  protocol stack from a spec, the analogue of the x-kernel configuration file.
-- :class:`~repro.xkernel.anchor.AnchorProtocol` — the top-of-stack adapter
-  between the "host OS" (our servers) and the protocol graph, the role the
-  RTPB protocol plays in the paper's Figure 5.
+
+Each :class:`~repro.net.ip.Host` stacks its own UDP on its IP; servers and
+replicas sit on top through :class:`~repro.net.transport.UdpEndpoint`.
 """
 
-from repro.xkernel.anchor import AnchorProtocol
-from repro.xkernel.graph import ProtocolGraph
 from repro.xkernel.message import Header, Message
 from repro.xkernel.protocol import Protocol, ProtocolUser, Session
 
@@ -30,6 +26,4 @@ __all__ = [
     "Protocol",
     "Session",
     "ProtocolUser",
-    "ProtocolGraph",
-    "AnchorProtocol",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ProtocolGraphError
+from repro.errors import ProtocolError
 from repro.xkernel.message import Message
 
 
@@ -50,7 +50,7 @@ class Protocol(ProtocolUser):
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
-        #: Lower layers, filled in by the protocol graph (usually length 1).
+        #: Lower layers, filled in by :meth:`connect_below` (usually one).
         self.below: List["Protocol"] = []
 
     # -- composition ----------------------------------------------------
@@ -59,7 +59,7 @@ class Protocol(ProtocolUser):
     def down(self) -> "Protocol":
         """The (single) protocol below this one."""
         if not self.below:
-            raise ProtocolGraphError(f"{self.name}: no lower protocol configured")
+            raise ProtocolError(f"{self.name}: no lower protocol configured")
         return self.below[0]
 
     def connect_below(self, lower: "Protocol") -> None:

@@ -8,7 +8,9 @@ that documented behaviour down so it cannot silently change.
 import pytest
 
 from repro.baselines.active import ActiveReplica
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
@@ -25,7 +27,7 @@ def make_running(n_replicas=2, seed=9):
 
 def test_member_crash_stalls_responses():
     service, _specs = make_running()
-    service.injector.crash_at(3.0, service.backup_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, BACKUP_ADDRESS)).arm()
     service.run(8.0)
     # Writes issued after the crash never complete: no ack will ever come.
     late_responses = [record for record in
@@ -39,7 +41,7 @@ def test_member_crash_stalls_responses():
 
 def test_sequencer_crash_stops_service():
     service, specs = make_running()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(8.0)
     # Clients find the published address dead and refuse locally; there is
     # no failover in this baseline.
@@ -56,6 +58,6 @@ def test_sequencer_crash_stops_service():
 
 def test_crash_before_any_write_is_clean():
     service, _specs = make_running()
-    service.injector.crash_at(0.0, service.backup_server)
+    FaultInjector(service, FaultSchedule().crash(0.0, BACKUP_ADDRESS)).arm()
     service.run(2.0)  # must not raise
     assert not service.backup_server.alive

@@ -7,8 +7,10 @@ import pytest
 from repro.baselines.eager import EagerServer
 from repro.core.rtpb_protocol import RetxRequestMsg
 from repro.core.server import ReplicaServer
-from repro.core.service import RTPBService
+from repro.core.service import PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ServiceConfig
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.units import ms
@@ -79,7 +81,7 @@ def test_eager_discipline_survives_failover():
     service.register_all(specs)
     service.create_client(specs)
     service.start()
-    service.injector.crash_at(5.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(5.0, PRIMARY_ADDRESS)).arm()
     service.run(15.0)
     assert service.current_primary() is service.backup_server
     assert service.current_backup() is service.spare_servers[0]

@@ -11,8 +11,10 @@ import pytest
 from repro.baselines.eager import EagerServer
 from repro.baselines.fastpath import FastPathEagerServer
 from repro.core.server import Role
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import InterObjectConstraint
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.metrics.summary import collect_metrics
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -29,8 +31,7 @@ def run_service(cls, seed=5, horizon=10.0, n_objects=4, n_spares=0,
     service.create_client(specs)
     if crash is not None:
         service.start()
-        at, target = crash
-        service.injector.crash_at(at, target(service))
+        FaultInjector(service, FaultSchedule().crash(*crash)).arm()
     service.run(horizon)
     return service
 
@@ -113,7 +114,7 @@ def _drain_phases(service, after=0.0):
 def test_failover_drains_witness_before_fast_replies():
     service = run_service(
         FastPathEagerServer, n_spares=1, horizon=20.0,
-        crash=(3.0, lambda s: s.primary_server))
+        crash=(3.0, PRIMARY_ADDRESS))
     assert service.backup_server.role is Role.PRIMARY
     phases = _drain_phases(service)
     assert [phase for _t, phase, _r in phases] == \
@@ -133,7 +134,7 @@ def test_failover_drains_witness_before_fast_replies():
 def test_backup_loss_drains_and_resumes_after_recruit():
     service = run_service(
         FastPathEagerServer, n_spares=1, horizon=20.0,
-        crash=(3.0, lambda s: s.backup_server))
+        crash=(3.0, BACKUP_ADDRESS))
     phases = _drain_phases(service)
     assert [phase for _t, phase, _r in phases] == \
         ["start", "reseed", "complete"]
@@ -154,7 +155,7 @@ def test_unpaired_primary_never_answers_early():
     backup to ack them)."""
     service = run_service(
         FastPathEagerServer, n_spares=0, horizon=12.0,
-        crash=(3.0, lambda s: s.backup_server))
+        crash=(3.0, BACKUP_ADDRESS))
     primary = service.primary_server
     assert primary.peer_address is None
     detect = max(record.time

@@ -5,7 +5,9 @@ import pytest
 from repro.baselines.window_consistent import WindowConsistentServer
 from repro.core.rtpb_protocol import RetxRequestMsg
 from repro.core.server import ReplicaServer
-from repro.core.service import RTPBService
+from repro.core.service import PRIMARY_ADDRESS, RTPBService
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.metrics.summary import collect_metrics
 from repro.net.link import BernoulliLoss
 from repro.units import ms
@@ -79,7 +81,7 @@ def test_window_consistent_discipline_survives_failover():
     service.register_all(specs)
     service.create_client(specs)
     service.start()
-    service.injector.crash_at(5.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(5.0, PRIMARY_ADDRESS)).arm()
     service.run(15.0)
     new_primary = service.current_primary()
     assert new_primary is service.backup_server

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs, spec_for_window
 
@@ -69,7 +71,8 @@ def test_writes_refused_while_no_live_primary():
     service.register(spec)
     client = service.create_client([spec])
     service.start()
-    service.injector.crash_at(2.0, service.primary_server)
-    service.injector.crash_at(2.0, service.backup_server)
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, PRIMARY_ADDRESS)
+                  .crash(2.0, BACKUP_ADDRESS)).arm()
     service.run(6.0)
     assert client.writes_refused > 20

@@ -15,9 +15,11 @@ Two bugs fixed together:
 
 from repro.core.rtpb_protocol import RegisterAckMsg
 from repro.core.server import Role
-from repro.core.service import BACKUP_ADDRESS, RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ServiceConfig
+from repro.faults.injector import FaultInjector
 from repro.faults.monitor import InvariantMonitor
+from repro.faults.schedule import FaultSchedule
 from repro.net.link import BernoulliLoss, NoLoss
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -54,7 +56,7 @@ def test_recruit_rearms_registration_for_every_object():
     the acked set while the primary was unpaired, installing the new
     backup must clear it, re-run REGISTER, and converge the stores."""
     service, specs = make_running_service(n_spares=1)
-    service.injector.crash_at(3.0, service.backup_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, BACKUP_ADDRESS)).arm()
     primary = service.primary_server
 
     # Simulate in-flight RegisterAcks from the dead backup landing
@@ -126,7 +128,7 @@ def test_failover_clears_degraded_state():
     belong to the dead primary's pairing, not the new one."""
     service, _specs = make_running_service(n_spares=1, seed=6)
     service.primary_server.degraded_objects.add(1)
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(15.0)
     new_primary = service.current_primary()
     assert new_primary is service.backup_server

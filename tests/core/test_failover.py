@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.server import Role
-from repro.core.service import BACKUP_ADDRESS, RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.metrics.collectors import failover_latency
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -20,7 +22,7 @@ def make_running_service(n_spares=0, seed=5, horizon_start=True):
 
 def test_backup_promotes_after_primary_crash():
     service, _specs = make_running_service()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(10.0)
     assert service.backup_server.role is Role.PRIMARY
     assert service.current_primary() is service.backup_server
@@ -29,7 +31,7 @@ def test_backup_promotes_after_primary_crash():
 
 def test_failover_latency_within_detection_bound():
     service, _specs = make_running_service()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(10.0)
     latency = failover_latency(service)
     bound = service.config.failure_detection_latency()
@@ -39,14 +41,14 @@ def test_failover_latency_within_detection_bound():
 
 def test_name_service_redirects_to_new_primary():
     service, _specs = make_running_service()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(10.0)
     assert service.name_service.lookup("rtpb") == BACKUP_ADDRESS
 
 
 def test_client_writes_resume_after_failover():
     service, _specs = make_running_service()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(12.0)
     latency = failover_latency(service)
     resumed = [record for record in service.trace.select("client_response")
@@ -61,7 +63,7 @@ def test_promoted_server_inherits_state():
     pre_crash_seqs = {spec.object_id:
                       service.backup_server.store.get(spec.object_id).seq
                       for spec in specs}
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(6.0)
     new_primary = service.current_primary()
     for spec in specs:
@@ -71,7 +73,7 @@ def test_promoted_server_inherits_state():
 
 def test_spare_recruited_as_new_backup():
     service, specs = make_running_service(n_spares=1)
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(15.0)
     new_backup = service.current_backup()
     assert new_backup is not None
@@ -85,7 +87,7 @@ def test_spare_recruited_as_new_backup():
 
 def test_replication_continues_to_new_backup():
     service, specs = make_running_service(n_spares=1)
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(20.0)
     new_backup = service.current_backup()
     late_applies = [record for record in service.trace.select("backup_apply")
@@ -97,7 +99,7 @@ def test_replication_continues_to_new_backup():
 
 def test_backup_crash_triggers_recruitment_by_primary():
     service, specs = make_running_service(n_spares=1)
-    service.injector.crash_at(3.0, service.backup_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, BACKUP_ADDRESS)).arm()
     service.run(20.0)
     assert service.primary_server.role is Role.PRIMARY
     assert service.primary_server.alive
@@ -116,7 +118,7 @@ def test_no_failover_when_disabled():
     service.register_all(specs)
     service.create_client(specs)
     service.start()
-    service.injector.crash_at(2.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(2.0, PRIMARY_ADDRESS)).arm()
     service.run(8.0)
     assert service.backup_server.role is Role.BACKUP
     assert not service.trace.select("failover")
@@ -128,8 +130,9 @@ def test_double_crash_without_spare_leaves_no_primary():
     from repro.errors import ReplicationError
 
     service, _specs = make_running_service()
-    service.injector.crash_at(2.0, service.primary_server)
-    service.injector.crash_at(6.0, service.backup_server)
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, PRIMARY_ADDRESS)
+                  .crash(6.0, BACKUP_ADDRESS)).arm()
     service.run(10.0)
     with _pytest.raises(ReplicationError):
         service.current_primary()

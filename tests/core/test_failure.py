@@ -1,13 +1,15 @@
-"""Unit tests for ping-based failure detection (Section 4.4) and the
-crash/recovery injector."""
+"""Unit tests for ping-based failure detection (Section 4.4) and scripted
+crash/recovery through fault-schedule entries."""
 
 import pytest
 
 from repro.core.failure import PingManager
 from repro.core.rtpb_protocol import PingAckMsg, PingMsg, decode_message
 from repro.core.server import Role
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ServiceConfig
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.sim.engine import Simulator
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
@@ -141,7 +143,7 @@ def test_start_is_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# CrashInjector: scheduled crash / recovery
+# Scripted crash / recovery: FaultSchedule entries on a pair
 # ---------------------------------------------------------------------------
 
 
@@ -157,8 +159,9 @@ def make_service(seed=5, n_spares=0):
 def test_recover_at_brings_server_back_as_spare():
     service = make_service()
     primary = service.primary_server
-    service.injector.crash_at(2.0, primary)
-    service.injector.recover_at(6.0, primary)
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, PRIMARY_ADDRESS)
+                  .recover(6.0, PRIMARY_ADDRESS)).arm()
     service.run(10.0)
     assert primary.alive
     assert primary.role is not Role.PRIMARY
@@ -170,8 +173,10 @@ def test_recover_after_is_relative_to_now():
     service = make_service()
     backup = service.backup_server
     service.run(1.0)
-    service.injector.crash_at(2.0, backup)
-    service.injector.recover_after(4.0, backup)  # now=1.0 -> recovers at 5.0
+    # Entries are absolute instants: 4 s after now=1.0 is 5.0.
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, BACKUP_ADDRESS)
+                  .recover(service.sim.now + 4.0, BACKUP_ADDRESS)).arm()
     service.run(10.0)
     recovered = service.trace.select("server_recover")
     assert recovered and recovered[0].time == pytest.approx(5.0)
@@ -181,7 +186,8 @@ def test_recover_after_is_relative_to_now():
 def test_crash_for_schedules_both_ends_of_the_outage():
     service = make_service()
     backup = service.backup_server
-    service.injector.crash_for(2.0, outage=1.5, server=backup)
+    FaultInjector(service,
+                  FaultSchedule().crash_cycle(2.0, 1.5, BACKUP_ADDRESS)).arm()
     service.run(8.0)
     crashes = service.trace.select("server_crash")
     recoveries = service.trace.select("server_recover")
@@ -189,17 +195,10 @@ def test_crash_for_schedules_both_ends_of_the_outage():
     assert recoveries and recoveries[0].time == pytest.approx(3.5)
 
 
-def test_crash_for_rejects_nonpositive_outage():
-    service = make_service()
-    with pytest.raises(ValueError):
-        service.injector.crash_for(2.0, outage=0.0,
-                                   server=service.backup_server)
-
-
 def test_recover_on_live_server_is_a_no_op():
     service = make_service()
     backup = service.backup_server
-    service.injector.recover_at(3.0, backup)
+    FaultInjector(service, FaultSchedule().recover(3.0, BACKUP_ADDRESS)).arm()
     service.run(5.0)
     assert backup.role is Role.BACKUP  # untouched: still the pair's backup
     assert not service.trace.select("server_recover")
@@ -210,7 +209,8 @@ def test_recovered_backup_is_rerecruited_by_primary():
     replication resumes (the rejoin path end-to-end)."""
     service = make_service()
     backup = service.backup_server
-    service.injector.crash_for(2.0, outage=2.0, server=backup)
+    FaultInjector(service,
+                  FaultSchedule().crash_cycle(2.0, 2.0, BACKUP_ADDRESS)).arm()
     service.run(12.0)
     assert service.trace.select("backup_lost")
     assert backup.alive and backup.role is Role.BACKUP

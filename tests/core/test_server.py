@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.server import Role
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, RTPBService
 from repro.core.spec import ObjectSpec, ServiceConfig
 from repro.errors import NotPrimaryError, ReplicationError
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs, spec_for_window
 
@@ -103,7 +105,7 @@ def test_crashed_server_goes_silent():
     service.create_client([spec])
     config = service.config
     service.start()
-    service.injector.crash_at(2.0, service.backup_server)
+    FaultInjector(service, FaultSchedule().crash(2.0, BACKUP_ADDRESS)).arm()
     # Disable failover effects from the backup side: crash the backup, the
     # primary must cancel update transmission.
     service.run(6.0)

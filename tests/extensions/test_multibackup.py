@@ -7,9 +7,11 @@ import repro.core.server as server_module
 from repro.baselines import MultiBackupServer, MultiBackupServerError
 from repro.core.rtpb_protocol import PingAckMsg, encode_message
 from repro.core.server import Role
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ServiceConfig
 from repro.errors import ReplicationError
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
@@ -62,7 +64,7 @@ def test_single_backup_degenerates_to_base_protocol():
 def test_first_backup_promotes_on_primary_crash():
     service, specs = make_service(n_backups=2)
     service.start()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(12.0)
     new_primary = service.current_primary()
     assert new_primary is service.backup_servers[0]
@@ -73,7 +75,7 @@ def test_first_backup_promotes_on_primary_crash():
 def test_second_backup_reattaches_to_new_primary():
     service, specs = make_service(n_backups=2)
     service.start()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(15.0)
     second = service.backup_servers[1]
     assert second.role is Role.BACKUP
@@ -90,7 +92,7 @@ def test_second_backup_reattaches_to_new_primary():
 def test_writes_continue_after_failover():
     service, _specs = make_service(n_backups=2)
     service.start()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(12.0)
     resumed = [record for record in service.trace.select("client_response")
                if record["issue"] > 5.0]
@@ -100,8 +102,9 @@ def test_writes_continue_after_failover():
 def test_chained_failover_walks_succession():
     service, specs = make_service(n_backups=3)
     service.start()
-    service.injector.crash_at(3.0, service.primary_server)
-    service.injector.crash_at(8.0, service.backup_servers[0])
+    FaultInjector(service, FaultSchedule()
+                  .crash(3.0, PRIMARY_ADDRESS)
+                  .crash(8.0, BACKUP_ADDRESS)).arm()
     service.run(20.0)
     final_primary = service.current_primary()
     assert final_primary is service.backup_servers[1]
@@ -117,7 +120,8 @@ def test_chained_failover_walks_succession():
 def test_backup_crash_drops_only_that_backup():
     service, specs = make_service(n_backups=2)
     service.start()
-    service.injector.crash_at(3.0, service.backup_servers[1])
+    last = service.backup_servers[1].host.address
+    FaultInjector(service, FaultSchedule().crash(3.0, last)).arm()
     service.run(10.0)
     assert service.primary_server.role is Role.PRIMARY
     survivors = service.current_backups()
@@ -133,8 +137,10 @@ def test_backup_crash_drops_only_that_backup():
 def test_all_backups_dead_stops_transmission():
     service, _specs = make_service(n_backups=2)
     service.start()
-    service.injector.crash_at(2.0, service.backup_servers[0])
-    service.injector.crash_at(2.0, service.backup_servers[1])
+    last = service.backup_servers[1].host.address
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, BACKUP_ADDRESS)
+                  .crash(2.0, last)).arm()
     service.run(8.0)
     bound = service.config.failure_detection_latency()
     late = [record for record in service.trace.select("update_sent")
@@ -147,7 +153,7 @@ def test_no_primary_raises():
                                    config=ServiceConfig(
                                        failover_enabled=False))
     service.start()
-    service.injector.crash_at(1.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(1.0, PRIMARY_ADDRESS)).arm()
     service.run(3.0)
     with pytest.raises(ReplicationError):
         service.current_primary()

@@ -8,7 +8,7 @@ from repro.core.service import (
     PRIMARY_ADDRESS,
     RTPBService,
 )
-from repro.errors import ProtocolError, ReplicationError
+from repro.errors import ProtocolError
 from repro.faults.actions import (
     ClockDrift,
     CrashServer,
@@ -187,7 +187,7 @@ def test_past_action_validation_errors_surface():
         injector.inject_now(DelaySpike(1.0, factor=0.0))
     with pytest.raises(ProtocolError):
         injector.inject_now(DuplicateMessages(1.0, probability=2.0))
-    with pytest.raises(ReplicationError):
+    with pytest.raises(ProtocolError):
         injector.inject_now(ClockDrift("backup", scale=0.0))
 
 

@@ -108,7 +108,7 @@ def test_missed_failover_deadline_detected():
     service = make_service()
     service.run(2.0)
     service.backup_server.ping.stop()  # backup goes deaf, stays alive
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     monitor = InvariantMonitor(service)
     monitor.attach()
     service.run(10.0)

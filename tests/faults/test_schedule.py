@@ -29,6 +29,40 @@ def test_negative_time_rejected():
         TimedFault(-1.0, CrashServer("primary"))
 
 
+#: Schedules whose parameters cannot be applied: each must fail when it is
+#: written, not mid-run when the fault fires.
+BAD_SCHEDULES = {
+    "duplicate-negative-duration":
+        lambda: FaultSchedule().duplicate(1.0, -1.0, 0.5),
+    "corrupt-negative-duration":
+        lambda: FaultSchedule().corrupt(1.0, -0.5, 0.1),
+    "duplicate-probability-above-one":
+        lambda: FaultSchedule().duplicate(1.0, 1.0, 1.5),
+    "isolate-zero-duration":
+        lambda: FaultSchedule().isolate(1.0, 0.0, "backup"),
+    "loss-burst-zero-duration":
+        lambda: FaultSchedule().loss_burst(1.0, 0.0, BernoulliLoss(0.5)),
+    "delay-spike-zero-factor":
+        lambda: FaultSchedule().delay_spike(1.0, 1.0, 0.0),
+    "flash-crowd-negative-factor":
+        lambda: FaultSchedule().flash_crowd(1.0, 1.0, -2.0),
+    "clock-drift-negative-scale":
+        lambda: FaultSchedule().clock_drift(1.0, "backup", -1.0),
+    "clock-drift-negative-duration":
+        lambda: FaultSchedule().clock_drift(1.0, "backup", 1.5,
+                                            duration=-1.0),
+    "crash-at-nan":
+        lambda: FaultSchedule().crash(float("nan"), "primary"),
+}
+
+
+@pytest.mark.parametrize("build", BAD_SCHEDULES.values(),
+                         ids=BAD_SCHEDULES.keys())
+def test_bad_parameters_fail_when_the_schedule_is_written(build):
+    with pytest.raises(ProtocolError):
+        build()
+
+
 def test_crash_cycle_expands_to_crash_and_recover():
     schedule = FaultSchedule().crash_cycle(4.0, 1.5, "backup")
     (crash, recover) = schedule.entries

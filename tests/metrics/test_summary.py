@@ -20,7 +20,9 @@ def test_summary_collects_everything():
 
 
 def test_summary_reports_failover():
-    from repro.core.service import RTPBService
+    from repro.core.service import PRIMARY_ADDRESS, RTPBService
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
     from repro.workload.generator import homogeneous_specs
 
     service = RTPBService(seed=4)
@@ -28,7 +30,7 @@ def test_summary_reports_failover():
     service.register_all(specs)
     service.create_client(specs)
     service.start()
-    service.injector.crash_at(3.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(3.0, PRIMARY_ADDRESS)).arm()
     service.run(8.0)
     summary = summarize_run(service, horizon=8.0)
     assert summary.failover is not None
@@ -45,7 +47,9 @@ def test_summary_renders_as_table():
 
 
 def test_summary_with_no_responses_shows_dashes():
-    from repro.core.service import RTPBService
+    from repro.core.service import PRIMARY_ADDRESS, RTPBService
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
     from repro.workload.generator import homogeneous_specs
 
     service = RTPBService(seed=4)

@@ -18,6 +18,14 @@ def make_hosts(seed=0):
     return sim, fabric, Host(sim, fabric, "h1", 1), Host(sim, fabric, "h2", 2)
 
 
+def test_host_stacks_udp_on_ip_on_its_link_port():
+    sim, fabric, h1, _ = make_hosts()
+    assert h1.udp.below == [h1.ip]
+    assert h1.ip.below == []
+    assert h1.port.receiver is h1.ip
+    assert h1.ip.local_address == 1
+
+
 def test_datagram_end_to_end():
     sim, fabric, h1, h2 = make_hosts()
     got = []

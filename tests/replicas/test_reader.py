@@ -1,7 +1,9 @@
 """ReaderClient: closed-loop issue discipline, fallback, and starvation."""
 
-from repro.core.service import RTPBService
+from repro.core.service import PRIMARY_ADDRESS, RTPBService
 from repro.core.spec import ServiceConfig
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.metrics.summary import collect_metrics
 from repro.replicas.reader import LEASE_PERIODS, attach_reader
 from repro.units import ms
@@ -76,7 +78,7 @@ def test_reads_are_unserved_when_nobody_can_serve():
     service.start()
     # No replicas, failover disabled: once the primary dies the name file
     # keeps pointing at a dead address and every read is unservable.
-    service.injector.crash_at(1.0, service.primary_server)
+    FaultInjector(service, FaultSchedule().crash(1.0, PRIMARY_ADDRESS)).arm()
     service.run(2.0)
     assert reader.reads_unserved > 0
     assert service.trace.select("read_unserved")

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.service import RTPBService
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.errors import ReplicationError
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.units import ms
 from repro.workload.generator import spec_for_window
 from repro.workload.scripted import ScriptedClient, periodic_schedule
@@ -57,8 +59,9 @@ def test_writes_refused_when_primary_dead():
     client = attach(service, [(3.0, 0)])
     service.start()
     client.start()
-    service.injector.crash_at(1.0, service.primary_server)
-    service.injector.crash_at(1.0, service.backup_server)
+    FaultInjector(service, FaultSchedule()
+                  .crash(1.0, PRIMARY_ADDRESS)
+                  .crash(1.0, BACKUP_ADDRESS)).arm()
     service.run(4.0)
     assert client.writes_refused == 1
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.sim.engine import Simulator
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol, ProtocolUser, Session
@@ -60,3 +61,9 @@ def test_session_push_is_abstract():
     session = Session(Protocol(Simulator(), "p"), ProtocolUser())
     with pytest.raises(NotImplementedError):
         session.push(Message(b""))
+
+
+def test_protocol_without_lower_raises_on_down():
+    orphan = Protocol(Simulator(), "orphan")
+    with pytest.raises(ProtocolError):
+        orphan.down
