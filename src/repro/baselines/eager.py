@@ -13,13 +13,10 @@ Every member of the group runs :class:`EagerServer`
 scenario): the class declares ``ack_updates``, so its backups acknowledge
 applies, and a backup promoted at failover keeps the synchronous semantics.
 
-Failure semantics: a write deferred on the backup's ack can never complete
-once that backup is dead.  When the primary declares the backup lost it
-*flushes* every pending completion — the client gets its callback and a
-``client_response_degraded`` trace record (the write is durable on the
-primary only) instead of waiting forever on a retry loop aimed at a
-corpse.  See :mod:`repro.baselines.fastpath` for the commutative/stable
-fast path layered on this baseline.
+A write deferred on a backup that dies is answered degraded when the
+primary drops that backup (:meth:`EagerServer._on_backup_lost`).  See
+:mod:`repro.baselines.fastpath` for the commutative/stable fast path
+layered on this baseline.
 
 Trace categories: ``client_response``, ``client_response_degraded``,
 ``update_sent``.
@@ -32,8 +29,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
-from repro.core.rtpb_protocol import (RecruitAckMsg, RetxRequestMsg,
-                                      UpdateAckMsg, UpdateMsg, encode_message)
+from repro.core.rtpb_protocol import (RetxRequestMsg, UpdateAckMsg,
+                                      UpdateMsg, encode_message)
 from repro.core.server import ReplicaServer, Role
 from repro.core.spec import ObjectSpec
 from repro.sched.task import BAND_REALTIME
@@ -95,14 +92,8 @@ class EagerServer(ReplicaServer):
             # later recruit receives this state through the recruit-time
             # snapshot transfer, not through this write's retry loop.
             if not completed:
-                response = self.sim.now - issue_time
-                self.degraded_completions += 1
-                self.sim.trace.record(
-                    "client_response_degraded",
-                    object=record.spec.object_id, issue=issue_time,
-                    response=response, server=self.name, reason="unpaired")
-                if on_complete is not None:
-                    on_complete(response)
+                self._answer_degraded(record.spec.object_id, issue_time,
+                                      on_complete, "unpaired")
             return
         key = (record.spec.object_id, record.seq)
         self._pending_acks[key] = _PendingWrite(issue_time, on_complete,
@@ -149,9 +140,8 @@ class EagerServer(ReplicaServer):
         self.retx_requests_served += 1
         record = self.store.get(message.object_id)
         if record.seq > 0:
-            key = (message.object_id, record.seq)
-            if key not in self._pending_acks:
-                self._pending_acks[key] = _PendingWrite(self.sim.now, None)
+            self._pending_acks.setdefault((message.object_id, record.seq),
+                                          _PendingWrite(self.sim.now, None))
             self._send_sync_update(record.spec, record.seq, attempt=1)
 
     def _on_update_ack(self, message: UpdateAckMsg,
@@ -171,54 +161,37 @@ class EagerServer(ReplicaServer):
             if pending.on_complete is not None:
                 pending.on_complete(response)
 
-    # -- failure handling --------------------------------------------------
+    # -- membership hooks ------------------------------------------------
 
-    def _peer_dead(self) -> None:
-        """Flush deferred completions before the generic backup-lost path.
-
-        Without this, every write caught in flight when the backup crashes
-        leaks: its ``on_complete`` never fires and its retry loop spins
-        until the horizon.  The client instead gets a *degraded* completion
-        — traced as ``client_response_degraded``, not ``client_response``,
-        because the write is durable on the primary alone.
-        """
-        if (self.alive and self.role is Role.PRIMARY
-                and self._pending_acks):
-            self._flush_pending_degraded(reason="backup_lost")
-        super()._peer_dead()
-
-    def _flush_pending_degraded(self, reason: str) -> None:
+    def _on_backup_lost(self) -> None:
+        """Answer every write still waiting on the lost backup's ack with
+        a *degraded* completion (``client_response_degraded``: it is durable
+        on the primary alone) instead of leaking it and its retry loop."""
         for key in sorted(self._pending_acks):
             pending = self._pending_acks.pop(key)
-            if pending.completed:
-                continue
-            response = self.sim.now - pending.issue_time
-            self.degraded_completions += 1
-            self.sim.trace.record("client_response_degraded", object=key[0],
-                                  issue=pending.issue_time, response=response,
-                                  server=self.name, reason=reason)
-            if pending.on_complete is not None:
-                pending.on_complete(response)
+            if not pending.completed:
+                self._answer_degraded(key[0], pending.issue_time,
+                                      pending.on_complete, "backup_lost")
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg,
-                            source_address: int) -> None:
-        """Integrate a recruited backup under eager semantics.
+    def _answer_degraded(self, object_id: int, issue_time: float,
+                         on_complete: Optional[Callable[[float], None]],
+                         reason: str) -> None:
+        response = self.sim.now - issue_time
+        self.degraded_completions += 1
+        self.sim.trace.record("client_response_degraded", object=object_id,
+                              issue=issue_time, response=response,
+                              server=self.name, reason=reason)
+        if on_complete is not None:
+            on_complete(response)
 
-        The generic path re-arms the decoupled periodic transmitter; eager
-        propagation is per-write, so those tasks are removed again and each
-        written object instead gets a retried synchronous snapshot (the
-        generic path's one-shot state transfer is unretried, which under
-        loss would strand the new backup until its watchdog notices).
-        """
-        was_unpaired = self.role is Role.PRIMARY and self.peer_address is None
-        super()._handle_recruit_ack(message, source_address)
-        if not was_unpaired or self.peer_address is None:
-            return
+    def _on_backup_joined(self) -> None:
+        """Replace the re-armed periodic tasks by a retried synchronous
+        snapshot per written object: the generic one-shot state transfer
+        is unretried and, under loss, would strand the new backup."""
         for record in self.store:
             self.transmitter.remove_object(record.spec.object_id)
             if record.seq > 0:
-                key = (record.spec.object_id, record.seq)
-                if key not in self._pending_acks:
-                    self._pending_acks[key] = _PendingWrite(
-                        self.sim.now, None, completed=True)
+                self._pending_acks.setdefault(
+                    (record.spec.object_id, record.seq),
+                    _PendingWrite(self.sim.now, None, completed=True))
                 self._send_sync_update(record.spec, record.seq, attempt=0)

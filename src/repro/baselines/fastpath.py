@@ -17,13 +17,11 @@ Non-qualifying writes defer until the ack, exactly as in
 :class:`~repro.baselines.eager.EagerServer`.
 
 Failover drains the witness set before fast replies resume: a promoted (or
-freshly re-paired) primary reseeds the witness set from its store, pushes
-retried snapshots to the recruited backup, and keeps the fast path off
-until every reseeded version is acknowledged — so no client is ever
-answered early against a backup that has not yet caught up to the state
-the answer assumed.  The witness set and drain protocol live in
-:mod:`repro.core.fastpath`; this module is the wiring into the replica
-server's write, ack, and failover paths.
+freshly re-paired) primary reseeds it from its store once the backup
+joins, and keeps the fast path off until every reseeded version is acked —
+so no client is answered early against a backup that has not caught up.
+The witness set and drain protocol live in :mod:`repro.core.fastpath`;
+this module wires them into the write, ack and membership paths.
 
 Selecting the class is the switch: ``RTPBService(server_class=
 FastPathEagerServer)`` (``replication="eager_fastpath"`` in a scenario) runs
@@ -43,8 +41,7 @@ from repro.baselines.eager import EagerServer
 from repro.core.admission import AdmissionDecision
 from repro.core.fastpath import FastPathPolicy, WitnessSet
 from repro.core.object_store import ObjectRecord
-from repro.core.rtpb_protocol import RecruitAckMsg, UpdateAckMsg
-from repro.core.server import Role
+from repro.core.rtpb_protocol import UpdateAckMsg
 from repro.core.spec import InterObjectConstraint
 
 
@@ -125,14 +122,29 @@ class FastPathEagerServer(EagerServer):
         self.sim.trace.record("fastpath_drain", server=self.name,
                               phase="start", reason=reason)
 
-    def _reseed_witness(self) -> None:
-        """Witness every written object's current version for the drain.
+    def _finish_drain(self) -> None:
+        if not self._draining:
+            return
+        self._draining = False
+        self.sim.trace.record("fastpath_drain", server=self.name,
+                              phase="complete")
 
-        Called once the recruited backup is installed: the retried
-        snapshots of :meth:`EagerServer._handle_recruit_ack` are in
-        flight, and their acks retire these entries.  An empty store drains
-        immediately.
-        """
+    def _on_failover(self) -> None:
+        # The old primary's witness state died with it; this store is now
+        # the authority and nothing is provably on a backup.
+        self._begin_drain("failover")
+
+    def _on_backup_lost(self) -> None:
+        if not self._draining:
+            self._begin_drain("backup_lost")
+        super()._on_backup_lost()
+
+    def _on_backup_joined(self) -> None:
+        """Witness every written object's current version for the drain:
+        the retried snapshots of :meth:`EagerServer._on_backup_joined` are
+        in flight, and their acks retire these entries.  An empty store
+        drains immediately."""
+        super()._on_backup_joined()
         self.witness.clear()
         pending = 0
         for record in self.store:
@@ -145,37 +157,7 @@ class FastPathEagerServer(EagerServer):
         if not self.witness.any_unsynced():
             self._finish_drain()
 
-    def _finish_drain(self) -> None:
-        if not self._draining:
-            return
-        self._draining = False
-        self.sim.trace.record("fastpath_drain", server=self.name,
-                              phase="complete")
-
-    def promote(self) -> None:
-        if self.role is Role.BACKUP and self.alive:
-            # The old primary's witness state died with it; this store is
-            # now the authority and nothing is provably on a backup.
-            self._begin_drain("failover")
-        super().promote()
-
-    def _peer_dead(self) -> None:
-        if (self.alive and self.role is Role.PRIMARY
-                and not self._draining):
-            self._begin_drain("backup_lost")
-        super()._peer_dead()
-
-    def _handle_recruit_ack(self, message: RecruitAckMsg,
-                            source_address: int) -> None:
-        was_unpaired = self.role is Role.PRIMARY and self.peer_address is None
-        super()._handle_recruit_ack(message, source_address)
-        if was_unpaired and self.peer_address is not None:
-            self._reseed_witness()
-
-    def recover(self) -> None:
-        super().recover()
-        if not self.alive:
-            return
+    def _on_recovered(self) -> None:
         self.witness.clear()
         self._draining = False
         self._policy_stale = True

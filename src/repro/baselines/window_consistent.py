@@ -23,8 +23,7 @@ from typing import Callable, Optional
 
 from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
-from repro.core.rtpb_protocol import (RecruitAckMsg, RetxRequestMsg,
-                                      UpdateMsg, encode_message)
+from repro.core.rtpb_protocol import RetxRequestMsg, UpdateMsg, encode_message
 from repro.core.server import ReplicaServer, Role
 from repro.core.spec import ObjectSpec
 from repro.sched.task import BAND_REALTIME
@@ -79,10 +78,8 @@ class WindowConsistentServer(ReplicaServer):
         record = self.store.get(message.object_id)
         self._schedule_coupled_send(record)
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg,
-                            source_address: int) -> None:
-        """Integrate a recruited backup: the generic path re-arms the
-        decoupled periodic tasks, which this discipline does not run."""
-        super()._handle_recruit_ack(message, source_address)
+    def _on_backup_joined(self) -> None:
+        """The generic path re-arms the decoupled periodic tasks, which
+        this discipline does not run."""
         for record in self.store:
             self.transmitter.remove_object(record.spec.object_id)

@@ -1,17 +1,14 @@
-"""The replica server: primary and backup roles, failover, recruitment.
+"""The replica server: one class plays every role of the paper's deployment.
 
-One class plays every role in the paper's deployment:
-
-- **PRIMARY** — accepts client writes (Mach-IPC-style local RPC, costed on
-  the CPU model), runs admission control, transmits decoupled updates to the
-  backup, answers retransmission requests, pings the backup.
-- **BACKUP** — applies incoming updates (costed on its own CPU), watches for
-  silent objects and requests retransmissions, pings the primary, and on
-  detecting primary death *promotes itself*: updates the name file, activates
-  the local client application, and recruits a spare host as the new backup
-  (Section 4.4).
-- **SPARE** — waits for a ``RECRUIT`` message, then becomes the backup and
-  is brought up to date through state-transfer snapshots.
+A **PRIMARY** accepts client writes (Mach-IPC-style local RPC, costed on the
+CPU model), runs admission control, transmits decoupled updates to the
+backup and answers its retransmission requests.  A **BACKUP** applies the
+updates (costed on its own CPU) and requests retransmission of silent
+objects.  A **SPARE** waits to be recruited.  Failure detection, failover
+and recruitment (Section 4.4) are the membership machine's,
+:mod:`repro.core.membership`: every role or peer change is one of its
+transitions, and this class carries out the effects
+(:meth:`ReplicaServer._step`).
 
 Trace categories: ``client_response``, ``client_write_rejected``,
 ``primary_write``, ``backup_apply``, ``backup_apply_stale``, ``retx_request``,
@@ -22,11 +19,12 @@ Trace categories: ``client_response``, ``client_write_rejected``,
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
+from repro.core import membership
 from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.failure import PingManager
+from repro.core.membership import Role, Seat
 from repro.core.name_service import NameService
 from repro.core.object_store import ObjectStore
 from repro.core.rtpb_protocol import (
@@ -56,16 +54,6 @@ from repro.sched.rm import RateMonotonicScheduler
 from repro.sched.task import BAND_REALTIME
 from repro.sim.engine import Simulator
 
-ROLE_PRIMARY_WIRE = 0
-ROLE_BACKUP_WIRE = 1
-
-
-class Role(enum.Enum):
-    PRIMARY = "primary"
-    BACKUP = "backup"
-    SPARE = "spare"
-
-
 def build_processor(sim: Simulator, config: ServiceConfig,
                     name: str) -> Processor:
     """A CPU with the scheduler the configuration asks for (EDF or RM).
@@ -91,8 +79,11 @@ class ReplicaServer:
     A replication *discipline* is one subclass, run by every member of a
     group whatever its role (so a promoted backup keeps the discipline).
     The seam is three hooks — :meth:`_after_primary_write`,
-    :meth:`_on_update_ack`, :meth:`_handle_retx_request` — plus the two
-    declarations below.
+    :meth:`_on_update_ack`, :meth:`_handle_retx_request` — the two
+    declarations below, and any of the membership hooks the machine
+    names: ``_on_backup_lost`` and ``_on_failover`` (run before a
+    transition's other effects), ``_on_backup_joined`` and
+    ``_on_recovered`` (after them).
     """
 
     #: Whether backups of this discipline acknowledge every applied update
@@ -117,10 +108,7 @@ class ReplicaServer:
         self.host = host
         self.config = config
         self.name_service = name_service
-        self.role = role
         self.service_name = service_name
-        self.peer_address = peer_address
-        self.spare_addresses = list(spare_addresses or [])
         #: The group's backup addresses in takeover order (the same list on
         #: every member); the pair protocol itself only uses the peer.
         self.succession = list(succession or [])
@@ -129,8 +117,13 @@ class ReplicaServer:
         #: Trace/monitor identity; defaults to the host name, so single-group
         #: deployments keep their historical trace digests.
         self.name = name if name is not None else host.name
-        self.alive = True
-        self.decommissioned = False
+        state = membership.initial(
+            Seat(self.name, host.address, tuple(self.succession),
+                 fan_out=self.max_backups != 1,
+                 failover=config.failover_enabled,
+                 recruit_attempts=config.registration_max_retries),
+            role, peer=() if peer_address is None else (peer_address,),
+            spares=tuple(spare_addresses or ()))
 
         self.processor = (processor if processor is not None
                           else build_processor(sim, config,
@@ -149,10 +142,8 @@ class ReplicaServer:
         self._handlers = self._message_handlers()
         self.transmitter = UpdateTransmitter(
             sim, self.processor, self.store, config, send=self._send_update)
-        wire_role = (ROLE_PRIMARY_WIRE if role is Role.PRIMARY
-                     else ROLE_BACKUP_WIRE)
         self.ping = PingManager(
-            sim, config, role=wire_role, send=self._send_to_peer,
+            sim, config, role=state.wire_role, send=self._send_to_peer,
             on_peer_dead=self._peer_dead, name=self.name)
 
         #: The client application co-located with this server; registered by
@@ -181,10 +172,10 @@ class ReplicaServer:
         #: Latest beaconed applied high-water timestamp per subscriber.
         self.replica_floors: Dict[int, float] = {}
         self._watchdog_running = False
-        self._recruiting = False
         #: Local timer drift factor shared with the ping manager; the fault
         #: subsystem's clock-drift injector sets it via :meth:`set_clock_scale`.
         self._timer_scale = 1.0
+        self._enter(state)
 
     @classmethod
     def host_names(cls, n_backups: int) -> List[str]:
@@ -233,84 +224,33 @@ class ReplicaServer:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Bring the server up in its configured role."""
-        if self.role is Role.PRIMARY:
-            self.name_service.publish(self.service_name, self.host.address)
-            self.transmitter.start()
-            if self.peer_address is not None:
-                self.ping.start()
-        elif self.role is Role.BACKUP:
-            if self.peer_address is not None:
-                self.ping.start()
-            self._start_watchdog()
-        # SPARE: passive until recruited.
+        """Bring the server up in its configured role (a SPARE stays
+        passive until recruited)."""
+        self._step(("start",))
 
     def crash(self) -> None:
-        """Suffer a crash failure: stop everything (Section 4.1).
-
-        When this server owns its host the NIC goes down with it; a
-        co-located server (``owns_host=False``) dies as a process, leaving
-        the host — and its neighbours — running.
-        """
-        if not self.alive:
-            return
-        self.alive = False
-        if self.owns_host:
-            self.host.fail()
-        self.ping.stop()
-        self.transmitter.stop()
-        self._watchdog_running = False
-        self.sim.trace.record("server_crash", server=self.name,
-                              role=self.role.value)
+        """Suffer a crash failure: stop everything (Section 4.1).  When
+        this server owns its host the NIC goes down with it; a co-located
+        server (``owns_host=False``) dies as a process alone."""
+        self._step(("crash",))
 
     def recover(self) -> None:
-        """Reboot after a crash and rejoin the group as a SPARE.
-
-        Memory (the object store) survives — the host is a warm spare whose
-        stale versions are refreshed by the recruitment state transfer; the
-        sequence-number guard in :meth:`ObjectStore.apply_update` makes the
-        refresh safe.  It cannot resume its old role: the name file may have
-        moved while it was down, so it waits to be recruited (Section 4.4).
-        """
-        if self.alive or self.decommissioned:
-            return
-        self.alive = True
-        if self.owns_host:
-            self.host.recover()
-        self.role = Role.SPARE
-        self.peer_address = None
-        self._recruiting = False
-        self._register_acked.clear()
-        self.degraded_objects.clear()
-        self.replica_subscribers.clear()
-        self.replica_floors.clear()
-        self.sim.trace.record("server_recover", server=self.name)
+        """Reboot after a crash and rejoin the group as a SPARE: the name
+        file may have moved meanwhile.  The object store survives; the
+        recruitment state transfer refreshes it, and the sequence-number
+        guard of :meth:`ObjectStore.apply_update` makes that safe."""
+        self._step(("recover",))
 
     def decommission(self) -> None:
-        """Retire this server instance for good: crash it if needed and
-        release its UDP port so a replacement can bind the same (host, port).
-
-        The cluster manager decommissions dead members before re-placing
-        their group; a decommissioned server never recovers.
-        """
-        if self.decommissioned:
-            return
-        self.crash()
-        self.decommissioned = True
-        self.endpoint.close()
+        """Retire this server for good (it never recovers): crash it if
+        needed and release its UDP port so a replacement can bind the same
+        (host, port)."""
+        self._step(("decommission",))
 
     def notice_spare(self, address: int) -> None:
-        """Learn that a spare host is available at ``address``.
-
-        A primary missing its backup restarts recruitment immediately —
-        the earlier attempt may have given up while the spare was down.
-        """
-        if address != self.host.address and address not in self.spare_addresses:
-            self.spare_addresses.append(address)
-        if (self.role is Role.PRIMARY and self.alive
-                and self.peer_address is None):
-            self._recruiting = False
-            self._recruit_backup()
+        """Learn of a spare at ``address``; a primary missing its backup
+        restarts recruitment at once."""
+        self._step(("spare_noticed", address))
 
     def set_clock_scale(self, scale: float) -> None:
         """Apply bounded clock drift to this replica's local timers.
@@ -534,12 +474,7 @@ class ReplicaServer:
             self.sim.schedule(reprobe_delay, self._replicate_registration,
                               spec, update_period, 0)
             return
-        self._send_to_peer(encode_message(RegisterMsg(
-            object_id=spec.object_id, size_bytes=spec.size_bytes,
-            client_period=spec.client_period,
-            delta_primary=spec.delta_primary,
-            delta_backup=spec.delta_backup,
-            update_period=update_period)))
+        self._send_to_peer(self._register_message(spec, update_period))
         self.sim.schedule(self.config.registration_retry_period,
                           self._replicate_registration, spec, update_period,
                           attempt + 1)
@@ -661,10 +596,8 @@ class ReplicaServer:
     def _handle_register_ack(self, message: RegisterAckMsg,
                              source_address: int) -> None:
         if source_address != self.peer_address:
-            # An in-flight ack from a previous (dead or deposed) backup.
-            # Accepting it would re-mark the object as replicated and the
-            # REGISTER retry loop toward the *current* backup would stop,
-            # leaving it without the object forever.
+            # A late ack from an earlier backup must not stop the REGISTER
+            # retries toward the current one.
             return
         if message.accepted:
             self._register_acked.add(message.object_id)
@@ -743,23 +676,11 @@ class ReplicaServer:
         self.sim.trace.record("replica_sync", server=self.name,
                               replica=address, objects=len(self.store))
         for record in self.store:
-            period = record.update_period
-            if period is None:
-                period = self.config.update_period(record.spec)
-            spec = record.spec
-            self.endpoint.send(address, self.port, encode_message(RegisterMsg(
-                object_id=spec.object_id, size_bytes=spec.size_bytes,
-                client_period=spec.client_period,
-                delta_primary=spec.delta_primary,
-                delta_backup=spec.delta_backup,
-                update_period=period)))
-            seq, write_time, source_time, value = self.store.snapshot(
-                spec.object_id)
-            if seq > 0:
-                self.endpoint.send(address, self.port, encode_message(
-                    UpdateMsg(object_id=spec.object_id, seq=seq,
-                              write_time=write_time, source_time=source_time,
-                              payload=value, snapshot=True)))
+            self.endpoint.send(address, self.port, self._register_message(
+                record.spec, self._period_of(record)))
+            snapshot = self._snapshot_message(record.spec.object_id)
+            if snapshot is not None:
+                self.endpoint.send(address, self.port, snapshot)
 
     def _handle_freshness_beacon(self, message: FreshnessBeaconMsg,
                                  source_address: int) -> None:
@@ -800,130 +721,126 @@ class ReplicaServer:
         self.transmitter.send_now(message.object_id)
 
     # ------------------------------------------------------------------
-    # Failure handling (Section 4.4)
+    # Membership (Section 4.4): core.membership decides, this executes
     # ------------------------------------------------------------------
 
     def _peer_dead(self) -> None:
-        if not self.alive:
-            return
-        if self.role is Role.PRIMARY:
-            # "If the backup is dead, the primary cancels the 'ping'
-            # messages as well as update events for each registered object"
-            # ... and then waits to recruit a new backup.
-            self.sim.trace.record("backup_lost", server=self.name)
-            self.transmitter.stop()
-            self.peer_address = None
-            self._register_acked.clear()
-            self.degraded_objects.clear()
-            self._recruit_backup()
-        elif self.role is Role.BACKUP and self.config.failover_enabled:
-            self.promote()
+        self._step(("peer_timeout",))
 
-    def promote(self) -> None:
-        """Backup takes over as the new primary."""
-        if self.role is not Role.BACKUP or not self.alive:
-            return
-        self.sim.trace.record("failover", new_primary=self.name)
-        self.role = Role.PRIMARY
-        self.ping.stop()
-        self._watchdog_running = False
-        self.peer_address = None
-        # "changes the address in the name file to its own internet address"
-        self.name_service.publish(self.service_name, self.host.address)
-        # Re-run admission for the objects it inherited (they passed before,
-        # so this re-establishes transmission periods deterministically).
-        for record in self.store:
-            decision = self.admission.admit(record.spec)
-            if decision.accepted:
-                record.update_period = decision.update_period
-        # "invokes a backup version of the client application at the local
-        # machine, feeds the new client with information stored in its
-        # memory by an up call"
-        if self.local_client is not None:
-            self.local_client.activate(self)
-        self._adopt_backups()
+    def _handle_recruit(self, message: RecruitMsg, source: int) -> None:
+        self._step(("recruit", message.primary_address, source))
 
-    def _adopt_backups(self) -> None:
-        """Give this new primary someone to replicate to: it "waits to
-        recruit a new backup" from the spares."""
-        self._recruit_backup()
+    def _handle_recruit_ack(self, message: RecruitAckMsg, _source: int) -> None:
+        self._step(("recruit_ack", message.backup_address))
 
-    def _recruit_backup(self) -> None:
-        if self._recruiting or not self.spare_addresses:
-            return
-        self._recruiting = True
-        self._send_recruit(self.spare_addresses[0], attempt=0)
+    def _step(self, event: membership.Event) -> None:
+        """Take one membership transition and carry out its effects."""
+        state, effects = membership.step(self.membership, event)
+        self._enter(state)
+        for effect in effects:
+            self._carry_out(effect)
 
-    def _send_recruit(self, spare: int, attempt: int) -> None:
-        if not self.alive or self.peer_address is not None:
-            return
-        if attempt >= self.config.registration_max_retries:
-            self.sim.trace.record("recruit_gave_up", spare=spare)
-            self._recruiting = False
-            return
-        self.endpoint.send(spare, self.port, encode_message(RecruitMsg(
-            primary_address=self.host.address,
-            object_count=len(self.store))))
-        self.sim.schedule(self.config.registration_retry_period,
-                          self._send_recruit, spare, attempt + 1)
+    def _enter(self, state: membership.State) -> None:
+        """The one place a member's role, liveness and peer change."""
+        self.membership = state
+        self.role = state.role
+        self.alive = state.alive
+        self.peer_address = state.peer[0] if state.peer else None
+        self.ping.role = state.wire_role
 
-    def _handle_recruit(self, message: RecruitMsg,
-                        source_address: int) -> None:
-        if self.role is not Role.SPARE:
-            # Already recruited: re-ack (the first ack may have been lost).
-            if self.role is Role.BACKUP and self.peer_address == source_address:
-                self.endpoint.send(source_address, self.port, encode_message(
-                    RecruitAckMsg(backup_address=self.host.address)))
-            return
-        self.role = Role.BACKUP
-        self.peer_address = message.primary_address
-        self.ping.role = ROLE_BACKUP_WIRE
-        self.sim.trace.record("recruited", server=self.name,
-                              primary=message.primary_address)
-        self.endpoint.send(source_address, self.port, encode_message(
-            RecruitAckMsg(backup_address=self.host.address)))
-        self.ping.start()
-        self._start_watchdog()
+    def _carry_out(self, effect: membership.Effect) -> None:
+        match effect:
+            case ("trace", category, fields):
+                self.sim.trace.record(category, **dict(fields))
+            case ("send", kind, address):
+                message = (RecruitMsg(primary_address=self.host.address,
+                                      object_count=len(self.store))
+                           if kind == "recruit" else
+                           RecruitAckMsg(backup_address=self.host.address))
+                self.endpoint.send(address, self.port, encode_message(message))
+            case ("retry", spare, attempt):
+                self.sim.schedule(self.config.registration_retry_period,
+                                  self._step, ("recruit_retry", spare, attempt))
+            case ("poll",):
+                self.sim.schedule(self.config.ping_period, lambda: self._step(
+                    ("reattach_poll",
+                     self.name_service.peek(self.service_name))))
+            case ("heartbeat", on, _):
+                (self.ping.start if on else self.ping.stop)()
+            case ("transmitter", on):
+                (self.transmitter.start if on else self.transmitter.stop)()
+            case ("watchdog", True):
+                self._start_watchdog()
+            case ("watchdog", False):
+                self._watchdog_running = False
+            case ("sync",):
+                for record in self.store:
+                    period = self._period_of(record)
+                    self.transmitter.add_object(record.spec.object_id, period)
+                    self._replicate_registration(record.spec, period)
+                    snapshot = self._snapshot_message(record.spec.object_id)
+                    if snapshot is not None:
+                        self._send_to_peer(snapshot)
+            case ("reset_registrations",):
+                # Registration state belongs to one pairing.
+                self._register_acked.clear()
+                self.degraded_objects.clear()
+            case ("publish",):
+                self.name_service.publish(self.service_name,
+                                          self.host.address)
+            case ("readmit",):
+                # The inherited objects passed admission before, so this
+                # re-establishes transmission periods deterministically.
+                for record in self.store:
+                    decision = self.admission.admit(record.spec)
+                    if decision.accepted:
+                        record.update_period = decision.update_period
+            case ("activate",):
+                if self.local_client is not None:
+                    self.local_client.activate(self)
+            case ("halt",):
+                if self.owns_host:
+                    self.host.fail()
+                self.ping.stop()
+                self.transmitter.stop()
+                self._watchdog_running = False
+            case ("boot",):
+                if self.owns_host:
+                    self.host.recover()
+                self.replica_subscribers.clear()
+                self.replica_floors.clear()
+            case ("close",):
+                self.endpoint.close()
+            case ("hook", name):
+                getattr(self, f"_on_{name}", lambda: None)()
 
-    def _handle_recruit_ack(self, message: RecruitAckMsg,
-                            source_address: int) -> None:
-        if self.role is not Role.PRIMARY or self.peer_address is not None:
-            return
-        self._recruiting = False
-        self.peer_address = message.backup_address
-        if message.backup_address in self.spare_addresses:
-            self.spare_addresses.remove(message.backup_address)
-        # Re-arm per-object registration state for the *new* backup: an
-        # in-flight RegisterAck from the old one may have re-populated the
-        # acked set after _peer_dead cleared it, which would silently skip
-        # the REGISTER below and leave the recruit without those objects.
-        self._register_acked.clear()
-        self.degraded_objects.clear()
-        # Replicate registrations, transfer state, resume update tasks.
-        for record in self.store:
-            self._replicate_registration(record.spec,
-                                         record.update_period or
-                                         self.config.update_period(record.spec))
-            seq, write_time, source_time, value = self.store.snapshot(
-                record.spec.object_id)
-            if seq > 0:
-                self._send_to_peer(encode_message(UpdateMsg(
-                    object_id=record.spec.object_id, seq=seq,
-                    write_time=write_time, source_time=source_time,
-                    payload=value, snapshot=True)))
-        self.transmitter.start()
-        for record in self.store:
-            period = record.update_period
-            if period is None:
-                period = self.config.update_period(record.spec)
-            self.transmitter.add_object(record.spec.object_id, period)
-        self.ping.start()
+    def _period_of(self, record) -> float:
+        return record.update_period or self.config.update_period(record.spec)
+
+    def _register_message(self, spec: ObjectSpec, period: float) -> bytes:
+        return encode_message(RegisterMsg(
+            object_id=spec.object_id, size_bytes=spec.size_bytes,
+            client_period=spec.client_period,
+            delta_primary=spec.delta_primary, delta_backup=spec.delta_backup,
+            update_period=period))
+
+    def _snapshot_message(self, object_id: int) -> Optional[bytes]:
+        """The object's current version as a state-transfer update, or None
+        before its first write."""
+        seq, write_time, source_time, value = self.store.snapshot(object_id)
+        if seq == 0:
+            return None
+        return encode_message(UpdateMsg(
+            object_id=object_id, seq=seq, write_time=write_time,
+            source_time=source_time, payload=value, snapshot=True))
 
     # ------------------------------------------------------------------
 
     def _send_to_peer(self, data: bytes) -> None:
-        if self.alive and self.peer_address is not None:
-            self.endpoint.send(self.peer_address, self.port, data)
+        """To a backup's primary, or to every backup of a primary."""
+        if self.alive:
+            for address in self.membership.peer:
+                self.endpoint.send(address, self.port, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "crashed"
