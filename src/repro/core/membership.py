@@ -219,10 +219,18 @@ def _open_round(state: State) -> Result:
 def _send_recruit(state: State, spare: int, attempt: int) -> Result:
     if state.peer:
         return state, []
-    if attempt >= state.seat.recruit_attempts:
-        return (replace(state, recruit=None),
-                [_trace("recruit_gave_up", spare=spare)])
-    return state, [("send", "recruit", spare), ("retry", spare, attempt + 1)]
+    if attempt < state.seat.recruit_attempts:
+        return state, [("send", "recruit", spare),
+                       ("retry", spare, attempt + 1)]
+    # Give this spare up and go on to the next one the round has not tried.
+    gave_up = [_trace("recruit_gave_up", spare=spare)]
+    tried = state.recruit or ()
+    untried = [address for address in state.spares if address not in tried]
+    if state.recruit is None or not untried:
+        return replace(state, recruit=None), gave_up
+    state, effects = _send_recruit(
+        replace(state, recruit=tried + (untried[0],)), untried[0], 0)
+    return state, gave_up + effects
 
 
 def _recruit(state: State, primary: int, source: int) -> Result:
