@@ -61,8 +61,12 @@ class State:
     recruit: Optional[Tuple[int, ...]] = None
     #: A fan-out backup polls the name file for its new primary.
     reattach: bool = False
-    #: The role this member's ping carries on the wire.
-    wire_role: int = ROLE_BACKUP_WIRE
+
+    @property
+    def wire_role(self) -> int:
+        """The role this member's pings carry on the wire."""
+        return (ROLE_PRIMARY_WIRE if self.role is Role.PRIMARY
+                else ROLE_BACKUP_WIRE)
 
 
 def initial(seat: Seat, role: Role, peer: Tuple[int, ...] = (),
@@ -71,8 +75,7 @@ def initial(seat: Seat, role: Role, peer: Tuple[int, ...] = (),
     whole succession line)."""
     if seat.fan_out and role is Role.PRIMARY:
         peer = seat.succession
-    wire = ROLE_PRIMARY_WIRE if role is Role.PRIMARY else ROLE_BACKUP_WIRE
-    return State(seat, role, peer=peer, spares=spares, wire_role=wire)
+    return State(seat, role, peer=peer, spares=spares)
 
 
 def _trace(category: str, **fields: Any) -> Effect:
@@ -239,8 +242,7 @@ def _recruit(state: State, primary: int, source: int) -> Result:
         if state.role is Role.BACKUP and state.peer == (source,):
             return state, [("send", "recruit_ack", source)]
         return state, []
-    return (replace(state, role=Role.BACKUP, peer=(primary,),
-                    wire_role=ROLE_BACKUP_WIRE),
+    return (replace(state, role=Role.BACKUP, peer=(primary,)),
             [_trace("recruited", server=state.seat.name, primary=primary),
              ("send", "recruit_ack", source),
              ("heartbeat", True, None), ("watchdog", True)])

@@ -1,8 +1,9 @@
 """The membership machine's transitions, one at a time and end to end."""
 
 from repro.core import membership
-from repro.core.membership import Role, Seat
-from repro.core.service import BACKUP_ADDRESS, RTPBService
+from repro.core.membership import (ROLE_BACKUP_WIRE, ROLE_PRIMARY_WIRE,
+                                   Role, Seat)
+from repro.core.service import BACKUP_ADDRESS, PRIMARY_ADDRESS, RTPBService
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.units import ms
@@ -50,3 +51,20 @@ def test_a_dead_first_spare_does_not_leave_the_primary_unpaired():
     assert service.current_backup() is service.spare_servers[1]
     assert service.primary_server.peer_address == \
         service.spare_servers[1].host.address
+
+
+def test_a_promoted_primary_pings_as_a_primary():
+    """The wire role follows the role: after a failover the new primary's
+    pings, and its verdict on a dead recruit, say PRIMARY."""
+    service = _pair_with_spares(1, seed=6)
+    spare = service.spare_servers[0]
+    FaultInjector(service, FaultSchedule()
+                  .crash(3.0, PRIMARY_ADDRESS)
+                  .crash(6.0, spare.host.address)).arm()
+    service.run(9.0)
+    promoted = service.backup_server
+    assert promoted.role is Role.PRIMARY
+    assert promoted.ping.role == ROLE_PRIMARY_WIRE
+    verdicts = service.trace.select("peer_declared_dead", who=promoted.name)
+    assert [record["role"] for record in verdicts] == [ROLE_BACKUP_WIRE,
+                                                       ROLE_PRIMARY_WIRE]
