@@ -130,8 +130,7 @@ class FastPathEagerServer(EagerServer):
                               phase="complete")
 
     def _on_failover(self) -> None:
-        # The old primary's witness state died with it; this store is now
-        # the authority and nothing is provably on a backup.
+        # The old primary's witnesses died with it: nothing is provably synced.
         self._begin_drain("failover")
 
     def _on_backup_lost(self) -> None:

@@ -3,8 +3,8 @@
 Every role or peer change of a replica server is one transition
 ``step(state, event) -> (state, effects)``: a pure function of a small
 frozen :class:`State`, with no simulator, network or clock, so the protocol
-can be enumerated on its own.  Events and effects are tuples whose first
-item names them; the server carries the effects out in list order
+can be enumerated on its own.  Events and effects are tuples named by their
+first item; the server carries the effects out in order
 (:meth:`repro.core.server.ReplicaServer._step`).  docs/CHAOS.md
 ("Recovery semantics") tabulates the transitions.
 """
@@ -207,16 +207,19 @@ def _spare_noticed(state: State, address: int) -> Result:
     if address != state.seat.address and address not in state.spares:
         state = replace(state, spares=state.spares + (address,))
     if state.role is Role.PRIMARY and not state.peer:
-        # The earlier round may have given up while the spare was down.
-        return _open_round(replace(state, recruit=None))
+        # A new round: the last one may have given up while it was down.
+        return _open_round(state)
     return state, []
 
 
-def _open_round(state: State) -> Result:
-    if state.recruit is not None or not state.spares:
-        return state, []
-    spare = state.spares[0]
-    return _send_recruit(replace(state, recruit=(spare,)), spare, 0)
+def _open_round(state: State, tried: Tuple[int, ...] = ()) -> Result:
+    """Recruit the first spare the round has not tried (a new round when
+    ``tried`` is empty); close the round once every spare was tried."""
+    untried = [address for address in state.spares if address not in tried]
+    if not untried:
+        return replace(state, recruit=None), []
+    spare = untried[0]
+    return _send_recruit(replace(state, recruit=tried + (spare,)), spare, 0)
 
 
 def _send_recruit(state: State, spare: int, attempt: int) -> Result:
@@ -225,15 +228,8 @@ def _send_recruit(state: State, spare: int, attempt: int) -> Result:
     if attempt < state.seat.recruit_attempts:
         return state, [("send", "recruit", spare),
                        ("retry", spare, attempt + 1)]
-    # Give this spare up and go on to the next one the round has not tried.
-    gave_up = [_trace("recruit_gave_up", spare=spare)]
-    tried = state.recruit or ()
-    untried = [address for address in state.spares if address not in tried]
-    if state.recruit is None or not untried:
-        return replace(state, recruit=None), gave_up
-    state, effects = _send_recruit(
-        replace(state, recruit=tried + (untried[0],)), untried[0], 0)
-    return state, gave_up + effects
+    state, effects = _open_round(state, state.recruit or state.spares)
+    return state, [_trace("recruit_gave_up", spare=spare)] + effects
 
 
 def _recruit(state: State, primary: int, source: int) -> Result:

@@ -4,17 +4,14 @@ A **PRIMARY** accepts client writes (Mach-IPC-style local RPC, costed on the
 CPU model), runs admission control, transmits decoupled updates to the
 backup and answers its retransmission requests.  A **BACKUP** applies the
 updates (costed on its own CPU) and requests retransmission of silent
-objects.  A **SPARE** waits to be recruited.  Failure detection, failover
-and recruitment (Section 4.4) are the membership machine's,
-:mod:`repro.core.membership`: every role or peer change is one of its
-transitions, and this class carries out the effects
-(:meth:`ReplicaServer._step`).
+objects.  A **SPARE** waits to be recruited.  Every role or peer change —
+failure detection, failover, recruitment (Section 4.4) — is a transition
+of :mod:`repro.core.membership`, whose effects this class carries out.
 
 Trace categories: ``client_response``, ``client_write_rejected``,
 ``primary_write``, ``backup_apply``, ``backup_apply_stale``, ``retx_request``,
 ``registration``, ``registration_replicated``, ``replication_degraded``,
-``server_crash``, ``server_recover``, ``failover``, ``backup_lost``,
-``recruited``.
+and the membership machine's (``server_crash``, ``failover``, ...).
 """
 
 from __future__ import annotations
@@ -789,8 +786,7 @@ class ReplicaServer:
                 self.name_service.publish(self.service_name,
                                           self.host.address)
             case ("readmit",):
-                # The inherited objects passed admission before, so this
-                # re-establishes transmission periods deterministically.
+                # Inherited objects passed before: re-derive their periods.
                 for record in self.store:
                     decision = self.admission.admit(record.spec)
                     if decision.accepted:
@@ -825,8 +821,7 @@ class ReplicaServer:
             update_period=period))
 
     def _snapshot_message(self, object_id: int) -> Optional[bytes]:
-        """The object's current version as a state-transfer update, or None
-        before its first write."""
+        """A state-transfer update (None before the object's first write)."""
         seq, write_time, source_time, value = self.store.snapshot(object_id)
         if seq == 0:
             return None
