@@ -122,14 +122,15 @@ class MultiBackupServer(ReplicaServer):
             manager.handle_ack(message)
 
     def _effective_rank(self) -> int:
-        """Succession index minus predecessors that ever became primary."""
-        if self.host.address not in self.succession:
-            return len(self.succession)  # a recruit outside the line
-        my_index = self.succession.index(self.host.address)
+        """Succession index (a spare recruited into the line ranks after
+        it) minus predecessors that ever became primary."""
+        line = self.succession
+        my_index = (line.index(self.host.address)
+                    if self.host.address in line else len(line))
         promoted = {address for _time, name, address
                     in self.name_service.changes
                     if name == self.service_name}
-        return my_index - sum(1 for address in self.succession[:my_index]
+        return my_index - sum(1 for address in line[:my_index]
                               if address in promoted)
 
     def _peer_dead(self) -> None:

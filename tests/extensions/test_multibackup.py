@@ -192,3 +192,21 @@ def test_garbled_datagram_is_traced_on_a_multibackup_primary():
                          (service.backup_server.host.address, primary.port),
                          {})
     assert service.trace.select("rtpb_garbled", server=primary.name)
+
+
+def test_a_spare_recruited_into_the_line_takes_over_in_turn():
+    """A one-backup line: the backup promotes, the rebooted old primary is
+    recruited from outside the succession, and when the new primary dies
+    the recruit ranks next and promotes (it used to have no rank at all)."""
+    service, _specs = make_service(n_backups=1)
+    service.start()
+    old_primary = service.primary_server
+    FaultInjector(service, FaultSchedule()
+                  .crash(2.0, PRIMARY_ADDRESS)
+                  .recover(4.0, PRIMARY_ADDRESS)
+                  .crash(7.0, BACKUP_ADDRESS)).arm()
+    service.run(12.0)
+    assert service.trace.select("recruited", server=old_primary.name)
+    assert service.current_primary() is old_primary
+    assert [record["new_primary"] for record
+            in service.trace.select("failover")] == ["backup", "primary"]
