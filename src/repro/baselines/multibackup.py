@@ -105,9 +105,8 @@ class MultiBackupServer(ReplicaServer):
             case ("heartbeat", False, int(backup)):
                 self._backup_pings.pop(backup).stop()
             case _:
-                if effect == ("halt",):
-                    for manager in self._backup_pings.values():
-                        manager.stop()
+                while effect == ("halt",) and self._backup_pings:
+                    self._backup_pings.popitem()[1].stop()
                 super()._carry_out(effect)
 
     def _handle_ping_ack(self, message: PingAckMsg,

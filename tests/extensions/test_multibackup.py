@@ -210,3 +210,5 @@ def test_a_spare_recruited_into_the_line_takes_over_in_turn():
     assert service.current_primary() is old_primary
     assert [record["new_primary"] for record
             in service.trace.select("failover")] == ["backup", "primary"]
+    # Promoted again, it watches the line afresh and drops the dead backup.
+    assert service.trace.select("backup_lost", server=old_primary.name)
