@@ -207,6 +207,9 @@ class LossBurst(FaultAction):
 
     def __post_init__(self) -> None:
         _positive(self, "duration")
+        if not isinstance(self.loss_model, LossModel):
+            raise ProtocolError(
+                f"{self.kind} needs a LossModel: {self.loss_model!r}")
 
     def apply(self, injector: "FaultInjector") -> None:
         fabric = injector.fabric

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.errors import NoRouteError, ProtocolError
+from repro.errors import MessageFormatError, ProtocolError
 from repro.net.link import LinkPort, NetworkFabric
 from repro.sim.engine import Simulator
 from repro.xkernel.message import Header, Message
@@ -52,23 +52,28 @@ class IPProtocol(Protocol):
         self._uppers[proto] = upper
 
     def demux(self, message: Message, info: Dict[str, Any]) -> None:
-        header = IPHeader.pop_from(message)
-        if header.dst != self.local_address:
-            self.sim.trace.record("ip_drop", reason="wrong-host",
-                                  dst=header.dst, local=self.local_address)
+        try:
+            src, dst, proto, _length = IPHeader.pop_fields(message)
+        except MessageFormatError:
+            self.sim.trace.record("ip_drop", reason="truncated")
             return
-        upper = self._uppers.get(header.proto)
+        if dst != self.local_address:
+            self.sim.trace.record("ip_drop", reason="wrong-host",
+                                  dst=dst, local=self.local_address)
+            return
+        upper = self._uppers.get(proto)
         if upper is None:
             self.sim.trace.record("ip_drop", reason="no-upper",
-                                  proto=header.proto)
+                                  proto=proto)
             return
-        info["ip_src"] = header.src
-        info["ip_dst"] = header.dst
+        info["ip_src"] = src
+        info["ip_dst"] = dst
         upper.receive(None, message, info)
 
     def send(self, proto: int, remote: int, message: Message) -> None:
-        IPHeader(self.local_address, remote, proto,
-                 min(0xFFFF, len(message) + IPHeader.size())).push_onto(message)
+        IPHeader.push_fields(
+            message, self.local_address, remote, proto,
+            min(0xFFFF, len(message.buffer) + IPHeader.SIZE))
         self.port.send(remote, message)
 
 

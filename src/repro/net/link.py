@@ -148,7 +148,10 @@ class NetworkFabric:
         if not 0.0 <= self.delay_min <= delay_bound:
             raise ProtocolError(
                 f"delay_min {self.delay_min} outside [0, {delay_bound}]")
-        self.loss_model = loss_model if loss_model is not None else NoLoss()
+        self.set_loss_model(loss_model if loss_model is not None else NoLoss())
+        #: Stream names, formatted once (``RandomStreams.reseed`` swaps streams).
+        self._loss_stream = f"{name}.loss"
+        self._delay_stream = f"{name}.delay"
         #: Probability a delivered message is delivered twice (fault knob).
         self.duplicate_probability = 0.0
         #: Probability a message is bit-corrupted in flight (fault knob).
@@ -176,6 +179,8 @@ class NetworkFabric:
         return port
 
     def set_loss_model(self, model: LossModel) -> None:
+        if not isinstance(model, LossModel):
+            raise ProtocolError(f"not a loss model: {model!r}")
         self.loss_model = model
 
     def set_partition(self, a: int, b: int, partitioned: bool) -> None:
@@ -271,25 +276,26 @@ class NetworkFabric:
         """
         if destination not in self._ports:
             raise NoRouteError(f"no host at fabric address {destination}")
+        size = len(message.buffer)
         self.messages_sent += 1
-        self.bytes_sent += len(message)
-        rng = self.sim.random.stream(f"{self.name}.loss")
+        self.bytes_sent += size
+        streams = self.sim.random
         trace = self.sim.trace
         key = (min(source, destination), max(source, destination))
         if key in self._partitions:
             self.messages_dropped += 1
             if trace.enabled("link_drop"):
                 trace.record("link_drop", src=source, dst=destination,
-                             reason="partition", size=len(message))
+                             reason="partition", size=size)
             return
-        if self.loss_model.drops(rng):
+        if self.loss_model.drops(streams.stream(self._loss_stream)):
             self.messages_dropped += 1
             if trace.enabled("link_drop"):
                 trace.record("link_drop", src=source, dst=destination,
-                             reason="loss", size=len(message))
+                             reason="loss", size=size)
             return
-        delay_rng = self.sim.random.stream(f"{self.name}.delay")
-        delay = delay_rng.uniform(self.delay_min, self.delay_bound)
+        delay = streams.stream(self._delay_stream).uniform(
+            self.delay_min, self.delay_bound)
         delay += self._link_distances.get(key, 0.0)
         payload = message.copy()
         if self.corrupt_probability > 0.0:
@@ -298,10 +304,10 @@ class NetworkFabric:
                 self._flip_byte(payload, corrupt_rng)
                 self.messages_corrupted += 1
                 trace.record("link_corrupt", src=source,
-                             dst=destination, size=len(payload))
+                             dst=destination, size=size)
         if trace.enabled("link_send"):
             trace.record("link_send", src=source, dst=destination,
-                         size=len(message), delay=delay)
+                         size=size, delay=delay)
         self.sim.schedule(delay, self._deliver, source, destination, payload)
         if self.duplicate_probability > 0.0:
             dup_rng = self.sim.random.stream(f"{self.name}.duplicate")
@@ -317,12 +323,9 @@ class NetworkFabric:
     @staticmethod
     def _flip_byte(message: Message, rng: random.Random) -> None:
         """Invert one random byte in place (bit corruption in flight)."""
-        size = len(message)
-        if size == 0:
-            return
-        data = bytearray(message.pop(size))
-        data[rng.randrange(size)] ^= 0xFF
-        message.push(bytes(data))
+        size = len(message.buffer)
+        if size:
+            message.buffer[rng.randrange(size)] ^= 0xFF
 
     def _deliver(self, source: int, destination: int,
                  message: Message) -> None:
@@ -331,11 +334,11 @@ class NetworkFabric:
         if port is None or not port.up or port.receiver is None:
             if trace.enabled("link_drop"):
                 trace.record("link_drop", src=source, dst=destination,
-                             reason="port-down", size=len(message))
+                             reason="port-down", size=len(message.buffer))
             return
         self.messages_delivered += 1
         if trace.enabled("link_deliver"):
             trace.record("link_deliver", src=source, dst=destination,
-                         size=len(message))
+                         size=len(message.buffer))
         port.receiver.demux(message, {"link_src": source,
                                       "link_dst": destination})

@@ -47,7 +47,7 @@ class UdpEndpoint(ProtocolUser):
         if self.on_receive is None:
             return
         source = (info.get("ip_src", -1), info.get("udp_src_port", -1))
-        self.on_receive(message.data, source, info)
+        self.on_receive(bytes(message.buffer), source, info)
 
     def close(self) -> None:
         """Release the port binding."""

@@ -14,10 +14,9 @@ so the wire format is honest and testable.
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.errors import PortInUseError, ProtocolError
+from repro.errors import MessageFormatError, PortInUseError
 from repro.net.ip import PROTO_UDP
 from repro.sim.engine import Simulator
 from repro.xkernel.message import Header, Message
@@ -32,19 +31,18 @@ class UDPHeader(Header):
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement sum over 16-bit words.
+    """RFC 1071 ones-complement sum over 16-bit words, complemented.
 
-    Takes any bytes-like object and never writes to it.  The words are
-    summed in one pass and the carries folded at the end, which equals
-    folding after every addition: end-around carry is addition mod 0xFFFF.
+    Takes any bytes-like object and never writes to it.  Read as one
+    big-endian integer the data is a sum of ``word * 2**(16 * k)``, and
+    2**16 ≡ 1 (mod 0xFFFF), so the end-around-carry sum of its words is that
+    integer mod 0xFFFF.  An odd length is padded with a zero byte; residue 0
+    stands for the sum 0xFFFF unless every byte is zero.
     """
-    words = len(data) >> 1
-    total = sum(struct.unpack_from(f"!{words}H", data))
+    total = int.from_bytes(data, "big")
     if len(data) & 1:
-        total += data[-1] << 8  # odd length: pad the last byte with zero
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        total <<= 8
+    return 0xFFFF - (total % 0xFFFF or (0xFFFF if total else 0))
 
 
 class UDPProtocol(Protocol):
@@ -75,32 +73,33 @@ class UDPProtocol(Protocol):
     def unbind(self, port: int) -> None:
         self._bound.pop(port, None)
 
-    def receive(self, session: Session, message: Message,
-                info: Dict[str, Any]) -> None:
-        self.demux(message, info)
-
     def demux(self, message: Message, info: Dict[str, Any]) -> None:
-        header = UDPHeader.pop_from(message)
-        if header.checksum != internet_checksum(message.data):
+        try:
+            src_port, dst_port, _, checksum = UDPHeader.pop_fields(message)
+        except MessageFormatError:
+            self.sim.trace.record("udp_drop", reason="truncated")
+            return
+        if checksum != internet_checksum(message.buffer):
             self.checksum_failures += 1
             self.sim.trace.record("udp_drop", reason="checksum",
-                                  dst_port=header.dst_port)
+                                  dst_port=dst_port)
             return
-        upper = self._bound.get(header.dst_port)
+        upper = self._bound.get(dst_port)
         if upper is None:
             self.sim.trace.record("udp_drop", reason="no-listener",
-                                  dst_port=header.dst_port)
+                                  dst_port=dst_port)
             return
-        info["udp_src_port"] = header.src_port
-        info["udp_dst_port"] = header.dst_port
+        info["udp_src_port"] = src_port
+        info["udp_dst_port"] = dst_port
         upper.receive(None, message, info)
 
     def send(self, local_port: int, remote_host: int, remote_port: int,
              message: Message) -> None:
-        UDPHeader(local_port, remote_port,
-                  min(0xFFFF, len(message) + UDPHeader.size()),
-                  internet_checksum(message.data)).push_onto(message)
-        self.down.send(PROTO_UDP, remote_host, message)
+        UDPHeader.push_fields(
+            message, local_port, remote_port,
+            min(0xFFFF, len(message.buffer) + UDPHeader.SIZE),
+            internet_checksum(message.buffer))
+        self.below[0].send(PROTO_UDP, remote_host, message)
 
 
 class UDPSession(Session):

@@ -19,51 +19,44 @@ H = TypeVar("H", bound="Header")
 
 
 class Message:
-    """A byte buffer with push (prepend) / pop (remove prefix) semantics."""
+    """A bytearray ``buffer`` with push (prepend) / pop (remove prefix)."""
 
-    __slots__ = ("_data",)
+    __slots__ = ("buffer",)
 
     def __init__(self, payload: bytes = b"") -> None:
-        self._data = bytearray(payload)
+        self.buffer = bytearray(payload)
 
     @property
     def data(self) -> bytes:
         """The current full contents (headers + payload)."""
-        return bytes(self._data)
+        return bytes(self.buffer)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.buffer)
 
     def push(self, header_bytes: bytes) -> None:
         """Prepend ``header_bytes`` (a layer adding its header going down)."""
-        self._data[:0] = header_bytes
+        self.buffer[:0] = header_bytes
 
     def pop(self, count: int) -> bytes:
         """Remove and return the first ``count`` bytes (a layer going up).
 
         Raises :class:`~repro.errors.MessageFormatError` on truncation.
         """
-        if count < 0:
-            raise MessageFormatError(f"cannot pop {count} bytes")
-        if count > len(self._data):
-            raise MessageFormatError(
-                f"cannot pop {count} bytes from a {len(self._data)}-byte message")
-        popped = bytes(self._data[:count])
-        del self._data[:count]
+        popped = self.peek(count)
+        del self.buffer[:count]
         return popped
 
     def peek(self, count: int) -> bytes:
         """The first ``count`` bytes without removing them."""
-        if count < 0:
-            raise MessageFormatError(f"cannot peek {count} bytes")
-        if count > len(self._data):
+        if not 0 <= count <= len(self.buffer):
             raise MessageFormatError(
-                f"cannot peek {count} bytes of a {len(self._data)}-byte message")
-        return bytes(self._data[:count])
+                f"cannot take {count} bytes of a {len(self.buffer)}-byte message")
+        return bytes(self.buffer[:count])
 
     def copy(self) -> "Message":
         """An independent copy (links hand copies to receivers)."""
-        return Message(self._data)
+        return Message(self.buffer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = self.data[:16].hex()
@@ -75,26 +68,31 @@ class Header:
 
     Subclasses define ``FORMAT`` (a :mod:`struct` format string, network
     byte order recommended) and ``FIELDS`` (attribute names in pack order).
-    They then get ``encode``/``decode`` and message ``push_onto``/``pop_from``
-    for free.  Example::
+    Example::
 
         class UdpHeader(Header):
             FORMAT = "!HHHH"
             FIELDS = ("src_port", "dst_port", "length", "checksum")
 
-    ``FORMAT`` is compiled once, when the subclass is defined.  Construction
-    takes every field positionally (the per-datagram path), by keyword, or a
-    mix; anything else — too many or too few fields, an unknown name, a field
-    given twice — raises :class:`~repro.errors.MessageFormatError`.
+    ``FORMAT`` is compiled once, when the subclass is defined.  The stack
+    uses the tuple primitive — :meth:`push_fields` packs field values onto a
+    message, :meth:`pop_fields` unpacks and drops its prefix — so a datagram
+    builds no header object; construction, ``encode``, ``push_onto`` and
+    ``pop_from`` wrap it for tests and tools.  Construction takes every field
+    positionally, by keyword, or a mix; anything else — too many or too few
+    fields, an unknown name, a field given twice — raises
+    :class:`~repro.errors.MessageFormatError`.
     """
 
     FORMAT: ClassVar[str] = ""
     FIELDS: ClassVar[tuple] = ()
     _struct: ClassVar[struct.Struct] = struct.Struct("")
+    SIZE: ClassVar[int] = 0
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         cls._struct = struct.Struct(cls.FORMAT)
+        cls.SIZE = cls._struct.size
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self.FIELDS
@@ -124,16 +122,33 @@ class Header:
     @classmethod
     def size(cls) -> int:
         """Encoded size in bytes."""
-        return cls._struct.size
+        return cls.SIZE
 
-    def encode(self) -> bytes:
-        values = [getattr(self, field) for field in self.FIELDS]
+    @classmethod
+    def push_fields(cls, message: Message, *values: object) -> None:
+        """Push a header holding ``values`` (``FIELDS`` order) onto ``message``."""
         try:
-            return self._struct.pack(*values)
+            message.buffer[:0] = cls._struct.pack(*values)
         except struct.error as exc:
             raise MessageFormatError(
-                f"{type(self).__name__}: cannot encode {tuple(values)!r}: {exc}"
-            ) from exc
+                f"{cls.__name__}: cannot encode {values!r}: {exc}") from exc
+
+    @classmethod
+    def pop_fields(cls, message: Message) -> tuple:
+        """Pop this header off ``message`` and return its field values; a
+        message shorter than the header raises and is left unchanged."""
+        buffer = message.buffer
+        if len(buffer) < cls.SIZE:
+            raise MessageFormatError(f"cannot pop {cls.SIZE} bytes from a "
+                                     f"{len(buffer)}-byte message")
+        values = cls._struct.unpack_from(buffer)
+        del buffer[:cls.SIZE]
+        return values
+
+    def encode(self) -> bytes:
+        message = Message()
+        self.push_onto(message)
+        return message.data
 
     @classmethod
     def decode(cls: Type[H], data: bytes) -> H:
@@ -146,12 +161,12 @@ class Header:
 
     def push_onto(self, message: Message) -> None:
         """Push this header onto ``message`` (sender side)."""
-        message.push(self.encode())
+        self.push_fields(message, *[getattr(self, f) for f in self.FIELDS])
 
     @classmethod
     def pop_from(cls: Type[H], message: Message) -> H:
         """Pop and decode this header from ``message`` (receiver side)."""
-        return cls.decode(message.pop(cls._struct.size))
+        return cls(*cls.pop_fields(message))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

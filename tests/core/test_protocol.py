@@ -26,6 +26,7 @@ from repro.core.rtpb_protocol import (
 from repro.errors import MessageFormatError
 from repro.net.ip import IPHeader
 from repro.net.udp import UDPHeader
+from repro.xkernel.message import Message
 
 SAMPLES = [
     UpdateMsg(object_id=3, seq=17, write_time=1.25, source_time=1.2,
@@ -168,6 +169,24 @@ def test_golden_udp_and_ip_headers():
     ip = IPHeader(src=1, dst=0xC0A80002, proto=17, length=57)
     assert ip.encode().hex() == "00000001c0a8000211000039"
     assert IPHeader.decode(bytes.fromhex("00000001c0a8000211000039")) == ip
+
+
+@pytest.mark.parametrize("header, fields, wire", [
+    (UDPHeader, (5000, 5001, 37, 0xBEEF), "138813890025beef"),
+    (IPHeader, (1, 0xC0A80002, 17, 57), "00000001c0a8000211000039"),
+], ids=["udp", "ip"])
+def test_header_primitive_matches_the_object_form(header, fields, wire):
+    pushed, wrapped = Message(b"body"), Message(b"body")
+    header.push_fields(pushed, *fields)
+    header(*fields).push_onto(wrapped)
+    assert pushed.data == wrapped.data == bytes.fromhex(wire) + b"body"
+    assert header.pop_fields(pushed) == fields
+    assert header.pop_from(wrapped) == header(*fields)
+    assert pushed.data == wrapped.data == b"body"
+    short = Message(bytes.fromhex(wire)[:-1])
+    with pytest.raises(MessageFormatError, match="cannot pop"):
+        header.pop_fields(short)
+    assert short.data == bytes.fromhex(wire)[:-1]
 
 
 def _tagged_classes():

@@ -42,6 +42,8 @@ BAD_SCHEDULES = {
         lambda: FaultSchedule().isolate(1.0, 0.0, "backup"),
     "loss-burst-zero-duration":
         lambda: FaultSchedule().loss_burst(1.0, 0.0, BernoulliLoss(0.5)),
+    "loss-burst-float-model":
+        lambda: FaultSchedule().loss_burst(1.0, 1.0, 1.0),
     "delay-spike-zero-factor":
         lambda: FaultSchedule().delay_spike(1.0, 1.0, 0.0),
     "flash-crowd-negative-factor":

@@ -270,6 +270,36 @@ def test_gilbert_elliott_validation():
         GilbertElliottLoss(p_gb=1.5, p_bg=0.1)
 
 
+def test_set_loss_model_refuses_a_non_model():
+    sim = Simulator(seed=1)
+    fabric, _sender, _sink = make_pair(sim)
+    with pytest.raises(ProtocolError, match="not a loss model"):
+        fabric.set_loss_model(0.5)
+    with pytest.raises(ProtocolError, match="not a loss model"):
+        make_pair(Simulator(seed=1), loss_model=0.5)
+    assert isinstance(fabric.loss_model, NoLoss)
+
+
+def test_a_reseed_restarts_the_fabric_draws():
+    def send_twenty(sim):
+        fabric, sender, _sink = make_pair(sim, loss_model=BernoulliLoss(0.3))
+        for _ in range(20):
+            sender.send(2, Message(b"x"))
+        return fabric
+
+    sim = Simulator(seed=1)
+    fabric = send_twenty(sim)
+    before = len(sim.trace.select("link_send"))
+    sim.random.reseed(5)
+    for _ in range(20):
+        fabric.send(1, 2, Message(b"x"))
+    fresh = Simulator(seed=5)
+    send_twenty(fresh)
+    assert ([record["delay"] for record in sim.trace.select("link_send")]
+            [before:] == [record["delay"]
+                          for record in fresh.trace.select("link_send")])
+
+
 def test_loss_model_descriptions():
     assert NoLoss().describe() == "no-loss"
     assert "0.25" in BernoulliLoss(0.25).describe()

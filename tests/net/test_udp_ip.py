@@ -97,9 +97,33 @@ def test_corrupted_checksum_dropped():
     assert h2.udp.checksum_failures == 1
 
 
+def test_runt_datagrams_are_dropped_not_raised():
+    sim, fabric, h1, h2 = make_hosts()
+    h2.udp_endpoint(9000, on_receive=lambda d, s, i: None)
+    fabric.send(1, 2, Message(b"short"))  # shorter than an IP header
+    runt = Message(b"abc")  # a whole IP header over 3 bytes of UDP
+    IPHeader(src=1, dst=2, proto=17, length=15).push_onto(runt)
+    fabric.send(1, 2, runt)
+    sim.run(until=1.0)
+    assert [record["reason"]
+            for record in sim.trace.select("ip_drop")] == ["truncated"]
+    assert [record["reason"]
+            for record in sim.trace.select("udp_drop")] == ["truncated"]
+
+
+#: Sums that are a non-zero multiple of 0xFFFF: the ones'-complement sum is
+#: 0xFFFF ("negative zero"), so the checksum is 0x0000.
+NEGATIVE_ZERO_SUMS = (b"\x80\x00\x7f\xff", b"\x00\x01\xff\xfe",
+                      b"\x80\x00\x7f\xff\x00", b"\x00\x01\xff\xfe\x00",
+                      b"\x7f\xff\x80", b"\x00\xff\xff")
+
+
 def test_checksum_rfc1071_known_values():
     assert internet_checksum(b"") == 0xFFFF
-    assert internet_checksum(b"\x00\x00") == 0xFFFF
+    for length in range(1, 5):
+        assert internet_checksum(bytes(length)) == 0xFFFF
+    for data in NEGATIVE_ZERO_SUMS:
+        assert internet_checksum(data) == 0x0000
     # Odd length is zero-padded.
     assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
     data = b"hello world"
@@ -124,6 +148,16 @@ def rfc1071_reference(data):
 @example(b"\xff" * 2048)
 @example(b"\xff" * 2049)
 @example(b"\xff\xff\x00\x01")
+@example(b"\x00")
+@example(b"\x00\x00")
+@example(b"\x00\x00\x00")
+@example(b"\x00\x00\x00\x00")
+@example(NEGATIVE_ZERO_SUMS[0])
+@example(NEGATIVE_ZERO_SUMS[1])
+@example(NEGATIVE_ZERO_SUMS[2])
+@example(NEGATIVE_ZERO_SUMS[3])
+@example(NEGATIVE_ZERO_SUMS[4])
+@example(NEGATIVE_ZERO_SUMS[5])
 @example(bytes(range(256)) * 9 + b"\x01")
 @settings(max_examples=300, deadline=None)
 def test_checksum_equals_rfc1071_word_loop(data):

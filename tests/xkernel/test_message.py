@@ -77,6 +77,22 @@ def test_header_encode_decode_round_trip():
     assert decoded.value == 123456
 
 
+def test_header_pop_from_a_short_message_raises_and_leaves_it_unchanged():
+    message = Message(b"\x00\x01\x02")
+    with pytest.raises(MessageFormatError, match="cannot pop 6 bytes"):
+        DemoHeader.pop_fields(message)
+    with pytest.raises(MessageFormatError, match="cannot pop 6 bytes"):
+        DemoHeader.pop_from(message)
+    assert message.data == b"\x00\x01\x02"
+
+
+def test_header_push_fields_out_of_range_rejected():
+    message = Message(b"body")
+    with pytest.raises(MessageFormatError, match="cannot encode"):
+        DemoHeader.push_fields(message, 1 << 20, 0)
+    assert message.data == b"body"
+
+
 def test_header_size():
     assert DemoHeader.size() == 6
 
