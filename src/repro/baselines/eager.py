@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
 from repro.core.rtpb_protocol import (RetxRequestMsg, UpdateAckMsg,
                                       UpdateMsg, encode_message)
@@ -58,6 +57,8 @@ class EagerServer(ReplicaServer):
     acks them."""
 
     ack_updates = True
+    #: No periodic refresh: propagation is per-write and synchronous.
+    periodic_updates = False
     #: Extra ``client_response`` fields of a write answered by its ack (the
     #: fast-path subclass tags them; plain eager keeps the legacy shape).
     _deferred_response_fields: Dict[str, str] = {}
@@ -69,13 +70,6 @@ class EagerServer(ReplicaServer):
         self.sync_retransmissions = 0
         #: Writes completed degraded (backup died before acking).
         self.degraded_completions = 0
-
-    def register_object(self, spec: ObjectSpec) -> AdmissionDecision:
-        decision = super().register_object(spec)
-        if decision.accepted:
-            # No periodic refresh: propagation is per-write and synchronous.
-            self.transmitter.remove_object(spec.object_id)
-        return decision
 
     def _after_primary_write(self, record: ObjectRecord, issue_time: float,
                              on_complete: Optional[Callable[[float], None]]
@@ -185,11 +179,10 @@ class EagerServer(ReplicaServer):
             on_complete(response)
 
     def _on_backup_joined(self) -> None:
-        """Replace the re-armed periodic tasks by a retried synchronous
-        snapshot per written object: the generic one-shot state transfer
-        is unretried and, under loss, would strand the new backup."""
+        """Send a retried synchronous snapshot per written object: the
+        generic one-shot state transfer is unretried and, under loss,
+        would strand the new backup."""
         for record in self.store:
-            self.transmitter.remove_object(record.spec.object_id)
             if record.seq > 0:
                 self._pending_acks.setdefault(
                     (record.spec.object_id, record.seq),

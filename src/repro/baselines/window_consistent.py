@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.admission import AdmissionDecision
 from repro.core.object_store import ObjectRecord
 from repro.core.rtpb_protocol import RetxRequestMsg, UpdateMsg, encode_message
 from repro.core.server import ReplicaServer, Role
-from repro.core.spec import ObjectSpec
 from repro.sched.task import BAND_REALTIME
 
 
@@ -33,12 +31,8 @@ class WindowConsistentServer(ReplicaServer):
     """Replica whose primary role couples transmissions one-to-one to
     client writes."""
 
-    def register_object(self, spec: ObjectSpec) -> AdmissionDecision:
-        decision = super().register_object(spec)
-        if decision.accepted:
-            # Drop the decoupled periodic task; transmission is write-driven.
-            self.transmitter.remove_object(spec.object_id)
-        return decision
+    #: No decoupled periodic task; transmission is write-driven.
+    periodic_updates = False
 
     def _after_primary_write(self, record: ObjectRecord, issue_time: float,
                              on_complete: Optional[Callable[[float], None]]
@@ -77,9 +71,3 @@ class WindowConsistentServer(ReplicaServer):
         self.retx_requests_served += 1
         record = self.store.get(message.object_id)
         self._schedule_coupled_send(record)
-
-    def _on_backup_joined(self) -> None:
-        """The generic path re-arms the decoupled periodic tasks, which
-        this discipline does not run."""
-        for record in self.store:
-            self.transmitter.remove_object(record.spec.object_id)

@@ -643,18 +643,15 @@ def replica_read_failover(quick: bool) -> BenchStats:
 
 @register("lint_full_run")
 def lint_full_run(quick: bool) -> BenchStats:
-    """Whole-program analyzer pass over the library tree itself.
+    """``repro.lint`` pass over the library tree itself.
 
-    Measures the two-phase pipeline end to end — parse + project indexing,
-    then every per-file and project rule — so ``events_executed`` counts
-    analyzed files and the standard throughput column reads as files/sec.
-    The digest fingerprints the finding list with paths relativized to the
-    package root, so it is machine-independent and (the tree being dogfood-
-    clean) pins "no findings" as a revision-stable fact.  Both modes take
-    the whole library: the cross-module PROTO rules are only meaningful on
-    a closed tree (a subtree scan misses the senders/handlers living in
-    sibling packages), and the full pass is comfortably inside the quick
-    budget anyway.
+    Measures parse plus every rule end to end, so ``events_executed``
+    counts analyzed files and the standard throughput column reads as
+    files/sec.  The digest fingerprints the finding list with paths
+    relativized to the package root, so it is machine-independent and (the
+    tree being dogfood-clean) pins "no findings" as a revision-stable fact.
+    Both modes take the whole library; the pass is well inside the quick
+    budget.
     """
     import repro
     from repro.lint import iter_python_files, lint_paths

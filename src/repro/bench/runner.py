@@ -36,7 +36,7 @@ from repro.parallel import SweepPool
 SCHEMA_VERSION = 1
 
 #: Worker-side stopwatch — a *reference* to ``time.perf_counter`` so the
-#: wall clock never leaks into model code (DET001-clean).
+#: wall clock never leaks into model code.
 _WORKER_STOPWATCH = time.perf_counter
 
 

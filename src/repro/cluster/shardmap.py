@@ -19,9 +19,8 @@ no RNG — so shard layout is a pure function of (salt, names).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
-from repro.core.spec import ObjectSpec
 from repro.errors import ClusterError
 
 
@@ -50,16 +49,6 @@ class ShardMap:
                 best_score = score
                 best_shard = shard
         return best_shard
-
-    def assign(self, specs: Iterable[ObjectSpec]
-               ) -> Dict[int, List[ObjectSpec]]:
-        """Partition ``specs`` by owning shard (every shard keyed, maybe
-        empty; per-shard lists keep the input order)."""
-        shards: Dict[int, List[ObjectSpec]] = {
-            shard: [] for shard in range(self.n_shards)}
-        for spec in specs:
-            shards[self.shard_of(spec.name)].append(spec)
-        return shards
 
     def rank_hosts(self, shard: int, role: str,
                    addresses: Sequence[int]) -> List[int]:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.consistency.interobject import interobject_to_external
 from repro.core.spec import InterObjectConstraint, ObjectSpec, ServiceConfig
-from repro.errors import AdmissionRejected, ReplicationError, UnknownObjectError
+from repro.errors import ReplicationError, UnknownObjectError
 from repro.sched.analysis import rm_schedulable_exact, rm_utilization_test
 from repro.sched.task import Task
 
@@ -149,18 +149,6 @@ class AdmissionController:
                 spec=spec,
                 update_period=decision.update_period,
                 update_cost=decision.update_cost)
-        return decision
-
-    def admit_or_raise(self, spec: ObjectSpec) -> AdmissionDecision:
-        """Like :meth:`admit`, raising
-        :class:`~repro.errors.AdmissionRejected` (reason + suggestion
-        attached) instead of returning a rejection — the exception-style
-        API for callers that treat rejection as exceptional."""
-        decision = self.admit(spec)
-        if not decision.accepted:
-            raise AdmissionRejected(
-                f"object {spec.object_id} rejected: {decision.reason}",
-                reason=decision.reason, suggestion=decision.suggestion)
         return decision
 
     def remove(self, object_id: int) -> None:

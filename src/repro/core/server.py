@@ -76,7 +76,7 @@ class ReplicaServer:
     A replication *discipline* is one subclass, run by every member of a
     group whatever its role (so a promoted backup keeps the discipline).
     The seam is three hooks — :meth:`_after_primary_write`,
-    :meth:`_on_update_ack`, :meth:`_handle_retx_request` — the two
+    :meth:`_on_update_ack`, :meth:`_handle_retx_request` — the three
     declarations below, and any of the membership hooks the machine
     names: ``_on_backup_lost`` and ``_on_failover`` (run before a
     transition's other effects), ``_on_backup_joined`` and
@@ -90,6 +90,10 @@ class ReplicaServer:
     #: How many backups one group of this discipline replicates to
     #: (None = any number).
     max_backups: Optional[int] = 1
+    #: Whether the primary refreshes each object by a periodic update task
+    #: (RTPB's decoupled transmitter).  Disciplines that send per write
+    #: never arm one: registration, constraints and resync skip it.
+    periodic_updates = True
 
     def __init__(self, sim: Simulator, host: Host, config: ServiceConfig,
                  name_service: NameService, role: Role,
@@ -380,7 +384,9 @@ class ReplicaServer:
         if not decision.accepted:
             return decision
         self.store.register(spec, update_period=decision.update_period)
-        self.transmitter.add_object(spec.object_id, decision.update_period)
+        if self.periodic_updates:
+            self.transmitter.add_object(spec.object_id,
+                                        decision.update_period)
         if self.peer_address is not None:
             self._replicate_registration(spec, decision.update_period)
         return decision
@@ -398,8 +404,9 @@ class ReplicaServer:
         if decision.accepted:
             for object_id in (constraint.object_i, constraint.object_j):
                 new_period = self.admission.update_period_of(object_id)
-                self.transmitter.remove_object(object_id)
-                self.transmitter.add_object(object_id, new_period)
+                if self.periodic_updates:
+                    self.transmitter.remove_object(object_id)
+                    self.transmitter.add_object(object_id, new_period)
                 self.store.get(object_id).update_period = new_period
         return decision
 
@@ -773,7 +780,9 @@ class ReplicaServer:
             case ("sync",):
                 for record in self.store:
                     period = self._period_of(record)
-                    self.transmitter.add_object(record.spec.object_id, period)
+                    if self.periodic_updates:
+                        self.transmitter.add_object(record.spec.object_id,
+                                                    period)
                     self._replicate_registration(record.spec, period)
                     snapshot = self._snapshot_message(record.spec.object_id)
                     if snapshot is not None:

@@ -124,13 +124,5 @@ class NotPrimaryError(ReplicationError):
     """A client write reached a server that is not (or no longer) primary."""
 
 
-class ServerFailedError(ReplicationError):
-    """An operation was attempted on a server that has crashed."""
-
-
-class ConsistencyViolationError(ReplicationError):
-    """A temporal-consistency invariant was violated under strict checking."""
-
-
 class ClusterError(ReplicationError):
     """Misconfiguration or unsupported feature of a sharded cluster."""

@@ -45,22 +45,18 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
 class FileContext:
     """Everything one rule needs to check one file."""
 
-    def __init__(self, path: str, source: str,
-                 tree: Optional[ast.Module] = None) -> None:
+    def __init__(self, path: str, source: str) -> None:
         #: POSIX-style path as reported in findings.
         self.path = PurePosixPath(path).as_posix()
-        self.source = source
-        self.tree = tree if tree is not None else ast.parse(source, path)
-        self.lines: List[str] = source.splitlines()
+        self.tree = ast.parse(source, path)
         self._aliases: Optional[Dict[str, str]] = None
 
     @property
     def in_src(self) -> bool:
         """Whether the file is library code (under a ``src/repro`` root).
 
-        Rules that police the simulation's determinism envelope (SIM001,
-        RT001) apply only to library code: tests may legitimately assert an
-        exact virtual instant or mint a uuid for scratch data.
+        PERF001 and RACE001 apply only to library code: tests may trace
+        in loops and iterate sets freely.
         """
         return "src/repro/" in self.path or self.path.startswith("repro/")
 

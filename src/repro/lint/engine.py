@@ -1,35 +1,19 @@
-"""The lint engine: file discovery, the two-phase analysis, baselines.
+"""The lint engine: file discovery and one pass of every rule per file.
 
-The analysis runs in two phases:
-
-1. **Index** — every file is parsed once into a
-   :class:`~repro.lint.context.FileContext`; suppression comments are
-   scanned; the parsed contexts are folded into a whole-program
-   :class:`~repro.lint.project.ProjectModel` (module graph, symbol table,
-   call/send graph).
-2. **Rules** — per-file rules run against each context; project rules
-   (:class:`~repro.lint.registry.ProjectRule`) run once against the model.
-   Findings from both phases pass through the same ``# lint: disable=``
-   suppression filter and baseline subtraction.
-
-Output is always sorted by ``(path, line, col, rule, message)`` and every
-data source is deterministic, so two runs over the same tree are
-byte-identical — a property the test suite asserts, because the analyzer
-polices exactly that contract in the code it lints.
+Each file is parsed once into a :class:`~repro.lint.context.FileContext`
+and handed to every selected rule.  Output is always sorted by ``(path,
+line, col, rule, message)`` and every data source is deterministic, so two
+runs over the same tree are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.context import FileContext
 from repro.lint.finding import Finding
-from repro.lint.project import ProjectModel
-from repro.lint.registry import ProjectRule, Rule, all_rules, known_codes
-from repro.lint.suppress import Suppressions
+from repro.lint.registry import Rule, all_rules
 
 #: Code for files the parser rejects (reported, not raised).
 SYNTAX_CODE = "LINT002"
@@ -73,90 +57,28 @@ def select_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     return [rule for rule in rules if rule.code in wanted]
 
 
-@dataclass
-class _FileEntry:
-    """Phase-one output for one file: parsed context + suppressions."""
-
-    path: str
-    ctx: Optional[FileContext]
-    suppressions: Suppressions
-    #: Meta-findings produced during indexing (syntax errors, LINT001).
-    findings: List[Finding]
-
-
-def _index_file(source: str, path: str) -> _FileEntry:
-    # Normalise exactly the way FileContext reports findings, so the
-    # suppression table and finding paths always agree.
-    path = PurePosixPath(path).as_posix()
-    suppressions, problems = Suppressions.scan(path, source, known_codes())
-    try:
-        ctx: Optional[FileContext] = FileContext(path, source)
-    except SyntaxError as exc:
-        return _FileEntry(path=path, ctx=None, suppressions=suppressions,
-                          findings=[Finding(
-                              path=path,
-                              line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                              rule=SYNTAX_CODE,
-                              message=f"syntax error: {exc.msg}")])
-    return _FileEntry(path=path, ctx=ctx, suppressions=suppressions,
-                      findings=list(problems))
-
-
-def _run_rules(entries: Sequence[_FileEntry],
-               rules: Sequence[Rule]) -> List[Finding]:
-    """Phase two: per-file rules, then project rules over the model."""
-    file_rules = [rule for rule in rules
-                  if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    findings: List[Finding] = []
-    for entry in entries:
-        findings.extend(entry.findings)
-        if entry.ctx is None:
-            continue
-        for rule in file_rules:
-            for finding in rule.check(entry.ctx):
-                if not entry.suppressions.is_suppressed(finding):
-                    findings.append(finding)
-    if project_rules:
-        suppressions: Dict[str, Suppressions] = {
-            entry.path: entry.suppressions for entry in entries}
-        project = ProjectModel(
-            [entry.ctx for entry in entries if entry.ctx is not None])
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                guard = suppressions.get(finding.path)
-                if guard is None or not guard.is_suppressed(finding):
-                    findings.append(finding)
-    return sorted(findings)
-
-
 def lint_source(source: str, path: str,
                 rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    """Lint one in-memory module; suppression-aware, baseline-free.
-
-    Project rules see a one-module project — cross-module absences (a
-    message nobody else dispatches) cannot fire, but module-local project
-    rules (mutable defaults, unit mixing, undeclared categories) behave
-    exactly as in a full run.
-    """
-    if rules is None:
-        rules = all_rules()
-    return _run_rules([_index_file(source, path)], rules)
+    """Lint one in-memory module; ``path`` decides which rules apply."""
+    path = PurePosixPath(path).as_posix()
+    try:
+        ctx = FileContext(path, source)
+    except SyntaxError as exc:
+        return [Finding(path=path, line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1, rule=SYNTAX_CODE,
+                        message=f"syntax error: {exc.msg}")]
+    return sorted(finding
+                  for rule in (all_rules() if rules is None else rules)
+                  for finding in rule.check(ctx))
 
 
 def lint_paths(paths: Sequence[Path],
                rules: Optional[Sequence[Rule]] = None,
-               baseline: Optional[Baseline] = None,
                excluded_parts: frozenset = DEFAULT_EXCLUDED_PARTS,
                ) -> List[Finding]:
-    """Lint files/directories; returns sorted non-baselined findings."""
-    if rules is None:
-        rules = all_rules()
-    entries = [
-        _index_file(file_path.read_text(encoding="utf-8"),
-                    file_path.as_posix())
-        for file_path in iter_python_files(paths, excluded_parts)]
-    findings = _run_rules(entries, rules)
-    if baseline is not None:
-        findings = baseline.filter(findings)
-    return sorted(findings)
+    """Lint files/directories; returns every finding, sorted."""
+    return sorted(
+        finding
+        for file_path in iter_python_files(paths, excluded_parts)
+        for finding in lint_source(file_path.read_text(encoding="utf-8"),
+                                   file_path.as_posix(), rules))

@@ -2,13 +2,12 @@
 
 Findings are plain frozen dataclasses so they sort stably, hash, and pass
 unchanged through :func:`repro.metrics.jsonio.stable_dumps` — the JSON
-report and the baseline file are both just lists of findings.
+report is just a list of findings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -16,9 +15,9 @@ class Finding:
     """One rule violation.
 
     ``path`` is stored POSIX-style and relative to the lint invocation root
-    so reports and baselines are stable across machines and platforms.
-    Ordering is lexicographic on ``(path, line, col, rule, message)``, which
-    is the order reports are emitted in.
+    so reports are stable across machines and platforms.  Ordering is
+    lexicographic on ``(path, line, col, rule, message)``, which is the
+    order reports are emitted in.
     """
 
     path: str
@@ -26,15 +25,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used by the baseline file.
-
-        Deliberately excludes ``line``/``col`` so grandfathered findings
-        survive unrelated edits above them in the same file; a baselined
-        finding is "this message from this rule in this file".
-        """
-        return (self.path, self.rule, self.message)
 
     def render(self) -> str:
         """Human-readable one-line form: ``path:line:col: RULE message``."""

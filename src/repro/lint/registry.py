@@ -1,7 +1,8 @@
 """Rule registry: the pluggable part of the linter.
 
-A rule is a class with a ``code`` (``DET001``), a one-line ``summary``, and
-a ``check(context)`` generator of findings.  Registering is one decorator::
+A rule is a class with a ``code`` (``PERF001``), a one-line ``summary``,
+and a ``check(context)`` generator of findings.  Registering is one
+decorator::
 
     @register
     class MyRule(Rule):
@@ -12,28 +13,23 @@ a ``check(context)`` generator of findings.  Registering is one decorator::
             ...
 
 Rules are instantiated once at import time and must be stateless across
-files (``check`` may build per-file visitors freely).  The registry is the
-single source of truth for "known rule codes" — the suppression parser uses
-it to reject ``# lint: disable=TYPO01`` comments.
+files (``check`` may build per-file visitors freely).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Type
+from typing import Dict, Iterator, List, Type
 
 from repro.lint.context import FileContext
 from repro.lint.finding import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.project import ProjectModel
 
 
 class Rule:
     """Base class for lint rules; subclass, fill the fields, decorate."""
 
-    #: Stable identifier, e.g. ``DET001``.  Used in reports, suppression
-    #: comments, and baselines — never renumber a shipped rule.
+    #: Stable identifier, e.g. ``PERF001``.  Used in reports — never
+    #: renumber a shipped rule.
     code: str = ""
     #: One-line description shown by ``python -m repro.lint --rules``.
     summary: str = ""
@@ -45,32 +41,6 @@ class Rule:
                 message: str) -> Finding:
         """Shorthand for ``ctx.finding(self.code, node, message)``."""
         return ctx.finding(self.code, node, message)
-
-
-class ProjectRule(Rule):
-    """A whole-program rule, run once per analysis over the project model.
-
-    Phase one of the engine parses every file and builds a
-    :class:`~repro.lint.project.ProjectModel`; phase two calls
-    :meth:`check_project` exactly once.  Findings still carry per-file
-    locations, so inline suppressions and the baseline apply unchanged.
-    ``check`` is a deliberate no-op — project rules see files only through
-    the model.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "ProjectModel") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(self, path: str, node: ast.AST,
-                        message: str) -> Finding:
-        """Build a finding at ``node`` in the file at ``path``."""
-        return Finding(path=path,
-                       line=getattr(node, "lineno", 1),
-                       col=getattr(node, "col_offset", 0),
-                       rule=self.code, message=message)
 
 
 _RULES: Dict[str, Rule] = {}
@@ -88,23 +58,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Every registered rule, sorted by code (deterministic report order)."""
-    _load_builtin_rules()
-    return [_RULES[code] for code in sorted(_RULES)]
-
-
-def known_codes() -> frozenset:
-    """The set of registered rule codes (for suppression validation)."""
-    _load_builtin_rules()
-    return frozenset(_RULES)
-
-
-def get_rule(code: str) -> Rule:
-    """Look up one rule by code; raises ``KeyError`` on unknown codes."""
-    _load_builtin_rules()
-    return _RULES[code]
-
-
-def _load_builtin_rules() -> None:
     # Deferred so `import repro.lint.registry` from a rule module does not
     # recurse; importing the package's rules module triggers registration.
     import repro.lint.rules  # noqa: F401  (import for side effect)
+    return [_RULES[code] for code in sorted(_RULES)]

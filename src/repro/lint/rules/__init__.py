@@ -7,13 +7,7 @@ registration without import cycles.
 
 from __future__ import annotations
 
-from repro.lint.rules import api as _api
-from repro.lint.rules import determinism as _determinism
-from repro.lint.rules import protocol as _protocol
 from repro.lint.rules import races as _races
-from repro.lint.rules import realtime as _realtime
 from repro.lint.rules import simulation as _simulation
-from repro.lint.rules import units_flow as _units_flow
 
-__all__ = ["_api", "_determinism", "_protocol", "_races", "_realtime",
-           "_simulation", "_units_flow"]
+__all__ = ["_races", "_simulation"]

@@ -1,23 +1,19 @@
-"""Flow-aware determinism/race rules (RACE001–RACE003) — whole-program.
+"""Set-order flow rule (RACE001).
 
 Simulation callbacks are the concurrency model here: every scheduled event
 and delivered message runs some method against shared object state, and the
 run's auditability (byte-identical digests, Theorem-5 window checks) assumes
-those interleavings never observe host-dependent order.  DET003 catches
-iteration over a literal set *expression*; this family follows the data:
+those interleavings follow an order someone chose.  RACE001 follows a set
+value bound to a *name* (assignment or parameter annotation) to an
+iteration whose body or comprehension feeds a sink (``schedule``, ``send``,
+``record``, ...): hash order then reaches the event queue or the trace.
 
-* **RACE001** — an unordered set value bound to a *name* (assignment or
-  parameter annotation) whose iteration feeds a deterministic sink
-  (``schedule``, ``send``, ``record``, ...).  Hash order then reaches the
-  event queue or the trace — the exact leak the digests gate.
-* **RACE002** — a class-level mutable container mutated from two or more
-  callback contexts (methods), including subclass methods in other
-  modules.  Class attributes are shared across every instance: two
-  servers "remembering" into the same list is a cross-replica race.
-* **RACE003** — a mutable default argument (or a mutable dataclass-field
-  default) — the one-object-per-*definition* trap; spec/scenario/message
-  dataclasses built once and reused across sweep points make it a
-  cross-run race.
+A set of strings leaks ``PYTHONHASHSEED`` into the run, which the CI runs
+under two hash seeds catch wherever a sweep reaches the site.  A set of
+ints or int tuples iterates in an order that replays exactly, yet is still
+nobody's choice: a refactor that turns ``sorted(pending)`` into a set
+changes which same-instant event goes first, and no replay can tell the
+new order from an intended one.  That half is what this rule is for.
 """
 
 from __future__ import annotations
@@ -27,14 +23,12 @@ from typing import Iterator, List, Optional, Set, Union
 
 from repro.lint.context import FileContext
 from repro.lint.finding import Finding
-from repro.lint.project import ModuleInfo, ProjectModel
-from repro.lint.registry import ProjectRule, register
-from repro.lint.symbols import is_mutable_value
+from repro.lint.registry import Rule, register
 
 AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Terminal callee names whose arguments/bodies must see deterministic
-#: order: the event queue, the fabric, and the trace.
+#: Terminal callee names whose arguments/bodies must see a chosen order:
+#: the event queue, the fabric, and the trace.
 DETERMINISTIC_SINKS = frozenset({
     "schedule", "send", "record", "publish", "publish_role", "push", "emit",
 })
@@ -53,19 +47,12 @@ _SET_ANNOTATIONS = frozenset({
 #: Calls that impose an order (assigning their result clears the taint).
 _ORDERING_CALLS = frozenset({"sorted", "list", "tuple"})
 
-#: Method calls that mutate a container in place.
-MUTATOR_METHODS = frozenset({
-    "append", "add", "extend", "insert", "update", "setdefault", "pop",
-    "popitem", "remove", "discard", "clear", "appendleft", "extendleft",
-})
-
 
 def _is_set_expr(node: ast.AST, ctx: FileContext) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        qualified = ctx.qualified_name(node.func)
-        if qualified in _SET_CALLS:
+        if ctx.qualified_name(node.func) in _SET_CALLS:
             return True
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _SET_METHODS:
@@ -77,14 +64,7 @@ def _is_set_annotation(node: ast.AST, ctx: FileContext) -> bool:
     target: ast.AST = node
     if isinstance(node, ast.Subscript):  # set[int], Set[str]
         target = node.value
-    qualified = ctx.qualified_name(target)
-    return qualified in _SET_ANNOTATIONS
-
-
-def _functions(tree: ast.Module) -> Iterator[AnyFunc]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+    return ctx.qualified_name(target) in _SET_ANNOTATIONS
 
 
 def _unordered_names(func: AnyFunc, ctx: FileContext) -> Set[str]:
@@ -126,19 +106,23 @@ def _unordered_names(func: AnyFunc, ctx: FileContext) -> Set[str]:
     return tainted - cleared
 
 
-def _has_sink_call(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            func = child.func
-            terminal = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if terminal in DETERMINISTIC_SINKS:
-                return True
-    return False
+def _sink_name(call: ast.Call) -> Optional[str]:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
+def _has_sink_call(stmts: List[ast.stmt]) -> bool:
+    return any(isinstance(child, ast.Call)
+               and _sink_name(child) in DETERMINISTIC_SINKS
+               for stmt in stmts for child in ast.walk(stmt))
 
 
 @register
-class UnorderedFlowRule(ProjectRule):
+class UnorderedFlowRule(Rule):
     """RACE001 — unordered set iteration flowing into a deterministic sink.
 
     Two shapes fire: a ``for`` loop over a set-valued name whose body
@@ -152,196 +136,39 @@ class UnorderedFlowRule(ProjectRule):
     summary = ("iteration over a set-valued name feeds schedule/send/"
                "trace; wrap the iteration in sorted(...)")
 
-    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        for info in project.iter_modules():
-            if not info.in_src:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_src:
+            return
+        for func in ast.walk(ctx.tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            yield from self._check_module(info)
-
-    def _check_module(self, info: ModuleInfo) -> Iterator[Finding]:
-        ctx = info.ctx
-        for func in _functions(ctx.tree):
             tainted = _unordered_names(func, ctx)
-            if not tainted:
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, (ast.For, ast.AsyncFor)) \
-                        and isinstance(node.iter, ast.Name) \
-                        and node.iter.id in tainted:
-                    body = ast.Module(body=node.body, type_ignores=[])
-                    if _has_sink_call(body):
-                        yield self.project_finding(
-                            ctx.path, node.iter,
-                            f"iterating set-valued {node.iter.id!r} feeds "
-                            f"a schedule/send/trace sink; hash order "
-                            f"reaches the run — iterate sorted("
-                            f"{node.iter.id}) instead")
-                elif isinstance(node, ast.Call):
-                    func_node = node.func
-                    terminal = func_node.attr \
-                        if isinstance(func_node, ast.Attribute) else (
-                            func_node.id
-                            if isinstance(func_node, ast.Name) else None)
-                    if terminal not in DETERMINISTIC_SINKS:
-                        continue
-                    for child in ast.walk(node):
-                        if isinstance(child, ast.comprehension) \
-                                and isinstance(child.iter, ast.Name) \
-                                and child.iter.id in tainted:
-                            yield self.project_finding(
-                                ctx.path, child.iter,
-                                f"comprehension over set-valued "
-                                f"{child.iter.id!r} inside a {terminal}() "
-                                f"call bakes hash order into the run; "
-                                f"iterate sorted({child.iter.id}) instead")
+            if tainted:
+                yield from self._check_function(ctx, func, tainted)
 
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``self.x`` -> ``"x"``; anything else -> ``None``."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id == "self":
-        return node.attr
-    return None
-
-
-def _method_mutations(method: AnyFunc) -> Set[str]:
-    """``self.X`` attributes this method mutates in place."""
-    mutated: Set[str] = set()
-    for node in ast.walk(method):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in MUTATOR_METHODS:
-            attr = _self_attr(node.func.value)
-            if attr is not None:
-                mutated.add(attr)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    attr = _self_attr(target.value)
-                    if attr is not None:
-                        mutated.add(attr)
-    return mutated
-
-
-def _method_rebindings(method: AnyFunc) -> Set[str]:
-    """``self.X`` attributes this method rebinds (``self.X = ...``)."""
-    rebound: Set[str] = set()
-    for node in ast.walk(method):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        for target in targets:
-            attr = _self_attr(target)
-            if attr is not None:
-                rebound.add(attr)
-    return rebound
-
-
-@register
-class SharedClassStateRule(ProjectRule):
-    """RACE002 — class-level mutable container mutated from ≥2 contexts.
-
-    A class attribute bound to a mutable container is one object shared by
-    every instance *and* every subclass; when two different methods (the
-    two callback contexts) mutate it through ``self`` without any method
-    ever rebinding ``self.attr``, state leaks across replicas and across
-    runs of a sweep.  The inheritance chain is resolved through the symbol
-    table, so a subclass in another module mutating a base-class attribute
-    fires too.  Fires at the attribute's definition.
-    """
-
-    code = "RACE002"
-    summary = ("class-level mutable container mutated from multiple "
-               "methods; make it an instance attribute")
-
-    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        symbols = project.symbols
-        for qualname in sorted(symbols.classes):
-            info = symbols.classes[qualname]
-            if "src/repro" not in info.path \
-                    and not info.path.startswith("repro/"):
-                continue
-            module = project.modules.get(info.module)
-            if module is None:
-                continue
-            mutable = info.mutable_class_attrs(module.ctx)
-            if not mutable:
-                continue
-            chain = symbols.mro_chain(info)
-            # Subclasses elsewhere in the project share the attribute too.
-            family = [cls for cls in symbols.classes.values()
-                      if info in symbols.mro_chain(cls)] or chain
-            family.sort(key=lambda cls: cls.qualname)
-            for attr in sorted(mutable):
-                rebound = any(
-                    attr in _method_rebindings(method)
-                    for cls in family
-                    for _, method in sorted(cls.methods.items()))
-                if rebound:
+    def _check_function(self, ctx: FileContext, func: AnyFunc,
+                        tainted: Set[str]) -> Iterator[Finding]:
+        for node in ast.walk(func):
+            if isinstance(node, (ast.For, ast.AsyncFor)) \
+                    and isinstance(node.iter, ast.Name) \
+                    and node.iter.id in tainted \
+                    and _has_sink_call(node.body):
+                yield self.finding(
+                    ctx, node.iter,
+                    f"iterating set-valued {node.iter.id!r} feeds a "
+                    f"schedule/send/trace sink; hash order reaches the "
+                    f"run — iterate sorted({node.iter.id}) instead")
+            elif isinstance(node, ast.Call):
+                sink = _sink_name(node)
+                if sink not in DETERMINISTIC_SINKS:
                     continue
-                mutators = sorted({
-                    f"{cls.name}.{name}"
-                    for cls in family
-                    for name, method in cls.methods.items()
-                    if attr in _method_mutations(method)})
-                if len(mutators) < 2:
-                    continue
-                yield self.project_finding(
-                    info.path, mutable[attr],
-                    f"class attribute {info.name}.{attr} is a mutable "
-                    f"container shared by every instance and mutated from "
-                    f"{', '.join(mutators)}; bind it per-instance in "
-                    f"__init__")
-
-
-@register
-class MutableDefaultRule(ProjectRule):
-    """RACE003 — mutable default arguments and dataclass field defaults.
-
-    The default is evaluated once at definition time; every call (and
-    every dataclass instance) then shares the object.  Spec/scenario/
-    message dataclasses are the high-blast-radius cases — a sweep reusing
-    one spec object must never see another run's appends — but the trap
-    is the same everywhere, so every library function is checked.
-    """
-
-    code = "RACE003"
-    summary = ("mutable default (argument or dataclass field); use None "
-               "or field(default_factory=...)")
-
-    def check_project(self, project: ProjectModel) -> Iterator[Finding]:
-        for info in project.iter_modules():
-            if not info.in_src:
-                continue
-            yield from self._check_module(info, project)
-
-    def _check_module(self, info: ModuleInfo,
-                      project: ProjectModel) -> Iterator[Finding]:
-        ctx = info.ctx
-        for func in _functions(ctx.tree):
-            defaults = list(func.args.defaults) \
-                + [default for default in func.args.kw_defaults
-                   if default is not None]
-            for default in defaults:
-                if is_mutable_value(default, ctx):
-                    yield self.project_finding(
-                        ctx.path, default,
-                        f"mutable default argument in {func.name}(); the "
-                        f"object is shared across every call — default to "
-                        f"None and build inside")
-        for qualname in sorted(project.symbols.classes):
-            cls = project.symbols.classes[qualname]
-            if cls.path != ctx.path or not cls.is_dataclass:
-                continue
-            for attr in sorted(cls.class_attrs):
-                value = cls.class_attrs[attr]
-                if is_mutable_value(value, ctx):
-                    yield self.project_finding(
-                        ctx.path, value,
-                        f"mutable default for dataclass field "
-                        f"{cls.name}.{attr}; use "
-                        f"field(default_factory=...)")
+                for child in ast.walk(node):
+                    if isinstance(child, ast.comprehension) \
+                            and isinstance(child.iter, ast.Name) \
+                            and child.iter.id in tainted:
+                        yield self.finding(
+                            ctx, child.iter,
+                            f"comprehension over set-valued "
+                            f"{child.iter.id!r} inside a {sink}() call "
+                            f"bakes hash order into the run; iterate "
+                            f"sorted({child.iter.id}) instead")

@@ -1,15 +1,12 @@
-"""Simulation-hygiene rules (SIM001, PERF001).
+"""Hot-path tracing rule (PERF001).
 
-SIM001: library code must contain no source of OS entropy at all: not just
-no *calls* at runtime, but no imports that would make one a one-line diff
-away.  ``uuid`` and ``secrets`` have no deterministic use; ``os.urandom``
-is flagged at the call.
-
-PERF001: the simulation core's hot loops must not pay for dead trace
-categories.  ``Tracer.record`` builds a kwargs dict at the call site before
-the filter can drop the record, so a ``trace.record(...)`` with computed
-field values inside a ``repro.sim`` / ``repro.sched`` loop body needs an
-``if trace.enabled(category):`` guard.
+The simulation core's hot loops must not pay for dead trace categories.
+``Tracer.record`` builds a kwargs dict at the call site before the filter
+can drop the record, so a ``trace.record(...)`` with computed field values
+inside a ``repro.sim`` / ``repro.sched`` loop body needs an
+``if trace.enabled(category):`` guard.  The guard changes no output byte
+(``enabled()`` is true exactly when ``record()`` keeps or delivers the
+record), so no run can tell a missing guard from a present one.
 """
 
 from __future__ import annotations
@@ -20,55 +17,6 @@ from typing import Iterator
 from repro.lint.context import FileContext
 from repro.lint.finding import Finding
 from repro.lint.registry import Rule, register
-
-#: Modules whose only purpose is nondeterministic identity or entropy.
-ENTROPY_MODULES = frozenset({"uuid", "secrets"})
-
-#: Entropy-drawing callables reachable through ordinary modules.
-ENTROPY_CALLS = frozenset({"os.urandom", "os.getrandom", "random.SystemRandom"})
-
-
-@register
-class EntropyImportRule(Rule):
-    """SIM001 — OS entropy sources are banned from library code.
-
-    A replica that names itself with ``uuid.uuid4()`` or salts anything
-    with ``os.urandom`` can never replay byte-identically.  Identity comes
-    from configuration (addresses, names); randomness from
-    :class:`~repro.sim.randomness.RandomStreams`.  Library code only —
-    tests may mint scratch identifiers freely.
-    """
-
-    code = "SIM001"
-    summary = ("entropy import/call (uuid, secrets, os.urandom) in "
-               "library code")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_src:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in ENTROPY_MODULES:
-                        yield self.finding(
-                            ctx, node,
-                            f"import of entropy module {root!r}; library "
-                            f"code must stay deterministic")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] in ENTROPY_MODULES:
-                    yield self.finding(
-                        ctx, node,
-                        f"import from entropy module {node.module!r}; "
-                        f"library code must stay deterministic")
-            elif isinstance(node, ast.Call):
-                qualified = ctx.qualified_name(node.func)
-                if qualified in ENTROPY_CALLS:
-                    yield self.finding(
-                        ctx, node,
-                        f"call to {qualified}(), an OS entropy source; "
-                        f"use a RandomStreams substream")
-
 
 #: Keyword-value node types that are cheap enough to build unconditionally.
 #: Anything else (calls, arithmetic, f-strings, subscripts, comparisons,

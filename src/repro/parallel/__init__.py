@@ -16,8 +16,8 @@ while keeping output **byte-identical to serial**:
   execution when ``jobs=1`` or the platform cannot start processes.
 
 Worker count is a wall-time knob only.  Model code (``repro.sim``,
-``repro.core``, ``repro.sched``) must never observe it — ``repro.lint``
-rule DET005 enforces that boundary.
+``repro.core``, ``repro.sched``) must never observe it; CI compares
+serial and two-worker sweeps byte for byte.
 """
 
 from repro.parallel.pool import (

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
 
 #: Injectable worker stopwatch — a *reference* to ``time.perf_counter``,
-#: so the wall clock never leaks into model code (DET001-clean).
+#: so the wall clock never leaks into model code.
 _STOPWATCH = time.perf_counter
 
 

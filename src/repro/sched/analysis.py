@@ -123,17 +123,5 @@ def hyperperiod(periods: Sequence[float], resolution: float = 1e-9) -> float:
     return float(Fraction(numerator_lcm, denominator_gcd))
 
 
-def max_admissible_tasks(candidate: Task, bound: float = math.log(2)) -> int:
-    """How many copies of ``candidate`` fit under a utilisation ``bound``.
-
-    A planning helper used by experiment scripts to pre-compute the knee
-    position in the Figure 7/10 sweeps (the "maximum allowable number of
-    objects under a given window size").
-    """
-    if candidate.utilization <= 0:
-        raise InvalidTaskError("candidate utilisation must be positive")
-    return int(bound / candidate.utilization)
-
-
 def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b

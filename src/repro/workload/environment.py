@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from typing import Dict, Tuple
 
 
 class EnvironmentModel:
@@ -20,12 +21,18 @@ class EnvironmentModel:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        #: object id -> its (frequency, amplitude, phase), fixed per seed:
+        #: one SHA-256 per object instead of one per client write.
+        self._param_cache: Dict[int, Tuple[float, float, float]] = {}
 
     # ------------------------------------------------------------------
 
     def value(self, object_id: int, t: float) -> float:
         """The real-world value of ``object_id`` at instant ``t``."""
-        frequency, amplitude, phase = self._params(object_id)
+        params = self._param_cache.get(object_id)
+        if params is None:
+            params = self._param_cache[object_id] = self._params(object_id)
+        frequency, amplitude, phase = params
         noise = self._noise(object_id, t)
         return amplitude * math.sin(2.0 * math.pi * frequency * t + phase) + noise
 
@@ -40,7 +47,7 @@ class EnvironmentModel:
 
     # ------------------------------------------------------------------
 
-    def _params(self, object_id: int) -> tuple:
+    def _params(self, object_id: int) -> Tuple[float, float, float]:
         digest = hashlib.sha256(
             f"{self.seed}:env:{object_id}".encode()).digest()
         frequency = 0.1 + (digest[0] / 255.0) * 4.9       # 0.1 - 5 Hz

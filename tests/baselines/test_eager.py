@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from repro.baselines.eager import EagerServer
+from repro.baselines.window_consistent import WindowConsistentServer
 from repro.core.rtpb_protocol import RetxRequestMsg
 from repro.core.server import ReplicaServer
 from repro.core.service import PRIMARY_ADDRESS, RTPBService
-from repro.core.spec import ServiceConfig
+from repro.core.spec import InterObjectConstraint, ServiceConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.summary import collect_metrics
@@ -40,6 +41,22 @@ def test_eager_response_includes_round_trip():
     # Eager pays tx cost + one-way delay + apply + ack delay; RTPB only the
     # local RPC.  The gap must be at least one ell (5 ms).
     assert eager_mean > rtpb_mean + ms(5)
+
+
+@pytest.mark.parametrize("cls", [EagerServer, WindowConsistentServer])
+def test_per_write_disciplines_never_arm_a_periodic_update_task(cls):
+    """Neither registration nor a constraint (which re-derives both
+    objects' periods) leaves a ``tx-`` task on the primary's processor:
+    these disciplines send per write and never run the transmitter."""
+    service = RTPBService(server_class=cls, seed=5)
+    service.register_all(homogeneous_specs(2, window=ms(200),
+                                           client_period=ms(100)))
+    assert service.add_constraint(InterObjectConstraint(0, 1, ms(100))).accepted
+    service.run(1.0)
+    processor = service.primary_server.processor
+    assert [task.name for task in processor.tasks
+            if task.name.startswith("tx-")] == []
+    assert service.primary_server.transmitter.object_count() == 0
 
 
 def test_eager_acks_complete_every_write():

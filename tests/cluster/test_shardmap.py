@@ -4,8 +4,6 @@ import pytest
 
 from repro.cluster.shardmap import ShardMap
 from repro.errors import ClusterError
-from repro.units import ms
-from repro.workload.generator import homogeneous_specs
 
 
 def test_shard_of_is_deterministic_and_in_range():
@@ -14,20 +12,6 @@ def test_shard_of_is_deterministic_and_in_range():
     second = [ShardMap(8).shard_of(name) for name in names]
     assert first == second
     assert all(0 <= shard < 8 for shard in first)
-
-
-def test_assign_partitions_every_spec_and_keys_every_shard():
-    shard_map = ShardMap(4)
-    specs = homogeneous_specs(32, window=ms(200), client_period=ms(100))
-    shards = shard_map.assign(specs)
-    assert set(shards) == {0, 1, 2, 3}
-    scattered = [spec.object_id for shard in range(4)
-                 for spec in shards[shard]]
-    assert sorted(scattered) == list(range(32))
-    # Per-shard lists keep registration order.
-    for bucket in shards.values():
-        ids = [spec.object_id for spec in bucket]
-        assert ids == sorted(ids)
 
 
 def test_growth_only_moves_objects_into_the_new_shard():

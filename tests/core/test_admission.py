@@ -187,19 +187,6 @@ def test_update_period_of_unknown_raises():
         make_controller().update_period_of(42)
 
 
-def test_admit_or_raise():
-    from repro.errors import AdmissionRejected
-
-    controller = make_controller()
-    decision = controller.admit_or_raise(make_spec(0))
-    assert decision.accepted
-    with pytest.raises(AdmissionRejected) as excinfo:
-        controller.admit_or_raise(make_spec(1, client_period=ms(150),
-                                            delta_primary=ms(100)))
-    assert excinfo.value.reason == REASON_CLIENT_PERIOD
-    assert "client_period" in excinfo.value.suggestion
-
-
 # ---------------------------------------------------------------------------
 # Inter-object constraints
 # ---------------------------------------------------------------------------

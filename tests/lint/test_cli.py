@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, report formats, baseline workflow, walking."""
+"""CLI behaviour: exit codes, report formats, rule selection, walking."""
 
 import json
 import textwrap
@@ -11,22 +11,23 @@ FIXTURES = HERE / "fixtures"
 
 
 def write_violation(tmp_path: Path) -> Path:
-    tree = tmp_path / "src" / "repro"
+    tree = tmp_path / "src" / "repro" / "sim"
     tree.mkdir(parents=True)
-    (tree / "clock.py").write_text(textwrap.dedent("""\
-        import time
-
-        def f():
-            return time.time()
+    (tree / "hot.py").write_text(textwrap.dedent("""\
+        def drain(trace, queue):
+            while queue:
+                queue.pop()
+                trace.record("queue_depth", depth=len(queue))
         """), encoding="utf-8")
     return tmp_path / "src"
 
 
 def test_findings_exit_nonzero_with_location(capsys):
-    status = main([str(FIXTURES / "det001_wall_clock.py")])
+    status = main([str(FIXTURES / "src" / "repro" / "sim"
+                        / "perf001_unguarded_trace.py")])
     out = capsys.readouterr().out
     assert status == 1
-    assert "det001_wall_clock.py:8:14: DET001" in out
+    assert "perf001_unguarded_trace.py:7:8: PERF001" in out
 
 
 def test_clean_tree_exits_zero(tmp_path, capsys, monkeypatch):
@@ -45,7 +46,7 @@ def test_json_report_is_stable_and_parseable(tmp_path, capsys, monkeypatch):
     first = capsys.readouterr().out
     report = json.loads(first)
     assert report["count"] == 1
-    assert report["findings"][0]["rule"] == "DET001"
+    assert report["findings"][0]["rule"] == "PERF001"
     assert report["findings"][0]["line"] == 4
     assert main([str(src), "--format", "json"]) == 1
     assert capsys.readouterr().out == first  # byte-identical reruns
@@ -54,18 +55,15 @@ def test_json_report_is_stable_and_parseable(tmp_path, capsys, monkeypatch):
 def test_rules_catalogue_lists_every_rule(capsys):
     assert main(["--rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("DET001", "DET002", "DET003", "DET004",
-                 "PROTO001", "PROTO002", "PROTO003", "PROTO004",
-                 "RACE001", "RACE002", "RACE003",
-                 "RT001", "RT002", "SIM001", "API001"):
+    for code in ("PERF001", "RACE001"):
         assert code in out
 
 
 def test_select_runs_only_named_rules(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     src = write_violation(tmp_path)
-    assert main([str(src), "--select", "PROTO004"]) == 0
-    assert main([str(src), "--select", "DET001"]) == 1
+    assert main([str(src), "--select", "RACE001"]) == 0
+    assert main([str(src), "--select", "PERF001"]) == 1
 
 
 def test_unknown_select_code_is_a_usage_error(capsys):
@@ -83,16 +81,3 @@ def test_directory_walk_skips_fixture_trees(tmp_path, monkeypatch, capsys):
     # deliberate violations) is excluded unless named explicitly.
     monkeypatch.chdir(HERE.parents[1])
     assert main(["tests/lint"]) == 0
-
-
-def test_update_baseline_grandfathers_current_findings(
-        tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    write_violation(tmp_path)
-    assert main(["src"]) == 1
-    capsys.readouterr()
-    assert main(["src", "--update-baseline"]) == 0
-    assert "wrote 1 finding(s)" in capsys.readouterr().out
-    # Baselined: the gate passes; --no-baseline still shows the debt.
-    assert main(["src"]) == 0
-    assert main(["src", "--no-baseline"]) == 1

@@ -1,75 +1,12 @@
-"""Phase-one project model: module naming, graphs, symbol queries."""
+"""The kept rules over the library itself."""
 
 from pathlib import Path
 
-from repro.lint import ProjectModel, lint_paths, module_name_for
-from repro.lint.engine import _index_file, iter_python_files
-
-PROJ = Path(__file__).parent / "fixtures" / "proj"
-WALK_FIXTURES = frozenset({"__pycache__"})
-
-
-def build_model(root: Path) -> ProjectModel:
-    entries = [
-        _index_file(path.read_text(encoding="utf-8"), path.as_posix())
-        for path in iter_python_files([root], excluded_parts=WALK_FIXTURES)]
-    return ProjectModel([entry.ctx for entry in entries
-                         if entry.ctx is not None])
-
-
-def test_module_names_anchor_at_the_last_src_component():
-    assert module_name_for("src/repro/core/server.py") == "repro.core.server"
-    assert module_name_for(
-        "tests/lint/fixtures/proj/src/repro/sender.py") == "repro.sender"
-    assert module_name_for("src/repro/lint/__init__.py") == "repro.lint"
-    assert module_name_for("tests/sim/test_clock.py") == "tests.sim.test_clock"
-
-
-def test_fixture_project_modules_and_import_graph():
-    model = build_model(PROJ)
-    assert {"repro.sender", "repro.handler", "repro.messages",
-            "repro.categories"} <= set(model.modules)
-    graph = model.import_graph()
-    assert "repro.messages" in graph["repro.sender"]
-    assert "repro.messages" in graph["repro.handler"]
-    # External imports (dataclasses, repro.units) are dropped from edges.
-    assert graph["repro.races"] == ()
-
-
-def test_message_classes_and_their_sites():
-    model = build_model(PROJ)
-    by_name = {info.name: info for info in model.message_classes()}
-    assert set(by_name) == {"CleanMsg", "OrphanMsg", "GhostMsg"}
-
-    clean = by_name["CleanMsg"]
-    assert [site.module for site in model.constructed_outside(clean)] \
-        == ["repro.sender"]
-    assert [site.module for site in model.dispatched_outside(clean)] \
-        == ["repro.handler"]
-    # decode() builds every type inside the defining module: counts for
-    # neither side.
-    assert model.constructed_outside(by_name["GhostMsg"]) == []
-    assert model.dispatched_outside(by_name["OrphanMsg"]) == []
-
-
-def test_call_index_by_terminal_name():
-    model = build_model(PROJ)
-    assert len(model.calls("publish_role")) == 2
-    assert len(model.calls("lookup_roles")) == 1
-    record_sites = model.calls("record")
-    assert all(site.path.endswith("sender.py") for site in record_sites)
-
-
-def test_model_is_deterministic_across_builds():
-    first = build_model(PROJ)
-    second = build_model(PROJ)
-    assert list(first.import_graph()) == list(second.import_graph())
-    assert [info.qualname for info in first.message_classes()] \
-        == [info.qualname for info in second.message_classes()]
+from repro.lint import lint_paths
 
 
 def test_whole_program_pass_over_the_real_library_is_clean():
-    # The dogfooding gate: every PROTO/RACE/RT002 rule runs over src/repro
-    # and the tree holds (with any intentional suppressions inline).
+    # The dogfooding gate: every kept rule runs over src/repro and the
+    # tree holds.
     src_root = Path(__file__).resolve().parents[2] / "src"
     assert lint_paths([src_root]) == []

@@ -13,70 +13,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def hits(fixture: str):
-    """``{(rule, line), ...}`` for one fixture file, no baseline."""
+    """``{(rule, line), ...}`` for one fixture file."""
     findings = lint_paths([FIXTURES / fixture])
     return {(finding.rule, finding.line) for finding in findings}
 
 
-def test_det001_wall_clock():
-    assert hits("det001_wall_clock.py") == {
-        ("DET001", 8), ("DET001", 9), ("DET001", 10)}
-    # Notably absent: line 13's injectable default, a bare reference.
-
-
-def test_det002_global_random():
-    assert hits("det002_global_random.py") == {
-        ("DET002", 8), ("DET002", 9)}
-    # Notably absent: line 15's draw from a seeded instance.
-
-
-def test_det003_set_iteration():
-    assert hits("det003_set_iteration.py") == {
-        ("DET003", 5), ("DET003", 7)}
-    # Notably absent: line 12's sorted(set(...)).
-
-
-def test_det004_identity_ordering():
-    assert hits("det004_identity_keys.py") == {
-        ("DET004", 5), ("DET004", 6)}
-    # Notably absent: line 11's stable-field key.
-
-
-def test_det005_host_parallelism_in_model_code():
-    assert hits("src/repro/sim/det005_host_parallelism.py") == {
-        ("DET005", 4), ("DET005", 5), ("DET005", 7)}
-    # Notably absent: line 3's `import os` and the explicit jobs parameter.
-
-
-def test_det005_stays_out_of_sweep_layer_code():
-    # The same source outside repro.sim/core/sched is fine: the pool and
-    # the CLIs are exactly where cpu_count/multiprocessing belong.
-    from repro.lint import lint_source
-    source = (FIXTURES / "src" / "repro" / "sim"
-              / "det005_host_parallelism.py").read_text(encoding="utf-8")
-    paths = ("src/repro/parallel/pool.py", "src/repro/bench/runner.py",
-             "tests/parallel/test_pool.py")
-    for path in paths:
-        assert [finding for finding in lint_source(source, path)
-                if finding.rule == "DET005"] == []
-
-
-def test_rt001_float_time_equality():
-    assert hits("src/repro/rt001_float_equality.py") == {
-        ("RT001", 5), ("RT001", 7)}
-    # Notably absent: window bounds (line 11) and the None sentinel.
-
-
-def test_proto004_undeclared_category():
-    assert hits("src/repro/proto004_undeclared_category.py") == {
-        ("PROTO004", 9), ("PROTO004", 13)}
-    # Notably absent: line 10, which records a declared category.
-
-
-def test_sim001_entropy_imports():
-    assert hits("src/repro/sim001_entropy.py") == {
-        ("SIM001", 4), ("SIM001", 5), ("SIM001", 9)}
-    # Notably absent: `import os` itself (line 3) — only urandom calls.
+def test_race001_set_order_into_a_sink():
+    assert hits("src/repro/race001_set_flow.py") == {
+        ("RACE001", 10), ("RACE001", 18)}
+    # Notably absent: the sorted(peers) loop and the sink-free
+    # comprehension.
 
 
 def test_perf001_unguarded_hot_tracing():
@@ -97,16 +43,10 @@ def test_perf001_scoped_to_the_simulation_core():
                 if finding.rule == "PERF001"] == []
 
 
-def test_api001_swallowed_exceptions():
-    assert hits("api001_swallowed.py") == {
-        ("API001", 7), ("API001", 11)}
-    # Notably absent: the explicit ValueError/re-raise handlers.
-
-
 def test_src_only_rules_stay_out_of_test_code():
-    # The same RT001/PROTO004/SIM001 violations outside a src/repro path
-    # produce nothing: tests may assert exact instants and mint uuids.
+    # The same RACE001 violations outside a src/repro path produce
+    # nothing: tests may iterate sets freely.
     from repro.lint import lint_source
     source = (FIXTURES / "src" / "repro"
-              / "rt001_float_equality.py").read_text(encoding="utf-8")
+              / "race001_set_flow.py").read_text(encoding="utf-8")
     assert lint_source(source, "tests/anywhere/example.py") == []

@@ -9,7 +9,6 @@ from repro.sched.analysis import (
     dcs_feasible_sr,
     edf_schedulable,
     hyperperiod,
-    max_admissible_tasks,
     rm_response_time,
     rm_schedulable_exact,
     rm_utilization_test,
@@ -112,7 +111,3 @@ def test_hyperperiod_empty_rejected():
     with pytest.raises(InvalidTaskError):
         hyperperiod([])
 
-
-def test_max_admissible_tasks():
-    candidate = Task("c", period=0.1, wcet=0.01)  # util 0.1
-    assert max_admissible_tasks(candidate, bound=0.69) == 6

@@ -1,8 +1,31 @@
 """Unit tests for the synthetic environment."""
 
+import hashlib
+import math
 import struct
 
 from repro.workload.environment import EnvironmentModel
+
+
+def uncached_value(seed, object_id, t):
+    """The signal formula with every digest recomputed (the reference)."""
+    digest = hashlib.sha256(f"{seed}:env:{object_id}".encode()).digest()
+    frequency = 0.1 + (digest[0] / 255.0) * 4.9
+    amplitude = 1.0 + (digest[1] / 255.0) * 99.0
+    phase = (digest[2] / 255.0) * 2.0 * math.pi
+    noise_digest = hashlib.sha256(
+        f"{seed}:noise:{object_id}:{int(t * 1000.0)}".encode()).digest()
+    noise = (noise_digest[0] / 255.0 - 0.5) * 0.01
+    return amplitude * math.sin(2.0 * math.pi * frequency * t + phase) + noise
+
+
+def test_cached_parameters_give_the_uncached_values_bit_for_bit():
+    for seed in (0, 1, 13):
+        env = EnvironmentModel(seed=seed)
+        for t in (0.0, 0.0203, 1.5, 7.25, 99.999):
+            for object_id in (0, 1, 7, 63):
+                assert env.value(object_id, t) == uncached_value(
+                    seed, object_id, t)
 
 
 def test_values_are_deterministic():
