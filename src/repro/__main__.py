@@ -7,7 +7,7 @@ Verbs::
     python -m repro figures ablation_baselines --quick  # (``list`` names all)
     python -m repro cluster --shards 16 --hosts 6 --crash 3.0:g00/primary
     python -m repro cluster --seeds 0 1 2 3 --jobs 4
-    python -m repro replicas --quick --jobs 2 --require-identical
+    python -m repro replicas --quick --jobs 2
     python -m repro elastic --factors 1 4 8 --seeds 0 1
     python -m repro chaos --matrix --seed 7 --output chaos.json
     python -m repro bench --quick --output BENCH_quick.json
@@ -21,16 +21,17 @@ everything — to stdout or ``--output``.  The options verbs
 share mean the same thing everywhere:
 
 - ``--jobs N`` (default ``$REPRO_JOBS`` or 1; 0 = one per CPU) spreads
-  independent runs over worker processes; output is byte-identical for any
-  value.
-- ``--require-identical`` (``replicas``, ``elastic``) re-runs the sweep
-  serially and fails unless every per-run trace digest matches.
+  independent runs over worker processes.  Tables and documents are the
+  same bytes for any value and any ``PYTHONHASHSEED`` (a BENCH document's
+  wall times and ``meta`` aside), so CI's determinism gate is one ``cmp``
+  of a ``--jobs 1`` run against a ``--jobs 2`` run under another hash
+  seed.
 - ``--quick`` shrinks a sweep to CI size (for ``figures``, the
   catalogue's quick preset instead of the paper size); an option given
   explicitly always wins over the quick preset.
 
-Exit status: 0 on success, 1 when a determinism, regression or invariant
-gate fails (``chaos``: a finding outside a scenario's expected set), 2 on
+Exit status: 0 on success, 1 when a regression or invariant gate
+fails (``chaos``: a finding outside a scenario's expected set), 2 on
 usage errors.  (``repro.lint`` keeps its own CLI: it shares none of
 these options.)
 """
@@ -88,10 +89,6 @@ _SHARED: Dict[str, Dict[str, Any]] = {
                  help="worker processes (0 = one per CPU; default: "
                       "$REPRO_JOBS or 1); output is byte-identical for "
                       "any value"),
-    "require_identical": dict(
-        action="store_true",
-        help="re-run serially and fail unless every trace digest matches "
-             "the parallel pass"),
     "output": dict(metavar="PATH",
                    help="write the JSON document here instead of stdout"),
 }
@@ -151,27 +148,13 @@ def _emit_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace,
                 entry: Callable[[RunOutcome], Dict[str, Any]]) -> int:
     """Run ``specs`` and emit the sweep document (``replicas``/``elastic``).
 
-    Under ``--require-identical`` the sweep runs again serially and every
-    per-run trace digest must match — the determinism gate.
+    The document does not name ``--jobs``: it is the same bytes for any
+    worker count.
     """
-    jobs = _jobs(parser, args)
-    outcomes = run_specs(specs, jobs=jobs)
-    document: Dict[str, Any] = {
-        "jobs": jobs, **header,
-        "runs": [entry(outcome) for outcome in outcomes]}
-    status = 0
-    if args.require_identical:
-        mismatches = [
-            f"{parallel.key}: serial digest {serial.trace_digest[:12]} != "
-            f"parallel digest {parallel.trace_digest[:12]}"
-            for serial, parallel in zip(run_specs(specs, jobs=1), outcomes)
-            if serial.trace_digest != parallel.trace_digest]
-        for mismatch in mismatches:
-            print(f"MISMATCH {mismatch}", file=sys.stderr)
-        document["identical"] = not mismatches
-        status = 1 if mismatches else 0
-    _emit(parser, document, args.output)
-    return status
+    outcomes = run_specs(specs, jobs=_jobs(parser, args))
+    _emit(parser, {**header, "runs": [entry(outcome) for outcome in outcomes]},
+          args.output)
+    return 0
 
 
 def _run_entry(outcome: RunOutcome, swept: Optional[str],
@@ -363,13 +346,12 @@ def _cluster(parser: argparse.ArgumentParser,
 
     document: Dict[str, Any]
     if args.seeds:
-        jobs = _jobs(parser, args)
         outcomes = run_specs(
             [RunSpec(scenario=scenario(seed), warmup=args.warmup,
                      monitor=args.monitor, fault_schedule=schedule,
                      key=("cluster", seed)) for seed in args.seeds],
-            jobs=jobs)
-        document = {"jobs": jobs, "runs": [
+            jobs=_jobs(parser, args))
+        document = {"runs": [
             _run_entry(outcome, None, admitted=outcome.admitted,
                        network=outcome.network,
                        violation_counts=outcome.violation_counts)
@@ -403,8 +385,7 @@ def _replicas_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized sweep: counts 0 1 2, one seed, "
                              "6 s horizon")
-    _shared(parser, "seeds", "horizon", "warmup", "jobs",
-            "require_identical", "output",
+    _shared(parser, "seeds", "horizon", "warmup", "jobs", "output",
             horizon="virtual-time horizon, seconds (default 12)")
 
 
@@ -468,8 +449,7 @@ def _elastic_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized sweep: factors 1 8, one seed, "
                              "10 s horizon")
-    _shared(parser, "seeds", "horizon", "warmup", "jobs",
-            "require_identical", "output",
+    _shared(parser, "seeds", "horizon", "warmup", "jobs", "output",
             horizon="virtual-time horizon, seconds (default 20)")
 
 
@@ -573,11 +553,6 @@ def _bench_parser(parser: argparse.ArgumentParser) -> None:
                              "minimum wall time (host-noise defence for "
                              "committed baselines); deterministic fields "
                              "must agree across repeats")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each scenario under cProfile and write "
-                             "the top-25 cumulative hotspots to "
-                             "<output>.profile.json (requires --jobs 1; "
-                             "wall times become profiler-inflated)")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="diff two BENCH documents instead of running")
     parser.add_argument("--threshold", type=float, default=0.2,
@@ -588,12 +563,16 @@ def _bench_parser(parser: argparse.ArgumentParser) -> None:
                         help="with --compare: restrict the comparison to "
                              "these benches (repeatable); names absent "
                              "from both documents are an error")
-    _shared(parser, "jobs", "require_identical", "output",
-            output="write the document here (default BENCH_<rev>.json)",
-            require_identical="with --compare: fail unless every "
-                              "deterministic field (digest, event counts, "
-                              "extra) matches — gates serial-vs-parallel "
-                              "and same-revision reruns")
+    parser.add_argument("--require-identical", action="store_true",
+                        help="with --compare: fail unless every "
+                             "deterministic field (digest, event counts, "
+                             "extra) matches — gates serial-vs-parallel "
+                             "and same-revision reruns")
+    _shared(parser, "jobs", "output",
+            jobs="worker processes (0 = one per CPU; default: $REPRO_JOBS "
+                 "or 1); every field but wall times and meta is "
+                 "byte-identical for any value",
+            output="write the document here (default BENCH_<rev>.json)")
 
 
 def _git_rev() -> str:
@@ -640,33 +619,16 @@ def _bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--benches only applies to --compare")
 
     rev = args.rev if args.rev is not None else _git_rev()
-    jobs = _jobs(parser, args)
-    if args.profile and jobs > 1:
-        parser.error("--profile requires --jobs 1 (profiles are per-process)")
-    if args.profile and args.repeat > 1:
-        parser.error("--profile implies --repeat 1 (profiled wall times "
-                     "are inflated; min-of-N would be meaningless)")
-    if args.repeat < 1:
-        parser.error(f"--repeat must be >= 1, got {args.repeat}")
-    profiles: Optional[Dict[str, Any]] = {} if args.profile else None
     try:
         document = run_suite(names=_comma_names(args.only) or None,
                              quick=args.quick, rev=rev,
                              echo=lambda line: print(line, file=sys.stderr),
-                             jobs=jobs, profiles=profiles,
-                             repeat=args.repeat)
-    except KeyError as exc:
+                             jobs=_jobs(parser, args), repeat=args.repeat)
+    except (KeyError, ValueError) as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
     output = args.output or f"BENCH_{rev}.json"
     _write(parser, output, document)
     print(output)
-    if profiles is not None:
-        _write(parser, f"{output}.profile.json", {
-            "schema": 1,
-            "meta": {"rev": rev, "quick": args.quick, "top": 25},
-            "profiles": profiles,
-        })
-        print(f"{output}.profile.json")
     return 0
 
 

@@ -1,12 +1,11 @@
 """Performance benchmark harness: ``python -m repro bench``.
 
 The simulator core is only "fast" if a number says so.  This package runs a
-registry of named benchmark scenarios (DES microbenchmarks, end-to-end
-service runs, and one scenario per table of
-:mod:`repro.experiments.catalogue`), records wall time plus the simulator's deterministic counters (events
-executed, peak live events, trace sizes, trace digests) into a stable-JSON
-``BENCH_<rev>.json`` document, and diffs two such documents to gate
-throughput regressions in CI.  See ``docs/PERF.md``.
+registry of named benchmark scenarios (DES microbenchmarks and end-to-end
+service runs), records wall time plus the simulator's deterministic
+counters (events executed, peak live events, trace sizes, trace digests)
+into a stable-JSON ``BENCH_<rev>.json`` document, and diffs two such
+documents to gate throughput regressions in CI.  See ``docs/PERF.md``.
 """
 
 from __future__ import annotations

@@ -7,29 +7,22 @@ of the work it performed.  Wall timing happens in
 runs of the same scenario on the same revision report byte-identical
 counters and digests.
 
-Three families: microbenchmarks that exercise the DES hot paths directly
-(``sim_engine``, ``queue_churn``, ``tracer_select``, ...), end-to-end
+Two families: microbenchmarks that exercise the DES hot paths directly
+(``sim_engine``, ``tracer_select``, ``sim_release_storm``) and end-to-end
 service runs (``service_run``, ``cluster_steady``, ``chaos_scenarios``,
-...), and one bench per entry of :mod:`repro.experiments.catalogue` under
-the table's own name (``fig08_distance_vs_loss``,
-``ablation_ack_strategy``, ...), so a BENCH document reports the wall time
-to regenerate each committed table.  The catalogue sizes those; nothing
-here does.
+...).  The wall time to regenerate each committed table is printed by
+``python -m repro figures``, not measured here.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.catalogue import CATALOGUE
 from repro.experiments.harness import RunFingerprint, run_fingerprint
-from repro.experiments.studies import run_failover
-from repro.metrics.report import Series
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.trace import Tracer
 from repro.units import ms
 
@@ -149,39 +142,6 @@ def sim_engine(quick: bool) -> BenchStats:
     )
 
 
-@register("queue_churn")
-def queue_churn(quick: bool) -> BenchStats:
-    """Cancel-heavy :class:`EventQueue` churn without a simulator.
-
-    A ring of timers is cancelled and re-pushed far more often than events
-    are consumed — the workload where lazily-cancelled entries accumulate
-    and periodic compaction pays off.  The drained count at the end checks
-    liveness accounting end to end.
-    """
-    queue = EventQueue()
-    rounds = 50_000 if quick else 500_000
-    window = 1_024
-
-    pending: List[Event] = [queue.push(float(index), _noop)
-                            for index in range(window)]
-    pushes = window
-    t = float(window)
-    for index in range(rounds):
-        slot = index % window
-        pending[slot].cancel()
-        pending[slot] = queue.push(t, _noop)
-        t += 1.0
-        pushes += 1
-    drained = 0
-    while queue:
-        queue.pop()
-        drained += 1
-    return BenchStats(
-        extra={"pushes": pushes, "cancels": rounds, "drained": drained,
-               "final_len": len(queue)},
-    )
-
-
 _TRACE_CATEGORIES = ("primary_write", "backup_apply", "client_response",
                      "update_sent", "link_send")
 
@@ -250,37 +210,6 @@ def sim_release_storm(quick: bool) -> BenchStats:
         extra={"tasks": n_tasks,
                "jobs_completed": cpu.jobs_completed,
                "deadline_misses": cpu.deadline_misses},
-    )
-
-
-@register("trace_dead_path")
-def trace_dead_path(quick: bool) -> BenchStats:
-    """Guarded tracing with 19 of 20 categories filtered out.
-
-    Models a narrowed long run: call sites check ``enabled(category)``
-    before building their fields, so the dead categories must cost one
-    cached lookup and nothing else.  A tracer without the fast path pays a
-    kwargs dict plus filter logic on every one of these calls.
-    """
-    clock = _Clock()
-    tracer = Tracer(clock=clock.read)
-    tracer.enable_only("kept")
-    categories = ["kept"] + [f"dead_{index:02d}" for index in range(19)]
-    rows = 100_000 if quick else 1_000_000
-    kept = 0
-    skipped = 0
-    for index in range(rows):
-        clock.t += 0.001
-        category = categories[index % 20]
-        if tracer.enabled(category):
-            tracer.record(category, seq=index, payload=index * 3)
-            kept += 1
-        else:
-            skipped += 1
-    return BenchStats(
-        trace_records=len(tracer),
-        digest=tracer.digest(),
-        extra={"kept": kept, "skipped": skipped},
     )
 
 
@@ -639,93 +568,3 @@ def replica_read_failover(quick: bool) -> BenchStats:
                    violation.kind == REPLICA_STALENESS
                    for violation in result.violations)},
     )
-
-
-@register("lint_full_run")
-def lint_full_run(quick: bool) -> BenchStats:
-    """``repro.lint`` pass over the library tree itself.
-
-    Measures parse plus every rule end to end, so ``events_executed``
-    counts analyzed files and the standard throughput column reads as
-    files/sec.  The digest fingerprints the finding list with paths
-    relativized to the package root, so it is machine-independent and (the
-    tree being dogfood-clean) pins "no findings" as a revision-stable fact.
-    Both modes take the whole library; the pass is well inside the quick
-    budget.
-    """
-    import repro
-    from repro.lint import iter_python_files, lint_paths
-    from repro.metrics.jsonio import stable_dumps
-
-    package_root = Path(repro.__file__).resolve().parent
-    roots = [package_root]
-    files = iter_python_files(roots)
-    findings = lint_paths(roots)
-    prefix = package_root.as_posix().rsplit("/", 1)[0] + "/"
-    rows = [{"path": finding.path.replace(prefix, "", 1),
-             "line": finding.line, "col": finding.col,
-             "rule": finding.rule, "message": finding.message}
-            for finding in findings]
-    return BenchStats(
-        events_executed=len(files),
-        digest=hashlib.sha256(
-            stable_dumps(rows).encode("utf-8")).hexdigest(),
-        extra={"files": len(files), "findings": len(findings)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# The experiment catalogue: one bench per committed table
-# ---------------------------------------------------------------------------
-
-
-@register("failover_latency")
-def failover_latency_bench(quick: bool) -> BenchStats:
-    """Crash-to-takeover sweep across heartbeat periods (Section 4.4).
-
-    The catalogue's ``failover_latency`` runs, read for their engine
-    counters instead of rendered as a table.
-    """
-    from repro.metrics.collectors import failover_latency
-
-    size = CATALOGUE["failover_latency"].kwargs(quick)
-    sims: List[Simulator] = []
-    latencies: List[Optional[float]] = []
-    for period in size["ping_periods"]:
-        service = run_failover(period, size["horizon"])
-        latencies.append(failover_latency(service))
-        sims.append(service.sim)
-    # No digest is reported here, so none is computed: the traces are most
-    # of this bench's work and hashing them would double its wall.
-    return BenchStats(
-        events_executed=sum(sim.events_executed for sim in sims),
-        peak_live_events=max(sim.peak_pending_events for sim in sims),
-        trace_records=sum(len(sim.trace) for sim in sims),
-        extra={"latencies_ms": [round(latency * 1e3, 3)
-                                if latency is not None else None
-                                for latency in latencies]},
-    )
-
-
-def _table_bench(name: str) -> BenchFunc:
-    def _run(quick: bool) -> BenchStats:
-        table = CATALOGUE[name].run(quick)
-        if isinstance(table, Series):
-            extra = {"curves": len(table.curves),
-                     "points": sum(len(points)
-                                   for points in table.curves.values())}
-        else:
-            extra = {"rows": len(table.rows)}
-        return BenchStats(
-            digest=hashlib.sha256(table.render().encode()).hexdigest(),
-            extra=extra)
-
-    _run.__doc__ = (f"Catalogue table ``{name}``: wall time to regenerate "
-                    f"it, digest of the rendered text.")
-    return _run
-
-
-# Every other catalogue entry is a bench under its table's name.
-for _name in CATALOGUE:
-    if _name not in SCENARIOS:
-        register(_name)(_table_bench(_name))

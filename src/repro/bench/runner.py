@@ -20,11 +20,9 @@ tests can pin the timing fields.
 
 from __future__ import annotations
 
-import cProfile
 import gc
 import math
 import platform
-import pstats
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -126,60 +124,20 @@ def _run_named(request: Tuple[str, bool, int]) -> Tuple[BenchStats, float]:
     return _timed_run(name, quick, repeat, _WORKER_STOPWATCH)
 
 
-def top_hotspots(profiler: cProfile.Profile,
-                 limit: int = 25) -> List[Dict[str, Any]]:
-    """The ``limit`` most cumulative-expensive functions of one profile.
-
-    Rows are plain dicts (stable-JSON friendly), ordered by cumulative
-    time descending with the function label as a deterministic tiebreak.
-    Absolute paths are trimmed at the package root so two machines'
-    profiles of the same revision name the same functions.
-    """
-    stats = pstats.Stats(profiler)
-    rows: List[Dict[str, Any]] = []
-    for func, row in stats.stats.items():  # type: ignore[attr-defined]
-        primitive_calls, total_calls, tottime, cumtime = row[:4]
-        filename, lineno, name = func
-        marker = filename.rfind("repro/")
-        if marker != -1:
-            filename = filename[marker:]
-        rows.append({
-            "function": f"{filename}:{lineno}({name})",
-            "ncalls": total_calls,
-            "primitive_calls": primitive_calls,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        })
-    rows.sort(key=lambda entry: (-entry["cumtime_s"], entry["function"]))
-    return rows[:limit]
-
-
 def run_suite(names: Optional[Iterable[str]] = None, quick: bool = False,
               rev: str = "unversioned",
               stopwatch: Callable[[], float] = time.perf_counter,
               echo: Optional[Callable[[str], None]] = None,
               jobs: int = 1,
-              profiles: Optional[Dict[str, Any]] = None,
               repeat: int = 1) -> Dict[str, Any]:
     """Run the selected scenarios and return the BENCH document (a dict).
-
-    When ``profiles`` is a dict, each scenario additionally runs under
-    :mod:`cProfile` and the dict is filled with scenario ->
-    :func:`top_hotspots` rows.  Profiling is per-process, so it requires
-    ``jobs == 1``; wall times in the document are then profiler-inflated
-    and should not be compared against unprofiled baselines.
 
     ``repeat`` runs every scenario N times and records the *minimum*
     wall time (the run least disturbed by host noise — use it for
     committed baselines).  Deterministic fields must agree across
-    repeats or the runner raises.  Profiling implies ``repeat == 1``.
+    repeats or the runner raises.
     """
     selected = resolve_names(names)
-    if profiles is not None and jobs > 1:
-        raise ValueError("profiling is per-process; run with jobs=1")
-    if profiles is not None and repeat > 1:
-        raise ValueError("profiled wall times are inflated; min-of-N "
-                         "would be meaningless — run with repeat=1")
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     benches: Dict[str, Any] = {}
@@ -190,18 +148,8 @@ def run_suite(names: Optional[Iterable[str]] = None, quick: bool = False,
         timed = pool.map(_run_named,
                          [(name, quick, repeat) for name in selected])
     else:
-        timed = []
-        for name in selected:
-            if profiles is not None:
-                with _collector_paused():
-                    started = stopwatch()
-                    profiler = cProfile.Profile()
-                    stats = profiler.runcall(SCENARIOS[name], quick)
-                    wall = stopwatch() - started
-                profiles[name] = top_hotspots(profiler)
-                timed.append((stats, wall))
-            else:
-                timed.append(_timed_run(name, quick, repeat, stopwatch))
+        timed = [_timed_run(name, quick, repeat, stopwatch)
+                 for name in selected]
     for name, (stats, wall) in zip(selected, timed):
         benches[name] = _bench_entry(stats, wall)
         if echo is not None:

@@ -227,8 +227,8 @@ class FreshnessBeaconMsg:
 
     ``floor_source_time`` is the minimum applied source timestamp over the
     replica's objects — the replica provably serves nothing staler.  The
-    primary uses beacons as subscriber liveness (a silent replica falls out
-    of the fan-out) and exposes the floor for diagnostics.
+    primary uses a beacon only as subscriber liveness (a silent replica
+    falls out of the fan-out) and reads neither the floor nor the count.
     """
 
     replica_address: int

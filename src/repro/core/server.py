@@ -170,8 +170,6 @@ class ReplicaServer:
         #: Empty in every run without replicas, so the update stream — and
         #: with it every historical trace digest — is untouched.
         self.replica_subscribers: Dict[int, float] = {}
-        #: Latest beaconed applied high-water timestamp per subscriber.
-        self.replica_floors: Dict[int, float] = {}
         self._watchdog_running = False
         #: Local timer drift factor shared with the ping manager; the fault
         #: subsystem's clock-drift injector sets it via :meth:`set_clock_scale`.
@@ -693,7 +691,6 @@ class ReplicaServer:
         address = message.replica_address
         if address in self.replica_subscribers:
             self.replica_subscribers[address] = self.sim.now
-            self.replica_floors[address] = message.floor_source_time
 
     def _send_update(self, data: bytes) -> None:
         """Transmit one update: to the backup, then to each subscriber.
@@ -710,7 +707,6 @@ class ReplicaServer:
         for address in sorted(self.replica_subscribers):
             if self.replica_subscribers[address] < cutoff:
                 del self.replica_subscribers[address]
-                self.replica_floors.pop(address, None)
             else:
                 self.endpoint.send(address, self.port, data)
 
@@ -813,7 +809,6 @@ class ReplicaServer:
                 if self.owns_host:
                     self.host.recover()
                 self.replica_subscribers.clear()
-                self.replica_floors.clear()
             case ("close",):
                 self.endpoint.close()
             case ("hook", name):

@@ -101,21 +101,6 @@ class ReplicationError(ReproError):
     """Base class for RTPB replication-service errors."""
 
 
-class AdmissionRejected(ReplicationError):
-    """Admission control rejected an object registration.
-
-    Carries the machine-readable :attr:`reason` code and, where the controller
-    can compute one, a :attr:`suggestion` describing an alternative QoS that
-    would be admitted (the paper's "negotiate for an alternative quality of
-    service").
-    """
-
-    def __init__(self, message: str, reason: str, suggestion: object = None) -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.suggestion = suggestion
-
-
 class UnknownObjectError(ReplicationError):
     """An operation referenced an object id that is not registered."""
 

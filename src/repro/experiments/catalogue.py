@@ -3,14 +3,11 @@
 ``CATALOGUE`` maps a table's stem — the file is
 ``benchmarks/results/<stem>.txt`` — to the function that produces it and
 the two sizes it runs at: ``paper`` (what the committed table and
-EXPERIMENTS.md use) and ``quick`` (a seconds-sized pass for CI smokes and
-``bench --quick``).  Nothing else sizes a figure.  The catalogue has three
-readers:
+EXPERIMENTS.md use) and ``quick`` (a seconds-sized pass for smokes and
+tests).  Nothing else sizes a figure.  The catalogue has two readers:
 
 - ``python -m repro figures NAME|all [--quick] [--output DIR]`` prints or
-  writes the tables;
-- :mod:`repro.bench.registry` registers one bench per entry, so a BENCH
-  document reports the wall time to regenerate each table;
+  writes the tables, each with the wall time it took to regenerate;
 - CI regenerates ``benchmarks/results/`` from it and fails on ``git diff``.
 
 Adding a table is one line here plus its producer (and its ``.txt``,

@@ -249,8 +249,7 @@ def run_failover(ping_period: float, horizon: float,
                  seed: int = 4) -> RTPBService:
     """One pair with a spare whose primary fail-stops at 3 s.
 
-    The run behind each row of :func:`failover_latency_sweep` — and behind
-    the ``failover_latency`` bench, which reads its engine counters.
+    The run behind each row of :func:`failover_latency_sweep`.
     """
     # Local import: repro.faults sits above the experiments layer.
     from repro.faults.injector import FaultInjector

@@ -21,19 +21,19 @@ def write_doc(path, rate):
 def test_list_exits_zero(capsys):
     assert main(["bench", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "sim_engine" in out and "fig08_distance_vs_loss" in out
+    assert "sim_engine" in out and "fig08_distance_vs_loss" not in out
 
 
 def test_quick_run_writes_document(tmp_path):
     output = tmp_path / "BENCH_test.json"
-    code = main(["bench", "--quick", "--only", "queue_churn", "--rev", "test",
+    code = main(["bench", "--quick", "--only", "sim_engine", "--rev", "test",
                  "--output", str(output)])
     assert code == 0
     document = json.loads(output.read_text())
     assert document["meta"]["rev"] == "test"
     assert document["meta"]["quick"] is True
-    assert "queue_churn" in document["benches"]
-    assert document["benches"]["queue_churn"]["wall_s"] > 0
+    assert "sim_engine" in document["benches"]
+    assert document["benches"]["sim_engine"]["wall_s"] > 0
 
 
 def test_compare_flags_synthetic_regression(tmp_path):
@@ -65,7 +65,7 @@ def test_compare_rejects_non_bench_json(tmp_path):
 
 def test_jobs_lands_in_document_meta(tmp_path):
     output = tmp_path / "BENCH_jobs.json"
-    code = main(["bench", "--quick", "--only", "queue_churn", "--rev", "test",
+    code = main(["bench", "--quick", "--only", "sim_engine", "--rev", "test",
                  "--jobs", "2", "--output", str(output)])
     assert code == 0
     assert json.loads(output.read_text())["meta"]["jobs"] == 2
@@ -73,7 +73,7 @@ def test_jobs_lands_in_document_meta(tmp_path):
 
 def test_negative_jobs_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--quick", "--only", "queue_churn", "--jobs", "-1"])
+        main(["bench", "--quick", "--only", "sim_engine", "--jobs", "-1"])
     assert excinfo.value.code == 2
 
 
@@ -94,31 +94,8 @@ def test_require_identical_gates_digest_drift(tmp_path):
     assert main(["bench", "--compare", old, new, "--require-identical"]) == 1
 
 
-def test_profile_writes_hotspot_document(tmp_path):
-    output = tmp_path / "BENCH_prof.json"
-    code = main(["bench", "--quick", "--only", "queue_churn", "--rev", "test",
-                 "--profile", "--output", str(output)])
-    assert code == 0
-    profile_doc = json.loads((tmp_path / "BENCH_prof.json.profile.json")
-                             .read_text())
-    rows = profile_doc["profiles"]["queue_churn"]
-    assert 0 < len(rows) <= 25
-    assert rows == sorted(rows, key=lambda row: -row["cumtime_s"])
-    # The queue microbench's own hot function must be on the profile.
-    assert any("registry.py" in row["function"] for row in rows)
-    for row in rows:
-        assert set(row) == {"function", "ncalls", "primitive_calls",
-                            "tottime_s", "cumtime_s"}
-
-
-def test_profile_refuses_parallel_runs():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--quick", "--only", "queue_churn", "--profile", "--jobs", "2"])
-    assert excinfo.value.code == 2
-
-
 def test_benches_filter_flows_through_cli(tmp_path):
-    # sim_engine regresses, queue_churn does not; the filter decides
+    # sim_engine regresses, tracer_select does not; the filter decides
     # which one the exit code reflects.
     def two_bench_doc(path, sim_rate):
         document = {
@@ -126,7 +103,7 @@ def test_benches_filter_flows_through_cli(tmp_path):
             "meta": {"rev": "t"},
             "benches": {
                 "sim_engine": {"events_per_sec": sim_rate, "wall_s": 1.0},
-                "queue_churn": {"events_per_sec": 1000.0, "wall_s": 1.0},
+                "tracer_select": {"events_per_sec": 1000.0, "wall_s": 1.0},
             },
         }
         path.write_text(stable_dumps(document) + "\n")
@@ -135,7 +112,7 @@ def test_benches_filter_flows_through_cli(tmp_path):
     old = two_bench_doc(tmp_path / "old.json", sim_rate=100_000.0)
     new = two_bench_doc(tmp_path / "new.json", sim_rate=40_000.0)
     assert main(["bench", "--compare", old, new]) == 1
-    assert main(["bench", "--compare", old, new, "--benches", "queue_churn"]) == 0
+    assert main(["bench", "--compare", old, new, "--benches", "tracer_select"]) == 0
     assert main(["bench", "--compare", old, new, "--benches", "sim_engine"]) == 1
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--compare", old, new, "--benches", "typo_bench"])
@@ -144,12 +121,13 @@ def test_benches_filter_flows_through_cli(tmp_path):
 
 def test_benches_without_compare_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--quick", "--only", "queue_churn", "--benches", "sim_engine"])
+        main(["bench", "--quick", "--only", "sim_engine", "--benches", "sim_engine"])
     assert excinfo.value.code == 2
 
 
-def test_repeat_with_profile_is_usage_error(capsys):
+def test_nonpositive_repeat_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--profile", "--repeat", "3", "--only", "sim_engine"])
+        main(["bench", "--repeat", "0", "--only", "sim_engine"])
     assert excinfo.value.code == 2
-    assert "--repeat 1" in capsys.readouterr().err
+    assert "repeat must be >= 1" in capsys.readouterr().err
+

@@ -112,9 +112,6 @@ def test_repeat_rejects_nondeterministic_scenarios(monkeypatch):
                   stopwatch=FakeStopwatch())
 
 
-def test_repeat_refuses_profiling_and_nonpositive_values(fake_registry):
-    with pytest.raises(ValueError, match="repeat"):
-        run_suite(names=fake_registry, repeat=2, profiles={},
-                  stopwatch=FakeStopwatch())
+def test_repeat_refuses_nonpositive_values(fake_registry):
     with pytest.raises(ValueError, match="repeat"):
         run_suite(names=fake_registry, repeat=0, stopwatch=FakeStopwatch())

@@ -37,15 +37,15 @@ def test_elastic_chaos_runs_are_replayable():
 
 
 def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
-    output = tmp_path / "sweep.json"
-    code = main([
-        "elastic", "--factors", "1", "8", "--seeds", "0", "--objects", "8",
-        "--horizon", "6", "--jobs", "2", "--require-identical",
-        "--output", str(output)])
-    assert code == 0
-    document = json.loads(output.read_text())
-    assert document["identical"] is True
-    assert document["jobs"] == 2
+    # The gate CI runs: the --jobs 1 and --jobs 2 documents are one file.
+    outputs = [tmp_path / f"sweep_j{jobs}.json" for jobs in (1, 2)]
+    for jobs, output in zip((1, 2), outputs):
+        assert main([
+            "elastic", "--factors", "1", "8", "--seeds", "0",
+            "--objects", "8", "--horizon", "6", "--jobs", str(jobs),
+            "--output", str(output)]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    document = json.loads(outputs[1].read_text())
     assert [run["factor"] for run in document["runs"]] == [1.0, 8.0]
     for run in document["runs"]:
         assert len(run["digest"]) == 64

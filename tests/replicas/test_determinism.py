@@ -55,15 +55,15 @@ def test_replica_sweep_outcomes_identical_across_worker_counts():
 
 
 def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
-    output = tmp_path / "sweep.json"
-    code = main([
-        "replicas", "--replica-counts", "0", "1", "--seeds", "0",
-        "--horizon", "2", "--warmup", "0.5", "--read-period", "0.004",
-        "--jobs", "2", "--require-identical", "--output", str(output)])
-    assert code == 0
-    document = json.loads(output.read_text())
-    assert document["identical"] is True
-    assert document["jobs"] == 2
+    # The gate CI runs: the --jobs 1 and --jobs 2 documents are one file.
+    outputs = [tmp_path / f"sweep_j{jobs}.json" for jobs in (1, 2)]
+    for jobs, output in zip((1, 2), outputs):
+        assert main([
+            "replicas", "--replica-counts", "0", "1", "--seeds", "0",
+            "--horizon", "2", "--warmup", "0.5", "--read-period", "0.004",
+            "--jobs", str(jobs), "--output", str(output)]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    document = json.loads(outputs[1].read_text())
     assert [run["replicas"] for run in document["runs"]] == [0, 1]
     for run in document["runs"]:
         assert len(run["digest"]) == 64

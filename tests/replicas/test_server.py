@@ -1,13 +1,15 @@
 """ReadReplica behaviour: subscription, sync, apply, and the read contract."""
 
 from repro.core.service import RTPBService
+from repro.core.spec import ServiceConfig
 from repro.replicas.server import seat_replicas
 from repro.units import ms
 from repro.workload.generator import homogeneous_specs
 
 
-def make_replicated(n_replicas=1, n_objects=2, seed=6, with_client=True):
-    service = RTPBService(seed=seed)
+def make_replicated(n_replicas=1, n_objects=2, seed=6, with_client=True,
+                    config=None):
+    service = RTPBService(config=config, seed=seed)
     specs = homogeneous_specs(n_objects, window=ms(200), client_period=ms(100))
     service.register_all(specs)
     if with_client:
@@ -28,6 +30,25 @@ def test_replica_subscribes_and_mirrors_the_catalogue():
     assert service.trace.select("replica_subscribe")
     assert service.trace.select("replica_sync")
     assert service.trace.select("replica_apply", server=replica.name)
+
+
+def test_beacons_keep_a_replica_subscribed_between_resubscribes():
+    # Resubscribing every 3 s against a 1 s subscriber timeout: only the
+    # 100 ms freshness beacons can keep the replica in the fan-out between
+    # subscribes.  A primary that ignored them would prune the replica at
+    # its next update and re-admit it (a second replica_subscribe record)
+    # at the next resubscribe.
+    service, _specs = make_replicated(config=ServiceConfig(
+        replica_resubscribe_period=3.0, replica_subscriber_timeout=1.0))
+    replica = service.replicas[0]
+    primary = service.current_primary()
+    subscribed = []
+    for at in (1.5, 2.5, 4.0, 5.5):
+        service.sim.schedule(at, lambda: subscribed.append(
+            replica.host.address in primary.replica_subscribers))
+    service.run(6.5)
+    assert subscribed == [True, True, True, True]
+    assert len(service.trace.select("replica_subscribe")) == 1
 
 
 def test_advertised_snapshot_never_leads_the_applied_state():

@@ -20,7 +20,6 @@ def test_subsystem_bases():
     assert issubclass(errors.NotSchedulableError, errors.SchedulingError)
     assert issubclass(errors.MessageFormatError, errors.ProtocolError)
     assert issubclass(errors.PortInUseError, errors.ProtocolError)
-    assert issubclass(errors.AdmissionRejected, errors.ReplicationError)
     assert issubclass(errors.NotPrimaryError, errors.ReplicationError)
 
 
@@ -37,13 +36,6 @@ def test_deadline_miss_carries_context():
     assert miss.job_index == 4
     assert miss.deadline == 1.0
     assert miss.finish_time == 1.2
-
-
-def test_admission_rejected_carries_suggestion():
-    rejection = errors.AdmissionRejected(
-        "no", reason="unschedulable", suggestion={"delta_backup": 0.4})
-    assert rejection.reason == "unschedulable"
-    assert rejection.suggestion == {"delta_backup": 0.4}
 
 
 def test_one_except_clause_catches_the_world():
