@@ -309,20 +309,27 @@ def fastpath_failover(quick: bool) -> BenchStats:
     )
 
 
-@register("chaos_scenarios")
-def chaos_scenarios(quick: bool) -> BenchStats:
-    """The chaos catalogue under the online invariant monitor.
+def chaos_bench_names() -> List[str]:
+    """The chaos catalogue entries the ``chaos_scenarios`` bench runs, sorted.
 
     Cluster and fast-path scenarios are excluded (they have their own
-    ``cluster_*`` / ``fastpath_*`` benches); filtering keeps this bench's
+    ``cluster_*`` / ``fastpath_*`` benches); filtering keeps the bench's
     digest comparable across the revisions that introduced those catalogue
     entries.
     """
-    from repro.faults.report import run_chaos
     from repro.faults.scenarios import SCENARIOS as CHAOS
 
-    names = sorted(name for name in CHAOS
-                   if not name.startswith(("cluster", "fastpath")))
+    return sorted(name for name in CHAOS
+                  if not name.startswith(("cluster", "fastpath")))
+
+
+@register("chaos_scenarios")
+def chaos_scenarios(quick: bool) -> BenchStats:
+    """The :func:`chaos_bench_names` entries under the online invariant
+    monitor (the first two with ``quick``)."""
+    from repro.faults.report import run_chaos
+
+    names = chaos_bench_names()
     if quick:
         names = names[:2]
     runs: List[RunFingerprint] = []

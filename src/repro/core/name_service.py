@@ -63,7 +63,8 @@ class NameService:
         if self._entries.pop(name, None) is None:
             return
         self.changes.append((self.sim.now, name, UNPUBLISHED))
-        self.sim.trace.record("name_unpublish", name=name)
+        if self.sim.trace.enabled("name_unpublish"):
+            self.sim.trace.record("name_unpublish", name=name)
         for role in sorted(self._roles.get(name, {})):
             self.unpublish_role(name, role)
 
@@ -113,7 +114,9 @@ class NameService:
         self._roles.setdefault(name, {})[role] = address
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, address))
-        self.sim.trace.record("name_update", name=composite, address=address)
+        if self.sim.trace.enabled("name_update"):
+            self.sim.trace.record("name_update", name=composite,
+                                  address=address)
 
     def unpublish_role(self, name: str, role: str) -> None:
         """Remove the ``role`` entry under ``name`` (idempotent)."""
@@ -124,7 +127,8 @@ class NameService:
             del self._roles[name]
         composite = f"{name}{ROLE_SEPARATOR}{role}"
         self.changes.append((self.sim.now, composite, UNPUBLISHED))
-        self.sim.trace.record("name_unpublish", name=composite)
+        if self.sim.trace.enabled("name_unpublish"):
+            self.sim.trace.record("name_unpublish", name=composite)
 
     def lookup_roles(self, name: str,
                      prefix: str = "") -> List[Tuple[str, int]]:

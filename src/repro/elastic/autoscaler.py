@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.metrics.collectors import percentile
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceRecord, reads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.service import ClusterService
@@ -91,6 +91,7 @@ class Autoscaler:
 
     # ------------------------------------------------------------------
 
+    @reads("client_response", "invariant_violation")
     def _on_record(self, record: TraceRecord) -> None:
         if record.category == "client_response":
             if len(self._responses) < _MAX_SAMPLES:

@@ -51,7 +51,7 @@ from repro.core.client import SensorClient
 from repro.core.spec import ObjectSpec
 from repro.errors import ClusterError, ReplicationError
 from repro.faults.monitor import TraceMonitor, migrating_ids
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceRecord, reads
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.service import ClusterService, ShardGroup
@@ -361,6 +361,8 @@ class MigrationWindowInvariant(TraceMonitor):
         #: (source, dest) pairs whose barrier has been observed.
         self._barrier_seen: Set[Tuple[str, str]] = set()
 
+    @reads("primary_write", "migration_freeze", "migration_barrier",
+           "migration_commit", "migration_abort")
     def _on_record(self, record: TraceRecord) -> None:
         category = record.category
         if category == "primary_write":

@@ -3,8 +3,8 @@
 The post-hoc checkers (:mod:`repro.consistency.checker`) answer "did this
 finished run stay consistent?"; the :class:`InvariantMonitor` answers it
 live.  It subscribes to the tracer once per deployment (seeing every
-record regardless of the storage filter) and watches, in every group of
-the deployment, these invariants:
+record of the categories it reads, regardless of the storage filter) and
+watches, in every group of the deployment, these invariants:
 
 - **temporal window** — every version the primary wrote more than
   ``δ_i`` (+ a small provisioning grace) ago must have reached the backup:
@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.consistency.timestamps import UncoveredWrites
 from repro.core.group import ReplicationGroup
 from repro.core.server import Role
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import TraceRecord, reads
 
 _EPSILON = 1e-9
 
@@ -58,9 +58,11 @@ REPLICA_STALENESS = "replica_staleness"
 #: are observability findings, not invariant violations).
 DEGRADED_KINDS = ("replication_degraded", "client_response_degraded")
 
-#: The categories ``InvariantMonitor._on_record`` hands to each group's
-#: ``_GroupWatch.on_record``; it drops the rest (``job_*``, ``link_*``: most
-#: of a monitored run) once, before any group's compare chain.
+#: The categories ``InvariantMonitor._on_record`` reads: exactly those
+#: ``_GroupWatch.on_record`` compares.  Declared with ``reads``, so the
+#: tracer hands the monitor nothing else and a monitored run builds no
+#: ``job_*`` / ``link_*`` record it does not keep; tested again in
+#: ``_on_record`` for a wrapper that subscribes it undeclared.
 _WATCHED = frozenset({
     "primary_write", "backup_apply", "server_crash", "failover", "recruited",
     "reattached", "read_served", *DEGRADED_KINDS, "server_recover",
@@ -98,7 +100,8 @@ class TraceMonitor:
     """What every tracer-subscribing monitor shares: the subscription, the
     findings lists, and how a violation is emitted.
 
-    A subclass supplies ``_on_record`` and calls :meth:`_emit`; the run
+    A subclass supplies ``_on_record``, declaring the categories it reads
+    with :func:`~repro.sim.trace.reads`, and calls :meth:`_emit`; the run
     harness reads ``violations`` / ``degraded`` off every monitor it
     attached and merges them into the run's one findings list.
     """
@@ -212,6 +215,7 @@ class InvariantMonitor(TraceMonitor):
                     if finding.details.get("group", name) == name])
                 for name in self._watches}
 
+    @reads(*_WATCHED)
     def _on_record(self, record: TraceRecord) -> None:
         if record.category in _WATCHED:
             for watch in self._watches.values():

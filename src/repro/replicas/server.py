@@ -223,8 +223,9 @@ class ReadReplica:
                 replica_address=self.host.address,
                 floor_source_time=floor,
                 applied_updates=self.updates_applied)))
-        self.sim.trace.record("replica_beacon", server=self.name,
-                              floor=floor, applied=self.updates_applied)
+        if self.sim.trace.enabled("replica_beacon"):
+            self.sim.trace.record("replica_beacon", server=self.name,
+                                  floor=floor, applied=self.updates_applied)
         self.sim.schedule(
             self.config.replica_beacon_period * self._timer_scale,
             self._beacon_tick, generation)
@@ -293,15 +294,17 @@ class ReadReplica:
                 message.write_time, message.source_time, message.payload)
             if applied:
                 self.updates_applied += 1
-                self.sim.trace.record(
-                    "replica_apply", object=message.object_id,
-                    seq=message.seq, source_time=message.source_time,
-                    server=self.name)
+                if self.sim.trace.enabled("replica_apply"):
+                    self.sim.trace.record(
+                        "replica_apply", object=message.object_id,
+                        seq=message.seq, source_time=message.source_time,
+                        server=self.name)
             else:
                 self.updates_stale += 1
-                self.sim.trace.record("replica_apply_stale",
-                                      object=message.object_id,
-                                      seq=message.seq, server=self.name)
+                if self.sim.trace.enabled("replica_apply_stale"):
+                    self.sim.trace.record(
+                        "replica_apply_stale", object=message.object_id,
+                        seq=message.seq, server=self.name)
 
         self.processor.submit(name=f"rapply-{message.object_id}", cost=cost,
                               action=apply)

@@ -3,9 +3,11 @@
 Model components record what happened (a job finished, a message was dropped,
 an update was applied) as :class:`TraceRecord` rows.  The metrics collectors
 and consistency checkers consume these rows after the run; tests assert on
-them directly.  Online observers (the fault subsystem's invariant monitor)
-:meth:`~Tracer.subscribe` instead and see every record as it is produced,
-independently of the storage filter.
+them directly.  Online observers (the invariant monitors, the autoscaler)
+:meth:`~Tracer.subscribe` instead and see records as they are produced,
+independently of the storage filter: a listener :func:`reads` the
+categories it acts on and is handed only those; one that declares nothing
+is handed every record.
 
 A record is one tuple ``(time, *values)`` whose class is its shape: one
 :class:`TraceRecord` subclass per (category, key tuple), made once, holds the
@@ -24,7 +26,10 @@ stored records, which the tests keep as the reference.
 
 Dead categories cost (almost) nothing: hot call sites guard with ``if
 trace.enabled("tick"):``, a per-category cache that skips exactly the
-records :meth:`Tracer.record` would drop when a run narrowed the filter.
+records :meth:`Tracer.record` would drop.  A category is live while the
+storage filter keeps it or a subscribed listener reads it, so a monitored
+run builds no ``job_*`` record that neither its collectors nor its monitors
+keep.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from collections import namedtuple
 from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Mapping, Optional, Sequence, Tuple, Type, cast)
+                    List, Mapping, Optional, Sequence, Tuple, Type, TypeVar,
+                    cast)
 
 #: (category, key tuple) -> its one shape class: a process-wide intern table.
 _SHAPES: Dict[Tuple[str, Tuple[str, ...]], Type[TraceRecord]] = {}
@@ -290,6 +296,29 @@ class Selection(Sequence[TraceRecord]):
         return Selection, ((list(self),),)
 
 
+Listener = Callable[[TraceRecord], None]
+_Declared = TypeVar("_Declared", bound=Callable[..., None])
+#: A category no stored filter keeps and no listener reads.
+_DEAD: Tuple[()] = ()
+
+
+def reads(*categories: str) -> Callable[[_Declared], _Declared]:
+    """Declare the categories a trace listener reads, as its ``categories``
+    frozenset: :meth:`Tracer.subscribe` then hands it only records of those.
+
+    On a method, the declaration is made once, in the class body; each bound
+    method reads it from its function.  The listener must still ignore other
+    categories: a wrapper that hides the attribute subscribes it undeclared,
+    and an undeclared listener is handed every record.
+    """
+    declared = frozenset(categories)
+
+    def declare(listener: _Declared) -> _Declared:
+        setattr(listener, "categories", declared)
+        return listener
+    return declare
+
+
 class Tracer:
     """Append-only store of :class:`TraceRecord` rows.
 
@@ -310,14 +339,27 @@ class Tracer:
         self._field_indexes: Dict[Tuple[str, str],
                                   Tuple[Optional[Dict[Any, array]], int]] = {}
         self._enabled: Optional[frozenset] = None  # None means "all"
-        self._listeners: List[Callable[[TraceRecord], None]] = []
-        #: category -> "a record of this category goes somewhere" (stored
-        #: or delivered to a listener).  Invalidated whenever the filter or
-        #: the listener set changes; see :meth:`enabled`.
-        self._live_cache: Dict[str, bool] = {}
+        self._listeners: List[Listener] = []
+        #: category -> (stored?, the listeners that read it in subscription
+        #: order), or ``_DEAD``.  Cleared whenever the filter or the
+        #: listener set changes; see :meth:`enabled`.
+        self._routes: Dict[str, Tuple[Any, ...]] = {}
+
+    def _route(self, category: str) -> Tuple[Any, ...]:
+        """Where a record of ``category`` goes now, cached until the filter
+        or the listener set changes."""
+        stored = self._enabled is None or category in self._enabled
+        readers = tuple(
+            listener for listener in self._listeners
+            if category in getattr(listener, "categories", (category,)))
+        route = (stored, readers) if stored or readers else _DEAD
+        self._routes[category] = route
+        return route
 
     def enabled(self, category: str) -> bool:
-        """Whether a record of ``category`` would be stored or observed.
+        """Whether a record of ``category`` would be stored or observed:
+        the filter keeps it, a subscribed listener :func:`reads` it, or an
+        undeclared listener is subscribed.
 
         O(1) after the first query per category.  Hot call sites use this
         to skip building the record's fields when the category is dead::
@@ -328,36 +370,34 @@ class Tracer:
         Skipping is behaviour-identical: :meth:`record` drops exactly the
         records for which this returns ``False``.
         """
-        live = self._live_cache.get(category)
-        if live is None:
-            live = (bool(self._listeners) or self._enabled is None
-                    or category in self._enabled)
-            self._live_cache[category] = live
-        return live
+        route = self._routes.get(category)
+        if route is None:
+            route = self._route(category)
+        return route is not _DEAD
 
     def record(self, category: str, **fields: Any) -> None:
         """Append one record stamped with the current virtual time.
 
-        Subscribed listeners are notified of *every* record, including ones
-        the :meth:`enable_only` filter keeps out of storage — online
-        monitors must not go blind just because a long run narrows what the
-        post-hoc collectors keep.
+        The record goes to every subscribed listener that reads its category
+        (in subscription order), including records the :meth:`enable_only`
+        filter keeps out of storage: online monitors must not go blind just
+        because a long run narrows what the post-hoc collectors keep.  A
+        record nobody keeps or reads is dropped before it is built.
         """
-        live = self._live_cache.get(category)
-        if live is None:
-            live = (bool(self._listeners) or self._enabled is None
-                    or category in self._enabled)
-            self._live_cache[category] = live
-        if not live:
+        route = self._routes.get(category)
+        if route is None:
+            route = self._route(category)
+        if route is _DEAD:
             return
+        stored, readers = route
         keys = tuple(fields)
         shape = _SHAPES.get((category, keys)) or _new_shape(category, keys)
         row = (self._clock(), *fields.values())
-        if self._listeners:
+        if readers:
             record = tuple.__new__(shape, row)
-            for listener in self._listeners:
+            for listener in readers:
                 listener(record)
-        if (self._enabled is None or category in self._enabled):
+        if stored:
             self._store(shape, row)
 
     def ingest(self, record: TraceRecord) -> None:
@@ -389,28 +429,30 @@ class Tracer:
             if table.pending:
                 table.flush()
 
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Start delivering every record to ``listener`` as it is produced."""
+    def subscribe(self, listener: Listener) -> None:
+        """Start delivering records to ``listener`` as they are produced:
+        those of the categories it :func:`reads`, or every record when it
+        carries no ``categories`` declaration."""
         if listener not in self._listeners:
             self._listeners.append(listener)
-            self._live_cache.clear()
+            self._routes.clear()
 
-    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+    def unsubscribe(self, listener: Listener) -> None:
         # Equality, not identity: each access to a bound method (the usual
         # listener shape) builds a fresh object, so `is` would never match.
         self._listeners = [known for known in self._listeners
                            if known != listener]
-        self._live_cache.clear()
+        self._routes.clear()
 
     def enable_only(self, *categories: str) -> None:
         """Keep only the given categories from now on (empty = keep nothing)."""
         self._enabled = frozenset(categories)
-        self._live_cache.clear()
+        self._routes.clear()
 
     def enable_all(self) -> None:
         """Resume keeping every category (the default)."""
         self._enabled = None
-        self._live_cache.clear()
+        self._routes.clear()
 
     def select(self, category: str, **matches: Any) -> Selection:
         """Records of ``category`` whose fields equal all of ``matches``.

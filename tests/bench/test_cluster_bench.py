@@ -1,6 +1,6 @@
-"""The cluster benches and the chaos bench's cluster exclusion."""
+"""The cluster benches and the chaos bench's cluster/fast-path exclusion."""
 
-from repro.bench.registry import SCENARIOS, BenchStats
+from repro.bench.registry import SCENARIOS, BenchStats, chaos_bench_names
 
 
 def test_cluster_benches_are_registered():
@@ -29,12 +29,18 @@ def test_cluster_failover_quick_exercises_recovery():
 
 
 def test_chaos_bench_name_list_excludes_cluster_scenarios():
-    # The chaos bench predates the sharded catalogue entries; filtering
-    # cluster_* keeps its digest comparable with older baselines.  Guard
-    # the filter itself (the bench run is covered by the CI smoke job).
+    # The chaos bench predates the sharded and fast-path catalogue entries;
+    # filtering them keeps its digest comparable with older baselines.
+    # Guard the bench's own filter (the bench run is covered by the CI
+    # smoke job).
     from repro.faults.scenarios import SCENARIOS as CHAOS
 
-    names = sorted(name for name in CHAOS if not name.startswith("cluster"))
-    assert "cluster_group_outage" in CHAOS
-    assert names
+    names = chaos_bench_names()
+    left_out = set(CHAOS) - set(names)
+    assert {"cluster_group_outage", "fastpath_backup_crash"} <= left_out
+    assert all(name.startswith(("cluster", "fastpath"))
+               for name in left_out)
+    assert not any(name.startswith(("cluster", "fastpath"))
+                   for name in names)
+    assert names == sorted(names)
     assert names[:2] == ["backup_flapping", "crash_plus_partition"]

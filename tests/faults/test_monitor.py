@@ -17,6 +17,7 @@ from repro.core.service import (
     RTPBService,
 )
 from repro.core.spec import ServiceConfig
+from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.migration import MigrationWindowInvariant
 from repro.faults import monitor as monitor_module
 from repro.faults.injector import FaultInjector
@@ -218,23 +219,40 @@ def test_attach_and_detach_are_idempotent_for_every_monitor(name):
     assert len(monitor.violations) == 2
 
 
-def test_early_return_set_names_exactly_the_dispatched_categories():
-    # `InvariantMonitor._on_record` drops a category outside `_WATCHED`
-    # before any group's `_GroupWatch.on_record` chain sees it; a branch
-    # added to that chain without a matching entry would be dead.
-    tree = ast.parse(textwrap.dedent(
-        inspect.getsource(monitor_module._GroupWatch.on_record)))
-    namespace = vars(monitor_module)
+def compared_categories(function):
+    """Every category ``function``'s compare chain tests ``category`` or
+    ``record.category`` against (``==`` or ``in``), evaluated in its
+    module's namespace."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    namespace = vars(inspect.getmodule(function))
     compared = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Compare)
-                and isinstance(node.left, ast.Name)
-                and node.left.id == "category"
+                and ast.unparse(node.left) in ("category", "record.category")
                 and isinstance(node.ops[0], (ast.Eq, ast.In))):
             value = eval(compile(ast.Expression(node.comparators[0]),
                                  "<chain>", "eval"), namespace)
             compared.update([value] if isinstance(value, str) else value)
-    assert compared == monitor_module._WATCHED
+    return compared
+
+
+def test_early_return_set_names_exactly_the_dispatched_categories():
+    # `InvariantMonitor._on_record` declares `_WATCHED` and drops any other
+    # category before a group's `_GroupWatch.on_record` chain sees it: a
+    # branch added to that chain without a matching entry would be dead.
+    assert InvariantMonitor._on_record.categories == monitor_module._WATCHED
+    assert (compared_categories(monitor_module._GroupWatch.on_record)
+            == monitor_module._WATCHED)
+
+
+@pytest.mark.parametrize("listener", [MigrationWindowInvariant._on_record,
+                                      Autoscaler._on_record],
+                         ids=["MigrationWindowInvariant", "Autoscaler"])
+def test_each_listener_declares_exactly_the_categories_it_compares(listener):
+    # The tracer hands a declared listener only its declared categories:
+    # a branch whose category is missing from the declaration never runs,
+    # and a declared category no branch tests is built for nothing.
+    assert listener.categories == compared_categories(listener)
 
 
 def test_degraded_finding_owns_its_details():

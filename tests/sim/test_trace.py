@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.trace import _BATCH, TraceRecord, Tracer, _Reprs
+from repro.sim.trace import _BATCH, TraceRecord, Tracer, _Reprs, reads
 
 
 def test_records_are_timestamped():
@@ -234,9 +234,9 @@ def test_enabled_guard_is_digest_neutral():
 
 
 def test_subscribe_revives_dead_categories():
-    # A listener must see *every* record, so a cached "dead" decision has
-    # to be invalidated the moment one subscribes — and restored when the
-    # last one leaves.
+    # A listener that declares no categories must see *every* record, so a
+    # cached "dead" decision has to be invalidated the moment one
+    # subscribes — and restored when the last one leaves.
     trace = Tracer(clock=lambda: 0.0)
     trace.enable_only("kept")
     assert not trace.enabled("dropped")
@@ -248,6 +248,68 @@ def test_subscribe_revives_dead_categories():
     assert len(trace) == 0  # delivered to the listener, still not stored
     trace.unsubscribe(seen.append)
     assert not trace.enabled("dropped")
+
+
+def test_a_declared_listener_gets_only_the_categories_it_reads():
+    # Routing: a listener that declares its categories revives only those;
+    # the rest stay dead for enabled() and record() alike.
+    trace = Tracer(clock=lambda: 0.0)
+    trace.enable_only("kept")
+    seen = []
+
+    @reads("watched", "kept")
+    def listener(record):
+        seen.append(record.category)
+
+    trace.subscribe(listener)
+    assert trace.enabled("kept") and trace.enabled("watched")
+    assert not trace.enabled("dead")
+    for category in ("kept", "watched", "dead"):
+        trace.record(category, n=1)
+    assert seen == ["kept", "watched"]
+    assert [record.category for record in trace] == ["kept"]
+    trace.enable_all()  # the cached routes follow the filter
+    trace.record("dead", n=2)
+    assert seen == ["kept", "watched"] and len(trace) == 2
+    trace.enable_only()
+    trace.record("kept", n=3)
+    assert seen[-1] == "kept" and len(trace) == 2
+
+
+def test_routes_follow_subscription_order_and_undeclared_listeners():
+    trace = Tracer(clock=lambda: 0.0)
+    trace.enable_only()
+    seen = []
+
+    class Monitor:
+        def __init__(self, name):
+            self.name = name
+
+        @reads("a")
+        def on_record(self, record):
+            seen.append((self.name, record.category))
+
+    def undeclared(record):
+        seen.append(("all", record.category))
+
+    first, second = Monitor("first"), Monitor("second")
+    assert first.on_record.categories == frozenset({"a"})
+    trace.subscribe(second.on_record)
+    trace.subscribe(undeclared)
+    trace.subscribe(first.on_record)
+    assert trace.enabled("b")  # an undeclared listener reads everything
+    trace.record("a")
+    trace.record("b")
+    assert seen == [("second", "a"), ("all", "a"), ("first", "a"),
+                    ("all", "b")]
+    trace.unsubscribe(undeclared)
+    assert not trace.enabled("b")
+    trace.unsubscribe(second.on_record)  # a fresh bound method, still equal
+    seen.clear()
+    trace.record("a")
+    trace.record("b")
+    assert seen == [("first", "a")]
+    assert len(trace) == 0
 
 
 def test_enable_only_invalidates_cached_decisions():
