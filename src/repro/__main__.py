@@ -32,8 +32,7 @@ share mean the same thing everywhere:
 
 Exit status: 0 on success, 1 when a regression or invariant gate
 fails (``chaos``: a finding outside a scenario's expected set), 2 on
-usage errors.  (``repro.lint`` keeps its own CLI: it shares none of
-these options.)
+usage errors.
 """
 
 from __future__ import annotations

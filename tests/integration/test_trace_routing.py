@@ -8,9 +8,11 @@ cheap and safe: routing changes no finding, action or stored byte, and no
 """
 
 import collections
+import functools
 
 import pytest
 
+from repro.baselines import DISCIPLINES
 from repro.elastic.migration import MIGRATION_MISSING_BARRIER, ShardMigration
 from repro.experiments.harness import run_scenario
 from repro.faults.schedule import FaultSchedule
@@ -19,6 +21,8 @@ from repro.units import ms
 from repro.workload.cluster import ClusterScenario
 from repro.workload.elastic import ElasticScenario
 from repro.workload.scenarios import Scenario
+
+from ..baselines.lossy_pairs import run_lossy_pair
 
 
 def monitored_elastic_run():
@@ -94,6 +98,10 @@ RUNS = {
         n_shards=4, n_hosts=4, n_objects=12, horizon=3.0,
         loss_probability=0.02, seed=4)),
     "monitored_elastic": monitored_elastic_run,
+    # Every discipline's record sites, under the loss that drives its
+    # acks and retransmissions.
+    **{f"lossy_{name}": functools.partial(run_lossy_pair, name)
+       for name in DISCIPLINES},
 }
 
 
