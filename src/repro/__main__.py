@@ -17,8 +17,10 @@ Every verb but ``figures`` (rendered tables of the experiment catalogue,
 :mod:`repro.experiments.catalogue`; ``--output DIR`` writes
 ``DIR/<stem>.txt``) and ``bench --compare`` (a text report) emits one
 deterministic JSON document — sorted keys, no NaN, virtual-time
-everything — to stdout or ``--output``.  The options verbs
-share mean the same thing everywhere:
+everything — to stdout or ``--output``.  A verb that runs simulations
+writes each run with :func:`repro.parallel.run_document`, so one run reads
+the same under every verb.  The options verbs share mean the same thing
+everywhere:
 
 - ``--jobs N`` (default ``$REPRO_JOBS`` or 1; 0 = one per CPU) spreads
   independent runs over worker processes.  Tables and documents are the
@@ -29,6 +31,8 @@ share mean the same thing everywhere:
 - ``--quick`` shrinks a sweep to CI size (for ``figures``, the
   catalogue's quick preset instead of the paper size); an option given
   explicitly always wins over the quick preset.
+- ``--warmup`` must lie in ``[0, horizon)``; a knob the scenario values
+  reject is a usage error too.
 
 Exit status: 0 on success, 1 when a regression or invariant gate
 fails (``chaos``: a finding outside a scenario's expected set), 2 on
@@ -38,26 +42,25 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.compare import compare_documents
 from repro.bench.registry import SCENARIOS as BENCHES
 from repro.bench.runner import run_suite
-from repro.cluster.service import ClusterService
+from repro.errors import ReproError
 from repro.experiments.catalogue import CATALOGUE
-from repro.experiments.harness import RunResult, run_scenario
-from repro.faults.monitor import kind_counts
-from repro.faults.report import report_dict, run_chaos, run_matrix
+from repro.faults.report import run_matrix
 from repro.faults.scenarios import SCENARIOS as CHAOS_SCENARIOS
+from repro.faults.scenarios import build as build_chaos
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.jsonio import stable_dumps
-from repro.parallel import derive_seed, resolve_jobs, run_specs
-from repro.parallel.spec import RunOutcome, RunSpec
+from repro.parallel import RunSpec, derive_seed, resolve_jobs, run_document, run_specs
 from repro.replicas.router import POLICIES
 from repro.units import ms
 from repro.workload.cluster import ClusterScenario
@@ -142,36 +145,38 @@ def _emit(parser: argparse.ArgumentParser, document: Any,
         print(stable_dumps(document))
 
 
+def _check_warmup(parser: argparse.ArgumentParser, warmup: float,
+                  horizon: float) -> None:
+    if not 0.0 <= warmup < horizon:
+        parser.error(f"--warmup must be in [0, horizon): got {warmup:g} "
+                     f"with a {horizon:g} s horizon")
+
+
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """A knob a value rejects as it is made (a scenario, a fault) is a
+    usage error: exit 2, never a traceback."""
+    try:
+        yield
+    except ReproError as exc:
+        parser.error(str(exc))
+
+
 def _emit_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                specs: List[RunSpec], header: Dict[str, Any],
-                entry: Callable[[RunOutcome], Dict[str, Any]]) -> int:
-    """Run ``specs`` and emit the sweep document (``replicas``/``elastic``).
+                specs: List[RunSpec], header: Dict[str, Any]) -> int:
+    """Run ``specs`` and emit the verb's document: ``header`` plus one run
+    document per spec, in spec order.
 
     The document does not name ``--jobs``: it is the same bytes for any
     worker count.
     """
+    for spec in specs:
+        _check_warmup(parser, spec.warmup, spec.scenario.horizon)
     outcomes = run_specs(specs, jobs=_jobs(parser, args))
-    _emit(parser, {**header, "runs": [entry(outcome) for outcome in outcomes]},
+    _emit(parser, {**header, "runs": [run_document(outcome)
+                                      for outcome in outcomes]},
           args.output)
     return 0
-
-
-def _run_entry(outcome: RunOutcome, swept: Optional[str],
-               **fields: Any) -> Dict[str, Any]:
-    """One run of a sweep document: the fields every verb reports, the
-    swept coordinate under its name (spec keys are ``(verb, [x,] seed)``),
-    and the verb's own ``fields``."""
-    assert outcome.key is not None
-    entry = {
-        "seed": outcome.key[-1],
-        "digest": outcome.trace_digest,
-        "events": outcome.events_executed,
-        "trace_records": outcome.trace_records,
-        **fields,
-    }
-    if swept is not None:
-        entry[swept] = outcome.key[1]
-    return entry
 
 
 def _first_doc_line(obj: Any) -> str:
@@ -274,11 +279,10 @@ def _cluster_parser(parser: argparse.ArgumentParser) -> None:
                              "(repeatable)")
     parser.add_argument("--monitor", action="store_true",
                         help="attach the invariant monitor")
-    _shared(parser, "horizon", "seed", "seeds", "jobs", "warmup", "output",
+    _shared(parser, "horizon", "seeds", "jobs", "warmup", "output",
             horizon="virtual-time horizon, seconds (default 20)",
-            seed="seed for a single run (default 0)",
-            seeds="sweep mode: one run per seed")
-    parser.set_defaults(horizon=20.0)
+            seeds="root seeds, one run per seed (default 0)")
+    parser.set_defaults(horizon=20.0, seeds=[0])
 
 
 def _cluster_schedule(parser: argparse.ArgumentParser,
@@ -297,70 +301,27 @@ def _cluster_schedule(parser: argparse.ArgumentParser,
         for item in args.isolate:
             at, duration, server = item.split(":", 2)
             schedule.isolate(float(at), float(duration), target(server))
-    except ValueError as exc:
+    except (ValueError, ReproError) as exc:
         parser.error(f"bad fault spec: {exc}")
     return schedule if len(schedule) else None
-
-
-def _cluster_run_document(result: RunResult) -> Dict[str, Any]:
-    cluster = result.service
-    assert isinstance(cluster, ClusterService)
-    fingerprint = result.fingerprint
-    document: Dict[str, Any] = {
-        "scenario": result.scenario,
-        "digest": fingerprint.digest,
-        "events": fingerprint.events_executed,
-        "trace_records": fingerprint.trace_records,
-        "cluster": result.metrics,
-        "per_group": result.per_group,
-        "placements": {group.name: group.placements
-                       for group in cluster.groups},
-        "parked_groups": sorted(group.name for group in cluster.groups
-                                if group.parked),
-        "utilization": cluster.placement.utilization(),
-        "rejections": [rejection.to_dict()
-                       for rejection in cluster.rejections],
-    }
-    if result.injector is not None:
-        document["faults"] = list(result.injector.applied)
-    if result.monitors:
-        document["violations"] = kind_counts(result.violations)
-        document["violations_per_group"] = {
-            name: counts for name, counts
-            in result.monitor.per_group_counts().items() if counts}
-    return document
 
 
 def _cluster(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
     schedule = _cluster_schedule(parser, args)
-
-    def scenario(seed: int) -> ClusterScenario:
-        # Several backups per group need the succession-aware discipline.
-        return ClusterScenario(
-            n_shards=args.shards, n_hosts=args.hosts,
-            n_objects=args.objects, backups_per_group=args.backups,
-            replication="multi_backup" if args.backups > 1 else "rtpb",
-            horizon=args.horizon, loss_probability=args.loss, seed=seed)
-
-    document: Dict[str, Any]
-    if args.seeds:
-        outcomes = run_specs(
-            [RunSpec(scenario=scenario(seed), warmup=args.warmup,
-                     monitor=args.monitor, fault_schedule=schedule,
-                     key=("cluster", seed)) for seed in args.seeds],
-            jobs=_jobs(parser, args))
-        document = {"runs": [
-            _run_entry(outcome, None, admitted=outcome.admitted,
-                       network=outcome.network,
-                       violation_counts=outcome.violation_counts)
-            for outcome in outcomes]}
-    else:
-        document = _cluster_run_document(run_scenario(
-            scenario(args.seed), warmup=args.warmup,
-            fault_schedule=schedule, monitor=args.monitor))
-    _emit(parser, document, args.output)
-    return 0
+    # Several backups per group need the succession-aware discipline.
+    replication = "multi_backup" if args.backups > 1 else "rtpb"
+    with _usage_errors(parser):
+        specs = [RunSpec(scenario=ClusterScenario(
+                             n_shards=args.shards, n_hosts=args.hosts,
+                             n_objects=args.objects,
+                             backups_per_group=args.backups,
+                             replication=replication, horizon=args.horizon,
+                             loss_probability=args.loss, seed=seed),
+                         warmup=args.warmup, monitor=args.monitor,
+                         fault_schedule=schedule, key=(("seed", seed),))
+                 for seed in args.seeds]
+    return _emit_sweep(parser, args, specs, {})
 
 
 # ----------------------------------------------------------------------
@@ -393,28 +354,20 @@ def _replicas(parser: argparse.ArgumentParser,
     _fill(args,
           full=dict(replica_counts=[0, 1, 2, 3], seeds=[0, 1], horizon=12.0),
           quick=dict(replica_counts=[0, 1, 2], seeds=[0], horizon=6.0))
-    specs = [
-        RunSpec(scenario=Scenario(
-                    n_objects=args.objects, window=args.window,
-                    horizon=args.horizon, n_replicas=count,
-                    read_period=args.read_period, read_policy=args.policy,
-                    seed=derive_seed(seed, "replicas", count)),
-                warmup=args.warmup, key=("replicas", count, seed))
-        for count in args.replica_counts for seed in args.seeds]
-
-    def entry(outcome: RunOutcome) -> Dict[str, Any]:
-        metrics = outcome.metrics
-        return _run_entry(
-            outcome, "replicas",
-            read_throughput=metrics.read_throughput,
-            p50_read_staleness=metrics.read_staleness.p50,
-            p99_read_staleness=metrics.read_staleness.p99,
-            slo_violations=metrics.slo_violations,
-            fallback_rate=metrics.fallback_rate)
-
+    with _usage_errors(parser):
+        specs = [
+            RunSpec(scenario=Scenario(
+                        n_objects=args.objects, window=args.window,
+                        horizon=args.horizon, n_replicas=count,
+                        read_period=args.read_period,
+                        read_policy=args.policy,
+                        seed=derive_seed(seed, "replicas", count)),
+                    warmup=args.warmup,
+                    key=(("replicas", count), ("seed", seed)))
+            for count in args.replica_counts for seed in args.seeds]
     return _emit_sweep(parser, args, specs,
                        {"policy": args.policy,
-                        "read_period": args.read_period}, entry)
+                        "read_period": args.read_period})
 
 
 # ----------------------------------------------------------------------
@@ -460,32 +413,26 @@ def _elastic(parser: argparse.ArgumentParser,
     specs = []
     for factor in args.factors:
         for seed in args.seeds:
-            # Factor 1 is the calm control: no burst, so any autoscale
-            # action there is utilization-driven only.
-            schedule = (FaultSchedule().flash_crowd(
-                args.burst_at, args.burst_duration, factor)
-                if factor > 1.0 else None)
-            scenario = ElasticScenario(
-                n_shards=args.shards, n_hosts=args.hosts,
-                n_objects=args.objects, window=args.window,
-                horizon=args.horizon,
-                latency_red=args.latency_red, low_watermark=0.0,
-                max_groups=args.max_groups, max_hosts=args.max_hosts,
-                seed=derive_seed(seed, "elastic", factor))
+            with _usage_errors(parser):
+                # Factor 1 is the calm control: no burst, so any autoscale
+                # action there is utilization-driven only.
+                schedule = (FaultSchedule().flash_crowd(
+                    args.burst_at, args.burst_duration, factor)
+                    if factor > 1.0 else None)
+                scenario = ElasticScenario(
+                    n_shards=args.shards, n_hosts=args.hosts,
+                    n_objects=args.objects, window=args.window,
+                    horizon=args.horizon,
+                    latency_red=args.latency_red, low_watermark=0.0,
+                    max_groups=args.max_groups, max_hosts=args.max_hosts,
+                    seed=derive_seed(seed, "elastic", factor))
             specs.append(RunSpec(scenario=scenario, warmup=args.warmup,
                                  monitor=True, fault_schedule=schedule,
-                                 key=("elastic", factor, seed)))
-
-    def entry(outcome: RunOutcome) -> Dict[str, Any]:
-        return _run_entry(
-            outcome, "factor",
-            mean_response=outcome.metrics.response.mean,
-            p99_response=outcome.metrics.response.p99,
-            violations=outcome.violation_counts, **outcome.extra)
+                                 key=(("factor", factor), ("seed", seed))))
 
     return _emit_sweep(parser, args, specs,
                        {"burst_at": args.burst_at,
-                        "burst_duration": args.burst_duration}, entry)
+                        "burst_duration": args.burst_duration})
 
 
 # ----------------------------------------------------------------------
@@ -494,12 +441,14 @@ def _elastic(parser: argparse.ArgumentParser,
 
 
 def _chaos_parser(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--list", action="store_true",
-                        help="list catalogue scenarios and exit")
-    parser.add_argument("--scenario", metavar="NAME",
-                        help="run one catalogue scenario")
-    parser.add_argument("--matrix", action="store_true",
-                        help="run every catalogue scenario")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--list", action="store_true",
+                      help="list catalogue scenarios and exit")
+    mode.add_argument("--scenario", action="append",
+                      choices=sorted(CHAOS_SCENARIOS), metavar="NAME",
+                      help="run this catalogue scenario (repeatable)")
+    mode.add_argument("--matrix", action="store_true",
+                      help="run every catalogue scenario")
     _shared(parser, "jobs", "seed", "warmup", "output")
 
 
@@ -508,23 +457,16 @@ def _chaos(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         for name in sorted(CHAOS_SCENARIOS):
             print(f"{name:28s} {CHAOS_SCENARIOS[name](0).description}")
         return 0
-    jobs = _jobs(parser, args)
-    if args.matrix:
-        document = run_matrix(seed=args.seed, jobs=jobs)
-    elif args.scenario:
-        try:
-            run = run_chaos(args.scenario, seed=args.seed,
-                            warmup=args.warmup)
-        except KeyError as exc:
-            parser.error(str(exc.args[0]) if exc.args else str(exc))
-        document = report_dict(run)
-    else:
-        parser.error("choose one of --list, --scenario NAME, or --matrix")
+    names = sorted(CHAOS_SCENARIOS) if args.matrix else args.scenario
+    for name in names:
+        _check_warmup(parser, args.warmup,
+                      build_chaos(name, args.seed).workload.horizon)
+    document = run_matrix(names, seed=args.seed, jobs=_jobs(parser, args),
+                          warmup=args.warmup)
     _emit(parser, document, args.output)
     # The gate: a finding outside a scenario's declared expected set.
-    reports = document if args.matrix else {args.scenario: document}
-    unexpected = [(name, finding) for name, report in reports.items()
-                  for finding in report["invariants"]["unexpected"]]
+    unexpected = [(name, finding) for name, run in document.items()
+                  for finding in run["findings"]["unexpected"]]
     for name, finding in unexpected:
         print(f"UNEXPECTED {name}: {finding['kind']} at "
               f"t={finding['time']}", file=sys.stderr)
@@ -640,8 +582,8 @@ VERBS: Dict[str, Tuple[Callable[[argparse.ArgumentParser], None], Verb,
                 "paper's Figures 6-12, the extension figures 13-15, the "
                 "ablations, the failover sweep and the theory tables."),
     "cluster": (_cluster_parser, _cluster,
-                "Sharded multi-group RTPB: one run with both metric "
-                "layers, or a --seeds sweep."),
+                "Sharded multi-group RTPB: one run per --seeds seed, each "
+                "with its per-group metrics and placements."),
     "replicas": (_replicas_parser, _replicas,
                  "Read-replica scaling sweep (replica counts x seeds)."),
     "elastic": (_elastic_parser, _elastic,

@@ -327,7 +327,8 @@ def chaos_bench_names() -> List[str]:
 def chaos_scenarios(quick: bool) -> BenchStats:
     """The :func:`chaos_bench_names` entries under the online invariant
     monitor (the first two with ``quick``)."""
-    from repro.faults.report import run_chaos
+    from repro.experiments.harness import run_scenario
+    from repro.faults.scenarios import build
 
     names = chaos_bench_names()
     if quick:
@@ -335,9 +336,11 @@ def chaos_scenarios(quick: bool) -> BenchStats:
     runs: List[RunFingerprint] = []
     violations = 0
     for name in names:
-        run = run_chaos(name, seed=1)
-        runs.append(run.result.fingerprint)
-        violations += len(run.violations)
+        chaos = build(name, seed=1)
+        result = run_scenario(chaos.workload, fault_schedule=chaos.schedule,
+                              monitor=True)
+        runs.append(result.fingerprint)
+        violations += len(result.violations)
     return BenchStats(
         *_as_one_run(runs),
         extra={"scenarios": len(names), "violations": violations},
@@ -436,7 +439,7 @@ def elastic_scaleup(quick: bool) -> BenchStats:
                                 max_hosts=10))
     schedule = FaultSchedule().flash_crowd(3.0, 2.0, 8.0)
     result = run_scenario(scenario, fault_schedule=schedule, monitor=True)
-    summary = result.elastic_summary()
+    summary = scenario.summary(result)
     return BenchStats(
         *result.fingerprint,
         extra={"scale_outs": summary["scale_outs"],

@@ -97,6 +97,23 @@ class ShardGroup(ReplicationGroup):
         self.replica_parked = False
 
 
+def check_cluster_shape(n_shards: int, n_hosts: int, backups_per_group: int,
+                        rebalance_period: float) -> None:
+    """Reject a cluster shape no placement can seat."""
+    if n_shards < 1:
+        raise ClusterError(f"need at least one shard, got {n_shards}")
+    if backups_per_group < 1:
+        raise ClusterError(
+            f"need at least one backup per group, got {backups_per_group}")
+    if n_hosts < backups_per_group + 1:
+        raise ClusterError(
+            f"{n_hosts} hosts cannot hold a primary plus "
+            f"{backups_per_group} backup(s) on distinct hosts")
+    if rebalance_period <= 0:
+        raise ClusterError(
+            f"rebalance period must be > 0: {rebalance_period}")
+
+
 class ClusterService:
     """A sharded RTPB deployment: N groups over M hosts, one simulator."""
 
@@ -120,18 +137,8 @@ class ClusterService:
             raise ClusterError(
                 "per-server deferrable-server reservations are not "
                 "supported on shared cluster hosts")
-        if n_shards < 1:
-            raise ClusterError(f"need at least one shard, got {n_shards}")
-        if backups_per_group < 1:
-            raise ClusterError(
-                f"need at least one backup per group, got {backups_per_group}")
-        if n_hosts < backups_per_group + 1:
-            raise ClusterError(
-                f"{n_hosts} hosts cannot hold a primary plus "
-                f"{backups_per_group} backup(s) on distinct hosts")
-        if rebalance_period <= 0:
-            raise ClusterError(
-                f"rebalance period must be > 0: {rebalance_period}")
+        check_cluster_shape(n_shards, n_hosts, backups_per_group,
+                            rebalance_period)
         check_read_tier(n_replicas, read_period, read_policy)
 
         #: Every member's class: the replication discipline.

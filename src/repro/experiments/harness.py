@@ -30,8 +30,7 @@ does not blind them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple,
-                    Optional)
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.metrics.collectors import METRIC_TRACE_CATEGORIES
 from repro.metrics.summary import (MetricsView, RunMetrics, collect_metrics,
@@ -115,17 +114,6 @@ class RunResult(MetricsView):
     @property
     def fingerprint(self) -> RunFingerprint:
         return run_fingerprint(self.service.sim)
-
-    def elastic_summary(self) -> Dict[str, Any]:
-        """JSON-safe control-plane rollup (empty without a controller)."""
-        if self.controller is None:
-            return {}
-        summary = self.controller.summary()
-        if self.monitors:
-            summary["migration_violations"] = sum(
-                violation.kind.startswith("migration_")
-                for violation in self.violations)
-        return summary
 
 
 def run_scenario(scenario: "BaseScenario", warmup: float = 2.0,

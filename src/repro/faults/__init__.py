@@ -16,8 +16,8 @@ hold — all in virtual time, so every run is a pure function of
   temporal-window violations, split brain, and missed failover deadlines
   online;
 - :mod:`repro.faults.scenarios` — the chaos scenario catalogue;
-- :mod:`repro.faults.report` — chaos runs with deterministic JSON reports
-  (also the ``python -m repro chaos`` CLI).
+- :mod:`repro.faults.report` — chaos runs and their run documents (also
+  the ``python -m repro chaos`` CLI).
 """
 
 from repro.faults.actions import (
@@ -44,12 +44,7 @@ from repro.faults.monitor import (
     InvariantMonitor,
     InvariantViolation,
 )
-from repro.faults.report import (
-    ChaosRunResult,
-    report_dict,
-    run_chaos,
-    run_matrix,
-)
+from repro.faults.report import run_chaos, run_matrix
 from repro.faults.scenarios import SCENARIOS, ChaosScenario, build
 from repro.faults.schedule import FaultSchedule, TimedFault
 
@@ -79,8 +74,6 @@ __all__ = [
     "ChaosScenario",
     "SCENARIOS",
     "build",
-    "ChaosRunResult",
     "run_chaos",
     "run_matrix",
-    "report_dict",
 ]

@@ -34,6 +34,7 @@ from repro.parallel.spec import (
     RunSpec,
     execute,
     outcome_from_result,
+    run_document,
 )
 
 __all__ = [
@@ -47,5 +48,6 @@ __all__ = [
     "outcome_from_result",
     "process_support",
     "resolve_jobs",
+    "run_document",
     "run_specs",
 ]

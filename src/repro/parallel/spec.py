@@ -12,6 +12,8 @@ whose object graph is neither picklable nor worth shipping).
 Both halves are deterministic functions of the spec: the wall-clock field
 (``wall_s``) is the only thing two runs of the same spec may disagree on,
 and it is measured per worker so pool queueing never inflates it.
+:func:`run_document` is the one JSON rendering of an outcome: every
+command-line verb writes its runs through it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Collection, Dict, List, Optional, Tuple
 
+from repro.metrics.jsonio import jsonable
 from repro.metrics.summary import MetricsView, RunMetrics
 from repro.workload.scenarios import BaseScenario
 
@@ -53,7 +56,8 @@ class RunSpec:
     full_trace: bool = False
     fault_schedule: Optional[FaultSchedule] = None
     #: Caller bookkeeping (e.g. sweep coordinates); rides back verbatim
-    #: on the outcome.
+    #: on the outcome.  A run document names it as a mapping, so the
+    #: command line keys its runs by ``(name, value)`` pairs.
     key: Optional[Tuple[Any, ...]] = None
 
 
@@ -69,10 +73,14 @@ class RunOutcome(MetricsView):
     trace_records: int
     #: SHA-256 over the retained trace (deterministic per spec).
     trace_digest: str
+    #: Cluster runs: per-group metrics by group name (empty for a pair).
+    per_group: Dict[str, RunMetrics] = field(default_factory=dict)
     #: Fabric counters (sent/delivered/dropped/duplicated/corrupted).
     network: Dict[str, int] = field(default_factory=dict)
     #: Updates applied more than once at the backup (duplication faults).
     duplicate_deliveries: int = 0
+    #: JSON-safe timeline of the fault schedule, as written.
+    faults_scheduled: List[Dict[str, Any]] = field(default_factory=list)
     #: JSON-safe log of faults actually applied, in firing order.
     faults_applied: List[Dict[str, Any]] = field(default_factory=list)
     #: Violations the online monitors flagged (``to_dict()`` form).
@@ -83,8 +91,9 @@ class RunOutcome(MetricsView):
     #: Worker-side wall time of the run, seconds.
     wall_s: float = 0.0
     key: Optional[Tuple[Any, ...]] = None
-    #: The elastic control plane's JSON-safe migration/autoscale
-    #: counters; empty on runs without a controller.
+    #: The topology's summary of the run (``BaseScenario.summary``):
+    #: placements and rejections of a cluster, the control plane's
+    #: counters of an elastic one; empty for a pair.
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -106,6 +115,7 @@ def outcome_from_result(result: RunResult, wall_s: float = 0.0,
         peak_live_events=fingerprint.peak_live_events,
         trace_records=fingerprint.trace_records,
         trace_digest=fingerprint.digest,
+        per_group=result.per_group,
         network={
             "messages_sent": fabric.messages_sent,
             "messages_delivered": fabric.messages_delivered,
@@ -114,14 +124,48 @@ def outcome_from_result(result: RunResult, wall_s: float = 0.0,
             "messages_corrupted": fabric.messages_corrupted,
         },
         duplicate_deliveries=duplicate_deliveries(service),
+        faults_scheduled=(injector.schedule.describe()
+                          if injector is not None else []),
         faults_applied=list(injector.applied) if injector is not None else [],
         violations=[violation.to_dict() for violation in violations],
         violation_counts=kind_counts(violations),
         degraded_counts=kind_counts(result.degraded),
         wall_s=wall_s,
         key=key,
-        extra=result.elastic_summary(),
+        extra=result.scenario.summary(result),
     )
+
+
+def run_document(outcome: RunOutcome,
+                 expected: Collection[str] = ()) -> Dict[str, Any]:
+    """The JSON document of one finished run, the same under every verb.
+
+    Findings whose kind is not in ``expected`` (a chaos scenario's
+    declared kinds; none elsewhere) are listed again as ``unexpected``.
+    """
+    document: Dict[str, Any] = {
+        "scenario": outcome.scenario,
+        "key": dict(outcome.key or ()),
+        "digest": outcome.trace_digest,
+        "events": outcome.events_executed,
+        "trace_records": outcome.trace_records,
+        "metrics": outcome.metrics,
+        "findings": {
+            "violations": outcome.violations,
+            "counts": outcome.violation_counts,
+            "degraded_counts": outcome.degraded_counts,
+            "unexpected": [finding for finding in outcome.violations
+                           if finding["kind"] not in expected],
+        },
+        "faults": {"scheduled": outcome.faults_scheduled,
+                   "applied": outcome.faults_applied},
+        "network": outcome.network,
+        "duplicate_deliveries": outcome.duplicate_deliveries,
+        "extra": outcome.extra,
+    }
+    if outcome.per_group:
+        document["per_group"] = outcome.per_group
+    return jsonable(document)
 
 
 def execute(spec: RunSpec) -> RunOutcome:

@@ -17,12 +17,15 @@ facade) to keep the layering acyclic: ``repro.cluster`` must never import
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, Tuple
 
 from repro.baselines import discipline
 from repro.cluster.harness import CLUSTER_TRACE_CATEGORIES
-from repro.cluster.service import ClusterService
+from repro.cluster.service import ClusterService, check_cluster_shape
 from repro.workload.scenarios import BaseScenario
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import RunResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,8 +45,28 @@ class ClusterScenario(BaseScenario):
 
     trace_categories: ClassVar[Tuple[str, ...]] = CLUSTER_TRACE_CATEGORIES
 
+    def __post_init__(self) -> None:
+        BaseScenario.__post_init__(self)
+        check_cluster_shape(self.n_shards, self.n_hosts,
+                            self.backups_per_group, self.rebalance_period)
+
     def build(self) -> ClusterService:
         return build_cluster(self)
+
+    def summary(self, result: "RunResult") -> Dict[str, Any]:
+        """Each group's placement count, the groups left parked, planned
+        host utilization and every admission rejection."""
+        cluster = result.service
+        assert isinstance(cluster, ClusterService)
+        return {
+            "placements": {group.name: group.placements
+                           for group in cluster.groups},
+            "parked_groups": sorted(group.name for group in cluster.groups
+                                    if group.parked),
+            "utilization": cluster.placement.utilization(),
+            "rejections": [rejection.to_dict()
+                           for rejection in cluster.rejections],
+        }
 
 
 def build_cluster(scenario: ClusterScenario) -> ClusterService:

@@ -18,12 +18,15 @@ other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.elastic.controller import ElasticController
 from repro.elastic.harness import ELASTIC_TRACE_CATEGORIES
 from repro.elastic.migration import MigrationWindowInvariant
 from repro.workload.cluster import ClusterScenario
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import RunResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,3 +104,14 @@ class ElasticScenario(ClusterScenario):
             on_group_added=monitors[0].add_group if monitors else None)
         controller.start()
         return controller
+
+    def summary(self, result: "RunResult") -> Dict[str, Any]:
+        """The cluster's summary plus the control plane's accounting."""
+        summary = ClusterScenario.summary(self, result)
+        if result.controller is not None:
+            summary.update(result.controller.summary())
+            if result.monitors:
+                summary["migration_violations"] = sum(
+                    violation.kind.startswith("migration_")
+                    for violation in result.violations)
+        return summary

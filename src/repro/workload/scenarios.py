@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, ClassVar, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.baselines import discipline
 from repro.core.service import RTPBService
@@ -28,6 +28,7 @@ from repro.workload.generator import homogeneous_specs
 
 if TYPE_CHECKING:  # pragma: no cover - repro.cluster sits above workload
     from repro.cluster.service import ClusterService
+    from repro.experiments.harness import RunResult
 
 
 def ping_misses_for_loss(loss_probability: float) -> int:
@@ -57,9 +58,10 @@ class BaseScenario:
     ``dataclasses.replace`` is the way to vary one knob.
 
     A topology subclass names its run stages — :meth:`build`,
-    :attr:`trace_categories`, :meth:`monitors`, :meth:`control_plane` —
-    so :func:`repro.experiments.harness.run_scenario` runs every topology
-    the same way.
+    :attr:`trace_categories`, :meth:`monitors`, :meth:`control_plane`,
+    :meth:`summary` — so :func:`repro.experiments.harness.run_scenario`
+    runs every topology the same way.  A bad knob raises
+    :class:`~repro.errors.ReproError` when the value is made.
     """
 
     n_objects: int = 8
@@ -94,6 +96,13 @@ class BaseScenario:
 
     #: The trace categories a run of this topology retains.
     trace_categories: ClassVar[Tuple[str, ...]] = METRIC_TRACE_CATEGORIES
+
+    def __post_init__(self) -> None:
+        # Local import, as in build_scenario: the layering stays acyclic.
+        from repro.replicas.reader import check_read_tier
+
+        self.loss_model()
+        check_read_tier(self.n_replicas, self.read_period, self.read_policy)
 
     def loss_model(self) -> LossModel:
         if self.loss_probability <= 0:
@@ -132,6 +141,11 @@ class BaseScenario:
         """Start the run's control plane, if the topology has one."""
         return None
 
+    def summary(self, result: "RunResult") -> Dict[str, Any]:
+        """What the topology did in a finished run, JSON-safe: the run
+        document's ``extra``.  A pair has nothing beyond its metrics."""
+        return {}
+
 
 @dataclass(frozen=True, slots=True)
 class Scenario(BaseScenario):
@@ -153,11 +167,9 @@ def build_scenario(scenario: Scenario) -> RTPBService:
     read replicas and reader attached."""
     # Local import keeps the layering acyclic: repro.replicas imports
     # repro.core, and this module is imported by repro.core consumers.
-    from repro.replicas.reader import attach_reader, check_read_tier
+    from repro.replicas.reader import attach_reader
     from repro.replicas.server import seat_replicas
 
-    check_read_tier(scenario.n_replicas, scenario.read_period,
-                    scenario.read_policy)
     service = RTPBService(
         config=scenario.config(),
         seed=scenario.seed,

@@ -30,9 +30,8 @@ def assert_mid_traffic(trace, record, horizon):
 
 
 def test_flash_crowd_scales_out_with_zero_violations():
-    run = run_chaos("flash_crowd", seed=0)
-    assert run.unexpected_violations() == []
-    result = run.result
+    result, document = run_chaos("flash_crowd", seed=0)
+    assert document["findings"]["unexpected"] == []
     assert result.violations == []
 
     controller = result.controller
@@ -46,7 +45,7 @@ def test_flash_crowd_scales_out_with_zero_violations():
                for action in controller.autoscaler.actions)
 
     trace = result.service.trace
-    horizon = run.scenario.workload.horizon
+    horizon = result.scenario.horizon
     assert_mid_traffic(trace, trace.select("migration_commit")[0], horizon)
     assert_mid_traffic(trace, trace.select("autoscale")[0], horizon)
     # The grown map is live: the new group ended up owning objects.
@@ -55,9 +54,8 @@ def test_flash_crowd_scales_out_with_zero_violations():
 
 
 def test_scaleup_race_with_failover_aborts_then_retries_to_commit():
-    run = run_chaos("scaleup_race_with_failover", seed=0)
-    assert run.unexpected_violations() == []
-    result = run.result
+    result, document = run_chaos("scaleup_race_with_failover", seed=0)
+    assert document["findings"]["unexpected"] == []
     assert result.violations == []
 
     trace = result.service.trace
@@ -75,16 +73,15 @@ def test_scaleup_race_with_failover_aborts_then_retries_to_commit():
     cluster = result.service
     owners = [spec.object_id for spec in cluster.registered_specs()]
     assert sorted(owners) == sorted(set(owners))
-    assert len(owners) == run.scenario.workload.n_objects
-    horizon = run.scenario.workload.horizon
+    assert len(owners) == result.scenario.n_objects
+    horizon = result.scenario.horizon
     assert_mid_traffic(trace, commits[0], horizon)
     assert_mid_traffic(trace, trace.select("autoscale")[0], horizon)
 
 
 def test_rolling_decommission_evacuates_both_hosts_cleanly():
-    run = run_chaos("rolling_decommission", seed=0)
-    assert run.unexpected_violations() == []
-    result = run.result
+    result, document = run_chaos("rolling_decommission", seed=0)
+    assert document["findings"]["unexpected"] == []
     assert result.violations == []
 
     cluster = result.service
@@ -112,12 +109,13 @@ def test_migration_findings_reach_the_chaos_report_and_fail_the_verb(
     monkeypatch.setattr(ShardMigration, "_poll_barrier",
                         ShardMigration._commit)
     path = tmp_path / "flash_crowd.json"
+    # In process (--jobs 1), so the monkeypatch reaches the run.
     status = main(["chaos", "--scenario", "flash_crowd", "--seed", "0",
-                   "--output", str(path)])
-    invariants = json.loads(path.read_text())["invariants"]
-    kinds = [finding["kind"] for finding in invariants["unexpected"]]
+                   "--jobs", "1", "--output", str(path)])
+    findings = json.loads(path.read_text())["flash_crowd"]["findings"]
+    kinds = [finding["kind"] for finding in findings["unexpected"]]
     assert MIGRATION_MISSING_BARRIER in kinds
-    assert invariants["violation_counts"][MIGRATION_MISSING_BARRIER] >= 1
+    assert findings["counts"][MIGRATION_MISSING_BARRIER] >= 1
     assert status == 1
     assert f"UNEXPECTED flash_crowd: {MIGRATION_MISSING_BARRIER}" in \
         capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The elastic controller end-to-end: scale-out, scale-in, draining."""
 
 from repro.experiments.harness import run_scenario
+from repro.workload.cluster import ClusterScenario
 from repro.workload.elastic import ElasticScenario
 
 
@@ -41,12 +42,12 @@ def test_scale_in_stops_at_min_groups():
     assert len(active) == 2
 
 
-def test_elastic_summary_is_json_safe_accounting():
+def test_elastic_topology_summary_is_json_safe_accounting():
     scenario = ElasticScenario(
         n_shards=2, n_hosts=4, n_objects=6, horizon=4.0, seed=0,
         low_watermark=0.0, max_groups=0, max_hosts=0)
     result = run_scenario(scenario, monitor=True)
-    summary = result.elastic_summary()
+    summary = scenario.summary(result)
     for key in ("scale_outs", "scale_ins", "hosts_added",
                 "migrations_committed", "migrations_aborted",
                 "autoscale_actions", "window_degradations",
@@ -60,4 +61,7 @@ def test_elastic_disabled_attaches_no_controller():
         elastic_enabled=False)
     result = run_scenario(scenario)
     assert result.controller is None
-    assert result.elastic_summary() == {}
+    # Without a controller the summary is the plain cluster's.
+    assert scenario.summary(result) == ClusterScenario.summary(
+        scenario, result)
+    assert "scale_outs" not in scenario.summary(result)

@@ -28,7 +28,7 @@ def test_elastic_chaos_runs_are_replayable():
         schedule = FaultSchedule().flash_crowd(2.0, 1.5, 8.0)
         result = run_scenario(scenario, fault_schedule=schedule,
                               monitor=True)
-        return result.service.trace.digest(), result.elastic_summary()
+        return result.service.trace.digest(), scenario.summary(result)
 
     first_digest, first_summary = once()
     second_digest, second_summary = once()
@@ -46,8 +46,8 @@ def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
             "--output", str(output)]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
     document = json.loads(outputs[1].read_text())
-    assert [run["factor"] for run in document["runs"]] == [1.0, 8.0]
+    assert [run["key"]["factor"] for run in document["runs"]] == [1.0, 8.0]
     for run in document["runs"]:
         assert len(run["digest"]) == 64
-        assert run["violations"] == {}
-        assert run["migration_violations"] == 0
+        assert run["findings"]["counts"] == {}
+        assert run["extra"]["migration_violations"] == 0

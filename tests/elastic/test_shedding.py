@@ -95,7 +95,7 @@ def test_redline_pressure_degrades_live_without_violations():
         n_shards=2, n_hosts=4, n_objects=8, horizon=6.0, seed=0,
         shed_red_line=0.01, low_watermark=0.0, max_groups=0, max_hosts=0)
     result = run_scenario(scenario, monitor=True)
-    summary = result.elastic_summary()
+    summary = scenario.summary(result)
     assert summary["window_degradations"] > 0
     assert result.monitor.violation_counts() == {}
     assert summary["migration_violations"] == 0

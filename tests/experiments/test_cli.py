@@ -113,17 +113,59 @@ def test_explicit_horizon_wins_over_the_quick_preset(
 
 
 def test_cluster_verb_single_run_and_seed_sweep(capsys):
+    # A single run is a sweep of one seed, with the whole run document.
     size = ["cluster", "--shards", "2", "--hosts", "4", "--objects", "4",
             "--horizon", "4"]
-    assert main(size + ["--crash", "2.5:g00/primary", "--monitor"]) == 0
-    single = json.loads(capsys.readouterr().out)
+    assert main(size + ["--seeds", "0", "--crash", "2.5:g00/primary",
+                        "--monitor"]) == 0
+    single, = json.loads(capsys.readouterr().out)["runs"]
+    assert single["key"] == {"seed": 0}
     assert sorted(single["per_group"]) == ["rtpb/g00", "rtpb/g01"]
-    assert [fault["kind"] for fault in single["faults"]] == ["crash"]
-    assert single["violations"] == {}
+    assert single["extra"]["placements"] == {"rtpb/g00": 1, "rtpb/g01": 1}
+    assert single["extra"]["parked_groups"] == []
+    assert single["extra"]["rejections"] == []
+    assert single["extra"]["utilization"]
+    assert [fault["kind"] for fault in single["faults"]["applied"]] == [
+        "crash"]
+    assert single["findings"]["counts"] == {}
+    # Without --seeds the verb runs seed 0: the same document.
+    assert main(size + ["--crash", "2.5:g00/primary", "--monitor"]) == 0
+    assert json.loads(capsys.readouterr().out)["runs"] == [single]
     assert main(size + ["--seeds", "0", "1"]) == 0
     sweep = json.loads(capsys.readouterr().out)
-    assert [run["seed"] for run in sweep["runs"]] == [0, 1]
-    # Seed 0's sweep entry is the fault-free twin of the single run.
-    assert sweep["runs"][0]["admitted"] == single["cluster"]["admitted"]
+    assert [run["key"]["seed"] for run in sweep["runs"]] == [0, 1]
+    # Seed 0's sweep entry is the fault-free twin of the crashed run.
+    assert sweep["runs"][0]["metrics"]["admitted"] == \
+        single["metrics"]["admitted"]
+    assert sweep["runs"][0]["faults"]["applied"] == []
     with pytest.raises(SystemExit):
         main(size + ["--crash", "soon:g00/primary"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--shards", "0"],
+    ["cluster", "--hosts", "0"],
+    ["cluster", "--backups", "0"],
+    ["cluster", "--loss", "1.5"],
+    ["cluster", "--horizon", "-1"],
+    ["cluster", "--isolate", "2.0:-1.0:g00/backup"],
+    ["replicas", "--replica-counts", "-1"],
+    ["elastic", "--factors", "8", "--burst-duration", "-1"],
+    # --warmup outside [0, horizon) would emit an empty or skewed document.
+    ["cluster", "--horizon", "4", "--warmup", "10"],
+    ["cluster", "--warmup", "-1"],
+    ["replicas", "--quick", "--warmup", "7"],
+    ["elastic", "--quick", "--warmup", "10"],
+    ["chaos", "--scenario", "degraded_network", "--warmup", "20"],
+])
+def test_a_bad_option_is_a_usage_error(monkeypatch, capsys, argv):
+    # Exit 2 before any run starts: exit 1 is the chaos gate's finding.
+    def no_runs(specs, jobs=1):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("repro.__main__.run_specs", no_runs)
+    monkeypatch.setattr("repro.faults.report.run_specs", no_runs)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

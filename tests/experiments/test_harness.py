@@ -206,7 +206,7 @@ def test_findings_of_every_monitor_reach_the_result_and_the_outcome(
     assert outcome.violations == [violation.to_dict()
                                   for violation in result.violations]
     assert outcome.degraded_counts == kind_counts(result.degraded)
-    assert outcome.extra == result.elastic_summary()
+    assert outcome.extra == result.scenario.summary(result)
     if name == "flash_crowd":
         assert outcome.extra["migration_violations"] == len(
             result.monitors[-1].violations)

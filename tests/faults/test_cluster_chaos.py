@@ -1,7 +1,7 @@
 """The cluster chaos scenario and the cluster-aware fault actions."""
 
 from repro.faults.monitor import SPLIT_BRAIN
-from repro.faults.report import report_dict, run_chaos
+from repro.faults.report import run_chaos
 from repro.faults.schedule import FaultSchedule
 from repro.faults.scenarios import SCENARIOS, build
 from repro.workload.cluster import ClusterScenario
@@ -17,10 +17,10 @@ def test_catalogue_contains_the_cluster_scenario():
 
 
 def test_cluster_group_outage_scopes_violations_to_the_split_group():
-    run = run_chaos("cluster_group_outage", seed=0)
+    result, report = run_chaos("cluster_group_outage", seed=0)
     # Nothing outside the declared blast radius.
-    assert run.unexpected_violations() == []
-    monitor = run.result.monitor
+    assert report["findings"]["unexpected"] == []
+    monitor = result.monitor
     counts = monitor.violation_counts()
     assert counts.get(SPLIT_BRAIN, 0) >= 1
     # Per-group scoping: the split brain is attributed to the isolated
@@ -32,10 +32,13 @@ def test_cluster_group_outage_scopes_violations_to_the_split_group():
     assert all(violation.details.get("group")
                for violation in monitor.violations)
     # All three scheduled faults resolved and fired.
-    assert len(run.result.injector.applied) == 3
-    report = report_dict(run)
-    assert report["invariants"]["unexpected"] == []
-    assert len(report["trace_digest"]) == 64
+    assert len(result.injector.applied) == 3
+    # The run document carries each group's metrics, and every finding
+    # names its group there too.
+    assert list(report["per_group"]) == list(per_group)
+    assert all(finding["group"]
+               for finding in report["findings"]["violations"])
+    assert len(report["digest"]) == 64
 
 
 def test_kill_host_degrades_to_crash_on_single_group_services():

@@ -6,8 +6,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.faults.monitor import SPLIT_BRAIN, TEMPORAL_WINDOW
-from repro.faults.report import report_dict, run_chaos
+from repro.faults.report import run_chaos
 from repro.faults.scenarios import SCENARIOS, build
+from repro.metrics.jsonio import jsonable
 
 
 def test_catalogue_builds_deterministically():
@@ -25,17 +26,17 @@ def test_unknown_scenario_name_lists_alternatives():
 def test_acceptance_scenario_catches_expected_violations():
     """primary_crash_burst_loss, seed 1: the monitor must flag the window
     violations (and nothing outside the scenario's expected set)."""
-    run = run_chaos("primary_crash_burst_loss", seed=1)
-    counts = run.result.monitor.violation_counts()
+    result, document = run_chaos("primary_crash_burst_loss", seed=1)
+    counts = result.monitor.violation_counts()
     assert counts.get(TEMPORAL_WINDOW, 0) >= 1
-    assert run.unexpected_violations() == []
+    assert document["findings"]["unexpected"] == []
 
 
 def test_split_brain_scenario_flags_split_brain():
-    run = run_chaos("partition_heal_rejoin", seed=1)
-    counts = run.result.monitor.violation_counts()
+    result, document = run_chaos("partition_heal_rejoin", seed=1)
+    counts = result.monitor.violation_counts()
     assert counts.get(SPLIT_BRAIN, 0) >= 1
-    assert run.unexpected_violations() == []
+    assert document["findings"]["unexpected"] == []
 
 
 @pytest.mark.parametrize("name", ["fastpath_backup_crash",
@@ -43,11 +44,11 @@ def test_split_brain_scenario_flags_split_brain():
 def test_fastpath_chaos_keeps_every_invariant(name):
     """Acceptance: the fast path under churn provokes *zero* invariant
     violations — early replies never outrun what a failover can prove."""
-    run = run_chaos(name, seed=1)
-    assert run.result.monitor.violation_counts() == {}
-    assert run.unexpected_violations() == []
+    result, document = run_chaos(name, seed=1)
+    assert result.monitor.violation_counts() == {}
+    assert document["findings"]["unexpected"] == []
     # The fast path actually engaged (the run is not vacuous) ...
-    trace = run.result.service.trace
+    trace = result.service.trace
     assert trace.select("fastpath_commit")
     # ... and the failure transition ran the drain protocol to completion.
     phases = [record["phase"]
@@ -60,19 +61,19 @@ def test_fastpath_chaos_keeps_every_invariant(name):
 def test_remaining_scenarios_fire_and_stay_inside_their_expected_set(name):
     """The catalogue entries no other test runs to a verdict: their faults
     must actually fire and provoke nothing undeclared."""
-    run = run_chaos(name, seed=1)
-    assert run.result.injector.applied, f"{name}: no fault ever fired"
-    assert run.unexpected_violations() == []
+    result, document = run_chaos(name, seed=1)
+    assert result.injector.applied, f"{name}: no fault ever fired"
+    assert document["findings"]["unexpected"] == []
 
 
-def test_report_dict_carries_fault_log_and_digest():
-    run = run_chaos("crash_plus_partition", seed=2)
-    report = report_dict(run)
-    assert report["scenario"]["name"] == "crash_plus_partition"
+def test_run_document_carries_fault_log_and_digest():
+    _result, report = run_chaos("crash_plus_partition", seed=2)
+    assert report["scenario"] == jsonable(
+        build("crash_plus_partition", seed=2).workload)
     assert report["scenario"]["seed"] == 2
     assert len(report["faults"]["applied"]) == len(
         report["faults"]["scheduled"])
-    assert len(report["trace_digest"]) == 64
+    assert len(report["digest"]) == 64
     assert report["network"]["messages_sent"] > 0
 
 
@@ -85,9 +86,25 @@ def test_cli_reports_are_byte_identical(capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
-    document = json.loads(first)
+    document = json.loads(first)["primary_crash_burst_loss"]
     assert document["scenario"]["seed"] == 1
-    assert document["trace_digest"]
+    assert document["digest"]
+
+
+def test_a_selected_scenario_is_its_matrix_entry(capsys):
+    """One run, one document: ``--scenario X`` writes the run ``--matrix``
+    writes for X at the same seed, and several ``--scenario`` select
+    several entries."""
+    names = ["backup_flapping", "degraded_network"]
+    assert main(["chaos", "--scenario", names[0], "--scenario", names[1],
+                 "--seed", "3"]) == 0
+    selected = json.loads(capsys.readouterr().out)
+    assert sorted(selected) == names
+    assert main(["chaos", "--matrix", "--seed", "3", "--jobs", "2"]) == 0
+    matrix = json.loads(capsys.readouterr().out)
+    assert sorted(matrix) == sorted(SCENARIOS)
+    for name in names:
+        assert selected[name] == matrix[name]
 
 
 def test_cli_seed_changes_the_report(capsys):
@@ -111,7 +128,7 @@ def test_cli_output_file(tmp_path, capsys):
                  "--output", str(path)]) == 0
     assert capsys.readouterr().out == ""
     document = json.loads(path.read_text())
-    assert document["scenario"]["name"] == "degraded_network"
+    assert list(document) == ["degraded_network"]
 
 
 def test_cli_rejects_missing_mode_and_bad_name(capsys):
@@ -119,6 +136,8 @@ def test_cli_rejects_missing_mode_and_bad_name(capsys):
         main(["chaos"])
     with pytest.raises(SystemExit):
         main(["chaos", "--scenario", "nonesuch"])
+    with pytest.raises(SystemExit):
+        main(["chaos", "--list", "--matrix"])
 
 
 def test_cli_rejects_unwritable_output_path(tmp_path, capsys):

@@ -64,12 +64,12 @@ def test_cli_sweep_passes_its_own_identity_gate(tmp_path):
             "--jobs", str(jobs), "--output", str(output)]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
     document = json.loads(outputs[1].read_text())
-    assert [run["replicas"] for run in document["runs"]] == [0, 1]
+    assert [run["key"]["replicas"] for run in document["runs"]] == [0, 1]
     for run in document["runs"]:
         assert len(run["digest"]) == 64
-        assert run["slo_violations"] == 0
+        assert run["metrics"]["slo_violations"] == 0
     # The zero-replica baseline routes everything to the primary.
-    assert document["runs"][0]["fallback_rate"] == 1.0
+    assert document["runs"][0]["metrics"]["fallback_rate"] == 1.0
 
 
 def _fingerprint(service):
