@@ -31,8 +31,8 @@ everywhere:
 - ``--quick`` shrinks a sweep to CI size (for ``figures``, the
   catalogue's quick preset instead of the paper size); an option given
   explicitly always wins over the quick preset.
-- ``--warmup`` must lie in ``[0, horizon)``; a knob the scenario values
-  reject is a usage error too.
+- ``--warmup`` and every scheduled fault must lie in ``[0, horizon)``;
+  a knob the scenario values reject is a usage error too.
 
 Exit status: 0 on success, 1 when a regression or invariant gate
 fails (``chaos``: a finding outside a scenario's expected set), 2 on
@@ -152,6 +152,12 @@ def _check_warmup(parser: argparse.ArgumentParser, warmup: float,
                      f"with a {horizon:g} s horizon")
 
 
+def _check_at_least(parser: argparse.ArgumentParser, option: str,
+                    value: float, least: float) -> None:
+    if not value >= least:
+        parser.error(f"{option} must be >= {least:g}: got {value:g}")
+
+
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser) -> Iterator[None]:
     """A knob a value rejects as it is made (a scenario, a fault) is a
@@ -171,7 +177,12 @@ def _emit_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace,
     worker count.
     """
     for spec in specs:
-        _check_warmup(parser, spec.warmup, spec.scenario.horizon)
+        horizon = spec.scenario.horizon
+        _check_warmup(parser, spec.warmup, horizon)
+        for fault in spec.fault_schedule or ():
+            if fault.time >= horizon:
+                parser.error(f"a fault at {fault.time:g} s would never fire "
+                             f"in a {horizon:g} s horizon")
     outcomes = run_specs(specs, jobs=_jobs(parser, args))
     _emit(parser, {**header, "runs": [run_document(outcome)
                                       for outcome in outcomes]},
@@ -308,6 +319,7 @@ def _cluster_schedule(parser: argparse.ArgumentParser,
 
 def _cluster(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
+    _check_at_least(parser, "--objects", args.objects, 1)
     schedule = _cluster_schedule(parser, args)
     # Several backups per group need the succession-aware discipline.
     replication = "multi_backup" if args.backups > 1 else "rtpb"
@@ -354,6 +366,7 @@ def _replicas(parser: argparse.ArgumentParser,
     _fill(args,
           full=dict(replica_counts=[0, 1, 2, 3], seeds=[0, 1], horizon=12.0),
           quick=dict(replica_counts=[0, 1, 2], seeds=[0], horizon=6.0))
+    _check_at_least(parser, "--objects", args.objects, 1)
     with _usage_errors(parser):
         specs = [
             RunSpec(scenario=Scenario(
@@ -410,6 +423,10 @@ def _elastic(parser: argparse.ArgumentParser,
     _fill(args,
           full=dict(factors=[1.0, 4.0, 8.0], seeds=[0, 1], horizon=20.0),
           quick=dict(factors=[1.0, 8.0], seeds=[0], horizon=10.0))
+    _check_at_least(parser, "--objects", args.objects, 1)
+    for factor in args.factors:
+        # Below 1 is no burst at all, yet its key would name the factor.
+        _check_at_least(parser, "--factors", factor, 1.0)
     specs = []
     for factor in args.factors:
         for seed in args.seeds:

@@ -43,11 +43,12 @@ Paper-shape expectations (what EXPERIMENTS.md checks):
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 from repro.core.spec import SchedulingMode
 from repro.metrics.report import Series
-from repro.parallel import RunOutcome, RunSpec, derive_seed, run_specs
+from repro.metrics.summary import RunMetrics
+from repro.parallel import RunSpec, derive_seed, measure_specs
 from repro.units import ms, to_ms
 from repro.workload.scenarios import Scenario
 
@@ -65,17 +66,23 @@ def _rate_label(period: float) -> str:
     return f"write-period={to_ms(period):.0f}ms"
 
 
-def _sweep(series: Series, specs: List[RunSpec], jobs: int,
-           y_of: Callable[[RunOutcome], float]) -> Series:
-    """Run ``specs`` through the pool and plot them in submission order.
+def _measured(specs: List[RunSpec],
+              jobs: int) -> Iterator[Tuple[Any, Any, RunMetrics]]:
+    """Measure ``specs`` through the pool: each point's ``(curve, x)`` key,
+    taken from its spec, with its run's metrics, in spec order (the pool
+    reassembles results in submission order whatever the completion
+    order)."""
+    for spec, metrics in zip(specs, measure_specs(specs, jobs=jobs)):
+        assert spec.key is not None
+        curve, x = spec.key
+        yield curve, x, metrics
 
-    Each spec's ``key`` is ``(curve_label, x)``; completion order is
-    irrelevant because the pool reassembles outcomes in submission order.
-    """
-    for outcome in run_specs(specs, jobs=jobs):
-        assert outcome.key is not None
-        curve, x = outcome.key
-        series.add_point(curve, x, to_ms(y_of(outcome)))
+
+def _sweep(series: Series, specs: List[RunSpec], jobs: int,
+           y_of: Callable[[RunMetrics], float]) -> Series:
+    """Measure ``specs`` and plot ``y_of`` each point, in milliseconds."""
+    for curve, x, metrics in _measured(specs, jobs):
+        series.add_point(curve, x, to_ms(y_of(metrics)))
     return series
 
 
@@ -119,7 +126,7 @@ def _response_series(name: str, object_counts: Sequence[int],
         for window in windows for count in object_counts
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.metrics.response.mean)
+                  lambda metrics: metrics.response.mean)
 
 
 def figure6_fastpath_overlay(
@@ -178,13 +185,10 @@ def _fastpath_overlay_series(name: str, object_counts: Sequence[int],
         for replication in ("eager", "eager_fastpath")
         for count in object_counts
     ]
-    for outcome in run_specs(specs, jobs=jobs):
-        assert outcome.key is not None
-        label, count = outcome.key
+    for label, count, metrics in _measured(specs, jobs):
         series.add_point(f"{label} mean", count,
-                         to_ms(outcome.metrics.response.mean))
-        series.add_point(f"{label} p99", count,
-                         to_ms(outcome.metrics.response.p99))
+                         to_ms(metrics.response.mean))
+        series.add_point(f"{label} p99", count, to_ms(metrics.response.p99))
     return series
 
 
@@ -213,7 +217,7 @@ def figure8_distance_vs_loss(
         for period in write_periods for loss in loss_probabilities
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_max_distance)
+                  lambda metrics: metrics.avg_max_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def _distance_series(name: str, object_counts: Sequence[int],
         for window in windows for count in object_counts
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_max_distance)
+                  lambda metrics: metrics.avg_max_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def _inconsistency_series(name: str, loss_probabilities: Sequence[float],
         for window in windows for loss in loss_probabilities
     ]
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.avg_inconsistency)
+                  lambda metrics: metrics.avg_inconsistency)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +360,8 @@ def figure13_read_throughput_vs_replicas(
             key=(_read_period_label(period), count))
         for period in read_periods for count in replica_counts
     ]
-    for outcome in run_specs(specs, jobs=jobs):
-        assert outcome.key is not None
-        curve, x = outcome.key
-        series.add_point(curve, x, round(outcome.metrics.read_throughput, 1))
+    for curve, x, metrics in _measured(specs, jobs):
+        series.add_point(curve, x, round(metrics.read_throughput, 1))
     return series
 
 
@@ -391,10 +393,8 @@ def figure14_read_staleness_vs_window(
             key=("staleness", to_ms(window)))
         for window in windows
     ]
-    for outcome in run_specs(specs, jobs=jobs):
-        assert outcome.key is not None
-        _, x = outcome.key
-        stats = outcome.metrics.read_staleness
+    for _, x, metrics in _measured(specs, jobs):
+        stats = metrics.read_staleness
         series.add_point("p50", x, to_ms(stats.p50))
         series.add_point("p99", x, to_ms(stats.p99))
         series.add_point("p999", x, to_ms(stats.p999))
@@ -457,4 +457,4 @@ def figure15_flash_crowd_scaleout(
             specs.append(RunSpec(scenario=scenario, fault_schedule=schedule,
                                  monitor=True, key=(label, factor)))
     return _sweep(series, specs, jobs,
-                  lambda outcome: outcome.metrics.response.p99)
+                  lambda metrics: metrics.response.p99)

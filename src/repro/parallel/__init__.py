@@ -10,7 +10,8 @@ while keeping output **byte-identical to serial**:
 - :func:`derive_seed` addresses each sweep point's randomness by its
   coordinates, never by enumeration order or worker assignment;
 - :class:`~repro.parallel.spec.RunSpec` / ``RunOutcome`` make the request
-  and the result plain picklable values;
+  and the result plain picklable values; ``measure`` returns a run's
+  metrics alone, for sweeps that print no run document;
 - :class:`~repro.parallel.pool.SweepPool` reassembles results in
   submission order regardless of completion order, falling back to inline
   execution when ``jobs=1`` or the platform cannot start processes.
@@ -24,6 +25,7 @@ from repro.parallel.pool import (
     JOBS_ENV_VAR,
     SweepPool,
     SweepSubmissionError,
+    measure_specs,
     process_support,
     resolve_jobs,
     run_specs,
@@ -33,6 +35,7 @@ from repro.parallel.spec import (
     RunOutcome,
     RunSpec,
     execute,
+    measure,
     outcome_from_result,
     run_document,
 )
@@ -45,6 +48,8 @@ __all__ = [
     "SweepSubmissionError",
     "derive_seed",
     "execute",
+    "measure",
+    "measure_specs",
     "outcome_from_result",
     "process_support",
     "resolve_jobs",

@@ -33,6 +33,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
+    from repro.metrics.summary import RunMetrics
     from repro.parallel.spec import RunOutcome, RunSpec
 
 ItemT = TypeVar("ItemT")
@@ -133,3 +134,12 @@ def run_specs(specs: Sequence["RunSpec"], jobs: int = 1) -> List["RunOutcome"]:
     from repro.parallel.spec import execute
 
     return SweepPool(jobs).map(execute, list(specs))
+
+
+def measure_specs(specs: Sequence["RunSpec"],
+                  jobs: int = 1) -> List["RunMetrics"]:
+    """Measure :class:`RunSpec` values through a pool, in submission order:
+    each run's metrics alone, for sweeps that plot and print no digest."""
+    from repro.parallel.spec import measure
+
+    return SweepPool(jobs).map(measure, list(specs))

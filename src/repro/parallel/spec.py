@@ -1,19 +1,19 @@
-"""Picklable run requests and outcomes.
+"""Picklable run requests, and the two workers that run them.
 
 A :class:`RunSpec` is everything one simulation run needs — the
 scenario value (:class:`~repro.workload.scenarios.BaseScenario`, any
 topology), an optional fault schedule, and the monitor/trace flags — as a
-plain value that crosses a process boundary.  :func:`execute` is the worker-side entry point: it runs the
-spec through the experiments harness and returns a :class:`RunOutcome`,
-the slim picklable rendering of the finished run (metrics, counters, and
-the trace digest — *not* the live :class:`~repro.core.service.RTPBService`,
-whose object graph is neither picklable nor worth shipping).
+plain value that crosses a process boundary.  Each worker returns only
+what its callers read, never the live deployment, whose object graph is
+neither picklable nor worth shipping: :func:`measure` returns the run's
+:class:`~repro.metrics.summary.RunMetrics`, all a figure or table plots;
+:func:`execute` returns a :class:`RunOutcome` (metrics, counters, fault
+log, findings and the trace digest), which :func:`run_document` renders
+as the JSON every verb that prints runs writes.
 
-Both halves are deterministic functions of the spec: the wall-clock field
-(``wall_s``) is the only thing two runs of the same spec may disagree on,
-and it is measured per worker so pool queueing never inflates it.
-:func:`run_document` is the one JSON rendering of an outcome: every
-command-line verb writes its runs through it.
+Both are deterministic functions of the spec; an outcome's ``wall_s`` is
+the only field two runs of the same spec may disagree on, measured per
+worker so pool queueing never inflates it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,17 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Collection, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.metrics.jsonio import jsonable
 from repro.metrics.summary import MetricsView, RunMetrics
@@ -37,6 +47,8 @@ if TYPE_CHECKING:
 #: Injectable worker stopwatch — a *reference* to ``time.perf_counter``,
 #: so the wall clock never leaks into model code.
 _STOPWATCH = time.perf_counter
+
+RenderedT = TypeVar("RenderedT")
 
 
 @dataclass(frozen=True)
@@ -168,8 +180,10 @@ def run_document(outcome: RunOutcome,
     return jsonable(document)
 
 
-def execute(spec: RunSpec) -> RunOutcome:
-    """Run one spec to completion (the process-pool worker entry point)."""
+def _finished(spec: RunSpec,
+              render: Callable[[RunResult, float], RenderedT]) -> RenderedT:
+    """Run ``spec``, keep what ``render`` makes of the run and its wall
+    time, and free the run itself."""
     from repro.experiments.harness import run_scenario
 
     started = _STOPWATCH()
@@ -177,9 +191,21 @@ def execute(spec: RunSpec) -> RunOutcome:
                           full_trace=spec.full_trace,
                           fault_schedule=spec.fault_schedule,
                           monitor=spec.monitor)
-    outcome = outcome_from_result(result, wall_s=_STOPWATCH() - started,
-                                  key=spec.key)
+    rendered = render(result, _STOPWATCH() - started)
     # Free the finished run now: its graph is cyclic, sweeps pause the GC.
     del result
     gc.collect(0)
-    return outcome
+    return rendered
+
+
+def execute(spec: RunSpec) -> RunOutcome:
+    """Run one spec to its fingerprinted outcome (the worker behind every
+    run document)."""
+    return _finished(spec, lambda result, wall_s: outcome_from_result(
+        result, wall_s=wall_s, key=spec.key))
+
+
+def measure(spec: RunSpec) -> RunMetrics:
+    """Run one spec to its metrics alone (the figure sweeps' worker): no
+    digest, fault log or counters, which no table prints."""
+    return _finished(spec, lambda result, _wall_s: result.metrics)

@@ -104,12 +104,14 @@ def test_explicit_horizon_wins_over_the_quick_preset(
         return []
 
     monkeypatch.setattr("repro.__main__.run_specs", record)
-    monkeypatch.setattr("repro.experiments.figures.run_specs", record)
+    monkeypatch.setattr("repro.experiments.figures.measure_specs", record)
     assert main(argv + ["--quick"]) == 0
     assert horizons and set(horizons) == {quick_horizon}
     del horizons[:]
-    assert main(argv + ["--quick", "--horizon", "3"]) == 0
-    assert horizons and set(horizons) == {3.0}
+    # 5 s, not less: elastic's flash crowd starts at 3 s, and a fault at
+    # or after the horizon is a usage error.
+    assert main(argv + ["--quick", "--horizon", "5"]) == 0
+    assert horizons and set(horizons) == {5.0}
 
 
 def test_cluster_verb_single_run_and_seed_sweep(capsys):
@@ -157,6 +159,20 @@ def test_cluster_verb_single_run_and_seed_sweep(capsys):
     ["replicas", "--quick", "--warmup", "7"],
     ["elastic", "--quick", "--warmup", "10"],
     ["chaos", "--scenario", "degraded_network", "--warmup", "20"],
+    # A fault at or after the horizon would never fire.
+    ["cluster", "--shards", "2", "--hosts", "4", "--objects", "4",
+     "--horizon", "4", "--crash", "30:g00/primary"],
+    ["cluster", "--horizon", "4", "--kill-host", "4:1"],
+    ["cluster", "--horizon", "4", "--isolate", "5:1:g00/backup"],
+    ["elastic", "--quick", "--burst-at", "10"],
+    # Below 1 a factor is no burst at all: only 1 is the calm control.
+    ["elastic", "--factors", "0.5"],
+    ["elastic", "--factors", "1", "0"],
+    ["elastic", "--factors", "-1"],
+    # No objects, nothing to measure.
+    ["cluster", "--objects", "0"],
+    ["replicas", "--objects", "0"],
+    ["elastic", "--objects", "-2"],
 ])
 def test_a_bad_option_is_a_usage_error(monkeypatch, capsys, argv):
     # Exit 2 before any run starts: exit 1 is the chaos gate's finding.

@@ -89,7 +89,7 @@ def test_the_deciders_agree_on_lossy_pairs(n_objects, window, client_period,
 
 def test_the_deciders_agree_on_the_quick_figure_runs(monkeypatch):
     swept = []
-    monkeypatch.setattr(figures, "run_specs",
+    monkeypatch.setattr(figures, "measure_specs",
                         lambda specs, jobs=1: swept.extend(specs) or [])
     for entry in ("fig08_distance_vs_loss", "fig09_distance_ac",
                   "fig10_distance_noac", "fig11_inconsistency_normal",

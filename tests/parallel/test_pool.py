@@ -19,6 +19,7 @@ from repro.parallel import (
     RunSpec,
     SweepPool,
     SweepSubmissionError,
+    measure_specs,
     process_support,
     resolve_jobs,
     run_specs,
@@ -129,35 +130,57 @@ def test_single_item_work_runs_inline():
 # ---------------------------------------------------------------------------
 
 
+def _point_specs(points):
+    return [RunSpec(Scenario(n_objects=4, client_period=ms(20), horizon=6.0,
+                             seed=seed))
+            for seed in range(points)]
+
+
+def _retained_after(sweep, points):
+    """Bytes still allocated after ``sweep`` ran ``points`` specs under a
+    paused collector, as a sweep runs them, and what the sweep returned."""
+    specs = _point_specs(points)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = sweep(specs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return retained, results
+
+
+def _retained_per_extra_point(sweep):
+    _retained_after(sweep, 1)  # interns the record shapes a run makes
+    one, _ = _retained_after(sweep, 1)
+    four, results = _retained_after(sweep, 4)
+    return (four - one) / 3, results
+
+
 def test_finished_points_are_not_kept():
     """Regression: a deployment's object graph is cyclic, so a finished
     point — its trace included — was freed only by the cycle collector,
     which sweeps run with paused: a serial sweep held every point to its
     end."""
-
-    def retained_after(points):
-        specs = [RunSpec(Scenario(n_objects=4, client_period=ms(20),
-                                  horizon=6.0, seed=seed))
-                 for seed in range(points)]
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            outcomes = run_specs(specs)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        return retained, outcomes
-
-    retained_after(1)  # interns the record shapes a run makes
-    one, _ = retained_after(1)
-    four, outcomes = retained_after(4)
+    per_point, outcomes = _retained_per_extra_point(run_specs)
     records = min(outcome.trace_records for outcome in outcomes)
     assert records > 1000
     # An extra point keeps its outcome: less than a pointer per record.
-    assert (four - one) / 3 < 8 * records, (four - one) / 3
+    assert per_point < 8 * records, per_point
+
+
+def test_measured_points_are_not_kept():
+    """The figures' worker frees its run as the documents' worker does."""
+    per_point, metrics = _retained_per_extra_point(measure_specs)
+    assert len(metrics) == 4
+    records = min(outcome.trace_records
+                  for outcome in run_specs(_point_specs(4)))
+    assert records > 1000
+    # An extra point keeps its metrics: less than a pointer per record.
+    assert per_point < 8 * records, per_point
 
 
 def test_a_serial_run_path_never_imports_the_process_pool():
